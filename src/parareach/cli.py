@@ -21,7 +21,7 @@ from . import __version__
 from .errors import ConfigError, ParareachError
 from .family import (build_family, check_assumptions, membership_margins,
                      reach_slice)
-from .model import IqcSystem, Paraboloid, system_from_json
+from .model import AugmentedState, IqcSystem, Paraboloid, system_from_json
 from .oracle import OracleConfig, coverage, endpoints_to_csv, sample_admissible
 from .presets import load_preset, preset_names
 from .riccati import IntegratorConfig, propagate
@@ -90,15 +90,10 @@ def _build_config(args) -> RunConfig:
     else:
         raise ConfigError("one of --example or --system is required")
 
-    if args.e0 is not None and preset is not None:
+    if preset is not None and (args.e0, args.f0, args.g0) != (None, None, None):
         seed_par = Paraboloid(
-            np.asarray(_parse_json_flag(args.e0, "--e0"), dtype=float),
-            (seed_par.f if args.f0 is None
-             else np.asarray(_parse_json_flag(args.f0, "--f0"), dtype=float)),
-            seed_par.g if args.g0 is None else args.g0)
-    elif preset is not None and (args.f0 is not None or args.g0 is not None):
-        seed_par = Paraboloid(
-            seed_par.E,
+            (seed_par.E if args.e0 is None
+             else np.asarray(_parse_json_flag(args.e0, "--e0"), dtype=float)),
             (seed_par.f if args.f0 is None
              else np.asarray(_parse_json_flag(args.f0, "--f0"), dtype=float)),
             seed_par.g if args.g0 is None else args.g0)
@@ -266,7 +261,6 @@ def cmd_verify(rc: RunConfig) -> int:
     endpoints = np.stack([tr.x_samples[k] for tr in trajs])
     cov = coverage(fam, t_cov, endpoints, cells_per_dim=rc.cells_per_dim)
 
-    from .model import AugmentedState
     end_states = [AugmentedState(tr.x_samples[k], tr.xq_samples[k]) for tr in trajs]
     _emit_table(rc, "endpoints", endpoints_to_csv(end_states))
     _write_json(rc, "coverage.json", cov.to_json())

@@ -26,9 +26,10 @@ class SingularMw(ParareachError):
 
 
 class StepSizeUnderflow(ParareachError):
-    """The adaptive integrator could not meet its tolerance.
+    """A surface ride drifted off its paraboloid: the value function exceeded
+    the touch tolerance at a node.
 
-    Carries ``t_last``, the last time at which a valid state is available.
+    Carries ``t_last``, the last node before the drift.
     """
 
     def __init__(self, message, t_last=None):

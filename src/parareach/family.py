@@ -16,11 +16,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, OutOfDomain, UnboundedSlab
+from .errors import (DimensionMismatch, OutOfDomain, ParareachError,
+                     UnboundedSlab)
 from .model import AugmentedState, IqcSystem, Paraboloid, scale_paraboloid
 from .riccati import IntegratorConfig, propagate
-from .touching import touching_trajectory, trace_back_to_seed
-from ._util import pmap
+from .touching import (optimal_disturbance, touching_trajectory,
+                       trace_back_to_seed)
 
 _DEFINED_TOL = 1e-12
 
@@ -183,10 +184,10 @@ def build_family(P0: Paraboloid, sys: IqcSystem, eps_q: float, n_members: int,
             raise DimensionMismatch("explicit gammas must be positive and nonempty")
     gs = np.unique(gs)
 
-    members = pmap(lambda g: propagate(scale_paraboloid(P0, g), sys, cfg, gamma=g), gs)
+    members = [propagate(scale_paraboloid(P0, g), sys, cfg, gamma=g) for g in gs]
     k_bound = max(float(np.max(np.linalg.norm(m.E_samples, axis=(1, 2))))
                   for m in members)
-    return ParaboloidFamily(seed=P0, gammas=gs, members=list(members),
+    return ParaboloidFamily(seed=P0, gammas=gs, members=members,
                             eps_q=eps_q, T=cfg.t_end, K_bound=k_bound,
                             system=sys, gamma_bar_value=gbar)
 
@@ -372,7 +373,7 @@ def _band_times(traj, eps_q):
     """Times where the trajectory's budget crosses or sits in [-eps_q, 0]."""
     t0, t1 = traj.grid[0], traj.grid[-1]
     ts = np.linspace(t0, t1, 1024)
-    xq = np.array([traj.state_at(t)[1] for t in ts])
+    xq = traj.state_at_many(ts)[1]
     out = []
     for level in (0.0, -0.5 * eps_q, -eps_q):
         z = xq - level
@@ -416,7 +417,7 @@ def check_assumptions(F: ParaboloidFamily, cfg: IntegratorConfig,
 
     violations = []
     n_points = 0
-    skipped = 0
+    skipped = []
     for t in times:
         try:
             slc = reach_slice(F, float(t), probe_grid)
@@ -431,11 +432,11 @@ def check_assumptions(F: ParaboloidFamily, cfg: IntegratorConfig,
             tvp = F.members[member_idx]
             try:
                 X0 = trace_back_to_seed(tvp, sys, cfg, float(t), x_rim)
-                # backtracing carries integration error at the state's scale
+                # back-traces carry rounding error at the state's scale
                 tol = max(100.0 * cfg.rel_tol, 1e-4 * (1.0 + abs(X0.x_q)))
                 traj = touching_trajectory(tvp, X0, sys, cfg, touch_tol=tol)
-            except Exception:
-                skipped += 1
+            except ParareachError as e:
+                skipped.append(f"{type(e).__name__}: {e}")
                 continue
             for tb in _band_times(traj, F.eps_q):
                 x, xq = traj.state_at(tb)
@@ -443,7 +444,6 @@ def check_assumptions(F: ParaboloidFamily, cfg: IntegratorConfig,
                 if mval > membership_tol * (1.0 + abs(xq)):
                     continue  # not on the intersection's surface
                 u_t = sys.u_at(tb)
-                from .touching import optimal_disturbance
                 w = optimal_disturbance(tvp(min(tb, tvp.t_end)), x, u_t, sys)
                 rate = sys.energy_rate(x, u_t, w)
                 n_points += 1
@@ -462,7 +462,8 @@ def check_assumptions(F: ParaboloidFamily, cfg: IntegratorConfig,
 
     notes = "diagnostic only; outer approximation holds regardless"
     if skipped:
-        notes += f"; {skipped} boundary trace(s) not usable"
+        notes += (f"; {len(skipped)} boundary trace(s) not usable: "
+                  + "; ".join(skipped))
     return AssumptionReport(
         k_bound=F.K_bound, escape_norm=cfg.escape_norm, bounded_ok=bounded_ok,
         escaped_members=escaped, falling_ok=not violations,

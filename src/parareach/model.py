@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     AsymmetricMatrix,
+    ConfigError,
     DimensionMismatch,
     NonPositiveScale,
     NotNegativeDefinite,
@@ -106,8 +107,11 @@ def make_system(A, B, B_u, M, u=None, sym_tol=SYM_TOL, pd_margin=PD_MARGIN) -> I
     ``M`` is indexed in (x, u, w) block order and must be symmetric up to
     ``sym_tol`` (it is symmetrized on construction); its w-block must be
     negative definite with eigenvalues at most ``-pd_margin``.  ``u`` may be
-    ``None`` (zero input), a signal object, or the JSON form accepted by
-    :func:`parareach.signals.signal_from_json`.
+    ``None`` (zero input), a piecewise-polynomial signal, or the JSON form
+    accepted by :func:`parareach.signals.signal_from_json`.  A signal is
+    called as ``u(t)`` and, for the propagation engine, gives its polynomial
+    ``degree``, its ``knots`` and ``taylor(a)``, the coefficients of
+    u(a + s) in powers of s (see :mod:`parareach.signals`).
     """
     A = _as_matrix(A, "A")
     n = A.shape[0]
@@ -150,6 +154,9 @@ def make_system(A, B, B_u, M, u=None, sym_tol=SYM_TOL, pd_margin=PD_MARGIN) -> I
         u = signal_from_json(u, p)
     if getattr(u, "dim", p) != p:
         raise DimensionMismatch(f"input signal dimension {u.dim} != {p}")
+    if not all(hasattr(u, a) for a in ("degree", "knots", "taylor")):
+        raise ConfigError(f"input signal {u!r} is not piecewise polynomial: "
+                          "it needs degree, knots and taylor(a)")
 
     arrays = (A, B, B_u, M, Mx, Mxu, Mxw, Mu, Muw, Mw, Mw_inv)
     for a in arrays:

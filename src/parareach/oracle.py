@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, RejectionStarvation, UnboundedSlab
-from .family import ParaboloidFamily
+from .family import ParaboloidFamily, xq_max_at
 from .model import IqcSystem, Paraboloid
 from .touching import AugmentedTrajectory
 
@@ -407,8 +407,6 @@ def coverage(F: ParaboloidFamily, t: float, endpoints, cells_per_dim: int = 24,
     at least one endpoint.  Uncovered cells point at over-conservatism of the
     family (or under-sampling) and are returned as the gap report.
     """
-    from .family import xq_max_at
-
     pts = np.asarray(endpoints, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]

@@ -1,25 +1,39 @@
 """Time propagation of paraboloid parameters.
 
-The quadratic coefficient E follows a matrix Riccati differential equation,
-the linear coefficient f a time-varying linear ODE driven by the input, and
-the offset g the integral of a quadratic form in (f, u).  All three are
-integrated as one coupled state so they share the error controller.  E is
-carried in packed symmetric storage, which preserves symmetry exactly.
+One engine serves the parameter flow, its dense output, the surface rides and
+the back-traces.  On each piece of the input, where u(a + s) is a polynomial
+of degree d in the local time s, the state is augmented with the input's
+basis: zeta = [x; 1; s; ...; s^d].  The value function x'Ex - 2f'x + g is then
+zeta' P zeta for a single symmetric P, and the piece has a constant
+Hamiltonian H = [[At, -B Mw^-1 B'], [-Qt, -At']], so its transition matrix
+Phi(h) = expm(H h) is exact for zero input and for the cubic-spline input
+alike:
 
-Riccati solutions can blow up in finite time; propagation then stops with the
-blow-up time bracketed by step halving, and the stored grid ends strictly
-before it.
+* the parameter flow restarts at every node from P <- Y X^-1 with
+  [X; Y] = Phi [I; P] (Kenney & Leipnik, IEEE TAC 30(10), 1985);
+* dense output applies Phi(t - t_k) to the stored node;
+* a surface ride advances [zeta; P zeta] by Phi, and its budget by Van Loan's
+  block exponential of the energy rate (IEEE TAC 23(3), 1978);
+* a back-trace advances by Phi(-h).
+
+Riccati solutions can blow up in finite time: E passes through infinity where
+X turns singular.  X starts every step at I, so a step crosses a blow-up when
+an eigenvalue of its x-block leaves the open right half-plane, which also
+catches two eigenvalues of E passing through infinity together (det X keeps
+its sign then).  Propagation stops with the blow-up time bracketed by
+bisection on Phi(s), and the stored grid ends strictly before it.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import expm
 
-from ._rk import DenseOutput, IntegrationResult, integrate
 from .errors import DimensionMismatch, OutOfDomain, SingularMw
 from .model import IqcSystem, Paraboloid
 
@@ -28,7 +42,14 @@ ESCAPE_BRACKET_RTOL = 1e-6  # relative width of the blow-up time bracket
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances and horizon for parameter/trajectory integration."""
+    """Grid and limits of the propagation engine.
+
+    ``max_step`` bounds the node spacing, ``escape_norm`` the Frobenius norm
+    of E before propagation stops, and ``t_end`` the horizon.  The engine is
+    exact up to the matrix exponential, so ``rel_tol`` only sets the default
+    touch tolerance of surface rides (``TOUCH_TOL_FACTOR * rel_tol``), and
+    ``abs_tol`` is accepted but unused.
+    """
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
@@ -101,64 +122,194 @@ def g_rhs(f: np.ndarray, u_t, G: np.ndarray) -> float:
     return float(z @ G @ z)
 
 
-# -- packed symmetric storage ------------------------------------------------
-
-def _sym_pack(E, iu):
-    return E[iu]
+def _swap(a):
+    return np.swapaxes(a, -1, -2)
 
 
-def _sym_unpack(v, n, iu):
-    E = np.zeros((n, n))
-    E[iu] = v
-    E.T[iu] = v
-    return E
+class Flow:
+    """Constant Hamiltonians of the augmented value function, one per input
+    piece of [0, t_end], and the uniform node grid they are stepped on.
 
+    Pieces start at 0 and at every input knot in (0, t_end); each is cut into
+    equal steps of at most ``max_step``.  Per piece the Van Loan block
+    ``Z = [[-H', N], [0, H]]`` is kept, where ``N`` is the energy rate of the
+    maximizing disturbance as a quadratic form in ``[zeta; P zeta]``, and the
+    forward and backward full steps are precomputed from it.
+    """
 
-def _unpacked_layout(n, iu):
-    """Indices taking the packed state (E upper triangle, f, g) to the
-    (E row-major, f, g) layout."""
-    nE = len(iu[0])
-    idx = np.empty((n, n), dtype=int)
-    idx[iu] = idx.T[iu] = np.arange(nE)
-    return np.concatenate([idx.ravel(), np.arange(nE, nE + n + 1)])
+    def __init__(self, sys: IqcSystem, t_end: float, max_step: float):
+        u = sys.u
+        n, p = sys.n, sys.p
+        d1 = u.degree + 1
+        k = n + d1
+        self.system, self.n, self.k = sys, n, k
+        knots = np.asarray(u.knots, dtype=float)
+        cuts = np.concatenate([[0.0], knots[(knots > 0.0) & (knots < t_end)], [t_end]])
+        self.starts = cuts[:-1]
+        counts = [max(1, int(np.ceil((b - a) / max_step - 1e-9)))
+                  for a, b in zip(cuts[:-1], cuts[1:])]
+        self.h = np.diff(cuts) / counts
+        self.grid = np.concatenate(
+            [np.linspace(a, b, c + 1)[:-1] for a, b, c in zip(cuts[:-1], cuts[1:], counts)]
+            + [[t_end]])
+        self.powers = np.arange(d1)
+
+        D = np.diag(np.arange(1.0, d1), -1)          # d/ds [1, s, ..] = D [1, s, ..]
+        B = np.vstack([sys.B, np.zeros((d1, sys.m))])
+        Mxu, Mxuw = sys.M[:n + p, :n + p], sys.M[:n + p, n + p:]
+        H, K, Z = [], [], []
+        for a in self.starts:
+            C = np.asarray(u.taylor(a), dtype=float).reshape(d1, p).T   # u = C [1, s, ..]
+            L = np.block([[np.eye(n), np.zeros((n, d1))], [np.zeros((p, n)), C]])
+            A = np.block([[sys.A, sys.Bu @ C], [np.zeros((d1, n)), D]])
+            Mz, Mzw = L.T @ Mxu @ L, L.T @ Mxuw
+            Kz, Kl = -_mw_solve(sys, Mzw.T), -_mw_solve(sys, B.T)   # w* = Kz zeta + Kl lam
+            At, Qt, R = A + B @ Kz, Mz + Mzw @ Kz, -B @ Kl
+            Hj = np.block([[At, -R], [-Qt, -At.T]])
+            T = np.block([[np.eye(k), np.zeros((k, k))], [Kz, Kl]])
+            N = T.T @ np.block([[Mz, Mzw], [Mzw.T, sys.Mw]]) @ T
+            N = 0.5 * (N + N.T)
+            H.append(Hj)
+            K.append(np.hstack([Kz, Kl]))
+            Z.append(np.block([[-Hj.T, N], [np.zeros_like(N), Hj]]))
+        self.H, self.K, self.Z = np.array(H), np.array(K), np.array(Z)
+        self._full = {}         # full steps, forward and backward
+        for j, h in enumerate(self.h):
+            self._full[j, h] = self.vanloan(j, h)
+            self._full[j, -h] = self.vanloan(j, -h)
+
+    # -- pieces and the augmented representation ----------------------------
+
+    def piece_of(self, t):
+        """Index of the piece holding the step that starts at time t."""
+        return np.searchsorted(self.starts, t, side="right") - 1
+
+    def basis(self, j, t):
+        """[1, s, .., s^d] at local time s = t - start of piece j."""
+        s = np.asarray(t, dtype=float) - self.starts[j]
+        return s[..., None] ** self.powers
+
+    def embed(self, E, f, g):
+        """An augmented P with zeta' P zeta = x'Ex - 2f'x + g for every basis
+        value (the basis always starts with 1)."""
+        E = np.asarray(E, dtype=float)
+        P = np.zeros(E.shape[:-2] + (self.k, self.k))
+        n = self.n
+        P[..., :n, :n] = E
+        P[..., :n, n] = P[..., n, :n] = -np.asarray(f, dtype=float)
+        P[..., n, n] = g
+        return P
+
+    def read(self, P, phi):
+        """(E, f, g) of an augmented P at the basis value phi."""
+        n = self.n
+        f = 0.0 - np.einsum("...ij,...j->...i", P[..., :n, n:], phi)   # no -0.0
+        g = np.einsum("...i,...ij,...j->...", phi, P[..., n:, n:], phi)
+        return P[..., :n, :n], f, g
+
+    def params_after(self, j, t, E, f, g, dt):
+        """(E, f, g) at t + dt from (E, f, g) at t, within piece j, and the
+        x-block of X: the linear-fractional step P <- Y X^-1 with
+        [X; Y] = Phi(dt) [I; P].  The basis rows of X are those of the input's
+        own unit-determinant shift, so X is singular exactly where its x-block
+        is.  Shapes broadcast over leading axes."""
+        if np.ndim(dt) == 0 and (j, dt) in self._full:
+            Phi = self._full[j, dt][0]
+        else:
+            Phi = expm(self.H[j] * np.asarray(dt)[..., None, None])
+        k = self.k
+        P = self.embed(E, f, g)
+        X = Phi[..., :k, :k] + Phi[..., :k, k:] @ P
+        Y = Phi[..., k:, :k] + Phi[..., k:, k:] @ P
+        P = np.linalg.solve(_swap(X), _swap(Y))
+        P = 0.5 * (P + _swap(P))
+        return self.read(P, self.basis(j, t + dt)) + (X[..., :self.n, :self.n],)
+
+    # -- rides --------------------------------------------------------------
+
+    def anchor(self, j, t, x, E, f):
+        """Ride state [zeta; P zeta] at time t in the basis of piece j.  Only
+        the x-part of P zeta moves zeta and the budget; the rest is left 0."""
+        return np.concatenate([x, self.basis(j, t), E @ x - f, np.zeros(self.k - self.n)])
+
+    def ride(self, j, t, x, xq, E, f, dt):
+        """Ride from (x, xq) at time t on the surface with parameters (E, f)
+        there, by dt within piece j (either sign): (x, xq) after, and the
+        ride state it started from."""
+        eta = self.anchor(j, t, x, E, f)
+        Phi, W = self.vanloan(j, dt)
+        return Phi[:self.n] @ eta, xq + eta @ W @ eta, eta
+
+    def vanloan(self, j, dt):
+        """(Phi(dt), W(dt)) on piece j, with W(dt) the integral over [0, dt]
+        of Phi' N Phi: a ride from eta gains the budget eta' W eta.  Exact
+        for either sign of dt; the full steps are precomputed."""
+        if np.ndim(dt) == 0 and (j, dt) in self._full:
+            return self._full[j, dt]
+        F = expm(self.Z[j] * np.asarray(dt)[..., None, None])
+        m = 2 * self.k
+        Phi = F[..., m:, m:]
+        W = _swap(Phi) @ F[..., :m, m:]
+        return Phi, 0.5 * (W + _swap(W))
 
 
 class TimeVaryingParaboloid:
-    """Sampled solution (E(t), f(t), g(t)) with dense output from the DP5
-    continuous extension of each integrator step.
+    """Sampled solution (E(t), f(t), g(t)) on the node grid of a :class:`Flow`,
+    with exact dense output: a query between nodes applies the transition
+    matrix Phi(t - t_k) of its piece to the node before it.
 
-    ``dense_coeffs`` holds, per step, the extension coefficients in the
-    (E row-major, f, g) layout, shape (K-1, n*n + n + 1, 4).
-    grid[0] = 0; if ``escape_time`` is set, the grid ends strictly before it
-    and queries past the grid raise :class:`OutOfDomain`.  ``gamma`` records
-    the seed scaling this propagation was started from.
+    ``steps[k]`` is the length the flow stepped from node k (the piece's
+    uniform step, or a shorter last step before a finite escape).  grid[0] =
+    0; if ``escape_time`` is set, the grid ends strictly before it and queries
+    past the grid raise :class:`OutOfDomain`.  ``gamma`` records the seed
+    scaling this propagation was started from.
     """
 
-    def __init__(self, grid, E_samples, f_samples, g_samples,
-                 dE_samples, df_samples, dg_samples, dense_coeffs,
+    def __init__(self, grid, E_samples, f_samples, g_samples, flow: Flow, steps,
                  escape_time: Optional[float] = None, gamma: float = 1.0):
         self.grid = np.asarray(grid, dtype=float)
         self.E_samples = np.asarray(E_samples, dtype=float)
         self.f_samples = np.asarray(f_samples, dtype=float)
         self.g_samples = np.asarray(g_samples, dtype=float)
-        self.dE_samples = np.asarray(dE_samples, dtype=float)
-        self.df_samples = np.asarray(df_samples, dtype=float)
-        self.dg_samples = np.asarray(dg_samples, dtype=float)
+        self.flow = flow
+        self.steps = np.asarray(steps, dtype=float)
         self.escape_time = escape_time
         self.gamma = float(gamma)
         self.n = self.E_samples.shape[1]
-        K = len(self.grid)
-        ys = np.concatenate([self.E_samples.reshape(K, -1),
-                             self.f_samples,
-                             self.g_samples[:, None]], axis=1)
-        self._dense = DenseOutput(self.grid, ys, dense_coeffs)
-        for a in (self.grid, self.E_samples, self.f_samples, self.g_samples,
-                  self.dE_samples, self.df_samples, self.dg_samples):
+        for a in (self.grid, self.E_samples, self.f_samples, self.g_samples, self.steps):
             a.flags.writeable = False
 
     @property
     def t_end(self) -> float:
         return float(self.grid[-1])
+
+    @cached_property
+    def _rates(self):
+        sys = self.flow.system
+        G = g_quadrature_matrix(sys)
+        us = [sys.u_at(t) for t in self.grid]
+        rates = (np.array([riccati_rhs(E, sys) for E in self.E_samples]),
+                 np.array([f_rhs(E, f, sys, u) for E, f, u
+                           in zip(self.E_samples, self.f_samples, us)]),
+                 np.array([g_rhs(f, u, G) for f, u in zip(self.f_samples, us)]))
+        for a in rates:
+            a.flags.writeable = False
+        return rates
+
+    @property
+    def dE_samples(self):
+        """dE/dt at the nodes, from :func:`riccati_rhs`."""
+        return self._rates[0]
+
+    @property
+    def df_samples(self):
+        """df/dt at the nodes, from :func:`f_rhs`."""
+        return self._rates[1]
+
+    @property
+    def dg_samples(self):
+        """dg/dt at the nodes, from :func:`g_rhs`."""
+        return self._rates[2]
 
     def _check_domain(self, t: float):
         if t < -1e-12 or t > self.t_end * (1 + 1e-12) + 1e-15:
@@ -169,25 +320,30 @@ class TimeVaryingParaboloid:
             raise OutOfDomain(f"t={t} outside [0, {self.t_end}]")
 
     def params_at(self, t: float):
-        """(E, f, g) arrays at time t (dense output; exact at grid points)."""
-        self._check_domain(t)
-        t = min(max(t, 0.0), self.t_end)
-        n = self.n
-        y = self._dense(t)
-        E = y[:n * n].reshape(n, n)
-        return 0.5 * (E + E.T), y[n * n:n * n + n], float(y[-1])
+        """(E, f, g) arrays at time t (exact dense output; the stored values
+        at grid points)."""
+        E, f, g = self.params_at_many(np.array([t], dtype=float))
+        return E[0], f[0], float(g[0])
 
     def params_at_many(self, tq):
         """(E, f, g) tables at an array of times within the domain:
-        shapes (K, n, n), (K, n), (K,)."""
+        shapes (K, n, n), (K, n), (K,).  One batched matrix exponential
+        serves all queries between nodes."""
         tq = np.asarray(tq, dtype=float)
         for t in (tq.min(), tq.max()):
             self._check_domain(float(t))
-        n = self.n
-        Y = self._dense.eval_many(tq)
-        E = Y[:, :n * n].reshape(len(tq), n, n)
-        E = 0.5 * (E + np.swapaxes(E, 1, 2))
-        return E, Y[:, n * n:n * n + n], Y[:, -1]
+        tq = np.clip(tq, 0.0, self.t_end)
+        i = np.searchsorted(self.grid, tq, side="right") - 1
+        E, f, g = self.E_samples[i], self.f_samples[i], self.g_samples[i]
+        dt = tq - self.grid[i]
+        off = np.nonzero(dt > 0.0)[0]
+        if len(off):
+            io_ = i[off]
+            j = self.flow.piece_of(self.grid[io_])
+            Eo, fo, go, _ = self.flow.params_after(j, self.grid[io_], E[off], f[off],
+                                                   g[off], dt[off])
+            E[off], f[off], g[off] = Eo, fo, go
+        return E, f, g
 
     def __call__(self, t: float) -> Paraboloid:
         E, f, g = self.params_at(t)
@@ -208,50 +364,52 @@ class TimeVaryingParaboloid:
         return buf.getvalue()
 
 
-def eval_paraboloid(tvp: TimeVaryingParaboloid, t: float) -> Paraboloid:
-    """Paraboloid at time t from dense output; OutOfDomain outside the grid."""
-    return tvp(t)
-
-
 def propagate(P0: Paraboloid, sys: IqcSystem, cfg: IntegratorConfig,
               gamma: float = 1.0) -> TimeVaryingParaboloid:
-    """Integrate the coupled (E, f, g) flow from the seed up to cfg.t_end.
+    """Step the (E, f, g) flow from the seed over the grid of a :class:`Flow`
+    up to cfg.t_end.
 
-    Stops early when the Frobenius norm of E exceeds ``cfg.escape_norm``; the
-    crossing is bracketed by step halving and recorded as ``escape_time``.
+    Stops early when E passes through infinity within a step (an eigenvalue
+    of the x-block of X reaches the closed left half-plane) or its Frobenius
+    norm exceeds ``cfg.escape_norm``; the
+    crossing is bracketed by bisection on Phi(s) and recorded as
+    ``escape_time``, and the last node is the last time bracketed below it.
     """
     if P0.dim != sys.n:
         raise DimensionMismatch(f"seed dim {P0.dim} != system dim {sys.n}")
-    n = sys.n
-    iu = np.triu_indices(n)
-    G = g_quadrature_matrix(sys)
-    u = sys.u
-    nE = len(iu[0])
+    flow = Flow(sys, cfg.t_end, cfg.max_step)
+    times, nodes, steps = [0.0], [(P0.E, P0.f, P0.g)], []
+    escape = None
 
-    def rhs(t, y):
-        E = _sym_unpack(y[:nE], n, iu)
-        f = y[nE:nE + n]
-        u_t = u(t)
-        dE = riccati_rhs(E, sys)
-        df = f_rhs(E, f, sys, u_t)
-        dg = g_rhs(f, u_t, G)
-        return np.concatenate([_sym_pack(dE, iu), df, [dg]])
+    def step(j, t, params, dt):
+        E, f, g, X = flow.params_after(j, t, *params, dt)
+        ok = (np.linalg.eigvals(X).real.min() > 0.0
+              and np.linalg.norm(E) <= cfg.escape_norm
+              and np.all(np.isfinite(f)) and np.isfinite(g))
+        return (E, f, float(g)), ok
 
-    def below_escape(t, y):
-        E = _sym_unpack(y[:nE], n, iu)
-        return np.linalg.norm(E) <= cfg.escape_norm
+    for t, t_next in zip(flow.grid[:-1], flow.grid[1:]):
+        j = flow.piece_of(t)
+        nxt, ok = step(j, t, nodes[-1], flow.h[j])
+        if not ok:
+            lo, hi = 0.0, flow.h[j]
+            while hi - lo > ESCAPE_BRACKET_RTOL * max(t + hi, 1e-3):
+                mid = 0.5 * (lo + hi)
+                cand, ok = step(j, t, nodes[-1], mid)
+                if ok:
+                    lo, nxt = mid, cand
+                else:
+                    hi = mid
+            escape = float(t + hi)
+            if lo > 0.0:
+                times.append(t + lo)
+                nodes.append(nxt)
+                steps.append(lo)
+            break
+        times.append(t_next)
+        nodes.append(nxt)
+        steps.append(flow.h[j])
 
-    y0 = np.concatenate([_sym_pack(P0.E, iu), P0.f, [P0.g]])
-    res: IntegrationResult = integrate(
-        rhs, 0.0, y0, cfg.t_end, rtol=cfg.rel_tol, atol=cfg.abs_tol,
-        max_step=cfg.max_step, halt_fn=below_escape,
-        halt_rtol=ESCAPE_BRACKET_RTOL)
-
-    layout = _unpacked_layout(n, iu)
-    ys, dys = res.ys[:, layout], res.dys[:, layout]
-    nn = n * n
-    escape = res.t_halt if res.status == "halted" else None
-    return TimeVaryingParaboloid(
-        res.ts, ys[:, :nn].reshape(-1, n, n), ys[:, nn:-1], ys[:, -1],
-        dys[:, :nn].reshape(-1, n, n), dys[:, nn:-1], dys[:, -1],
-        res.qs[:, layout], escape_time=escape, gamma=gamma)
+    E, f, g = (np.array(v) for v in zip(*nodes))
+    return TimeVaryingParaboloid(times, E, f, g, flow, steps,
+                                 escape_time=escape, gamma=gamma)

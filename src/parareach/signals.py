@@ -1,21 +1,30 @@
 """Input signals u(t).
 
-Two representations are supported: the constant-zero fast path and a sampled
-signal interpolated with a cubic spline.  The engine assumes u is continuously
-differentiable; spline interpolation of samples is an approximation of
-whatever produced the samples, accurate only as far as the sampling is dense.
+Two representations are supported: the constant zero and a sampled signal
+interpolated with a cubic spline.  Spline interpolation of samples is an
+approximation of whatever produced the samples, accurate only as far as the
+sampling is dense.
+
+Both are piecewise polynomials, which is what the propagation engine needs:
+``degree`` is the polynomial degree, ``knots`` the times where the polynomial
+changes, and ``taylor(a)`` the coefficients of u(a + s) in powers of s on the
+piece that starts at a.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError, DimensionMismatch
 
 
 class ZeroSignal:
     """u(t) = 0 for all t."""
+
+    degree = 0
+    knots = np.empty(0)
 
     def __init__(self, dim: int):
         if dim < 0:
@@ -26,6 +35,9 @@ class ZeroSignal:
 
     def __call__(self, t: float) -> np.ndarray:
         return self._value
+
+    def taylor(self, a: float) -> np.ndarray:
+        return np.zeros((1, self.dim))
 
     @property
     def is_zero(self) -> bool:
@@ -45,6 +57,8 @@ class SampledSignal:
     endpoint value.
     """
 
+    degree = 3
+
     def __init__(self, times, values):
         times = np.asarray(times, dtype=float)
         values = np.asarray(values, dtype=float)
@@ -61,13 +75,28 @@ class SampledSignal:
         self.times = times
         self.values = values
         self.dim = values.shape[1]
+        from scipy.interpolate import CubicSpline  # only sampled inputs pay its import
+
         self._spline = CubicSpline(times, values, axis=0)
+        self.knots = self.times
         self.times.flags.writeable = False
         self.values.flags.writeable = False
 
     def __call__(self, t: float) -> np.ndarray:
         t = min(max(t, self.times[0]), self.times[-1])
         return self._spline(t)
+
+    def taylor(self, a: float) -> np.ndarray:
+        """Coefficients c, shape (4, dim), with u(a + s) = sum_j c[j] s^j on
+        the piece that starts at a (the spline evaluates a knot from the
+        right)."""
+        c = np.zeros((self.degree + 1, self.dim))
+        if a < self.times[0] or a >= self.times[-1]:
+            c[0] = self(a)
+            return c
+        for j in range(self.degree + 1):
+            c[j] = self._spline(a, nu=j) / math.factorial(j)
+        return c
 
     @property
     def is_zero(self) -> bool:

@@ -6,6 +6,11 @@ negative-definite w-block of the energy-rate matrix).  Trajectories driven by
 it keep the value function constant, so from a seed-boundary state they stay
 on the moving surface; their budget rate at t=0, as a function of the seed
 scaling, is the quadratic that the family construction solves for.
+
+Rides and back-traces are stepped with the transition matrices of the
+propagation engine (:class:`parareach.riccati.Flow`): the ride state
+[zeta; P zeta] moves by Phi over each step, Phi(-h) steps it back, and the
+budget gains Van Loan's exact integral of the energy rate.
 """
 
 from __future__ import annotations
@@ -16,11 +21,11 @@ from typing import Optional
 
 import numpy as np
 
-from ._rk import DenseOutput, integrate
 from .errors import DimensionMismatch, NotOnBoundary, StepSizeUnderflow
-from .model import AugmentedState, IqcSystem, Paraboloid, value_function
-from .riccati import (IntegratorConfig, TimeVaryingParaboloid,
-                      g_quadrature_matrix, g_rhs)
+from .model import (AugmentedState, IqcSystem, Paraboloid, scale_paraboloid,
+                    value_function)
+from .riccati import (IntegratorConfig, TimeVaryingParaboloid, f_rhs,
+                      g_quadrature_matrix, g_rhs, riccati_rhs)
 
 TOUCH_TOL_FACTOR = 100.0  # touch_tol = factor * rel_tol unless given
 
@@ -48,8 +53,6 @@ class ParaboloidRate:
 
 def paraboloid_rate(P: Paraboloid, sys: IqcSystem, u_t) -> ParaboloidRate:
     """Parameter derivatives at the instant where the input takes value u_t."""
-    from .riccati import f_rhs, riccati_rhs
-
     dE = riccati_rhs(P.E, sys)
     df = f_rhs(P.E, P.f, sys, u_t)
     dg = g_rhs(P.f, u_t, g_quadrature_matrix(sys))
@@ -80,8 +83,6 @@ def xq_rate_at_zero(P0: Paraboloid, gamma: float, X: AugmentedState,
                     sys: IqcSystem) -> float:
     """Budget rate at t=0 of the surface-riding trajectory of the scaled seed
     through X.  Quadratic in gamma with negative leading coefficient."""
-    from .model import scale_paraboloid
-
     u0 = sys.u_at(0.0)
     w = optimal_disturbance(scale_paraboloid(P0, gamma), X.x, u0, sys)
     return sys.energy_rate(X.x, u0, w)
@@ -89,28 +90,43 @@ def xq_rate_at_zero(P0: Paraboloid, gamma: float, X: AugmentedState,
 
 class AugmentedTrajectory:
     """Time-sampled (x, x_q, w) with the owning paraboloid's value function
-    recorded along the way as a diagnostic.  ``dense_coeffs`` are the DP5
-    continuous-extension coefficients of the (x, x_q) steps, when the
-    trajectory was built by the integrator."""
+    recorded along the way as a diagnostic.  A ride built by
+    :func:`touching_trajectory` also keeps its engine state at the nodes
+    (``flow`` and ``etas``), from which :meth:`state_at` is exact between
+    nodes."""
 
     def __init__(self, grid, x_samples, xq_samples, w_samples, h_samples,
-                 dense_coeffs=None):
+                 flow=None, etas=None):
         self.grid = np.asarray(grid, dtype=float)
         self.x_samples = np.asarray(x_samples, dtype=float)
         self.xq_samples = np.asarray(xq_samples, dtype=float)
         self.w_samples = np.asarray(w_samples, dtype=float)
         self.h_samples = np.asarray(h_samples, dtype=float)
-        self._dense = None
-        if dense_coeffs is not None:
-            ys = np.concatenate([self.x_samples, self.xq_samples[:, None]], axis=1)
-            self._dense = DenseOutput(self.grid, ys, dense_coeffs)
+        self._flow = flow
+        self._etas = etas
+
+    def state_at_many(self, tq):
+        """(x, x_q) at an array of times, shapes (K, n), (K,): the ride state
+        of the node before each time, advanced by its transition matrix.
+        Times outside the grid are clamped to its ends."""
+        if self._flow is None:
+            raise DimensionMismatch("trajectory carries no dense output")
+        tq = np.clip(np.asarray(tq, dtype=float), self.grid[0], self.grid[-1])
+        i = np.searchsorted(self.grid, tq, side="right") - 1
+        x, xq = self.x_samples[i], self.xq_samples[i]
+        dt = tq - self.grid[i]
+        off = np.nonzero(dt > 0.0)[0]
+        if len(off):
+            eta = self._etas[i[off]]
+            Phi, W = self._flow.vanloan(self._flow.piece_of(self.grid[i[off]]), dt[off])
+            x[off] = np.einsum("kij,kj->ki", Phi[:, :x.shape[1]], eta)
+            xq[off] += np.einsum("ki,kij,kj->k", eta, W, eta)
+        return x, xq
 
     def state_at(self, t: float):
-        """(x, x_q) from dense output (available when built by the integrator)."""
-        if self._dense is None:
-            raise DimensionMismatch("trajectory carries no dense output")
-        y = self._dense(t)
-        return y[:-1], float(y[-1])
+        """(x, x_q) at time t (exact dense output of a ride)."""
+        x, xq = self.state_at_many([t])
+        return x[0], float(xq[0])
 
     @property
     def endpoint(self) -> AugmentedState:
@@ -131,97 +147,92 @@ class AugmentedTrajectory:
         return buf.getvalue()
 
 
-def _touching_rhs(tvp: TimeVaryingParaboloid, sys: IqcSystem):
-    u = sys.u
-
-    def rhs(t, y):
-        E, f, _ = tvp.params_at(min(t, tvp.t_end))
-        x = y[:-1]
-        u_t = u(t)
-        w = -(sys.Mw_inv @ (sys.B.T @ (E @ x - f) + sys.Mxw.T @ x + sys.Muw.T @ u_t))
-        dx = sys.A @ x + sys.B @ w + sys.Bu @ u_t
-        dxq = sys.energy_rate(x, u_t, w)
-        return np.concatenate([dx, [dxq]])
-
-    return rhs
+def _check_system(tvp: TimeVaryingParaboloid, sys: IqcSystem):
+    """Rides step with the transition matrices of ``tvp``; refuse a ``sys``
+    other than the system those were built from."""
+    own = tvp.flow.system
+    if sys is not own and sys.to_json() != own.to_json():
+        raise DimensionMismatch(
+            "sys differs from the system the paraboloid was propagated with")
 
 
 def touching_trajectory(tvp: TimeVaryingParaboloid, X0: AugmentedState,
                         sys: IqcSystem, cfg: IntegratorConfig,
                         touch_tol: Optional[float] = None) -> AugmentedTrajectory:
-    """Integrate the surface-riding trajectory of ``tvp`` from a seed-boundary
-    state over the paraboloid's interval of definition.
+    """Ride the surface of ``tvp`` from a seed-boundary state over the
+    paraboloid's interval of definition (up to ``cfg.t_end``).
 
-    The optimal disturbance is re-evaluated from the dense-output parameters
-    at every integrator stage.  The value function is monitored at accepted
-    steps; a step pushing |h| beyond ``touch_tol`` is rejected and retried
-    smaller, and the run aborts (rather than projecting back) if the drift
-    persists.
+    The ride is stepped on the paraboloid's own nodes with its transition
+    matrices, re-anchored at every node to the stored parameters, so the
+    disturbance is the exact maximizer throughout; ``cfg.max_step`` does not
+    apply.  ``sys`` must be the system ``tvp`` was propagated with, else
+    :class:`DimensionMismatch` is raised.  If |h| exceeds ``touch_tol`` at a
+    node, the ride raises :class:`StepSizeUnderflow` rather than projecting
+    back.
     """
+    _check_system(tvp, sys)
     if touch_tol is None:
         touch_tol = TOUCH_TOL_FACTOR * cfg.rel_tol
-    P_seed = tvp(0.0)
-    h0 = value_function(P_seed, X0)
+    h0 = value_function(tvp(0.0), X0)
     if abs(h0) > touch_tol:
         raise NotOnBoundary(
             f"initial state is off the seed surface: h={h0:.3e} (tol {touch_tol:.1e})")
 
+    flow = tvp.flow
     t_end = min(cfg.t_end, tvp.t_end)
-    rhs = _touching_rhs(tvp, sys)
+    K = int(np.searchsorted(tvp.grid, t_end, side="right"))
+    grid, steps = tvp.grid[:K], list(tvp.steps[:K - 1])
+    if grid[-1] < t_end:
+        grid = np.append(grid, t_end)
+        steps.append(t_end - grid[-2])
+    E, f, g = tvp.params_at_many(grid)
+    pieces = flow.piece_of(grid[:-1])
 
-    def h_of(t, y):
-        E, f, g = tvp.params_at(min(t, tvp.t_end))
-        x = y[:-1]
-        return float(x @ E @ x - 2.0 * f @ x + g + y[-1])
+    x, xq = np.array(X0.x, dtype=float), X0.x_q
+    xs, xqs, etas = [x], [xq], []
+    for i, (j, dt) in enumerate(zip(pieces, steps)):
+        x, xq, eta = flow.ride(j, grid[i], x, xq, E[i], f[i], dt)
+        etas.append(eta)
+        xs.append(x)
+        xqs.append(xq)
+    j_end = pieces[-1] if len(pieces) else flow.piece_of(grid[-1])
+    etas.append(flow.anchor(j_end, grid[-1], x, E[-1], f[-1]))
+    etas = np.array(etas)
+    xs, xqs = np.array(xs), np.array(xqs)
 
-    def within_tol(t, y):
-        return abs(h_of(t, y)) <= touch_tol
-
-    nodes = tvp.grid[(tvp.grid > 0) & (tvp.grid < t_end)]
-    y0 = np.concatenate([X0.x, [X0.x_q]])
-    res = integrate(rhs, 0.0, y0, t_end, rtol=cfg.rel_tol, atol=cfg.abs_tol,
-                    max_step=cfg.max_step, node_times=nodes,
-                    halt_fn=within_tol)
-    if res.status == "halted":
+    h = np.einsum("ki,kij,kj->k", xs, E, xs) - 2.0 * np.sum(f * xs, axis=1) + g + xqs
+    drift = np.nonzero(np.abs(h) > touch_tol)[0]
+    if len(drift):
+        k = drift[0]
         raise StepSizeUnderflow(
-            f"value-function drift exceeded touch_tol={touch_tol:.1e} near t={res.t_halt}",
-            t_last=res.ts[-1])
-
-    K = len(res.ts)
-    u = sys.u
-    w_s = np.empty((K, sys.m))
-    h_s = np.empty(K)
-    for k, t in enumerate(res.ts):
-        E, f, g = tvp.params_at(min(t, tvp.t_end))
-        x = res.ys[k, :-1]
-        w_s[k] = -(sys.Mw_inv @ (sys.B.T @ (E @ x - f) + sys.Mxw.T @ x
-                                 + sys.Muw.T @ u(t)))
-        h_s[k] = x @ E @ x - 2.0 * f @ x + g + res.ys[k, -1]
-    return AugmentedTrajectory(res.ts, res.ys[:, :-1], res.ys[:, -1], w_s, h_s,
-                               dense_coeffs=res.qs)
+            f"value-function drift exceeded touch_tol={touch_tol:.1e} near t={grid[k]}",
+            t_last=grid[k - 1])
+    K_nodes = flow.K[np.append(pieces, j_end)]
+    w = np.einsum("kij,kj->ki", K_nodes, etas)
+    return AugmentedTrajectory(grid, xs, xqs, w, h, flow=flow, etas=etas)
 
 
 def trace_back_to_seed(tvp: TimeVaryingParaboloid, sys: IqcSystem,
                        cfg: IntegratorConfig, t_at: float, x_at) -> AugmentedState:
     """Find the seed state whose surface-riding trajectory passes through
-    ``x_at`` (on the surface of tvp) at time ``t_at``, by integrating the
-    closed-loop dynamics backward.  The budget at t_at is pinned to the
-    surface, so the returned state lies on the seed surface up to integration
-    error."""
-    if t_at <= 0.0:
-        E, f, g = tvp.params_at(0.0)
-        x = np.asarray(x_at, dtype=float).reshape(-1)
-        return AugmentedState(x, -(x @ E @ x - 2.0 * f @ x + g))
-    rhs = _touching_rhs(tvp, sys)
+    ``x_at`` (on the surface of tvp) at time ``t_at``, by stepping the ride
+    back to t=0 with the inverse transition matrices Phi(-h).  The budget at
+    t_at is pinned to the surface, so the returned state lies on the seed
+    surface up to rounding.  ``sys`` must be the system ``tvp`` was
+    propagated with, else :class:`DimensionMismatch` is raised; ``cfg`` is
+    not used, since the steps are the paraboloid's own."""
+    _check_system(tvp, sys)
+    x = np.asarray(x_at, dtype=float).reshape(-1)
     E, f, g = tvp.params_at(t_at)
-    x_at = np.asarray(x_at, dtype=float).reshape(-1)
-    xq_at = -(x_at @ E @ x_at - 2.0 * f @ x_at + g)
-
-    def back_rhs(s, z):
-        return -rhs(t_at - s, z)
-
-    z0 = np.concatenate([x_at, [xq_at]])
-    res = integrate(back_rhs, 0.0, z0, t_at, rtol=cfg.rel_tol, atol=cfg.abs_tol,
-                    max_step=cfg.max_step)
-    z_end = res.ys[-1]
-    return AugmentedState(z_end[:-1], float(z_end[-1]))
+    xq = -(x @ E @ x - 2.0 * f @ x + g)
+    if t_at <= 0.0:
+        return AugmentedState(x, xq)
+    flow, grid = tvp.flow, tvp.grid
+    i = int(np.searchsorted(grid, t_at, side="right")) - 1
+    t, dt = t_at, grid[i] - t_at
+    for k in range(i, -1, -1):          # the leg from t back to node k
+        if dt < 0.0:
+            x, xq, _ = flow.ride(flow.piece_of(grid[k]), t, x, xq, E, f, dt)
+        if k:
+            t, E, f, dt = grid[k], tvp.E_samples[k], tvp.f_samples[k], -tvp.steps[k - 1]
+    return AugmentedState(x, float(xq))

@@ -118,6 +118,41 @@ def driven_tvp(driven_system, driven_seed, driven_cfg):
     return pr.propagate(driven_seed, driven_system, driven_cfg)
 
 
+def reference_params(sys_, P0, t_end):
+    """Independent (E, f, g) solution: scipy's DOP853 (rtol 1e-12) on
+    riccati_rhs, f_rhs and g_quadrature_matrix, restarted at every input
+    knot.  Returns a function of an array of times giving (E, f, g)."""
+    from scipy.integrate import solve_ivp
+
+    n = sys_.n
+    G = pr.g_quadrature_matrix(sys_)
+
+    def rhs(t, y):
+        E, f, u_t = y[:n * n].reshape(n, n), y[n * n:n * n + n], sys_.u(t)
+        z = np.concatenate([f, u_t])
+        return np.concatenate([pr.riccati_rhs(E, sys_).ravel(),
+                               pr.f_rhs(E, f, sys_, u_t), [z @ G @ z]])
+
+    knots = np.asarray(sys_.u.knots, dtype=float)
+    cuts = np.concatenate([[0.0], knots[(knots > 0) & (knots < t_end)], [t_end]])
+    y = np.concatenate([P0.E.ravel(), P0.f, [P0.g]])
+    pieces = []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=1e-12,
+                        atol=1e-12, dense_output=True)
+        assert sol.success, sol.message
+        pieces.append(sol.sol)
+        y = sol.y[:, -1]
+
+    def at(ts):
+        ts = np.asarray(ts, dtype=float)
+        idx = np.clip(np.searchsorted(cuts, ts, side="right") - 1, 0, len(pieces) - 1)
+        Y = np.array([pieces[i](t) for i, t in zip(idx, ts)])
+        return Y[:, :n * n].reshape(-1, n, n), Y[:, n * n:n * n + n], Y[:, -1]
+
+    return at
+
+
 def boundary_state(P0, direction, level):
     """State on the seed surface: x-part value -level along a unit direction,
     budget = level."""

@@ -10,6 +10,8 @@ import numpy as np
 
 import parareach as pr
 
+from conftest import reference_params
+
 
 def test_input_drives_linear_and_offset_parts(driven_tvp):
     assert driven_tvp.escape_time is None
@@ -32,6 +34,37 @@ def test_touching_contact_with_input(driven_system, driven_seed, driven_cfg,
         traj = pr.touching_trajectory(driven_tvp, pr.AugmentedState(x0, level),
                                       driven_system, driven_cfg)
         assert np.max(np.abs(traj.h_samples)) <= 1e-8
+
+
+def test_ride_and_back_trace_round_trip_with_input(driven_system, driven_seed,
+                                                  driven_cfg, driven_tvp):
+    # the ride stays on the surface of an independent DOP853 solve of the
+    # parameters, and tracing back from its end (and from between two nodes)
+    # returns to its start
+    ref = reference_params(driven_system, driven_seed, driven_tvp.t_end)
+    lam, V = np.linalg.eigh(driven_seed.E)
+    root = V @ np.diag(1.0 / np.sqrt(lam)) @ V.T
+    c = V @ ((V.T @ driven_seed.f) / lam)
+    q_min = driven_seed.g - float(c @ driven_seed.E @ c)
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        d = rng.standard_normal(2)
+        d /= np.linalg.norm(d)
+        level = rng.uniform(0.0, -q_min)
+        X0 = pr.AugmentedState(c + np.sqrt(-q_min - level) * (root @ d), level)
+        traj = pr.touching_trajectory(driven_tvp, X0, driven_system, driven_cfg)
+        E, f, g = ref(traj.grid)
+        X = traj.x_samples
+        h = (np.einsum("ki,kij,kj->k", X, E, X) - 2.0 * np.sum(f * X, axis=1)
+             + g + traj.xq_samples)
+        assert np.max(np.abs(h)) <= 1e-8
+        t_mid = 0.5 * (traj.grid[117] + traj.grid[118])
+        for t_at, x_at in ((float(traj.grid[-1]), traj.x_samples[-1]),
+                           (t_mid, traj.state_at(t_mid)[0])):
+            back = pr.trace_back_to_seed(driven_tvp, driven_system, driven_cfg,
+                                         t_at, x_at)
+            assert np.max(np.abs(back.x - X0.x)) <= 1e-8
+            assert abs(back.x_q - X0.x_q) <= 1e-8
 
 
 def test_containment_for_arbitrary_disturbances(driven_system, driven_seed,

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import parareach as pr
-from parareach.errors import OutOfDomain, UnboundedSlab
+import parareach.family as family_mod
+from parareach.errors import NotOnBoundary, OutOfDomain, UnboundedSlab
 from parareach.family import sample_slab_states
 
 from conftest import scalar_flow
@@ -200,6 +201,36 @@ class TestAssumptions:
         injected = [v for v in report.violations if v["t"] is None]
         assert len(injected) == 1
         assert injected[0]["x_q"] == pytest.approx(-eps / 2)
+
+    def test_skipped_trace_is_named_in_notes(self, ex1_family, ex1_cfg,
+                                             monkeypatch):
+        real = family_mod.trace_back_to_seed
+        calls = []
+
+        def first_fails(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise NotOnBoundary("synthetic off-surface trace")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(family_mod, "trace_back_to_seed", first_fails)
+        report = pr.check_assumptions(
+            ex1_family, ex1_cfg,
+            probe_grid=np.linspace(-1.5, 1.5, 61)[:, None], times=[0.91])
+        assert len(calls) > 1
+        assert report.notes.endswith(
+            "; 1 boundary trace(s) not usable: "
+            "NotOnBoundary: synthetic off-surface trace")
+
+    def test_foreign_error_propagates(self, ex1_family, ex1_cfg, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("not a parareach error")
+
+        monkeypatch.setattr(family_mod, "trace_back_to_seed", broken)
+        with pytest.raises(ZeroDivisionError):
+            pr.check_assumptions(
+                ex1_family, ex1_cfg,
+                probe_grid=np.linspace(-1.5, 1.5, 61)[:, None], times=[0.91])
 
     def test_detector(self):
         idx = pr.rising_energy_violations(

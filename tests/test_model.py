@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import parareach as pr
-from parareach.errors import (AsymmetricMatrix, DimensionMismatch,
+from parareach.errors import (AsymmetricMatrix, ConfigError, DimensionMismatch,
                               NonPositiveScale, NotNegativeDefinite)
 
 
@@ -69,6 +69,10 @@ class TestMakeSystem:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             pr.make_system([[-1.0]], [[1.0]], [[0.0]], np.diag([1.0, -2.0]))
+
+    def test_signal_without_pieces_rejected(self):
+        with pytest.raises(ConfigError):
+            pr.make_system(**_ex1_matrices(), u=lambda t: np.zeros(1))
 
     def test_immutable(self):
         sys1 = pr.make_system(**_ex1_matrices())

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import parareach as pr
 from parareach.errors import DimensionMismatch, OutOfDomain
 
-from conftest import ROOT_HI, ROOT_LO, scalar_blowup_time, scalar_flow
+from conftest import (ROOT_HI, ROOT_LO, random_iqc_system, reference_params,
+                      scalar_blowup_time, scalar_flow)
 
 
 class TestRhs:
@@ -79,6 +82,16 @@ class TestPropagate:
 
     def test_escape_detected(self, ex1_system, ex1_escape_seed, ex1_cfg):
         tvp = pr.propagate(ex1_escape_seed, ex1_system, ex1_cfg)
+        assert tvp.escape_time is not None
+        assert abs(tvp.escape_time - scalar_blowup_time(0.5)) <= 1e-4
+        assert tvp.grid[-1] < tvp.escape_time
+
+    @pytest.mark.parametrize("E0", [[[0.5, 0.0], [0.0, 0.5]], [[0.5, 0.0], [0.0, 0.9]]])
+    def test_escape_detected_in_plane(self, sec5_system, E0):
+        # sec5 is ex1 on each axis.  With E0 = 0.5 I both eigenvalues of E
+        # blow up together, so det X keeps its sign across the pole.
+        seed = pr.Paraboloid(E0, np.zeros(2), -0.015)
+        tvp = pr.propagate(seed, sec5_system, pr.IntegratorConfig(t_end=5.0))
         assert tvp.escape_time is not None
         assert abs(tvp.escape_time - scalar_blowup_time(0.5)) <= 1e-4
         assert tvp.grid[-1] < tvp.escape_time
@@ -165,7 +178,7 @@ class TestPropagate:
 
 class TestDenseOutput:
     def test_seed_exact(self, ex1_stable_tvp, ex1_stable_seed):
-        P = pr.eval_paraboloid(ex1_stable_tvp, 0.0)
+        P = ex1_stable_tvp(0.0)
         np.testing.assert_array_equal(P.E, ex1_stable_seed.E)
         assert P.g == ex1_stable_seed.g
 
@@ -236,6 +249,37 @@ class TestDenseOutput:
         assert len(lines) == len(ex1_stable_tvp.grid) + 1
         first = [float(v) for v in lines[1].split(",")]
         assert first == [0.0, 1.0, 0.0, -0.06]
+
+
+class TestEngineProperty:
+    """The transition-matrix engine against an independent DOP853 solve, on
+    random well-posed systems driven by a random sampled input (held constant
+    outside its samples), at the nodes and between them."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_params_match_reference(self, dims, seed):
+        rng = np.random.default_rng(seed)
+        base = random_iqc_system(rng, *dims)
+        k = int(rng.integers(2, 8))
+        times = np.linspace(rng.uniform(-0.2, 0.1), rng.uniform(0.15, 0.7), k)
+        u = pr.SampledSignal(times, rng.standard_normal((k, base.p)))
+        sys_ = pr.make_system(base.A, base.B, base.Bu, base.M, u=u)
+        E0 = rng.standard_normal((base.n, base.n))
+        P0 = pr.Paraboloid(0.5 * (E0 + E0.T), rng.standard_normal(base.n),
+                           rng.standard_normal())
+        tvp = pr.propagate(P0, sys_, pr.IntegratorConfig(max_step=0.02, t_end=0.5))
+        if tvp.escape_time is not None:
+            return
+        ts = np.sort(np.concatenate([tvp.grid, 0.5 * (tvp.grid[1:] + tvp.grid[:-1])]))
+        ref = reference_params(sys_, P0, tvp.t_end)(ts)
+        got = tvp.params_at_many(ts)
+        for a, b in zip(got, ref):
+            assert np.all(np.abs(a - b) <= 1e-8 * (1.0 + np.abs(b)))
+        mid = 2 * (len(tvp.grid) // 2) - 1          # odd indices are midpoints
+        E, f, g = tvp.params_at(float(ts[mid]))
+        np.testing.assert_array_equal(E, got[0][mid])
 
 
 class TestConfig:

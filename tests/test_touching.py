@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import parareach as pr
-from parareach.errors import NotOnBoundary
+from parareach.errors import DimensionMismatch, NotOnBoundary
 
 from conftest import boundary_state, random_boundary_states, random_iqc_system
 
@@ -151,6 +151,22 @@ class TestBacktrace:
                                         t_mid, x_mid)
         np.testing.assert_allclose(X0_back.x, X0.x, atol=1e-7)
         assert X0_back.x_q == pytest.approx(X0.x_q, abs=1e-7)
+
+
+class TestSystemCheck:
+    def test_equal_copy_accepted(self, ex1_stable_tvp, ex1_cfg, ex1_stable_seed):
+        copy = pr.system_from_json(ex1_stable_tvp.flow.system.to_json())
+        X0 = pr.AugmentedState([0.0], -ex1_stable_seed.g)
+        traj = pr.touching_trajectory(ex1_stable_tvp, X0, copy, ex1_cfg)
+        pr.trace_back_to_seed(ex1_stable_tvp, copy, ex1_cfg, 1.0, traj.state_at(1.0)[0])
+
+    def test_other_system_rejected(self, ex1_stable_tvp, ex1_cfg, ex1_stable_seed):
+        other = pr.make_system([[-2.0]], [[1.0]], [[0.0]], np.diag([1.0, 1.0, -2.0]))
+        X0 = pr.AugmentedState([0.0], -ex1_stable_seed.g)
+        with pytest.raises(DimensionMismatch):
+            pr.touching_trajectory(ex1_stable_tvp, X0, other, ex1_cfg)
+        with pytest.raises(DimensionMismatch):
+            pr.trace_back_to_seed(ex1_stable_tvp, other, ex1_cfg, 1.0, [0.1])
 
 
 class TestBudgetRate:
