@@ -12,18 +12,20 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (DimensionMismatch, OutOfDomain, ParareachError,
-                     UnboundedSlab)
+from .errors import (ConfigError, DimensionMismatch, OutOfDomain,
+                     ParareachError, UnboundedSlab)
 from .model import AugmentedState, IqcSystem, Paraboloid, scale_paraboloid
 from .riccati import IntegratorConfig, propagate
 from .touching import (optimal_disturbance, touching_trajectory,
                        trace_back_to_seed)
 
 _DEFINED_TOL = 1e-12
+_QUERY_BLOCK = 4096     # member-time queries per block; each needs ~0.5 kB of temporaries
 
 
 def _sphere_directions(n: int, count: int, seed: int = 20_170_824) -> np.ndarray:
@@ -127,18 +129,28 @@ class ParaboloidFamily:
     def t_max(self) -> float:
         return max(m.t_end for m in self.members)
 
-    def defined_at(self, t: float):
-        """Indices of members whose interval of definition contains t."""
-        return [i for i, m in enumerate(self.members)
-                if t <= m.t_end * (1 + _DEFINED_TOL) + 1e-15]
+    @cached_property
+    def _nodes(self):
+        """Member node samples (E, f, g) stacked on a leading axis, each
+        padded to the longest grid by repeating its last node."""
+        K = max(len(m.grid) for m in self.members)
+        rows = [np.minimum(np.arange(K), len(m.grid) - 1) for m in self.members]
+        return tuple(np.stack([getattr(m, a)[r] for m, r in zip(self.members, rows)])
+                     for a in ("E_samples", "f_samples", "g_samples"))
 
-    def params_at(self, t: float):
-        """[(index, E, f, g)] over members defined at t."""
-        out = []
-        for i in self.defined_at(t):
-            E, f, g = self.members[i].params_at(min(t, self.members[i].t_end))
-            out.append((i, E, f, g))
-        return out
+    def params_at_many(self, tq):
+        """(E, f, g, defined) of every member at the times tq, shapes (M, T, n, n),
+        (M, T, n), (M, T), (M, T): each member's query is clamped to its t_end,
+        and ``defined`` marks the times within its interval of definition."""
+        tq = np.asarray(tq, dtype=float)
+        if np.any(tq < -1e-12):
+            raise OutOfDomain(f"t={tq.min()} before the family's start 0")
+        t_end = np.array([m.t_end for m in self.members])
+        step = max(1, _QUERY_BLOCK // len(self.members))     # times per block
+        blocks = [self.members[0].flow.dense_output(*self._nodes, t_end, tq[s:s + step])
+                  for s in range(0, max(len(tq), 1), step)]
+        E, f, g = (np.concatenate(a, axis=1) for a in zip(*blocks))
+        return E, f, g, tq <= t_end[:, None] * (1 + _DEFINED_TOL) + 1e-15
 
     def to_manifest(self, assumption_report=None) -> dict:
         man = {
@@ -168,7 +180,7 @@ def build_family(P0: Paraboloid, sys: IqcSystem, eps_q: float, n_members: int,
     gbar = None
     if gammas is None:
         if n_members < 1:
-            raise DimensionMismatch(f"n_members must be >= 1, got {n_members}")
+            raise ConfigError(f"n_members must be >= 1, got {n_members}")
         gbar = gamma_bar(P0, sys, eps_q, sampler_density=sampler_density)
         if n_members == 1 or gbar <= 1.0:
             gs = np.array([1.0])
@@ -177,11 +189,11 @@ def build_family(P0: Paraboloid, sys: IqcSystem, eps_q: float, n_members: int,
         elif spacing == "uniform":
             gs = np.linspace(1.0, gbar, n_members)
         else:
-            raise DimensionMismatch(f"unknown gamma spacing {spacing!r}")
+            raise ConfigError(f"unknown gamma spacing {spacing!r}")
     else:
         gs = np.asarray(sorted(float(g) for g in gammas), dtype=float)
         if len(gs) == 0 or np.any(gs <= 0):
-            raise DimensionMismatch("explicit gammas must be positive and nonempty")
+            raise ConfigError("explicit gammas must be positive and nonempty")
     gs = np.unique(gs)
 
     members = [propagate(scale_paraboloid(P0, g), sys, cfg, gamma=g) for g in gs]
@@ -195,15 +207,8 @@ def build_family(P0: Paraboloid, sys: IqcSystem, eps_q: float, n_members: int,
 def intersection_membership(F: ParaboloidFamily, t: float, X: AugmentedState):
     """(inside, margin): inside iff the budget is nonnegative and every member
     defined at t contains X; margin is the worst member value (negative
-    inside)."""
-    params = F.params_at(t)
-    if not params:
-        raise OutOfDomain(f"t={t} beyond the family's interval of definition "
-                          f"[0, {F.t_max}]")
-    margin = -np.inf
-    for _, E, f, g in params:
-        val = float(X.x @ E @ X.x - 2.0 * f @ X.x + g + X.x_q)
-        margin = max(margin, val)
+    inside), as :func:`membership_margins` reports it."""
+    margin = float(membership_margins(F, t, X.x[None, :], [X.x_q])[0])
     return (X.x_q >= 0.0 and margin <= 0.0), margin
 
 
@@ -240,15 +245,14 @@ class ReachSlice:
 
 
 def _member_values(F: ParaboloidFamily, t: float, xs: np.ndarray):
-    """Stacked member values -(x'Ex - 2f'x + g) at t, shape (n_defined, G)."""
-    params = F.params_at(t)
-    if not params:
-        raise OutOfDomain(f"t={t} beyond the family's interval of definition")
-    idx = [i for i, *_ in params]
-    vals = np.empty((len(params), xs.shape[0]))
-    for row, (_, E, f, g) in enumerate(params):
-        vals[row] = -(np.einsum("gi,ij,gj->g", xs, E, xs) - 2.0 * xs @ f + g)
-    return np.array(idx), vals
+    """Member values -(x'Ex - 2f'x + g) at t, (M, G); +inf where not defined."""
+    E, f, g, defined = F.params_at_many([t])
+    if not defined.any():
+        raise OutOfDomain(f"t={t} beyond the family's interval of definition "
+                          f"[0, {F.t_max}]")
+    vals = F.members[0].flow.value(E, f, g, xs)
+    vals[~defined[:, 0]] = -np.inf
+    return np.negative(vals, out=vals)
 
 
 def reach_slice(F: ParaboloidFamily, t: float, x_grid) -> ReachSlice:
@@ -259,11 +263,10 @@ def reach_slice(F: ParaboloidFamily, t: float, x_grid) -> ReachSlice:
     if xs.shape[1] != F.seed.dim:
         raise DimensionMismatch(
             f"grid points have dim {xs.shape[1]}, family dim {F.seed.dim}")
-    idx, vals = _member_values(F, t, xs)
+    vals = _member_values(F, t, xs)
     pos = np.argmin(vals, axis=0)          # first minimum = lowest gamma (sorted)
-    xq_max = vals[pos, np.arange(xs.shape[0])]
-    return ReachSlice(t=float(t), x_grid=xs, xq_max=xq_max,
-                      member_argmin=idx[pos], gammas=F.gammas)
+    return ReachSlice(t=float(t), x_grid=xs, xq_max=vals[pos, np.arange(xs.shape[0])],
+                      member_argmin=pos, gammas=F.gammas)
 
 
 def xq_max_at(F: ParaboloidFamily, t: float, xs) -> np.ndarray:
@@ -271,8 +274,7 @@ def xq_max_at(F: ParaboloidFamily, t: float, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if xs.ndim == 1:
         xs = xs[None, :]
-    _, vals = _member_values(F, t, xs)
-    return np.min(vals, axis=0)
+    return np.min(_member_values(F, t, xs), axis=0)
 
 
 def membership_margins(F: ParaboloidFamily, t: float, xs, xqs) -> np.ndarray:
@@ -374,20 +376,15 @@ def _band_times(traj, eps_q):
     t0, t1 = traj.grid[0], traj.grid[-1]
     ts = np.linspace(t0, t1, 1024)
     xq = traj.state_at_many(ts)[1]
-    out = []
-    for level in (0.0, -0.5 * eps_q, -eps_q):
-        z = xq - level
-        for k in np.nonzero(np.signbit(z[:-1]) != np.signbit(z[1:]))[0]:
-            lo, hi = ts[k], ts[k + 1]
-            for _ in range(50):
-                mid = 0.5 * (lo + hi)
-                if np.signbit(traj.state_at(mid)[1] - level) == np.signbit(z[k]):
-                    lo = mid
-                else:
-                    hi = mid
-            out.append(0.5 * (lo + hi))
-    out.extend(ts[(xq >= -eps_q) & (xq <= 0.0)])
-    return sorted(out)
+    levels = np.array([0.0, -0.5 * eps_q, -eps_q])
+    z = xq - levels[:, None]
+    lv, k = np.nonzero(np.signbit(z[:, :-1]) != np.signbit(z[:, 1:]))
+    lo, hi, side = ts[k], ts[k + 1], np.signbit(z[lv, k])
+    for _ in range(50):                 # all crossings of all levels at once
+        mid = 0.5 * (lo + hi)
+        below = np.signbit(traj.state_at_many(mid)[1] - levels[lv]) == side
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return np.sort(np.concatenate([0.5 * (lo + hi), ts[(xq >= -eps_q) & (xq <= 0.0)]]))
 
 
 def check_assumptions(F: ParaboloidFamily, cfg: IntegratorConfig,
@@ -427,8 +424,8 @@ def check_assumptions(F: ParaboloidFamily, cfg: IntegratorConfig,
         if len(rims) > max_rim_points:
             stride = max(1, len(rims) // max_rim_points)
             rims = rims[::stride][:max_rim_points]
-        for x_rim in rims:
-            member_idx = int(reach_slice(F, float(t), x_rim[None, :]).member_argmin[0])
+        active = reach_slice(F, float(t), np.reshape(rims, (-1, F.seed.dim))).member_argmin
+        for x_rim, member_idx in zip(rims, active):
             tvp = F.members[member_idx]
             try:
                 X0 = trace_back_to_seed(tvp, sys, cfg, float(t), x_rim)
@@ -438,18 +435,19 @@ def check_assumptions(F: ParaboloidFamily, cfg: IntegratorConfig,
             except ParareachError as e:
                 skipped.append(f"{type(e).__name__}: {e}")
                 continue
-            for tb in _band_times(traj, F.eps_q):
-                x, xq = traj.state_at(tb)
-                _, mval = intersection_membership(F, tb, AugmentedState(x, xq))
-                if mval > membership_tol * (1.0 + abs(xq)):
-                    continue  # not on the intersection's surface
-                u_t = sys.u_at(tb)
-                w = optimal_disturbance(tvp(min(tb, tvp.t_end)), x, u_t, sys)
-                rate = sys.energy_rate(x, u_t, w)
+            tbs = _band_times(traj, F.eps_q)
+            xs, xqs = traj.state_at_many(tbs)
+            E, f, g, defined = F.params_at_many(tbs)
+            worst = np.where(defined, tvp.flow.value(E, f, g, xs), -np.inf).max(axis=0) + xqs
+            # points on the intersection's surface, with the rate of the ride's member
+            for k in np.nonzero(worst <= membership_tol * (1.0 + np.abs(xqs)))[0]:
+                u_t = sys.u_at(tbs[k])
+                own = Paraboloid(E[member_idx, k], f[member_idx, k], g[member_idx, k])
+                rate = sys.energy_rate(xs[k], u_t, optimal_disturbance(own, xs[k], u_t, sys))
                 n_points += 1
                 if rate >= -margin:
-                    violations.append({"t": float(tb), "x": list(map(float, x)),
-                                       "x_q": float(xq), "rate": float(rate),
+                    violations.append({"t": float(tbs[k]), "x": list(map(float, xs[k])),
+                                       "x_q": float(xqs[k]), "rate": float(rate),
                                        "gamma": float(F.gammas[member_idx])})
 
     if extra_trajectories:

@@ -1,8 +1,8 @@
 """Brute-force evidence: sample admissible disturbances, integrate directly.
 
-This module is deliberately independent of the adaptive machinery used by the
-paraboloid flow: trajectories are integrated with a fixed-step classical RK4
-on a shared time grid, vectorized across the batch.  Soundness of the
+Trajectories are deliberately integrated without the transition-matrix
+engine of the paraboloid flow: a fixed-step classical RK4 steps them on a
+shared time grid, vectorized across the batch.  Soundness of the
 computed sets is then checked against these samples, and coverage measures
 how much of a computed slice the samples actually visit.
 
@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, RejectionStarvation, UnboundedSlab
+from .errors import ConfigError, DimensionMismatch, RejectionStarvation, UnboundedSlab
 from .family import ParaboloidFamily, xq_max_at
 from .model import IqcSystem, Paraboloid
 from .touching import AugmentedTrajectory
@@ -51,11 +51,11 @@ class OracleConfig:
 
     def __post_init__(self):
         if self.n_trajectories < 1 or self.segments < 1:
-            raise DimensionMismatch("oracle counts must be positive")
+            raise ConfigError("oracle counts must be positive")
         if self.t_end <= 0 or self.w_scale < 0:
-            raise DimensionMismatch("oracle horizon must be positive, amplitude nonnegative")
+            raise ConfigError("oracle horizon must be positive, amplitude nonnegative")
         if not (0.0 <= self.boundary_fraction <= 1.0):
-            raise DimensionMismatch("boundary_fraction must lie in [0, 1]")
+            raise ConfigError("boundary_fraction must lie in [0, 1]")
 
     @property
     def n_steps(self) -> int:
@@ -112,23 +112,6 @@ def _qform_batch(sys: IqcSystem, X, u_t, W):
     if sys.Mxw.size:
         out += 2.0 * np.einsum("ki,ij,kj->k", X, sys.Mxw, W)
     return out
-
-
-class _MemberTables:
-    """Member parameters pre-evaluated at every RK4 stage time."""
-
-    def __init__(self, family: ParaboloidFamily, grid: np.ndarray):
-        mids = 0.5 * (grid[:-1] + grid[1:])
-        times = np.concatenate([grid, mids])  # nodes first, then midpoints
-        self.E = []
-        self.f = []
-        for m in family.members:
-            tq = np.minimum(times, m.t_end)
-            E, f, _ = m.params_at_many(tq)
-            self.E.append(E)
-            self.f.append(f)
-        self.E = np.stack(self.E)   # (M, n_times, n, n)
-        self.f = np.stack(self.f)   # (M, n_times, n)
 
 
 def _steered_w(sys, E, f, X, u_t, noise):
@@ -302,7 +285,10 @@ def _one_batch(sys, P0, cfg, family, save_times, seed_seq):
         np.searchsorted(seg_bounds, 0.5 * (grid[:-1] + grid[1:]), side="right") - 1,
         cfg.segments - 1)
 
-    tables = _MemberTables(family, grid) if n_boundary else None
+    if family is not None:
+        # member parameters at every RK4 stage time: nodes, then midpoints
+        E_tab, f_tab, g_tab, defined = family.params_at_many(
+            np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:])]))
     n_nodes = len(grid)
 
     def time_index(step, stage):
@@ -311,21 +297,15 @@ def _one_batch(sys, P0, cfg, family, save_times, seed_seq):
 
     trajectories = []
 
-    def emit(sX, sXQ, sW, ok, member_idx):
-        href = None
+    def emit(sX, sXQ, sW, ok, mi):
+        h = np.full(sXQ.shape, np.nan)
         if family is not None:
-            href = family.members[member_idx if member_idx is not None else 0]
-            Eh, fh, gh = href.params_at_many(np.minimum(save_times, href.t_end))
+            E, f, g = (a[mi, save_idx, None] for a in (E_tab, f_tab, g_tab))
+            h = family.members[0].flow.value(E, f, g, sX) + sXQ
+            h[~defined[mi, save_idx]] = np.nan
         for j in np.nonzero(ok)[0]:
-            if href is not None:
-                x = sX[:, j, :]
-                h = (np.einsum("ki,kij,kj->k", x, Eh, x) - 2.0 * np.sum(fh * x, axis=1)
-                     + gh + sXQ[:, j])
-                h[save_times > href.t_end * (1 + 1e-12)] = np.nan
-            else:
-                h = np.full(len(save_times), np.nan)
             trajectories.append(AugmentedTrajectory(
-                save_times, sX[:, j, :], sXQ[:, j], sW[:, j, :], h))
+                save_times, sX[:, j, :], sXQ[:, j], sW[:, j, :], h[:, j]))
 
     if n_boundary < N:
         idx = np.arange(n_boundary, N)
@@ -336,7 +316,7 @@ def _one_batch(sys, P0, cfg, family, save_times, seed_seq):
 
         sX, sXQ, sW, ok = _integrate_batch(sys, X0[idx], XQ0[idx], grid,
                                            plain_w, save_idx)
-        emit(sX, sXQ, sW, ok, None)
+        emit(sX, sXQ, sW, ok, 0)        # plain draws: h against member 0
 
     if n_boundary:
         idx = np.arange(n_boundary)
@@ -353,8 +333,8 @@ def _one_batch(sys, P0, cfg, family, save_times, seed_seq):
 
         def steered(step, stage, t, X, XQ, members=members, noise=noise):
             ti = time_index(step, stage)
-            E = tables.E[members, ti]
-            f = tables.f[members, ti]
+            E = E_tab[members, ti]
+            f = f_tab[members, ti]
             seg = seg_of_step[step]
             w = _steered_w(sys, E, f, X, sys.u(t), noise[:, seg, :])
             riding = t < switch_t

@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import DimensionMismatch, OutOfDomain, SingularMw
+from .errors import ConfigError, DimensionMismatch, OutOfDomain, SingularMw
 from .model import IqcSystem, Paraboloid
 
 ESCAPE_BRACKET_RTOL = 1e-6  # relative width of the blow-up time bracket
@@ -61,9 +61,9 @@ class IntegratorConfig:
         for name in ("rel_tol", "abs_tol", "max_step", "escape_norm", "t_end"):
             v = getattr(self, name)
             if not np.isfinite(v) or v <= 0:
-                raise DimensionMismatch(f"IntegratorConfig.{name} must be positive, got {v}")
+                raise ConfigError(f"IntegratorConfig.{name} must be positive, got {v}")
         if self.rel_tol < 1e-13 or self.abs_tol < 1e-13:
-            raise DimensionMismatch("tolerances below 1e-13 are not resolvable in float64")
+            raise ConfigError("tolerances below 1e-13 are not resolvable in float64")
 
 
 def _mw_solve(sys: IqcSystem, rhs):
@@ -200,6 +200,13 @@ class Flow:
         P[..., n, n] = g
         return P
 
+    def value(self, E, f, g, x):
+        """x'Ex - 2f'x + g as one quadratic form in [x; 1], which makes no
+        temporaries of the result's size; shapes broadcast over leading axes."""
+        Q = self.embed(E, f, g)[..., :self.n + 1, :self.n + 1]
+        z = np.concatenate([x, np.ones(np.shape(x)[:-1] + (1,))], axis=-1)
+        return np.einsum("...i,...ij,...j->...", z, Q, z)
+
     def read(self, P, phi):
         """(E, f, g) of an augmented P at the basis value phi."""
         n = self.n
@@ -212,11 +219,15 @@ class Flow:
         x-block of X: the linear-fractional step P <- Y X^-1 with
         [X; Y] = Phi(dt) [I; P].  The basis rows of X are those of the input's
         own unit-determinant shift, so X is singular exactly where its x-block
-        is.  Shapes broadcast over leading axes."""
+        is.  Shapes broadcast over leading axes, with one matrix exponential
+        per distinct (j, dt)."""
         if np.ndim(dt) == 0 and (j, dt) in self._full:
             Phi = self._full[j, dt][0]
         else:
-            Phi = expm(self.H[j] * np.asarray(dt)[..., None, None])
+            # one key per pair, exact: j the real part, dt the imaginary
+            key, inv = np.unique(j + 1j * np.asarray(dt), return_inverse=True)
+            Phi = expm(self.H[key.real.astype(int)] * key.imag[:, None, None])
+            Phi = Phi[inv.reshape(np.shape(dt))]
         k = self.k
         P = self.embed(E, f, g)
         X = Phi[..., :k, :k] + Phi[..., :k, k:] @ P
@@ -224,6 +235,25 @@ class Flow:
         P = np.linalg.solve(_swap(X), _swap(Y))
         P = 0.5 * (P + _swap(P))
         return self.read(P, self.basis(j, t + dt)) + (X[..., :self.n, :self.n],)
+
+    def dense_output(self, E, f, g, t_end, tq):
+        """(E, f, g) at the times tq, clamped to [0, t_end], from the node
+        samples of one paraboloid, (K, n, n), (K, n), (K,), or of M members,
+        (M, K, ...) with t_end (M,).  A member's nodes are the grid's up to
+        its last, at t_end, which may be off the grid (a blow-up bracket's
+        end); between nodes, Phi(t - t_k) advances the node before t."""
+        t_end = np.asarray(t_end, dtype=float)[..., None]
+        tq = np.clip(tq, 0.0, t_end)
+        i = np.where(tq < t_end, np.searchsorted(self.grid, tq, side="right") - 1,
+                     g.shape[-1] - 1)
+        node = np.indices(i.shape, sparse=True)[:-1] + (i,)    # of each query
+        E, f, g = E[node], f[node], g[node]
+        off = np.nonzero((tq < t_end) & (tq > self.grid[i]))
+        if len(off[0]):
+            t0 = self.grid[i[off]]
+            E[off], f[off], g[off], _ = self.params_after(
+                self.piece_of(t0), t0, E[off], f[off], g[off], tq[off] - t0)
+        return E, f, g
 
     # -- rides --------------------------------------------------------------
 
@@ -327,23 +357,12 @@ class TimeVaryingParaboloid:
 
     def params_at_many(self, tq):
         """(E, f, g) tables at an array of times within the domain:
-        shapes (K, n, n), (K, n), (K,).  One batched matrix exponential
-        serves all queries between nodes."""
+        shapes (K, n, n), (K, n), (K,), from :meth:`Flow.dense_output`."""
         tq = np.asarray(tq, dtype=float)
         for t in (tq.min(), tq.max()):
             self._check_domain(float(t))
-        tq = np.clip(tq, 0.0, self.t_end)
-        i = np.searchsorted(self.grid, tq, side="right") - 1
-        E, f, g = self.E_samples[i], self.f_samples[i], self.g_samples[i]
-        dt = tq - self.grid[i]
-        off = np.nonzero(dt > 0.0)[0]
-        if len(off):
-            io_ = i[off]
-            j = self.flow.piece_of(self.grid[io_])
-            Eo, fo, go, _ = self.flow.params_after(j, self.grid[io_], E[off], f[off],
-                                                   g[off], dt[off])
-            E[off], f[off], g[off] = Eo, fo, go
-        return E, f, g
+        return self.flow.dense_output(self.E_samples, self.f_samples, self.g_samples,
+                                      self.t_end, tq)
 
     def __call__(self, t: float) -> Paraboloid:
         E, f, g = self.params_at(t)

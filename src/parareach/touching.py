@@ -200,7 +200,7 @@ def touching_trajectory(tvp: TimeVaryingParaboloid, X0: AugmentedState,
     etas = np.array(etas)
     xs, xqs = np.array(xs), np.array(xqs)
 
-    h = np.einsum("ki,kij,kj->k", xs, E, xs) - 2.0 * np.sum(f * xs, axis=1) + g + xqs
+    h = flow.value(E, f, g, xs) + xqs
     drift = np.nonzero(np.abs(h) > touch_tol)[0]
     if len(drift):
         k = drift[0]

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import parareach as pr
 import parareach.family as family_mod
-from parareach.errors import NotOnBoundary, OutOfDomain, UnboundedSlab
+from parareach.errors import (ConfigError, NotOnBoundary, OutOfDomain,
+                              UnboundedSlab)
 from parareach.family import sample_slab_states
+from parareach.presets import load_preset
 
-from conftest import scalar_flow
+from conftest import random_iqc_system, scalar_flow
 
 
 @pytest.fixture(scope="module")
@@ -14,6 +18,32 @@ def ex1_family(ex1_system, ex1_escape_seed, ex1_cfg):
     """The five-scaling family of the divergent scalar example."""
     return pr.build_family(ex1_escape_seed, ex1_system, 3e-5, 5, ex1_cfg,
                            gammas=[1.0, 1.6, 2.2, 2.7, 3.3])
+
+
+@pytest.fixture(scope="module")
+def sec5_family(sec5_system, sec5_seed, sec5_cfg):
+    """The 64-member family of the paper's Section 5 example."""
+    sec5 = load_preset("sec5")
+    return pr.build_family(sec5_seed, sec5_system, sec5["eps_q"], 64, sec5_cfg,
+                           spacing=sec5["gamma_spacing"],
+                           sampler_density=sec5["sampler_density"])
+
+
+def member_slice(F, t, xs):
+    """Reference slice, member by member: the values -(x'Ex - 2f'x + g) of
+    the members defined at t, each from its own dense output at
+    min(t, t_end), and the magnitudes of the terms they sum;
+    (member indices, values, magnitudes)."""
+    idx, rows, sizes = [], [], []
+    for i, m in enumerate(F.members):
+        if t <= m.t_end * (1 + family_mod._DEFINED_TOL) + 1e-15:
+            E, f, g = m.params_at(min(t, m.t_end))
+            idx.append(i)
+            rows.append(-(np.einsum("gi,ij,gj->g", xs, E, xs) - 2.0 * xs @ f + g))
+            ax = np.abs(xs)
+            sizes.append(np.einsum("gi,ij,gj->g", ax, np.abs(E), ax)
+                         + 2.0 * ax @ np.abs(f) + abs(g))
+    return np.array(idx, dtype=int), np.array(rows), np.array(sizes)
 
 
 class TestGammaBar:
@@ -90,9 +120,96 @@ class TestBuildFamily:
         expected = -(grid[:, 0] ** 2 * E[0, 0] - 2 * f[0] * grid[:, 0] + g)
         np.testing.assert_allclose(slc.xq_max, expected, atol=1e-12)
 
+    def test_rejects_bad_config(self, ex1_system, ex1_stable_seed, ex1_cfg):
+        for kwargs in ({"n_members": 0}, {"n_members": 4, "spacing": "cubic"},
+                       {"n_members": 4, "gammas": []},
+                       {"n_members": 4, "gammas": [1.0, -2.0]}):
+            with pytest.raises(ConfigError):
+                pr.build_family(ex1_stable_seed, ex1_system, 6e-5, cfg=ex1_cfg,
+                                **kwargs)
+
     def test_k_bound_is_max_norm(self, ex1_family):
         direct = max(np.max(np.abs(m.E_samples)) for m in ex1_family.members)
         assert ex1_family.K_bound == pytest.approx(direct)
+
+
+class TestFamilyTable:
+    """The family's dense output against each member's own, bit for bit."""
+
+    @staticmethod
+    def check_against_members(F, tq):
+        E, f, g, defined = F.params_at_many(tq)
+        M, T = len(F.members), len(tq)
+        assert E.shape[:2] == f.shape[:2] == g.shape == defined.shape == (M, T)
+        for k, m in enumerate(F.members):
+            ref = m.params_at_many(np.minimum(tq, m.t_end))
+            for got, want in zip((E[k], f[k], g[k]), ref):
+                np.testing.assert_array_equal(got, want)
+        ends = np.array([m.t_end for m in F.members])
+        np.testing.assert_array_equal(defined, tq[None, :] <= ends[:, None])
+        return ends
+
+    def test_sec5_at_oracle_stage_times(self, sec5_family):
+        grid = np.linspace(0.0, 1.0, 401)          # the oracle's RK4 nodes on [0, 1]
+        tq = np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:])])
+        assert np.all(self.check_against_members(sec5_family, tq) == 1.0)
+
+    def test_escaped_member(self, ex1_family):
+        end = ex1_family.members[0].t_end
+        tq = np.sort(np.append(np.linspace(0.0, 10.5, 2101), end))
+        ends = self.check_against_members(ex1_family, tq)
+        assert ends[0] == end < 10.0 and np.all(ends[1:] == 10.0)
+
+    def test_driven_input(self, driven_system, driven_seed, driven_cfg):
+        # sampled input: several pieces, f and g move, the smallest scaling escapes
+        fam = pr.build_family(driven_seed, driven_system, 1e-3, 1, driven_cfg,
+                              gammas=[0.3, 1.0, 2.0])
+        ends = self.check_against_members(fam, np.linspace(0.0, 3.0, 1777))
+        assert ends[0] < 3.0 and np.all(ends[1:] == 3.0)
+
+    def test_rejects_negative_time(self, ex1_family):
+        with pytest.raises(OutOfDomain):
+            ex1_family.params_at_many([-0.5, 1.0])
+
+
+class TestFamilyProperty:
+    """Random well-posed systems and seeds (some members escape): the slice
+    equals the member-by-member reference and ignores the order in which
+    explicit scalings are given.  The slice sums each value in another
+    order, so values agree to 1e-13 of the terms' magnitude, and the active
+    member wherever the reference's best two are further apart than that."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_slice_matches_members_and_order(self, dims, seed):
+        rng = np.random.default_rng(seed)
+        sys_ = random_iqc_system(rng, *dims)
+        E0 = rng.standard_normal((sys_.n, sys_.n))
+        P0 = pr.Paraboloid(0.5 * (E0 + E0.T), rng.standard_normal(sys_.n),
+                           rng.standard_normal())
+        cfg = pr.IntegratorConfig(max_step=0.05, t_end=0.5)
+        gammas = rng.uniform(0.5, 3.0, size=int(rng.integers(1, 6)))
+        fam = pr.build_family(P0, sys_, 1e-3, 1, cfg, gammas=gammas)
+        shuffled = pr.build_family(P0, sys_, 1e-3, 1, cfg,
+                                   gammas=list(rng.permutation(gammas)))
+        t = float(rng.uniform(0.0, 0.5))
+        xs = rng.standard_normal((30, sys_.n))
+        idx, vals, sizes = member_slice(fam, t, xs)
+        if not len(idx):
+            with pytest.raises(OutOfDomain):
+                pr.reach_slice(fam, t, xs)
+            return
+        slc = pr.reach_slice(fam, t, xs)
+        tol = 1e-13 * sizes.max(axis=0)
+        assert np.all(np.abs(slc.xq_max - vals.min(axis=0)) <= tol)
+        two = np.sort(vals, axis=0)[:2]
+        clear = (two[-1] - two[0] > 2 * tol) if len(idx) > 1 else np.ones(len(xs), bool)
+        np.testing.assert_array_equal(slc.member_argmin[clear],
+                                      idx[vals.argmin(axis=0)][clear])
+        other = pr.reach_slice(shuffled, t, xs)
+        np.testing.assert_array_equal(other.xq_max, slc.xq_max)
+        np.testing.assert_array_equal(other.argmin_gamma, slc.argmin_gamma)
 
 
 class TestMembership:

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import cumulative_simpson
 
 import parareach as pr
-from parareach.errors import RejectionStarvation
+from parareach.errors import ConfigError, RejectionStarvation
 
 
 @pytest.fixture(scope="module")
@@ -158,9 +158,9 @@ class TestCoverage:
 
 class TestConfig:
     def test_rejects_bad_counts(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ConfigError):
             pr.OracleConfig(n_trajectories=0)
-        with pytest.raises(Exception):
+        with pytest.raises(ConfigError):
             pr.OracleConfig(n_trajectories=10, segments=0)
-        with pytest.raises(Exception):
+        with pytest.raises(ConfigError):
             pr.OracleConfig(n_trajectories=10, boundary_fraction=1.5)

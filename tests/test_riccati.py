@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import parareach as pr
-from parareach.errors import DimensionMismatch, OutOfDomain
+from parareach.errors import ConfigError, DimensionMismatch, OutOfDomain
 
 from conftest import (ROOT_HI, ROOT_LO, random_iqc_system, reference_params,
                       scalar_blowup_time, scalar_flow)
@@ -232,6 +232,12 @@ class TestDenseOutput:
         tvp = pr.propagate(ex1_escape_seed, ex1_system, ex1_cfg)
         with pytest.raises(OutOfDomain):
             tvp.params_at(tvp.escape_time + 0.1)
+        # the last node ends the bracket, off the step grid, and answers there
+        assert tvp.steps[-1] < tvp.steps[-2]
+        E, f, g = tvp.params_at(tvp.t_end)
+        np.testing.assert_array_equal(E, tvp.E_samples[-1])
+        np.testing.assert_array_equal(f, tvp.f_samples[-1])
+        assert g == tvp.g_samples[-1]
 
     def test_sample_invariants(self, sec5_tvp, sec5_seed):
         # packed storage keeps every stored coefficient exactly symmetric,
@@ -284,11 +290,11 @@ class TestEngineProperty:
 
 class TestConfig:
     def test_rejects_nonpositive(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ConfigError):
             pr.IntegratorConfig(rel_tol=-1e-9)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ConfigError):
             pr.IntegratorConfig(t_end=0.0)
 
     def test_rejects_unresolvable_tolerance(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ConfigError):
             pr.IntegratorConfig(rel_tol=1e-14)
