@@ -19,7 +19,7 @@ from .family import (AssumptionReport, ParaboloidFamily, ReachSlice,
                      xq_max_at)
 from .model import (AugmentedState, IqcSystem, Paraboloid, make_system,
                     scale_paraboloid, system_from_json, value_function)
-from .oracle import (CoverageReport, OracleConfig, coverage, endpoints_to_csv,
+from .oracle import (CoverageReport, OracleConfig, OracleSamples, coverage,
                      sample_admissible)
 from .riccati import (IntegratorConfig, TimeVaryingParaboloid, f_rhs,
                       g_quadrature_matrix, propagate, riccati_rhs)

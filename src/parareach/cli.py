@@ -18,11 +18,11 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, ParareachError
+from .errors import ConfigError, ParareachError, RejectionStarvation
 from .family import (build_family, check_assumptions, membership_margins,
                      reach_slice)
-from .model import AugmentedState, IqcSystem, Paraboloid, system_from_json
-from .oracle import OracleConfig, coverage, endpoints_to_csv, sample_admissible
+from .model import IqcSystem, Paraboloid, system_from_json
+from .oracle import OracleConfig, coverage, sample_admissible
 from .presets import load_preset, preset_names
 from .riccati import IntegratorConfig, propagate
 
@@ -168,23 +168,30 @@ def _write_json(rc: RunConfig, name: str, obj):
     return _write(rc, name, json.dumps(obj, indent=2) + "\n")
 
 
-def _csv_to_json(text: str):
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    header = lines[0].split(",")
-    rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
-    return {"columns": header, "rows": rows}
+def _names(prefix: str, count: int) -> list:
+    return [f"{prefix}_{i}" for i in range(count)]
 
 
-def _emit_table(rc: RunConfig, stem: str, csv_text: str):
+def _emit_table(rc: RunConfig, stem: str, columns: list, rows):
+    """Write a 2-D float array as ``stem.csv`` (a header line, then the
+    ``repr`` of each value) or, with ``--format json``, as ``stem.json``
+    holding ``{"columns", "rows"}``."""
+    rows = np.asarray(rows, dtype=float).tolist()
     if rc.fmt == "json":
-        _write_json(rc, f"{stem}.json", _csv_to_json(csv_text))
+        _write_json(rc, f"{stem}.json", {"columns": columns, "rows": rows})
     else:
-        _write(rc, f"{stem}.csv", csv_text)
+        lines = [",".join(columns)] + [",".join(map(repr, row)) for row in rows]
+        _write(rc, f"{stem}.csv", "\n".join(lines) + "\n")
 
 
 def cmd_propagate(rc: RunConfig) -> int:
     tvp = propagate(rc.seed_paraboloid, rc.system, rc.integrator)
-    _emit_table(rc, "tvp", tvp.to_csv())
+    n = tvp.n
+    _emit_table(rc, "tvp",
+                ["t"] + [f"E_{i}{j}" for i in range(n) for j in range(n)]
+                + _names("f", n) + ["g"],
+                np.column_stack([tvp.grid, tvp.E_samples.reshape(len(tvp.grid), -1),
+                                 tvp.f_samples, tvp.g_samples]))
     E, f, g = tvp.params_at(tvp.t_end)
     manifest = {
         "t_end_requested": rc.t_end,
@@ -211,22 +218,14 @@ def cmd_reach(rc: RunConfig) -> int:
     grid = _grid_from_window(rc)
     report = check_assumptions(fam, rc.integrator, probe_grid=grid,
                                max_rim_points=6)
-    tube_parts = []
+    columns = _names("x", rc.system.n) + ["xq_max", "argmin_gamma"]
+    tube = []
     for t in rc.times:
         slc = reach_slice(fam, t, grid)
-        stem = f"slice_t{t:g}".replace(".", "p")
-        _emit_table(rc, stem, slc.to_csv())
-        tube_parts.append((t, slc))
-    # stacked tube export
-    n = rc.system.n
-    cols = ["t"] + [f"x_{i}" for i in range(n)] + ["xq_max", "argmin_gamma"]
-    rows = [",".join(cols)]
-    for t, slc in tube_parts:
-        ag = slc.argmin_gamma
-        for k in range(len(slc.xq_max)):
-            rows.append(",".join(repr(float(v)) for v in
-                                 [t, *slc.x_grid[k], slc.xq_max[k], ag[k]]))
-    _emit_table(rc, "tube", "\n".join(rows) + "\n")
+        table = np.column_stack([slc.x_grid, slc.xq_max, slc.argmin_gamma])
+        _emit_table(rc, f"slice_t{t:g}".replace(".", "p"), columns, table)
+        tube.append(np.column_stack([np.full(len(table), t), table]))
+    _emit_table(rc, "tube", ["t"] + columns, np.concatenate(tube))
     _write_json(rc, "family_manifest.json", fam.to_manifest(report))
     return EXIT_OK
 
@@ -241,15 +240,16 @@ def cmd_verify(rc: RunConfig) -> int:
     ocfg = OracleConfig(n_trajectories=rc.oracle_n, segments=rc.oracle_segments,
                         w_scale=rc.oracle_w_scale, seed=rc.oracle_seed,
                         t_end=rc.t_end)
-    trajs = sample_admissible(rc.system, rc.seed_paraboloid, ocfg, family=fam,
-                              sample_times=sample_times)
-    grid = trajs[0].grid
+    samples = sample_admissible(rc.system, rc.seed_paraboloid, ocfg, family=fam,
+                                sample_times=sample_times)
+    if not len(samples):
+        raise RejectionStarvation(
+            f"no admissible trajectory among {rc.oracle_n} draws")
     violations = []
     worst = -np.inf
     for t in sample_times:
-        k = int(np.argmin(np.abs(grid - t)))
-        xs = np.stack([tr.x_samples[k] for tr in trajs])
-        xqs = np.array([tr.xq_samples[k] for tr in trajs])
+        k = int(np.argmin(np.abs(samples.times - t)))
+        xs, xqs = samples.x[k], samples.x_q[k]
         margins = membership_margins(fam, t, xs, xqs)
         worst = max(worst, float(margins.max()))
         for j in np.nonzero(margins > SOUNDNESS_MARGIN_TOL)[0]:
@@ -257,16 +257,15 @@ def cmd_verify(rc: RunConfig) -> int:
                                "x_q": float(xqs[j]), "margin": float(margins[j])})
 
     t_cov = sample_times[-1] if rc.times else rc.t_end
-    k = int(np.argmin(np.abs(grid - t_cov)))
-    endpoints = np.stack([tr.x_samples[k] for tr in trajs])
-    cov = coverage(fam, t_cov, endpoints, cells_per_dim=rc.cells_per_dim)
+    k = int(np.argmin(np.abs(samples.times - t_cov)))
+    cov = coverage(fam, t_cov, samples.x[k], cells_per_dim=rc.cells_per_dim)
 
-    end_states = [AugmentedState(tr.x_samples[k], tr.xq_samples[k]) for tr in trajs]
-    _emit_table(rc, "endpoints", endpoints_to_csv(end_states))
+    _emit_table(rc, "endpoints", _names("x", rc.system.n) + ["x_q"],
+                np.column_stack([samples.x[k], samples.x_q[k]]))
     _write_json(rc, "coverage.json", cov.to_json())
     report = {
         "n_requested": rc.oracle_n,
-        "n_admissible": len(trajs),
+        "n_admissible": len(samples),
         "check_times": list(map(float, sample_times)),
         "worst_margin": worst,
         "margin_tolerance": SOUNDNESS_MARGIN_TOL,

@@ -10,7 +10,6 @@ coefficient, which yields a finite largest useful scaling.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
@@ -232,17 +231,6 @@ class ReachSlice:
     def argmin_gamma(self) -> np.ndarray:
         return self.gammas[self.member_argmin]
 
-    def to_csv(self) -> str:
-        n = self.x_grid.shape[1]
-        cols = [f"x_{i}" for i in range(n)] + ["xq_max", "argmin_gamma"]
-        buf = io.StringIO()
-        buf.write(",".join(cols) + "\n")
-        ag = self.argmin_gamma
-        for k in range(len(self.xq_max)):
-            row = list(self.x_grid[k]) + [self.xq_max[k], ag[k]]
-            buf.write(",".join(repr(float(v)) for v in row) + "\n")
-        return buf.getvalue()
-
 
 def _member_values(F: ParaboloidFamily, t: float, xs: np.ndarray):
     """Member values -(x'Ex - 2f'x + g) at t, (M, G); +inf where not defined."""
@@ -372,10 +360,9 @@ def _rim_points(slc: ReachSlice):
 
 
 def _band_times(traj, eps_q):
-    """Times where the trajectory's budget crosses or sits in [-eps_q, 0]."""
-    t0, t1 = traj.grid[0], traj.grid[-1]
-    ts = np.linspace(t0, t1, 1024)
-    xq = traj.state_at_many(ts)[1]
+    """Times where the ride's budget sits in [-eps_q, 0] at a node, or crosses
+    0, -eps_q/2 or -eps_q between two nodes (bisected on its dense output)."""
+    ts, xq = traj.grid, traj.xq_samples
     levels = np.array([0.0, -0.5 * eps_q, -eps_q])
     z = xq - levels[:, None]
     lv, k = np.nonzero(np.signbit(z[:, :-1]) != np.signbit(z[:, 1:]))

@@ -12,11 +12,16 @@ boundary, which uniform disturbances almost never reach.  All randomness is
 drawn up front from one generator per batch in a fixed order, so a fixed
 seed reproduces trajectories byte for byte regardless of how the integration
 work is later distributed.
+
+The admissible trajectories come back as columns (:class:`OracleSamples`),
+one row per trajectory in a fixed order, which keeps fixed-seed outputs
+byte-identical: within a batch the plain draws come first, in draw order,
+then the steered draws, grouped stably by ascending member; batches follow
+in batch order, and the rows are cut to ``min_admissible``.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -25,7 +30,6 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatch, RejectionStarvation, UnboundedSlab
 from .family import ParaboloidFamily, xq_max_at
 from .model import IqcSystem, Paraboloid
-from .touching import AugmentedTrajectory
 
 
 @dataclass(frozen=True)
@@ -60,6 +64,24 @@ class OracleConfig:
     @property
     def n_steps(self) -> int:
         return self.steps if self.steps is not None else max(200, int(np.ceil(self.t_end / 2.5e-3)))
+
+
+@dataclass(frozen=True)
+class OracleSamples:
+    """Admissible trajectories sampled at ``times`` (S,): states ``x``
+    (S, N, n), budgets ``x_q`` (S, N), disturbances ``w`` (S, N, m), and the
+    owning member's value function ``h`` (S, N) as a diagnostic (NaN without
+    a family, or past the member's interval of definition).  Plain draws are
+    owned by member 0.  ``len`` is the number N of trajectories."""
+
+    times: np.ndarray
+    x: np.ndarray
+    x_q: np.ndarray
+    w: np.ndarray
+    h: np.ndarray
+
+    def __len__(self) -> int:
+        return self.x.shape[1]
 
 
 def _seed_box(P0: Paraboloid):
@@ -175,13 +197,14 @@ def sample_admissible(sys: IqcSystem, P0: Paraboloid, cfg: OracleConfig,
                       sample_times: Optional[Sequence[float]] = None,
                       min_admissible: Optional[int] = None):
     """Draw piecewise-constant disturbances, integrate the constrained plant,
-    and keep the trajectories whose budget never dips below zero.
+    and keep the trajectories whose budget never dips below zero, as one
+    :class:`OracleSamples` in the row order of the module docstring.
 
     With a ``family``, a ``boundary_fraction`` share of the draws is steered
     by the optimal disturbance of a randomly chosen member plus relative
-    noise.  ``sample_times`` become trajectory grid points.  When
-    ``min_admissible`` is set, further seeded batches are drawn until that
-    many admissible trajectories are collected.
+    noise.  ``sample_times`` join the segment bounds as the sample times.
+    When ``min_admissible`` is set, further seeded batches are drawn until
+    that many admissible trajectories are collected.
     """
     if sample_times is None:
         sample_times = []
@@ -192,24 +215,24 @@ def sample_admissible(sys: IqcSystem, P0: Paraboloid, cfg: OracleConfig,
         raise DimensionMismatch("sample times must lie within [0, t_end]")
 
     master = np.random.SeedSequence(cfg.seed)
-    out = []
-    total_drawn = 0
-    batches = 0
+    batches = []
+    got = total_drawn = 0
     while True:
-        out.extend(_one_batch(sys, P0, cfg, family, save_times,
-                              master.spawn(1)[0]))
+        batches.append(_one_batch(sys, P0, cfg, family, save_times,
+                                  master.spawn(1)[0]))
+        got += batches[-1][0].shape[1]
         total_drawn += cfg.n_trajectories
-        batches += 1
-        if min_admissible is None or len(out) >= min_admissible:
+        if min_admissible is None or got >= min_admissible:
             break
         if total_drawn >= 20 * cfg.n_trajectories:
             raise RejectionStarvation(
                 f"could not collect {min_admissible} admissible trajectories "
-                f"({len(out)} of {total_drawn} drawn)")
-    if total_drawn >= 1000 and len(out) < 0.001 * total_drawn:
+                f"({got} of {total_drawn} drawn)")
+    if total_drawn >= 1000 and got < 0.001 * total_drawn:
         raise RejectionStarvation(
-            f"acceptance rate {len(out) / total_drawn:.2e} below 0.1%")
-    return out[:min_admissible] if min_admissible is not None else out
+            f"acceptance rate {got / total_drawn:.2e} below 0.1%")
+    return OracleSamples(save_times, *(np.concatenate(a, axis=1)[:, :min_admissible]
+                                       for a in zip(*batches)))
 
 
 def _gamma_plus(sys, P0, X0):
@@ -295,17 +318,7 @@ def _one_batch(sys, P0, cfg, family, save_times, seed_seq):
         # stage 0/2: grid nodes; stage 1: midpoint table offset
         return step + (0, n_nodes, 1)[stage]
 
-    trajectories = []
-
-    def emit(sX, sXQ, sW, ok, mi):
-        h = np.full(sXQ.shape, np.nan)
-        if family is not None:
-            E, f, g = (a[mi, save_idx, None] for a in (E_tab, f_tab, g_tab))
-            h = family.members[0].flow.value(E, f, g, sX) + sXQ
-            h[~defined[mi, save_idx]] = np.nan
-        for j in np.nonzero(ok)[0]:
-            trajectories.append(AugmentedTrajectory(
-                save_times, sX[:, j, :], sXQ[:, j], sW[:, j, :], h[:, j]))
+    kept, owner = [], []            # admissible columns and their members
 
     if n_boundary < N:
         idx = np.arange(n_boundary, N)
@@ -316,7 +329,9 @@ def _one_batch(sys, P0, cfg, family, save_times, seed_seq):
 
         sX, sXQ, sW, ok = _integrate_batch(sys, X0[idx], XQ0[idx], grid,
                                            plain_w, save_idx)
-        emit(sX, sXQ, sW, ok, 0)        # plain draws: h against member 0
+        keep = np.nonzero(ok)[0]
+        kept.append((sX[:, keep], sXQ[:, keep], sW[:, keep]))
+        owner.append(np.zeros(len(keep), dtype=int))
 
     if n_boundary:
         idx = np.arange(n_boundary)
@@ -348,11 +363,22 @@ def _one_batch(sys, P0, cfg, family, save_times, seed_seq):
 
         sX, sXQ, sW, ok = _integrate_batch(sys, X0[idx], XQ0[idx], grid,
                                            steered, save_idx)
-        # group emission by member so the diagnostic h tracks the right owner
-        for mi in np.unique(members):
-            sel = members == mi
-            emit(sX[:, sel], sXQ[:, sel], sW[:, sel], ok[sel], int(mi))
-    return trajectories
+        keep = np.argsort(members, kind="stable")
+        keep = keep[ok[keep]]
+        kept.append((sX[:, keep], sXQ[:, keep], sW[:, keep]))
+        owner.append(members[keep])
+
+    x, xq, w = (np.concatenate(a, axis=1) for a in zip(*kept))
+    h = np.full(xq.shape, np.nan)
+    if family is not None:
+        # the owner's value function, gathered from the stage table by each
+        # row's member; one sample time at a time bounds the temporaries
+        mi = np.concatenate(owner)
+        for s, ti in enumerate(save_idx):
+            h[s] = family.members[0].flow.value(E_tab[mi, ti], f_tab[mi, ti],
+                                                g_tab[mi, ti], x[s]) + xq[s]
+            h[s, ~defined[mi, ti]] = np.nan
+    return x, xq, w, h
 
 
 @dataclass
@@ -424,17 +450,3 @@ def coverage(F: ParaboloidFamily, t: float, endpoints, cells_per_dim: int = 24,
                           n_covered_cells=n_cov, gaps=gaps,
                           window_lo=lo, window_hi=hi,
                           cells_per_dim=cells_per_dim, t=float(t))
-
-
-def endpoints_to_csv(states) -> str:
-    """CSV of endpoint states: columns x_i..., x_q."""
-    states = list(states)
-    if not states:
-        return "x_q\n"
-    n = len(states[0].x)
-    cols = [f"x_{i}" for i in range(n)] + ["x_q"]
-    buf = io.StringIO()
-    buf.write(",".join(cols) + "\n")
-    for s in states:
-        buf.write(",".join(repr(float(v)) for v in list(s.x) + [s.x_q]) + "\n")
-    return buf.getvalue()

@@ -26,7 +26,6 @@ bisection on Phi(s), and the stored grid ends strictly before it.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -359,28 +358,15 @@ class TimeVaryingParaboloid:
         """(E, f, g) tables at an array of times within the domain:
         shapes (K, n, n), (K, n), (K,), from :meth:`Flow.dense_output`."""
         tq = np.asarray(tq, dtype=float)
-        for t in (tq.min(), tq.max()):
-            self._check_domain(float(t))
+        if tq.size:
+            for t in (tq.min(), tq.max()):
+                self._check_domain(float(t))
         return self.flow.dense_output(self.E_samples, self.f_samples, self.g_samples,
                                       self.t_end, tq)
 
     def __call__(self, t: float) -> Paraboloid:
         E, f, g = self.params_at(t)
         return Paraboloid(E, f, g)
-
-    def to_csv(self) -> str:
-        """One row per grid point; columns t, E_ij (row-major), f_i, g."""
-        n = self.n
-        cols = (["t"]
-                + [f"E_{i}{j}" for i in range(n) for j in range(n)]
-                + [f"f_{i}" for i in range(n)] + ["g"])
-        buf = io.StringIO()
-        buf.write(",".join(cols) + "\n")
-        for k, t in enumerate(self.grid):
-            row = np.concatenate([[t], self.E_samples[k].ravel(),
-                                  self.f_samples[k], [self.g_samples[k]]])
-            buf.write(",".join(repr(float(v)) for v in row) + "\n")
-        return buf.getvalue()
 
 
 def propagate(P0: Paraboloid, sys: IqcSystem, cfg: IntegratorConfig,

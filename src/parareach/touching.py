@@ -15,7 +15,6 @@ budget gains Van Loan's exact integral of the energy rate.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Optional
 
@@ -89,14 +88,13 @@ def xq_rate_at_zero(P0: Paraboloid, gamma: float, X: AugmentedState,
 
 
 class AugmentedTrajectory:
-    """Time-sampled (x, x_q, w) with the owning paraboloid's value function
-    recorded along the way as a diagnostic.  A ride built by
-    :func:`touching_trajectory` also keeps its engine state at the nodes
-    (``flow`` and ``etas``), from which :meth:`state_at` is exact between
-    nodes."""
+    """A surface ride built by :func:`touching_trajectory`: (x, x_q, w) at
+    the nodes, with the paraboloid's value function recorded along the way
+    as a diagnostic, and the engine state at the nodes (``flow`` and
+    ``etas``), from which :meth:`state_at` is exact between nodes."""
 
     def __init__(self, grid, x_samples, xq_samples, w_samples, h_samples,
-                 flow=None, etas=None):
+                 flow, etas):
         self.grid = np.asarray(grid, dtype=float)
         self.x_samples = np.asarray(x_samples, dtype=float)
         self.xq_samples = np.asarray(xq_samples, dtype=float)
@@ -109,8 +107,6 @@ class AugmentedTrajectory:
         """(x, x_q) at an array of times, shapes (K, n), (K,): the ride state
         of the node before each time, advanced by its transition matrix.
         Times outside the grid are clamped to its ends."""
-        if self._flow is None:
-            raise DimensionMismatch("trajectory carries no dense output")
         tq = np.clip(np.asarray(tq, dtype=float), self.grid[0], self.grid[-1])
         i = np.searchsorted(self.grid, tq, side="right") - 1
         x, xq = self.x_samples[i], self.xq_samples[i]
@@ -131,20 +127,6 @@ class AugmentedTrajectory:
     @property
     def endpoint(self) -> AugmentedState:
         return AugmentedState(self.x_samples[-1], self.xq_samples[-1])
-
-    def to_csv(self) -> str:
-        n = self.x_samples.shape[1]
-        m = self.w_samples.shape[1]
-        cols = (["t"] + [f"x_{i}" for i in range(n)] + ["x_q"]
-                + [f"w_{i}" for i in range(m)] + ["h"])
-        buf = io.StringIO()
-        buf.write(",".join(cols) + "\n")
-        for k in range(len(self.grid)):
-            row = np.concatenate([[self.grid[k]], self.x_samples[k],
-                                  [self.xq_samples[k]], self.w_samples[k],
-                                  [self.h_samples[k]]])
-            buf.write(",".join(repr(float(v)) for v in row) + "\n")
-        return buf.getvalue()
 
 
 def _check_system(tvp: TimeVaryingParaboloid, sys: IqcSystem):

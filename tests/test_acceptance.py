@@ -151,16 +151,14 @@ def test_gate4_optimal_disturbance_maximality():
 
 def test_gate5_soundness(sec5, sec5_fam64, sec5_big_oracle):
     t0 = time.perf_counter()
-    trajs = sec5_big_oracle
-    n_adm = len(trajs)
-    grid = trajs[0].grid
+    samples = sec5_big_oracle
+    n_adm = len(samples)
     worst = -np.inf
     violations = 0
     for t in CHECK_TIMES:
-        k = int(np.argmin(np.abs(grid - t)))
-        xs = np.stack([tr.x_samples[k] for tr in trajs])
-        xqs = np.array([tr.xq_samples[k] for tr in trajs])
-        margins = pr.membership_margins(sec5_fam64, float(t), xs, xqs)
+        k = int(np.argmin(np.abs(samples.times - t)))
+        margins = pr.membership_margins(sec5_fam64, float(t), samples.x[k],
+                                        samples.x_q[k])
         worst = max(worst, float(margins.max()))
         violations += int(np.count_nonzero(margins > 1e-8))
     elapsed = (time.perf_counter() - t0 + _fixture_cost.get("oracle", 0.0)
@@ -211,10 +209,8 @@ def test_gate7_nonconvexity_witness(sec5, sec5_fam64):
 def test_gate8_coverage_at_desk_scale(sec5, sec5_cfg_acc, sec5_fam64,
                                       sec5_big_oracle):
     t0 = time.perf_counter()
-    trajs = sec5_big_oracle
-    grid = trajs[0].grid
-    k = int(np.argmin(np.abs(grid - 0.794)))
-    pts = np.stack([tr.x_samples[k] for tr in trajs])
+    samples = sec5_big_oracle
+    pts = samples.x[int(np.argmin(np.abs(samples.times - 0.794)))]
     fams = {64: sec5_fam64}
     for nm in (16, 32):
         fams[nm] = pr.build_family(sec5["seed"], sec5["system"], sec5["eps_q"],

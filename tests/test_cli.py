@@ -141,6 +141,13 @@ class TestVerify:
         assert (out / "endpoints.csv").exists()
         assert (out / "coverage.json").exists()
 
+    def test_no_admissible_draw_is_typed_error(self, tmp_path, capsys):
+        assert run(["verify", "--example", "ex1-stable", "--n", "3",
+                    "--w-scale", "50", "--seed", "1", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert json.loads(err[len("error: "):])["error"] == "RejectionStarvation"
+
     def test_zero_draws_config_error(self, tmp_path):
         assert run(["verify", "--example", "ex1-stable", "--n", "0",
                     "--out", str(tmp_path)]) == 1
@@ -152,12 +159,70 @@ class TestVerify:
         fam = pr.build_family(ex1_stable_seed, ex1_system, 6e-5, 4, ex1_cfg)
         cfg = pr.OracleConfig(n_trajectories=200, segments=4, w_scale=0.5,
                               seed=4, t_end=1.0)
-        trajs = pr.sample_admissible(ex1_system, ex1_stable_seed, cfg,
-                                     family=fam, sample_times=[1.0])
-        xs = np.stack([tr.x_samples[-1] for tr in trajs])
-        xqs = np.array([tr.xq_samples[-1] for tr in trajs])
+        samples = pr.sample_admissible(ex1_system, ex1_stable_seed, cfg,
+                                       family=fam, sample_times=[1.0])
+        xs, xqs = samples.x[-1], samples.x_q[-1]
         slc = pr.reach_slice(fam, 1.0, xs)
         honest = xqs - slc.xq_max
         tampered = xqs - (-slc.xq_max)
         assert np.all(honest <= 1e-8)
         assert np.count_nonzero(tampered > 1e-8) > 0
+
+
+def read_tables(out, stem):
+    """(columns, rows) of a table from its CSV, and from its JSON twin."""
+    lines = (out / "csv" / f"{stem}.csv").read_text().splitlines()
+    csv = (lines[0].split(","),
+           np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]]))
+    payload = json.loads((out / "json" / f"{stem}.json").read_text())
+    return csv, (payload["columns"], np.array(payload["rows"], dtype=float))
+
+
+class TestTables:
+    """Every table is one array, written as CSV or as JSON: the two files
+    hold the same columns and bit-equal values."""
+
+    @staticmethod
+    def twins(tmp_path, argv, stems, code=0):
+        for fmt in ("csv", "json"):
+            assert run(argv + ["--format", fmt, "--out", str(tmp_path / fmt)]) == code
+        tables = {}
+        for stem in stems:
+            (cols, rows), (jcols, jrows) = read_tables(tmp_path, stem)
+            assert cols == jcols
+            assert rows.shape == jrows.shape and rows.shape[1] == len(cols)
+            np.testing.assert_array_equal(rows.view(np.int64), jrows.view(np.int64))
+            tables[stem] = (cols, rows)
+        return tables
+
+    def test_propagate(self, tmp_path):
+        tables = self.twins(tmp_path, ["propagate", "--example", "ex1-stable"], ["tvp"])
+        cols, rows = tables["tvp"]
+        manifest = json.loads((tmp_path / "csv" / "manifest.json").read_text())
+        assert cols == ["t", "E_00", "f_0", "g"]
+        assert len(rows) == manifest["n_grid_points"]
+        assert rows[0].tolist() == [0.0, 1.0, 0.0, -0.06]
+
+    def test_reach(self, tmp_path):
+        tables = self.twins(tmp_path, ["reach", "--example", "ex1-family",
+                                       "--time", "0.5", "--time", "1.62",
+                                       "--grid-points", "11"],
+                            ["slice_t0p5", "slice_t1p62", "tube"])
+        cols, rows = tables["slice_t1p62"]
+        assert cols == ["x_0", "xq_max", "argmin_gamma"]
+        assert len(rows) == 11
+        tube_cols, tube = tables["tube"]
+        assert tube_cols == ["t"] + cols
+        np.testing.assert_array_equal(tube[:, 0], np.repeat([0.5, 1.62], 11))
+        np.testing.assert_array_equal(tube[:11, 1:], tables["slice_t0p5"][1])
+        np.testing.assert_array_equal(tube[11:, 1:], rows)
+
+    def test_verify(self, tmp_path):
+        tables = self.twins(tmp_path, ["verify", "--example", "ex1-stable",
+                                       "--n", "400", "--seed", "42", "--time",
+                                       "0.91", "--members", "4"], ["endpoints"])
+        cols, rows = tables["endpoints"]
+        report = json.loads((tmp_path / "csv" / "verify_report.json").read_text())
+        assert cols == ["x_0", "x_q"]
+        assert len(rows) == report["n_admissible"] > 0
+        assert np.all(rows[:, 1] >= 0.0)

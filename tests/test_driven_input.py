@@ -108,15 +108,13 @@ def test_oracle_bookkeeping_with_input(driven_system, driven_seed):
     times = np.linspace(0.0, 2.0, 321)
     cfg = pr.OracleConfig(n_trajectories=10, segments=1, w_scale=0.4,
                           seed=3, t_end=2.0, boundary_fraction=0.0)
-    trajs = pr.sample_admissible(driven_system, driven_seed, cfg,
-                                 sample_times=times)
-    assert trajs
-    for tr in trajs[:5]:
+    samples = pr.sample_admissible(driven_system, driven_seed, cfg,
+                                   sample_times=times)
+    assert len(samples)
+    for j in range(min(5, len(samples))):
         rates = np.array([
-            driven_system.energy_rate(tr.x_samples[k],
-                                      driven_system.u_at(tr.grid[k]),
-                                      tr.w_samples[k])
-            for k in range(len(tr.grid))])
-        recomputed = tr.xq_samples[0] + cumulative_simpson(
-            rates, x=tr.grid, initial=0.0)
-        np.testing.assert_allclose(recomputed, tr.xq_samples, atol=1e-8)
+            driven_system.energy_rate(x, driven_system.u_at(t), w)
+            for t, x, w in zip(samples.times, samples.x[:, j], samples.w[:, j])])
+        recomputed = samples.x_q[0, j] + cumulative_simpson(
+            rates, x=samples.times, initial=0.0)
+        np.testing.assert_allclose(recomputed, samples.x_q[:, j], atol=1e-8)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 import parareach as pr
 import parareach.family as family_mod
@@ -286,13 +287,6 @@ class TestReachSlice:
         np.testing.assert_array_equal(sa.xq_max, sb.xq_max)
         np.testing.assert_array_equal(sa.argmin_gamma, sb.argmin_gamma)
 
-    def test_csv_export(self, ex1_family):
-        grid = np.linspace(-0.5, 0.5, 11)[:, None]
-        slc = pr.reach_slice(ex1_family, 1.0, grid)
-        lines = slc.to_csv().strip().splitlines()
-        assert lines[0] == "x_0,xq_max,argmin_gamma"
-        assert len(lines) == 12
-
     def test_out_of_domain(self, ex1_family):
         with pytest.raises(OutOfDomain):
             pr.reach_slice(ex1_family, 11.0, np.zeros((1, 1)))
@@ -348,6 +342,43 @@ class TestAssumptions:
             pr.check_assumptions(
                 ex1_family, ex1_cfg,
                 probe_grid=np.linspace(-1.5, 1.5, 61)[:, None], times=[0.91])
+
+    def test_band_crossings_are_roots(self, sec5_family, sec5_cfg, monkeypatch):
+        # rides from the rims of the CLI's sec5 slice, whose budgets pass the band
+        rides = []
+        band_times = family_mod._band_times
+
+        def record(traj, eps_q):
+            rides.append(traj)
+            return band_times(traj, eps_q)
+
+        monkeypatch.setattr(family_mod, "_band_times", record)
+        sec5 = load_preset("sec5")
+        lo, hi = sec5["grid_window"]
+        axes = [np.linspace(lo[d], hi[d], sec5["grid_points"]) for d in range(2)]
+        grid = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+        pr.check_assumptions(sec5_family, sec5_cfg, times=[0.794],
+                             probe_grid=grid, max_rim_points=6)
+        eps = sec5_family.eps_q
+        n_crossings = 0
+        for traj in rides:
+            tb = band_times(traj, eps)
+            crossings = tb[~np.isin(tb, traj.grid)]
+            # every crossing of a level seen on a scan four times finer than
+            # the nodes is returned, within 1e-9 of its brentq root
+            ts = np.linspace(traj.grid[0], traj.grid[-1], 4 * len(traj.grid))
+            xq = traj.state_at_many(ts)[1]
+            roots = []
+            for level in (0.0, -0.5 * eps, -eps):
+                z = xq - level
+                for k in np.nonzero(np.signbit(z[:-1]) != np.signbit(z[1:]))[0]:
+                    roots.append(brentq(lambda t: traj.state_at(t)[1] - level,
+                                        ts[k], ts[k + 1], xtol=1e-14))
+            assert len(crossings) == len(roots)
+            for t in crossings:
+                assert np.min(np.abs(np.array(roots) - t)) <= 1e-9
+            n_crossings += len(crossings)
+        assert n_crossings > 0
 
     def test_detector(self):
         idx = pr.rising_energy_violations(

@@ -16,14 +16,14 @@ class TestSampling:
                                             ex1_small_family):
         cfg = pr.OracleConfig(n_trajectories=200, segments=4, w_scale=0.5,
                               seed=123, t_end=2.0)
-        runs = [pr.sample_admissible(ex1_system, ex1_stable_seed, cfg,
+        a, b = (pr.sample_admissible(ex1_system, ex1_stable_seed, cfg,
                                      family=ex1_small_family)
-                for _ in range(2)]
-        assert len(runs[0]) == len(runs[1]) > 0
-        for a, b in zip(*runs):
-            np.testing.assert_array_equal(a.x_samples, b.x_samples)
-            np.testing.assert_array_equal(a.xq_samples, b.xq_samples)
-            np.testing.assert_array_equal(a.w_samples, b.w_samples)
+                for _ in range(2))
+        assert len(a) == len(b) > 0
+        np.testing.assert_array_equal(a.x, b.x)
+        np.testing.assert_array_equal(a.x_q, b.x_q)
+        np.testing.assert_array_equal(a.w, b.w)
+        np.testing.assert_array_equal(a.h, b.h)
 
     def test_seed_changes_draws(self, ex1_system, ex1_stable_seed):
         outs = []
@@ -31,24 +31,23 @@ class TestSampling:
             cfg = pr.OracleConfig(n_trajectories=50, segments=4, w_scale=0.5,
                                   seed=seed, t_end=1.0)
             outs.append(pr.sample_admissible(ex1_system, ex1_stable_seed, cfg))
-        assert not np.array_equal(outs[0][0].x_samples, outs[1][0].x_samples)
+        assert not np.array_equal(outs[0].x[:, 0], outs[1].x[:, 0])
 
     def test_zero_disturbance_always_admissible(self, ex1_system,
                                                 ex1_stable_seed):
         # nonnegative state weight: the budget can only grow without w
         cfg = pr.OracleConfig(n_trajectories=100, segments=2, w_scale=0.0,
                               seed=5, t_end=3.0, boundary_fraction=0.0)
-        trajs = pr.sample_admissible(ex1_system, ex1_stable_seed, cfg)
-        assert len(trajs) == 100
-        for tr in trajs:
-            assert np.all(np.diff(tr.xq_samples) >= -1e-12)
+        samples = pr.sample_admissible(ex1_system, ex1_stable_seed, cfg)
+        assert len(samples) == 100
+        assert np.all(np.diff(samples.x_q, axis=0) >= -1e-12)
 
     def test_hard_drain_rejected(self, ex1_system, ex1_stable_seed):
         # a first-segment kick this large must drain any seed budget
         cfg = pr.OracleConfig(n_trajectories=64, segments=2, w_scale=4000.0,
                               seed=5, t_end=3.0, boundary_fraction=0.0)
-        trajs = pr.sample_admissible(ex1_system, ex1_stable_seed, cfg)
-        assert len(trajs) < 64
+        samples = pr.sample_admissible(ex1_system, ex1_stable_seed, cfg)
+        assert len(samples) < 64
 
     def test_starvation_raises(self):
         # state weight hugely negative: the budget drains immediately
@@ -63,16 +62,17 @@ class TestSampling:
     def test_min_admissible_collects(self, ex1_system, ex1_stable_seed):
         cfg = pr.OracleConfig(n_trajectories=50, segments=4, w_scale=0.5,
                               seed=9, t_end=1.0, boundary_fraction=0.0)
-        trajs = pr.sample_admissible(ex1_system, ex1_stable_seed, cfg,
-                                     min_admissible=120)
-        assert len(trajs) == 120
+        samples = pr.sample_admissible(ex1_system, ex1_stable_seed, cfg,
+                                       min_admissible=120)
+        assert len(samples) == 120
+        assert samples.x.shape == (len(samples.times), 120, 1)
 
     def test_initial_states_inside_seed(self, ex1_system, ex1_stable_seed):
         cfg = pr.OracleConfig(n_trajectories=300, segments=2, w_scale=0.3,
                               seed=17, t_end=0.5, boundary_fraction=0.0)
-        trajs = pr.sample_admissible(ex1_system, ex1_stable_seed, cfg)
-        for tr in trajs:
-            X0 = pr.AugmentedState(tr.x_samples[0], tr.xq_samples[0])
+        samples = pr.sample_admissible(ex1_system, ex1_stable_seed, cfg)
+        for x, xq in zip(samples.x[0], samples.x_q[0]):
+            X0 = pr.AugmentedState(x, xq)
             assert pr.value_function(ex1_stable_seed, X0) <= 1e-12
             assert X0.x_q >= 0.0
 
@@ -83,16 +83,16 @@ class TestEnergyBookkeeping:
         times = np.linspace(0.0, 2.0, 321)
         cfg = pr.OracleConfig(n_trajectories=20, segments=1, w_scale=0.4,
                               seed=21, t_end=2.0, boundary_fraction=0.0)
-        trajs = pr.sample_admissible(ex1_system, ex1_stable_seed, cfg,
-                                     sample_times=times)
-        assert trajs
-        for tr in trajs[:10]:
+        samples = pr.sample_admissible(ex1_system, ex1_stable_seed, cfg,
+                                       sample_times=times)
+        assert len(samples)
+        for j in range(min(10, len(samples))):
             rates = np.array([
-                ex1_system.energy_rate(tr.x_samples[k], [0.0], tr.w_samples[k])
-                for k in range(len(tr.grid))])
-            recomputed = tr.xq_samples[0] + cumulative_simpson(
-                rates, x=tr.grid, initial=0.0)
-            np.testing.assert_allclose(recomputed, tr.xq_samples, atol=1e-8)
+                ex1_system.energy_rate(x, [0.0], w)
+                for x, w in zip(samples.x[:, j], samples.w[:, j])])
+            recomputed = samples.x_q[0, j] + cumulative_simpson(
+                rates, x=samples.times, initial=0.0)
+            np.testing.assert_allclose(recomputed, samples.x_q[:, j], atol=1e-8)
 
 
 class TestSoundness:
@@ -101,25 +101,36 @@ class TestSoundness:
         times = [0.91, 2.0, 5.0, 10.0]
         cfg = pr.OracleConfig(n_trajectories=800, segments=8, w_scale=1.0,
                               seed=33, t_end=10.0)
-        trajs = pr.sample_admissible(ex1_system, ex1_stable_seed, cfg,
-                                     family=ex1_small_family,
-                                     sample_times=times)
-        grid = trajs[0].grid
+        samples = pr.sample_admissible(ex1_system, ex1_stable_seed, cfg,
+                                       family=ex1_small_family,
+                                       sample_times=times)
         for t in times:
-            k = int(np.argmin(np.abs(grid - t)))
-            xs = np.stack([tr.x_samples[k] for tr in trajs])
-            xqs = np.array([tr.xq_samples[k] for tr in trajs])
-            margins = pr.membership_margins(ex1_small_family, t, xs, xqs)
+            k = int(np.argmin(np.abs(samples.times - t)))
+            margins = pr.membership_margins(ex1_small_family, t, samples.x[k],
+                                            samples.x_q[k])
             assert margins.max() <= 1e-8
 
     def test_owner_diagnostic_nonpositive(self, ex1_system, ex1_stable_seed,
                                           ex1_small_family):
         cfg = pr.OracleConfig(n_trajectories=200, segments=4, w_scale=0.5,
                               seed=2, t_end=5.0)
-        trajs = pr.sample_admissible(ex1_system, ex1_stable_seed, cfg,
-                                     family=ex1_small_family)
-        worst = max(np.nanmax(tr.h_samples) for tr in trajs)
-        assert worst <= 1e-7
+        samples = pr.sample_admissible(ex1_system, ex1_stable_seed, cfg,
+                                       family=ex1_small_family)
+        assert np.nanmax(samples.h) <= 1e-7
+
+    def test_owner_value_constant_while_riding(self, ex1_system, ex1_stable_seed,
+                                               ex1_small_family):
+        # every draw is steered without noise and none is released before
+        # 0.25 t_end; until then h is the owner's value along the owner's
+        # maximizing ride, which the flow keeps constant
+        cfg = pr.OracleConfig(n_trajectories=200, segments=8, w_scale=0.5,
+                              seed=2, t_end=2.0, boundary_fraction=1.0,
+                              noise_rel=0.0)
+        samples = pr.sample_admissible(ex1_system, ex1_stable_seed, cfg,
+                                       family=ex1_small_family)
+        riding = samples.times <= 0.25 * cfg.t_end
+        assert len(samples) > 0 and np.count_nonzero(riding) >= 3
+        assert np.ptp(samples.h[riding], axis=0).max() <= 1e-10
 
 
 class TestCoverage:
@@ -140,13 +151,11 @@ class TestCoverage:
                                               ex1_small_family):
         cfg = pr.OracleConfig(n_trajectories=3000, segments=8, w_scale=1.0,
                               seed=7, t_end=1.0)
-        trajs = pr.sample_admissible(ex1_system, ex1_stable_seed, cfg,
-                                     family=ex1_small_family,
-                                     sample_times=[0.91])
-        grid = trajs[0].grid
-        k = int(np.argmin(np.abs(grid - 0.91)))
-        pts = np.stack([tr.x_samples[k] for tr in trajs])
-        rep = pr.coverage(ex1_small_family, 0.91, pts, cells_per_dim=10)
+        samples = pr.sample_admissible(ex1_system, ex1_stable_seed, cfg,
+                                       family=ex1_small_family,
+                                       sample_times=[0.91])
+        k = int(np.argmin(np.abs(samples.times - 0.91)))
+        rep = pr.coverage(ex1_small_family, 0.91, samples.x[k], cells_per_dim=10)
         assert rep.fraction >= 0.9
 
     def test_report_json(self, ex1_small_family):

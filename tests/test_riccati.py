@@ -248,13 +248,9 @@ class TestDenseOutput:
         assert sec5_tvp.g_samples[0] == sec5_seed.g
         assert sec5_tvp.grid[0] == 0.0
 
-    def test_csv_export(self, ex1_stable_tvp):
-        text = ex1_stable_tvp.to_csv()
-        lines = text.strip().splitlines()
-        assert lines[0] == "t,E_00,f_0,g"
-        assert len(lines) == len(ex1_stable_tvp.grid) + 1
-        first = [float(v) for v in lines[1].split(",")]
-        assert first == [0.0, 1.0, 0.0, -0.06]
+    def test_empty_times(self, ex1_stable_tvp):
+        E, f, g = ex1_stable_tvp.params_at_many(np.array([]))
+        assert (E.shape, f.shape, g.shape) == ((0, 1, 1), (0, 1), (0,))
 
 
 class TestEngineProperty:

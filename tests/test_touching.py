@@ -131,14 +131,6 @@ class TestTouchingTrajectory:
                 h_worst = max(h_worst, h)
             assert h_worst <= 1e-6
 
-    def test_csv_export(self, ex1_system, ex1_stable_tvp, ex1_cfg,
-                        ex1_stable_seed):
-        X0 = pr.AugmentedState([0.0], -ex1_stable_seed.g)
-        traj = pr.touching_trajectory(ex1_stable_tvp, X0, ex1_system, ex1_cfg)
-        lines = traj.to_csv().strip().splitlines()
-        assert lines[0] == "t,x_0,x_q,w_0,h"
-        assert len(lines) == len(traj.grid) + 1
-
 
 class TestBacktrace:
     def test_round_trip(self, ex1_system, ex1_stable_tvp, ex1_cfg,
