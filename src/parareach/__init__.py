@@ -21,8 +21,8 @@ from .model import (AugmentedState, IqcSystem, Paraboloid, make_system,
                     scale_paraboloid, system_from_json, value_function)
 from .oracle import (CoverageReport, OracleConfig, OracleSamples, coverage,
                      sample_admissible)
-from .riccati import (IntegratorConfig, TimeVaryingParaboloid, f_rhs,
-                      g_quadrature_matrix, propagate, riccati_rhs)
+from .riccati import (IntegratorConfig, ParaboloidStack, TimeVaryingParaboloid,
+                      f_rhs, g_quadrature_matrix, propagate, riccati_rhs)
 from .signals import SampledSignal, ZeroSignal, signal_from_json
 from .touching import (AugmentedTrajectory, ParaboloidRate,
                        optimal_disturbance, paraboloid_rate,

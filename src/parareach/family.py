@@ -11,15 +11,14 @@ coefficient, which yields a finite largest useful scaling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import (ConfigError, DimensionMismatch, OutOfDomain,
                      ParareachError, UnboundedSlab)
-from .model import AugmentedState, IqcSystem, Paraboloid, scale_paraboloid
-from .riccati import IntegratorConfig, propagate
+from .model import AugmentedState, IqcSystem, Paraboloid
+from .riccati import IntegratorConfig, ParaboloidStack, propagate
 from .touching import (optimal_disturbance, touching_trajectory,
                        trace_back_to_seed)
 
@@ -113,11 +112,12 @@ def gamma_bar(P0: Paraboloid, sys: IqcSystem, eps_q: float,
 
 @dataclass
 class ParaboloidFamily:
-    """Scaled-seed propagations sharing one seed; immutable after build."""
+    """Scaled-seed propagations sharing one seed, stepped together as one
+    :class:`ParaboloidStack`; immutable after build."""
 
     seed: Paraboloid
     gammas: np.ndarray
-    members: list
+    stack: ParaboloidStack
     eps_q: float
     T: float
     K_bound: float
@@ -125,17 +125,12 @@ class ParaboloidFamily:
     gamma_bar_value: Optional[float] = None
 
     @property
+    def members(self) -> tuple:
+        return self.stack.members
+
+    @property
     def t_max(self) -> float:
         return max(m.t_end for m in self.members)
-
-    @cached_property
-    def _nodes(self):
-        """Member node samples (E, f, g) stacked on a leading axis, each
-        padded to the longest grid by repeating its last node."""
-        K = max(len(m.grid) for m in self.members)
-        rows = [np.minimum(np.arange(K), len(m.grid) - 1) for m in self.members]
-        return tuple(np.stack([getattr(m, a)[r] for m, r in zip(self.members, rows)])
-                     for a in ("E_samples", "f_samples", "g_samples"))
 
     def params_at_many(self, tq):
         """(E, f, g, defined) of every member at the times tq, shapes (M, T, n, n),
@@ -146,7 +141,8 @@ class ParaboloidFamily:
             raise OutOfDomain(f"t={tq.min()} before the family's start 0")
         t_end = np.array([m.t_end for m in self.members])
         step = max(1, _QUERY_BLOCK // len(self.members))     # times per block
-        blocks = [self.members[0].flow.dense_output(*self._nodes, t_end, tq[s:s + step])
+        blocks = [self.members[0].flow.dense_output(*self.stack.nodes, t_end,
+                                                    tq[s:s + step])
                   for s in range(0, max(len(tq), 1), step)]
         E, f, g = (np.concatenate(a, axis=1) for a in zip(*blocks))
         return E, f, g, tq <= t_end[:, None] * (1 + _DEFINED_TOL) + 1e-15
@@ -195,10 +191,9 @@ def build_family(P0: Paraboloid, sys: IqcSystem, eps_q: float, n_members: int,
             raise ConfigError("explicit gammas must be positive and nonempty")
     gs = np.unique(gs)
 
-    members = [propagate(scale_paraboloid(P0, g), sys, cfg, gamma=g) for g in gs]
-    k_bound = max(float(np.max(np.linalg.norm(m.E_samples, axis=(1, 2))))
-                  for m in members)
-    return ParaboloidFamily(seed=P0, gammas=gs, members=members,
+    stack = propagate(P0, sys, cfg, gamma=gs)
+    k_bound = float(np.max(np.linalg.norm(stack.nodes[0], axis=(-2, -1))))
+    return ParaboloidFamily(seed=P0, gammas=gs, stack=stack,
                             eps_q=eps_q, T=cfg.t_end, K_bound=k_bound,
                             system=sys, gamma_bar_value=gbar)
 

@@ -8,10 +8,11 @@ how much of a computed slice the samples actually visit.
 
 Half of the samples can be steered by the surface-riding disturbance of a
 randomly chosen family member (plus noise): extremal trajectories hug the
-boundary, which uniform disturbances almost never reach.  All randomness is
-drawn up front from one generator per batch in a fixed order, so a fixed
-seed reproduces trajectories byte for byte regardless of how the integration
-work is later distributed.
+boundary, which uniform disturbances almost never reach.  A ride is released
+into a plain push at a drawn time, or earlier where its member escapes.  All
+randomness is drawn up front from one generator per batch in a fixed order,
+so a fixed seed reproduces trajectories byte for byte regardless of how the
+integration work is later distributed.
 
 The admissible trajectories come back as columns (:class:`OracleSamples`),
 one row per trajectory in a fixed order, which keeps fixed-seed outputs
@@ -334,17 +335,17 @@ def _one_batch(sys, P0, cfg, family, save_times, seed_seq):
         owner.append(np.zeros(len(keep), dtype=int))
 
     if n_boundary:
-        idx = np.arange(n_boundary)
-        members = member_of
+        members, raw_b = member_of, raw_W[:n_boundary]
         # noise level per trajectory, down to (near) pure rides: surface
         # riding is a knife edge for the budget, and only low-noise rides
         # survive it out to the far reaches of the set
         noise_lvl = cfg.noise_rel * rng.uniform(0.0, 1.0, size=n_boundary) ** 2
-        noise = noise_lvl[:, None, None] * raw_W[idx]
+        noise = noise_lvl[:, None, None] * raw_b
         # releases above the balanced rate are sustainable because harvesting
         # continues; overdrafts are culled by the admissibility check
         release_u = cfg.w_scale * rng.uniform(0.3, 1.6, size=n_boundary)
         wcost = -float(np.min(np.linalg.eigvalsh(sys.Mw))) if sys.m else 1.0
+        horizon = np.maximum(cfg.t_end - switch_t, 0.05 * cfg.t_end)
 
         def steered(step, stage, t, X, XQ, members=members, noise=noise):
             ti = time_index(step, stage)
@@ -352,17 +353,17 @@ def _one_batch(sys, P0, cfg, family, save_times, seed_seq):
             f = f_tab[members, ti]
             seg = seg_of_step[step]
             w = _steered_w(sys, E, f, X, sys.u(t), noise[:, seg, :])
-            riding = t < switch_t
+            # past its member's interval of definition a ride is released too
+            riding = (t < switch_t) & defined[members, ti]
             if np.all(riding):
                 return w
             # release: spend the banked budget on the drawn direction pieces
-            horizon = np.maximum(cfg.t_end - switch_t, 0.05 * cfg.t_end)
             spend = release_u * np.sqrt(np.maximum(XQ, 0.0) / (wcost * horizon))
-            w_rel = spend[:, None] * raw_W[idx][:, seg, :]
+            w_rel = spend[:, None] * raw_b[:, seg, :]
             return np.where(riding[:, None], w, w_rel)
 
-        sX, sXQ, sW, ok = _integrate_batch(sys, X0[idx], XQ0[idx], grid,
-                                           steered, save_idx)
+        sX, sXQ, sW, ok = _integrate_batch(sys, X0[:n_boundary], XQ0[:n_boundary],
+                                           grid, steered, save_idx)
         keep = np.argsort(members, kind="stable")
         keep = keep[ok[keep]]
         kept.append((sX[:, keep], sXQ[:, keep], sW[:, keep]))

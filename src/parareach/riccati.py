@@ -16,24 +16,29 @@ alike:
   block exponential of the energy rate (IEEE TAC 23(3), 1978);
 * a back-trace advances by Phi(-h).
 
+The seeds of a family differ only in their scaling, so :func:`propagate`
+steps them together: each node is one step of the (M, k, k) stack of their
+augmented P with the piece's shared Phi.
+
 Riccati solutions can blow up in finite time: E passes through infinity where
 X turns singular.  X starts every step at I, so a step crosses a blow-up when
 an eigenvalue of its x-block leaves the open right half-plane, which also
 catches two eigenvalues of E passing through infinity together (det X keeps
-its sign then).  Propagation stops with the blow-up time bracketed by
-bisection on Phi(s), and the stored grid ends strictly before it.
+its sign then).  A member that crosses one leaves the stack: its blow-up time
+alone is bracketed by bisection on Phi(s), its stored grid ends strictly
+before it, and the others step on unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import ConfigError, DimensionMismatch, OutOfDomain, SingularMw
+from .errors import (ConfigError, DimensionMismatch, NonPositiveScale, OutOfDomain,
+                     SingularMw)
 from .model import IqcSystem, Paraboloid
 
 ESCAPE_BRACKET_RTOL = 1e-6  # relative width of the blow-up time bracket
@@ -291,7 +296,8 @@ class TimeVaryingParaboloid:
     uniform step, or a shorter last step before a finite escape).  grid[0] =
     0; if ``escape_time`` is set, the grid ends strictly before it and queries
     past the grid raise :class:`OutOfDomain`.  ``gamma`` records the seed
-    scaling this propagation was started from.
+    scaling this propagation was started from.  :func:`propagate` builds it on
+    read-only views of its node stack.
     """
 
     def __init__(self, grid, E_samples, f_samples, g_samples, flow: Flow, steps,
@@ -305,40 +311,10 @@ class TimeVaryingParaboloid:
         self.escape_time = escape_time
         self.gamma = float(gamma)
         self.n = self.E_samples.shape[1]
-        for a in (self.grid, self.E_samples, self.f_samples, self.g_samples, self.steps):
-            a.flags.writeable = False
 
     @property
     def t_end(self) -> float:
         return float(self.grid[-1])
-
-    @cached_property
-    def _rates(self):
-        sys = self.flow.system
-        G = g_quadrature_matrix(sys)
-        us = [sys.u_at(t) for t in self.grid]
-        rates = (np.array([riccati_rhs(E, sys) for E in self.E_samples]),
-                 np.array([f_rhs(E, f, sys, u) for E, f, u
-                           in zip(self.E_samples, self.f_samples, us)]),
-                 np.array([g_rhs(f, u, G) for f, u in zip(self.f_samples, us)]))
-        for a in rates:
-            a.flags.writeable = False
-        return rates
-
-    @property
-    def dE_samples(self):
-        """dE/dt at the nodes, from :func:`riccati_rhs`."""
-        return self._rates[0]
-
-    @property
-    def df_samples(self):
-        """df/dt at the nodes, from :func:`f_rhs`."""
-        return self._rates[1]
-
-    @property
-    def dg_samples(self):
-        """dg/dt at the nodes, from :func:`g_rhs`."""
-        return self._rates[2]
 
     def _check_domain(self, t: float):
         if t < -1e-12 or t > self.t_end * (1 + 1e-12) + 1e-15:
@@ -369,52 +345,79 @@ class TimeVaryingParaboloid:
         return Paraboloid(E, f, g)
 
 
-def propagate(P0: Paraboloid, sys: IqcSystem, cfg: IntegratorConfig,
-              gamma: float = 1.0) -> TimeVaryingParaboloid:
-    """Step the (E, f, g) flow from the seed over the grid of a :class:`Flow`
-    up to cfg.t_end.
+@dataclass(frozen=True)
+class ParaboloidStack:
+    """One seed under M scalings, stepped together on the K nodes ``grid``:
+    ``nodes`` (E, f, g), (M, K, n, n), (M, K, n), (M, K), each row padded past
+    its last node by repeating it, and the ``members``, views of them."""
 
-    Stops early when E passes through infinity within a step (an eigenvalue
-    of the x-block of X reaches the closed left half-plane) or its Frobenius
-    norm exceeds ``cfg.escape_norm``; the
-    crossing is bracketed by bisection on Phi(s) and recorded as
-    ``escape_time``, and the last node is the last time bracketed below it.
+    grid: np.ndarray
+    nodes: tuple
+    members: tuple
+
+
+def propagate(P0: Paraboloid, sys: IqcSystem, cfg: IntegratorConfig, gamma=1.0):
+    """Step the (E, f, g) flow from the seed scaled by ``gamma`` over the grid
+    of one :class:`Flow` up to cfg.t_end: a :class:`TimeVaryingParaboloid`
+    for a scalar ``gamma``, a :class:`ParaboloidStack` for an array of them.
+
+    Each node is one :meth:`Flow.params_after` on the member stack and one
+    batched test.  A member leaves the stack at the first step where an
+    eigenvalue of the x-block of X reaches the closed left half-plane (E
+    passes through infinity) or E exceeds ``cfg.escape_norm`` in Frobenius
+    norm; its crossing is bisected on Phi(s) into ``escape_time``, and its
+    last node is the last time bracketed below it.  So each member's nodes
+    are, bit for bit, those it gets when propagated alone.
     """
     if P0.dim != sys.n:
         raise DimensionMismatch(f"seed dim {P0.dim} != system dim {sys.n}")
+    gs = np.asarray(gamma, dtype=float)
+    if gs.ndim > 1 or gs.size == 0 or not np.all(np.isfinite(gs) & (gs > 0.0)):
+        raise NonPositiveScale(f"seed scalings must be positive, got {gamma}")
     flow = Flow(sys, cfg.t_end, cfg.max_step)
-    times, nodes, steps = [0.0], [(P0.E, P0.f, P0.g)], []
-    escape = None
+    M, K, gm = gs.size, len(flow.grid), gs.reshape(-1)
+    pieces = flow.piece_of(flow.grid[:-1])
+    grid, steps = np.tile(flow.grid, (M, 1)), np.tile(flow.h[pieces], (M, 1))
+    node = (gm[:, None, None] * P0.E, gm[:, None] * P0.f, gm * P0.g)  # of live members
+    E, f, g = (np.repeat(a[:, None], K, axis=1) for a in node)
+    last, escape, live = np.full(M, K - 1), [None] * M, np.arange(M)
 
-    def step(j, t, params, dt):
-        E, f, g, X = flow.params_after(j, t, *params, dt)
-        ok = (np.linalg.eigvals(X).real.min() > 0.0
-              and np.linalg.norm(E) <= cfg.escape_norm
-              and np.all(np.isfinite(f)) and np.isfinite(g))
-        return (E, f, float(g)), ok
+    def step(E0, f0, g0, dt):
+        E1, f1, g1, X = flow.params_after(j, t, E0, f0, g0, dt)
+        ok = ((np.linalg.eigvals(X).real.min(axis=-1) > 0.0)
+              & (np.einsum("...ij,...ij->...", E1, E1) <= cfg.escape_norm ** 2)
+              & np.isfinite(f1).all(axis=-1) & np.isfinite(g1))
+        return (E1, f1, g1), ok
 
-    for t, t_next in zip(flow.grid[:-1], flow.grid[1:]):
-        j = flow.piece_of(t)
-        nxt, ok = step(j, t, nodes[-1], flow.h[j])
-        if not ok:
+    for i, (t, j) in enumerate(zip(flow.grid[:-1], pieces)):
+        node, ok = step(*node, flow.h[j])
+        rows = live if len(live) < M else slice(None)
+        E[rows, i + 1], f[rows, i + 1], g[rows, i + 1] = node
+        if ok.all():
+            continue
+        for r in live[~ok]:             # bisect the blow-up of each leaver
             lo, hi = 0.0, flow.h[j]
             while hi - lo > ESCAPE_BRACKET_RTOL * max(t + hi, 1e-3):
                 mid = 0.5 * (lo + hi)
-                cand, ok = step(j, t, nodes[-1], mid)
-                if ok:
-                    lo, nxt = mid, cand
+                cand, passed = step(E[r, i], f[r, i], g[r, i], mid)
+                if passed:
+                    lo, (E[r, i + 1], f[r, i + 1], g[r, i + 1]) = mid, cand
                 else:
                     hi = mid
-            escape = float(t + hi)
-            if lo > 0.0:
-                times.append(t + lo)
-                nodes.append(nxt)
-                steps.append(lo)
+            escape[r], last[r] = float(t + hi), i + (lo > 0.0)
+            grid[r, i + 1], steps[r, i] = t + lo, lo
+            for a in (E, f, g):
+                a[r, last[r] + 1:] = a[r, last[r]]
+        node, live = tuple(a[ok] for a in node), live[ok]
+        if not len(live):
             break
-        times.append(t_next)
-        nodes.append(nxt)
-        steps.append(flow.h[j])
-
-    E, f, g = (np.array(v) for v in zip(*nodes))
-    return TimeVaryingParaboloid(times, E, f, g, flow, steps,
-                                 escape_time=escape, gamma=gamma)
+    for a in (grid, steps, E, f, g):
+        a.flags.writeable = False
+    members = tuple(
+        TimeVaryingParaboloid(grid[r, :k + 1], E[r, :k + 1], f[r, :k + 1], g[r, :k + 1],
+                              flow, steps[r, :k], escape_time=escape[r], gamma=gm[r])
+        for r, k in enumerate(last))
+    if gs.ndim == 0:
+        return members[0]
+    K = last.max() + 1
+    return ParaboloidStack(flow.grid[:K], (E[:, :K], f[:, :K], g[:, :K]), members)

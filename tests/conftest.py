@@ -153,6 +153,23 @@ def reference_params(sys_, P0, t_end):
     return at
 
 
+def node_rates(tvp, sys_):
+    """(dE/dt, df/dt, dg/dt) at the nodes of a propagation, node by node,
+    written out from the system matrices rather than taken from
+    riccati_rhs, f_rhs and g_rhs: with r = B'f - Muw'u,
+    dg/dt = r' Mw^-1 r + 2 f' Bu u - u' Mu u."""
+    Mw_inv = np.linalg.inv(sys_.Mw)
+    dE, df, dg = [], [], []
+    for t, E, f in zip(tvp.grid, tvp.E_samples, tvp.f_samples):
+        u = sys_.u_at(t)
+        S = sys_.B.T @ E + sys_.Mxw.T
+        r = sys_.B.T @ f - sys_.Muw.T @ u
+        dE.append(-E @ sys_.A - sys_.A.T @ E - sys_.Mx + S.T @ Mw_inv @ S)
+        df.append(-sys_.A.T @ f + (sys_.Mxu + E @ sys_.Bu) @ u + S.T @ Mw_inv @ r)
+        dg.append(r @ Mw_inv @ r + 2.0 * f @ sys_.Bu @ u - u @ sys_.Mu @ u)
+    return np.array(dE), np.array(df), np.array(dg)
+
+
 def boundary_state(P0, direction, level):
     """State on the seed surface: x-part value -level along a unit direction,
     budget = level."""

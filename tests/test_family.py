@@ -111,6 +111,16 @@ class TestBuildFamily:
         assert escapes[0] is not None and escapes[0] < 10.0
         assert all(e is None for e in escapes[1:])
 
+    def test_escape_times_pinned(self, ex1_family, ex1_system, ex1_escape_seed,
+                                 ex1_cfg):
+        # the ends of the blow-up brackets of members propagated one by one
+        escapes = [m.escape_time for m in ex1_family.members]
+        assert escapes == [2.4929016113281253] + [None] * 4
+        preset = load_preset("ex1-escape")
+        fam = pr.build_family(ex1_escape_seed, ex1_system, preset["eps_q"], 16, ex1_cfg)
+        assert ([m.escape_time for m in fam.members]
+                == [2.4929016113281253, 3.3543823242187503] + [None] * 14)
+
     def test_singleton(self, ex1_system, ex1_stable_seed, ex1_cfg,
                        ex1_stable_tvp):
         fam = pr.build_family(ex1_stable_seed, ex1_system, 6e-5, 1, ex1_cfg)

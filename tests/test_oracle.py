@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson
@@ -131,6 +133,24 @@ class TestSoundness:
         riding = samples.times <= 0.25 * cfg.t_end
         assert len(samples) > 0 and np.count_nonzero(riding) >= 3
         assert np.ptp(samples.h[riding], axis=0).max() <= 1e-10
+
+
+class TestEscapedMember:
+    def test_rides_released_past_escape(self, ex1_system, ex1_escape_seed, ex1_cfg):
+        # the unscaled member escapes near t = 2.49, inside the horizon; a ride
+        # on it must be released there, not carried on its last node into
+        # overflow, which would silently drop the draw
+        fam = pr.build_family(ex1_escape_seed, ex1_system, 3e-5, 5, ex1_cfg,
+                              gammas=[1.0, 1.6, 2.2, 2.7, 3.3])
+        assert fam.members[0].escape_time < 10.0
+        cfg = pr.OracleConfig(n_trajectories=2000, segments=8, w_scale=0.3,
+                              seed=3, t_end=10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            samples = pr.sample_admissible(ex1_system, ex1_escape_seed, cfg,
+                                           family=fam, sample_times=[0.91, 1.62])
+        assert np.all(np.isfinite(samples.x)) and np.all(samples.x_q >= 0.0)
+        assert len(samples) == 1137
 
 
 class TestCoverage:

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import parareach as pr
-from parareach.errors import ConfigError, DimensionMismatch, OutOfDomain
+from parareach.errors import (ConfigError, DimensionMismatch, NonPositiveScale,
+                              OutOfDomain)
 
-from conftest import (ROOT_HI, ROOT_LO, random_iqc_system, reference_params,
-                      scalar_blowup_time, scalar_flow)
+from conftest import (ROOT_HI, ROOT_LO, node_rates, random_iqc_system,
+                      reference_params, scalar_blowup_time, scalar_flow)
 
 
 class TestRhs:
@@ -101,7 +102,8 @@ class TestPropagate:
         g = ex1_stable_tvp.g_samples
         np.testing.assert_array_equal(g, np.full_like(g, g[0]))
 
-    def test_stored_derivatives_match_rhs(self, ex1_system, ex1_stable_tvp):
+    def test_node_rates_match_rhs(self, ex1_system, ex1_stable_tvp):
+        dE_ref, df_ref, dg_ref = node_rates(ex1_stable_tvp, ex1_system)
         G = pr.g_quadrature_matrix(ex1_system)
         for k in range(0, len(ex1_stable_tvp.grid), 37):
             E = ex1_stable_tvp.E_samples[k]
@@ -109,12 +111,11 @@ class TestPropagate:
             u_t = ex1_system.u_at(ex1_stable_tvp.grid[k])
             dE = pr.riccati_rhs(E, ex1_system)
             scale = max(np.linalg.norm(dE), 1e-30)
-            assert np.linalg.norm(ex1_stable_tvp.dE_samples[k] - dE) <= 1e-12 * scale
+            assert np.linalg.norm(dE_ref[k] - dE) <= 1e-12 * scale
             df = pr.f_rhs(E, f, ex1_system, u_t)
-            assert np.allclose(ex1_stable_tvp.df_samples[k], df, atol=1e-15)
+            assert np.allclose(df_ref[k], df, atol=1e-15)
             from parareach.riccati import g_rhs
-            assert ex1_stable_tvp.dg_samples[k] == pytest.approx(
-                g_rhs(f, u_t, G), abs=1e-15)
+            assert dg_ref[k] == pytest.approx(g_rhs(f, u_t, G), abs=1e-15)
 
     def test_tolerance_halving_consistency(self, ex1_system, ex1_stable_seed):
         vals = []
@@ -282,6 +283,66 @@ class TestEngineProperty:
         mid = 2 * (len(tvp.grid) // 2) - 1          # odd indices are midpoints
         E, f, g = tvp.params_at(float(ts[mid]))
         np.testing.assert_array_equal(E, got[0][mid])
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestStack:
+    """Members stepped as one stack against each scaled seed propagated
+    alone: the same grid, nodes, steps and escape time, bit for bit."""
+
+    @staticmethod
+    def check_members(P0, sys_, cfg, gammas):
+        stack = pr.propagate(P0, sys_, cfg, gamma=gammas)
+        assert len(stack.members) == len(gammas)
+        for m, g in zip(stack.members, gammas):
+            alone = pr.propagate(pr.scale_paraboloid(P0, g), sys_, cfg)
+            for a in ("grid", "E_samples", "f_samples", "g_samples", "steps"):
+                assert same_bits(getattr(m, a), getattr(alone, a)), a
+            assert m.escape_time == alone.escape_time and m.gamma == g
+        last = [len(m.grid) - 1 for m in stack.members]
+        assert len(stack.grid) == max(last) + 1
+        for r, m in enumerate(stack.members):     # padded by the last node
+            assert np.all(stack.nodes[2][r, last[r]:] == m.g_samples[-1])
+        for a in stack.nodes + tuple(getattr(m, a) for m in stack.members
+                                     for a in ("grid", "E_samples", "steps")):
+            assert not a.flags.writeable
+        return [m.escape_time for m in stack.members]
+
+    @settings(max_examples=25, deadline=None)
+    @given(dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_systems(self, dims, seed):
+        rng = np.random.default_rng(seed)
+        base = random_iqc_system(rng, *dims)
+        k = int(rng.integers(2, 6))
+        u = pr.SampledSignal(np.linspace(0.0, 0.6, k), rng.standard_normal((k, base.p)))
+        sys_ = pr.make_system(base.A, base.B, base.Bu, base.M, u=u)
+        E0 = rng.standard_normal((base.n, base.n))
+        P0 = pr.Paraboloid(0.5 * (E0 + E0.T), rng.standard_normal(base.n),
+                           rng.standard_normal())
+        gammas = np.exp(rng.uniform(-3.0, 3.0, size=int(rng.integers(1, 7))))
+        self.check_members(P0, sys_, pr.IntegratorConfig(max_step=0.05, t_end=1.0),
+                           gammas)
+
+    def test_scalar_family_escapes(self, ex1_system, ex1_escape_seed, ex1_cfg):
+        # only the unscaled member escapes; the stack steps on without it
+        escapes = self.check_members(ex1_escape_seed, ex1_system, ex1_cfg,
+                                     np.array([1.0, 1.6, 2.2, 2.7, 3.3]))
+        assert escapes[0] is not None and escapes[1:] == [None] * 4
+
+    def test_driven_family(self, driven_system, driven_seed, driven_cfg):
+        escapes = self.check_members(driven_seed, driven_system, driven_cfg,
+                                     np.array([0.3, 1.0, 2.0, 17.0]))
+        assert escapes[0] is not None and escapes[1:] == [None] * 3
+
+    def test_rejects_nonpositive_scaling(self, ex1_system, ex1_stable_seed, ex1_cfg):
+        for gamma in (0.0, [1.0, -2.0], [], np.nan):
+            with pytest.raises(NonPositiveScale):
+                pr.propagate(ex1_stable_seed, ex1_system, ex1_cfg, gamma=gamma)
 
 
 class TestConfig:
