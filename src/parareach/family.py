@@ -364,6 +364,8 @@ def _band_times(traj, eps_q):
     lo, hi, side = ts[k], ts[k + 1], np.signbit(z[lv, k])
     for _ in range(50):                 # all crossings of all levels at once
         mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            break                       # every bracket is down to adjacent floats
         below = np.signbit(traj.state_at_many(mid)[1] - levels[lv]) == side
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     return np.sort(np.concatenate([0.5 * (lo + hi), ts[(xq >= -eps_q) & (xq <= 0.0)]]))

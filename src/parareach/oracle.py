@@ -19,6 +19,11 @@ one row per trajectory in a fixed order, which keeps fixed-seed outputs
 byte-identical: within a batch the plain draws come first, in draw order,
 then the steered draws, grouped stably by ascending member; batches follow
 in batch order, and the rows are cut to ``min_admissible``.
+
+So is the stage arithmetic, which sums in numpy einsum's order: x' M y term
+by term in (i, j) order (einsum's for three rows or more), the steered E x in
+two running sums over even and odd j (einsum's for n < 8).  Reordering, fusing
+or regrouping a sum, or a per-member feedback table, changes the outputs.
 """
 
 from __future__ import annotations
@@ -112,7 +117,7 @@ def _draw_initial_states(P0: Paraboloid, n: int, rng):
         block = max(2 * (n - got), 256)
         x = c + half * rng.uniform(-1.0, 1.0, size=(block, dim))
         xq = rng.uniform(0.0, cap, size=block)
-        q = np.einsum("ki,ij,kj->k", x, P0.E, x) - 2.0 * x @ P0.f + P0.g
+        q = _bilinear(x, P0.E, x) - 2.0 * x @ P0.f + P0.g
         ok = np.nonzero(q + xq <= 0.0)[0]
         take = ok[:n - got]
         xs[got:got + len(take)] = x[take]
@@ -126,20 +131,34 @@ def _draw_initial_states(P0: Paraboloid, n: int, rng):
     return xs, xqs
 
 
+def _bilinear(X, M, Y):
+    """Rowwise X[k] @ M @ Y[k], summed term by term in (i, j) order."""
+    out = np.zeros(len(X))
+    for i, row in enumerate(M.tolist()):
+        for j, m_ij in enumerate(row):
+            out += X[:, i] * m_ij * Y[:, j]
+    return out
+
+
 def _qform_batch(sys: IqcSystem, X, u_t, W):
     """Rowwise [x; u; w]' M [x; u; w] for batches X (N,n), W (N,m)."""
-    out = np.einsum("ki,ij,kj->k", X, sys.Mx, X)
-    out += np.einsum("ki,ij,kj->k", W, sys.Mw, W)
+    out = _bilinear(X, sys.Mx, X)
+    out += _bilinear(W, sys.Mw, W)
     if sys.p:
         out += 2.0 * X @ (sys.Mxu @ u_t) + float(u_t @ sys.Mu @ u_t) + 2.0 * W @ (sys.Muw.T @ u_t)
     if sys.Mxw.size:
-        out += 2.0 * np.einsum("ki,ij,kj->k", X, sys.Mxw, W)
+        out += 2.0 * _bilinear(X, sys.Mxw, W)
     return out
 
 
 def _steered_w(sys, E, f, X, u_t, noise):
     """Optimal disturbance of per-row parameters (E, f) plus relative noise."""
-    V = np.einsum("kij,kj->ki", E, X) - f
+    V = np.empty_like(X)
+    for i in range(X.shape[1]):
+        lanes = np.zeros((2, len(X)))       # even and odd j (module docstring)
+        for j in range(X.shape[1]):
+            lanes[j % 2] += E[:, i, j] * X[:, j]
+        V[:, i] = lanes[0] + lanes[1] - f[:, i]
     V = V @ sys.B + X @ sys.Mxw
     if sys.p:
         V = V + u_t @ sys.Muw
@@ -243,10 +262,9 @@ def _gamma_plus(sys, P0, X0):
     u0 = sys.u_at(0.0)
     w_lin = -((X0 @ P0.E - P0.f) @ sys.B) @ sys.Mw_inv
     w_base = -(X0 @ sys.Mxw + u0 @ sys.Muw) @ sys.Mw_inv
-    a = np.einsum("ki,ij,kj->k", w_lin, sys.Mw, w_lin)
-    b = 2.0 * (np.einsum("ki,ij,kj->k", X0, sys.Mxw, w_lin)
-               + w_lin @ (sys.Muw.T @ u0)
-               + np.einsum("ki,ij,kj->k", w_base, sys.Mw, w_lin))
+    a = _bilinear(w_lin, sys.Mw, w_lin)
+    b = 2.0 * (_bilinear(X0, sys.Mxw, w_lin) + w_lin @ (sys.Muw.T @ u0)
+               + _bilinear(w_base, sys.Mw, w_lin))
     c = _qform_batch(sys, X0, u0, w_base)
     disc = b * b - 4.0 * a * c
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -349,12 +367,11 @@ def _one_batch(sys, P0, cfg, family, save_times, seed_seq):
 
         def steered(step, stage, t, X, XQ, members=members, noise=noise):
             ti = time_index(step, stage)
-            E = E_tab[members, ti]
-            f = f_tab[members, ti]
+            E, f = (a[:, ti].take(members, axis=0) for a in (E_tab, f_tab))
             seg = seg_of_step[step]
             w = _steered_w(sys, E, f, X, sys.u(t), noise[:, seg, :])
             # past its member's interval of definition a ride is released too
-            riding = (t < switch_t) & defined[members, ti]
+            riding = (t < switch_t) & defined[:, ti].take(members)
             if np.all(riding):
                 return w
             # release: spend the banked budget on the drawn direction pieces
@@ -376,9 +393,9 @@ def _one_batch(sys, P0, cfg, family, save_times, seed_seq):
         # row's member; one sample time at a time bounds the temporaries
         mi = np.concatenate(owner)
         for s, ti in enumerate(save_idx):
-            h[s] = family.members[0].flow.value(E_tab[mi, ti], f_tab[mi, ti],
-                                                g_tab[mi, ti], x[s]) + xq[s]
-            h[s, ~defined[mi, ti]] = np.nan
+            E, f, g, ok = (a[:, ti].take(mi, axis=0) for a in (E_tab, f_tab, g_tab, defined))
+            h[s] = family.members[0].flow.value(E, f, g, x[s]) + xq[s]
+            h[s, ~ok] = np.nan
     return x, xq, w, h
 
 

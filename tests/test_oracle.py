@@ -1,11 +1,18 @@
+import hashlib
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson
 
 import parareach as pr
 from parareach.errors import ConfigError, RejectionStarvation
+from parareach.oracle import _qform_batch, _steered_w
+from parareach.presets import load_preset
+
+from conftest import random_iqc_system
 
 
 @pytest.fixture(scope="module")
@@ -193,3 +200,103 @@ class TestConfig:
             pr.OracleConfig(n_trajectories=10, segments=0)
         with pytest.raises(ConfigError):
             pr.OracleConfig(n_trajectories=10, boundary_fraction=1.5)
+
+
+def qform_reference(sys_, X, u_t, W):
+    """The stage quadratic form written with einsum: the specification of
+    the bits of ``_qform_batch``."""
+    out = np.einsum("ki,ij,kj->k", X, sys_.Mx, X)
+    out += np.einsum("ki,ij,kj->k", W, sys_.Mw, W)
+    if sys_.p:
+        out += (2.0 * X @ (sys_.Mxu @ u_t) + float(u_t @ sys_.Mu @ u_t)
+                + 2.0 * W @ (sys_.Muw.T @ u_t))
+    if sys_.Mxw.size:
+        out += 2.0 * np.einsum("ki,ij,kj->k", X, sys_.Mxw, W)
+    return out
+
+
+def steered_w_reference(sys_, E, f, X, u_t, noise):
+    """The steered disturbance written with einsum: the specification of
+    the bits of ``_steered_w``."""
+    V = np.einsum("kij,kj->ki", E, X) - f
+    V = V @ sys_.B + X @ sys_.Mxw
+    if sys_.p:
+        V = V + u_t @ sys_.Muw
+    w = -(V @ sys_.Mw_inv)
+    scale = np.maximum(np.linalg.norm(w, axis=1, keepdims=True), 1e-3)
+    return w + scale * noise
+
+
+class TestStageKernels:
+    """The RK4 stage kernels equal their einsum forms bit for bit.  Batches
+    start at three rows: for one or two rows of a two-state system, einsum
+    sums each row i of the quadratic form apart, while the kernels keep
+    their single (i, j) order at every batch size."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+           rows=st.integers(3, 40), zero_mxw=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @example(dims=(2, 2, 1), rows=7, zero_mxw=True, seed=0)
+    def test_kernels_match_einsum(self, dims, rows, zero_mxw, seed):
+        rng = np.random.default_rng(seed)
+        sys_ = random_iqc_system(rng, *dims)
+        n, m, p = sys_.n, sys_.m, sys_.p
+        if zero_mxw:
+            M = sys_.M.copy()
+            M[:n, n + p:] = 0.0
+            M[n + p:, :n] = 0.0
+            sys_ = pr.make_system(sys_.A, sys_.B, sys_.Bu, M)
+
+        def batch(*shape):
+            # magnitudes over eight decades, and one all-zero row
+            a = rng.standard_normal((rows,) + shape) * 10.0 ** rng.uniform(
+                -4, 4, size=(rows,) + shape)
+            a[0] = 0.0
+            return a
+
+        X, W, E, f, noise = batch(n), batch(m), batch(n, n), batch(n), batch(m)
+        u_t = rng.standard_normal(p)
+        assert np.array_equal(_qform_batch(sys_, X, u_t, W),
+                              qform_reference(sys_, X, u_t, W))
+        assert np.array_equal(_steered_w(sys_, E, f, X, u_t, noise),
+                              steered_w_reference(sys_, E, f, X, u_t, noise))
+
+
+def samples_digest(samples):
+    h = hashlib.sha256()
+    for a in (samples.times, samples.x, samples.x_q, samples.w, samples.h):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+class TestFixedSeedPins:
+    """Fixed-seed samples pinned by length and a sha256 of their columns, as
+    the einsum-form oracle produced them on x86-64 (numpy 2.4, OpenBLAS).
+    Any change to the stage arithmetic, the draw order or the row order
+    changes the digest."""
+
+    def test_sec5_family(self, sec5_system, sec5_seed, sec5_cfg):
+        sec5 = load_preset("sec5")
+        fam = pr.build_family(sec5_seed, sec5_system, sec5["eps_q"], 64, sec5_cfg,
+                              spacing=sec5["gamma_spacing"],
+                              sampler_density=sec5["sampler_density"])
+        cfg = pr.OracleConfig(n_trajectories=2000, segments=8, w_scale=1.0,
+                              seed=42, t_end=1.0)
+        samples = pr.sample_admissible(sec5_system, sec5_seed, cfg, family=fam,
+                                       sample_times=[0.794])
+        assert len(samples) == 1104
+        assert samples_digest(samples) == (
+            "9ea20364fbec7bb1eed5ebbf86c52a4680500fd16165ad1ec8dfb966198e5610")
+
+    def test_driven_family(self, driven_system, driven_seed):
+        # nonzero Mxw, input and f: every term of the stage kernels is live
+        icfg = pr.IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12, max_step=0.01,
+                                   t_end=2.0)
+        fam = pr.build_family(driven_seed, driven_system, 5e-4, 6, icfg)
+        cfg = pr.OracleConfig(n_trajectories=3000, seed=7, t_end=2.0)
+        samples = pr.sample_admissible(driven_system, driven_seed, cfg, family=fam,
+                                       sample_times=[0.7, 1.3])
+        assert len(samples) == 2136
+        assert samples_digest(samples) == (
+            "bbf89b963548dc5f15ece1070bf774e5d7cf59338a29f54ed139ab70867d0b15")
