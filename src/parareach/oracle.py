@@ -20,9 +20,14 @@ byte-identical: within a batch the plain draws come first, in draw order,
 then the steered draws, grouped stably by ascending member; batches follow
 in batch order, and the rows are cut to ``min_admissible``.
 
-So is the stage arithmetic, which sums in numpy einsum's order: x' M y term
-by term in (i, j) order (einsum's for three rows or more), the steered E x in
-two running sums over even and odd j (einsum's for n < 8).  Reordering, fusing
+So is the stage arithmetic, which keeps numpy's own summation orders: x' M y
+term by term in (i, j) order (einsum's for three rows or more), the steered
+E x in two running sums over even and odd j (einsum's for n < 8), and the
+noise scale's norm as a running sum of squared columns (np.linalg.norm's for
+m < 8).  It broadcasts no short row or column but works column by column, and
+skips zero coefficients and all-zero inputs, which add only +-0 to sums that
+start at +0 (finite operands).  BLAS products take row-major operands; on a
+transposed view a one-row batch (gemv) rounds differently.  Reordering, fusing
 or regrouping a sum, or a per-member feedback table, changes the outputs.
 """
 
@@ -60,10 +65,11 @@ class OracleConfig:
     noise_rel: float = 0.05
 
     def __post_init__(self):
-        if self.n_trajectories < 1 or self.segments < 1:
+        if min(self.n_trajectories, self.segments, 1 if self.steps is None else self.steps) < 1:
             raise ConfigError("oracle counts must be positive")
-        if self.t_end <= 0 or self.w_scale < 0:
-            raise ConfigError("oracle horizon must be positive, amplitude nonnegative")
+        finite = np.isfinite([self.t_end, self.w_scale, self.noise_rel]).all()
+        if not (finite and self.t_end > 0 and self.w_scale >= 0):
+            raise ConfigError("oracle horizon must be positive, amplitude nonnegative, all finite")
         if not (0.0 <= self.boundary_fraction <= 1.0):
             raise ConfigError("boundary_fraction must lie in [0, 1]")
 
@@ -115,7 +121,9 @@ def _draw_initial_states(P0: Paraboloid, n: int, rng):
     got, rounds, drawn = 0, 0, 0
     while got < n:
         block = max(2 * (n - got), 256)
-        x = c + half * rng.uniform(-1.0, 1.0, size=(block, dim))
+        x = rng.uniform(-1.0, 1.0, size=(block, dim))
+        for d in range(dim):                    # c + half * x, column by column
+            x[:, d] = c[d] + half[d] * x[:, d]
         xq = rng.uniform(0.0, cap, size=block)
         q = _bilinear(x, P0.E, x) - 2.0 * x @ P0.f + P0.g
         ok = np.nonzero(q + xq <= 0.0)[0]
@@ -132,11 +140,13 @@ def _draw_initial_states(P0: Paraboloid, n: int, rng):
 
 
 def _bilinear(X, M, Y):
-    """Rowwise X[k] @ M @ Y[k], summed term by term in (i, j) order."""
+    """Rowwise X[k] @ M @ Y[k], summed term by term in (i, j) order; zero
+    coefficients are skipped."""
     out = np.zeros(len(X))
     for i, row in enumerate(M.tolist()):
         for j, m_ij in enumerate(row):
-            out += X[:, i] * m_ij * Y[:, j]
+            if m_ij:
+                out += X[:, i] * m_ij * Y[:, j]
     return out
 
 
@@ -144,9 +154,9 @@ def _qform_batch(sys: IqcSystem, X, u_t, W):
     """Rowwise [x; u; w]' M [x; u; w] for batches X (N,n), W (N,m)."""
     out = _bilinear(X, sys.Mx, X)
     out += _bilinear(W, sys.Mw, W)
-    if sys.p:
+    if u_t.any():
         out += 2.0 * X @ (sys.Mxu @ u_t) + float(u_t @ sys.Mu @ u_t) + 2.0 * W @ (sys.Muw.T @ u_t)
-    if sys.Mxw.size:
+    if sys.Mxw.any():
         out += 2.0 * _bilinear(X, sys.Mxw, W)
     return out
 
@@ -159,12 +169,20 @@ def _steered_w(sys, E, f, X, u_t, noise):
         for j in range(X.shape[1]):
             lanes[j % 2] += E[:, i, j] * X[:, j]
         V[:, i] = lanes[0] + lanes[1] - f[:, i]
-    V = V @ sys.B + X @ sys.Mxw
-    if sys.p:
-        V = V + u_t @ sys.Muw
+    V = V @ sys.B
+    if sys.Mxw.any():
+        V += X @ sys.Mxw
+    if u_t.any():
+        for j, c in enumerate(u_t @ sys.Muw):
+            V[:, j] += c
     w = -(V @ sys.Mw_inv)
-    scale = np.maximum(np.linalg.norm(w, axis=1, keepdims=True), 1e-3)
-    return w + scale * noise
+    sq = np.zeros(len(w))                   # the norm in numpy's order (m < 8)
+    for j in range(w.shape[1]):
+        sq += w[:, j] * w[:, j]
+    scale = np.maximum(np.sqrt(sq), 1e-3)
+    for j in range(w.shape[1]):
+        w[:, j] += scale * noise[:, j]
+    return w
 
 
 def _integrate_batch(sys: IqcSystem, X0, XQ0, grid, w_of, save_idx):
@@ -178,15 +196,16 @@ def _integrate_batch(sys: IqcSystem, X0, XQ0, grid, w_of, save_idx):
     saved_XQ = np.empty((len(save_idx), N))
     saved_W = np.empty((len(save_idx), N, sys.m))
     save_ptr = {int(i): k for k, i in enumerate(save_idx)}
-    A_T, B_T, Bu_T = sys.A.T, sys.B.T, sys.Bu.T
+    A_T, B_T, Bu_T = (np.ascontiguousarray(a.T) for a in (sys.A, sys.B, sys.Bu))
     u = sys.u
 
     def rhs(step, stage, t, X, XQ):
         u_t = u(t)
         W = w_of(step, stage, t, X, XQ)
         dX = X @ A_T + W @ B_T
-        if sys.p:
-            dX = dX + u_t @ Bu_T
+        if u_t.any():
+            for i, c in enumerate(u_t @ Bu_T):
+                dX[:, i] += c
         return dX, _qform_batch(sys, X, u_t, W), W
 
     if 0 in save_ptr:
@@ -198,7 +217,7 @@ def _integrate_batch(sys: IqcSystem, X0, XQ0, grid, w_of, save_idx):
         t0, t1 = grid[i], grid[i + 1]
         h = t1 - t0
         tm = 0.5 * (t0 + t1)
-        k1x, k1q, w0 = rhs(i, 0, t0, X, XQ)
+        k1x, k1q, _ = rhs(i, 0, t0, X, XQ)
         k2x, k2q, _ = rhs(i, 1, tm, X + 0.5 * h * k1x, XQ + 0.5 * h * k1q)
         k3x, k3q, _ = rhs(i, 1, tm, X + 0.5 * h * k2x, XQ + 0.5 * h * k2q)
         k4x, k4q, _ = rhs(i, 2, t1, X + h * k3x, XQ + h * k3q)
@@ -331,11 +350,6 @@ def _one_batch(sys, P0, cfg, family, save_times, seed_seq):
         # member parameters at every RK4 stage time: nodes, then midpoints
         E_tab, f_tab, g_tab, defined = family.params_at_many(
             np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:])]))
-    n_nodes = len(grid)
-
-    def time_index(step, stage):
-        # stage 0/2: grid nodes; stage 1: midpoint table offset
-        return step + (0, n_nodes, 1)[stage]
 
     kept, owner = [], []            # admissible columns and their members
 
@@ -365,19 +379,25 @@ def _one_batch(sys, P0, cfg, family, save_times, seed_seq):
         wcost = -float(np.min(np.linalg.eigvalsh(sys.Mw))) if sys.m else 1.0
         horizon = np.maximum(cfg.t_end - switch_t, 0.05 * cfg.t_end)
 
+        gathered = {}   # one stage table at a time: stages repeat in runs
+
         def steered(step, stage, t, X, XQ, members=members, noise=noise):
-            ti = time_index(step, stage)
-            E, f = (a[:, ti].take(members, axis=0) for a in (E_tab, f_tab))
+            ti = step + (0, len(grid), 1)[stage]    # stages 0, 2: nodes; 1: midpoints
+            if ti not in gathered:
+                gathered.clear()
+                gathered[ti] = [a[:, ti].take(members, axis=0) for a in (E_tab, f_tab, defined)]
+            E, f, ok = gathered[ti]
             seg = seg_of_step[step]
             w = _steered_w(sys, E, f, X, sys.u(t), noise[:, seg, :])
             # past its member's interval of definition a ride is released too
-            riding = (t < switch_t) & defined[:, ti].take(members)
-            if np.all(riding):
+            riding = (t < switch_t) & ok
+            if riding.all():
                 return w
             # release: spend the banked budget on the drawn direction pieces
             spend = release_u * np.sqrt(np.maximum(XQ, 0.0) / (wcost * horizon))
-            w_rel = spend[:, None] * raw_b[:, seg, :]
-            return np.where(riding[:, None], w, w_rel)
+            for j in range(sys.m):
+                np.copyto(w[:, j], spend * raw_b[:, seg, j], where=~riding)
+            return w
 
         sX, sXQ, sW, ok = _integrate_batch(sys, X0[:n_boundary], XQ0[:n_boundary],
                                            grid, steered, save_idx)

@@ -200,6 +200,12 @@ class TestConfig:
             pr.OracleConfig(n_trajectories=10, segments=0)
         with pytest.raises(ConfigError):
             pr.OracleConfig(n_trajectories=10, boundary_fraction=1.5)
+        for bad in ({"steps": 0}, {"steps": -3}, {"t_end": np.nan}, {"t_end": np.inf},
+                    {"w_scale": np.nan}, {"w_scale": np.inf}, {"noise_rel": np.nan},
+                    {"noise_rel": -np.inf}):
+            with pytest.raises(ConfigError):
+                pr.OracleConfig(n_trajectories=10, **bad)
+        assert pr.OracleConfig(n_trajectories=10, steps=1).n_steps == 1
 
 
 def qform_reference(sys_, X, u_t, W):
@@ -231,22 +237,36 @@ class TestStageKernels:
     """The RK4 stage kernels equal their einsum forms bit for bit.  Batches
     start at three rows: for one or two rows of a two-state system, einsum
     sums each row i of the quadratic form apart, while the kernels keep
-    their single (i, j) order at every batch size."""
+    their single (i, j) order at every batch size.  The kernels skip zero
+    coefficients and all-zero inputs, which the einsum forms compute."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
-           rows=st.integers(3, 40), zero_mxw=st.booleans(),
-           seed=st.integers(0, 2**32 - 1))
-    @example(dims=(2, 2, 1), rows=7, zero_mxw=True, seed=0)
-    def test_kernels_match_einsum(self, dims, rows, zero_mxw, seed):
+           rows=st.integers(3, 40), zero_mxw=st.booleans(), zeros=st.booleans(),
+           zero_u=st.booleans(), seed=st.integers(0, 2**32 - 1), preset=st.none())
+    @example(dims=(2, 2, 1), rows=7, zero_mxw=True, zeros=False, zero_u=False,
+             seed=0, preset=None)
+    @example(dims=(2, 2, 1), rows=50, zero_mxw=False, zeros=False, zero_u=True,
+             seed=1, preset="sec5")
+    @example(dims=(2, 2, 1), rows=50, zero_mxw=False, zeros=False, zero_u=False,
+             seed=2, preset="sec5")
+    def test_kernels_match_einsum(self, dims, rows, zero_mxw, zeros, zero_u, seed,
+                                  preset):
         rng = np.random.default_rng(seed)
-        sys_ = random_iqc_system(rng, *dims)
+        sys_ = load_preset(preset)["system"] if preset else random_iqc_system(rng, *dims)
         n, m, p = sys_.n, sys_.m, sys_.p
+        M = sys_.M.copy()
         if zero_mxw:
-            M = sys_.M.copy()
             M[:n, n + p:] = 0.0
             M[n + p:, :n] = 0.0
-            sys_ = pr.make_system(sys_.A, sys_.B, sys_.Bu, M)
+        if zeros:
+            # a symmetric pattern of exact zeros, diagonal included; the
+            # w-block's diagonal is then made dominant to stay negative definite
+            Z = np.triu(rng.random(M.shape) < 0.5)
+            M[Z | Z.T] = 0.0
+            Mw = M[n + p:, n + p:]
+            np.fill_diagonal(Mw, -1.0 - np.abs(Mw).sum(axis=1))
+        sys_ = pr.make_system(sys_.A, sys_.B, sys_.Bu, M)
 
         def batch(*shape):
             # magnitudes over eight decades, and one all-zero row
@@ -256,7 +276,7 @@ class TestStageKernels:
             return a
 
         X, W, E, f, noise = batch(n), batch(m), batch(n, n), batch(n), batch(m)
-        u_t = rng.standard_normal(p)
+        u_t = np.zeros(p) if zero_u else rng.standard_normal(p)
         assert np.array_equal(_qform_batch(sys_, X, u_t, W),
                               qform_reference(sys_, X, u_t, W))
         assert np.array_equal(_steered_w(sys_, E, f, X, u_t, noise),
@@ -288,6 +308,20 @@ class TestFixedSeedPins:
         assert len(samples) == 1104
         assert samples_digest(samples) == (
             "9ea20364fbec7bb1eed5ebbf86c52a4680500fd16165ad1ec8dfb966198e5610")
+
+    def test_ex1_family_releases(self, ex1_cfg):
+        # n = m = 1 with an escaping member: the release path is live
+        ex1 = load_preset("ex1-family")
+        fam = pr.build_family(ex1["seed"], ex1["system"], ex1["eps_q"], ex1["n_members"],
+                              ex1_cfg, gammas=ex1["gammas"],
+                              sampler_density=ex1["sampler_density"])
+        cfg = pr.OracleConfig(n_trajectories=2000, segments=8, w_scale=0.3,
+                              seed=3, t_end=10.0)
+        samples = pr.sample_admissible(ex1["system"], ex1["seed"], cfg, family=fam,
+                                       sample_times=ex1["times"])
+        assert len(samples) == 1137
+        assert samples_digest(samples) == (
+            "b65756aebdb939e7761eb8f6e2a5f8271ec021f3d0ff941bb27b4d24e50a0a5a")
 
     def test_driven_family(self, driven_system, driven_seed):
         # nonzero Mxw, input and f: every term of the stage kernels is live
