@@ -14,6 +14,14 @@ randomness is drawn up front from one generator per batch in a fixed order,
 so a fixed seed reproduces trajectories byte for byte regardless of how the
 integration work is later distributed.
 
+That work is distributed over forked worker processes, one per usable CPU
+(``os.sched_getaffinity``), each integrating a contiguous block of a batch's
+rows.  Before the fork the parent evaluates the input and the member
+parameters at every RK4 stage time, so the workers call no user code; they
+send back each block's admissible columns.  The oracle runs inline, one block
+per batch, with one usable CPU, without ``os.fork``, in a daemonic process
+(which may not have children) and beside other live threads.
+
 The admissible trajectories come back as columns (:class:`OracleSamples`),
 one row per trajectory in a fixed order, which keeps fixed-seed outputs
 byte-identical: within a batch the plain draws come first, in draw order,
@@ -27,12 +35,17 @@ noise scale's norm as a running sum of squared columns (np.linalg.norm's for
 m < 8).  It broadcasts no short row or column but works column by column, and
 skips zero coefficients and all-zero inputs, which add only +-0 to sums that
 start at +0 (finite operands).  BLAS products take row-major operands; on a
-transposed view a one-row batch (gemv) rounds differently.  Reordering, fusing
-or regrouping a sum, or a per-member feedback table, changes the outputs.
+transposed view a one-row batch (gemv) rounds differently.  Rows never mix,
+and the BLAS products give the same bits for any batch of two rows or more,
+so contiguous blocks of two rows or more, cut anywhere, give the bits of the
+whole batch; a one-row block (gemv) would not.  Reordering, fusing or
+regrouping a sum, or a per-member feedback table, changes the outputs.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -118,6 +131,7 @@ def _draw_initial_states(P0: Paraboloid, n: int, rng):
     dim = P0.dim
     xs = np.empty((n, dim))
     xqs = np.empty(n)
+    e_terms = _terms(P0.E)
     got, rounds, drawn = 0, 0, 0
     while got < n:
         block = max(2 * (n - got), 256)
@@ -125,7 +139,7 @@ def _draw_initial_states(P0: Paraboloid, n: int, rng):
         for d in range(dim):                    # c + half * x, column by column
             x[:, d] = c[d] + half[d] * x[:, d]
         xq = rng.uniform(0.0, cap, size=block)
-        q = _bilinear(x, P0.E, x) - 2.0 * x @ P0.f + P0.g
+        q = _bilinear(x, e_terms, x) - 2.0 * x @ P0.f + P0.g
         ok = np.nonzero(q + xq <= 0.0)[0]
         take = ok[:n - got]
         xs[got:got + len(take)] = x[take]
@@ -139,30 +153,47 @@ def _draw_initial_states(P0: Paraboloid, n: int, rng):
     return xs, xqs
 
 
-def _bilinear(X, M, Y):
-    """Rowwise X[k] @ M @ Y[k], summed term by term in (i, j) order; zero
-    coefficients are skipped."""
+def _terms(M):
+    """Nonzero coefficients of M as (i, j, m_ij), in (i, j) order."""
+    return [(i, j, m_ij) for i, row in enumerate(M.tolist())
+            for j, m_ij in enumerate(row) if m_ij]
+
+
+def _system_terms(sys: IqcSystem):
+    """Nonzero terms of the state, disturbance and cross blocks of M."""
+    return _terms(sys.Mx), _terms(sys.Mw), _terms(sys.Mxw)
+
+
+def _bilinear(X, terms, Y):
+    """Rowwise X[k] @ M @ Y[k] from M's nonzero ``terms``, summed term by
+    term in (i, j) order."""
     out = np.zeros(len(X))
-    for i, row in enumerate(M.tolist()):
-        for j, m_ij in enumerate(row):
-            if m_ij:
-                out += X[:, i] * m_ij * Y[:, j]
+    for i, j, m_ij in terms:
+        out += X[:, i] * m_ij * Y[:, j]
     return out
 
 
-def _qform_batch(sys: IqcSystem, X, u_t, W):
-    """Rowwise [x; u; w]' M [x; u; w] for batches X (N,n), W (N,m)."""
-    out = _bilinear(X, sys.Mx, X)
-    out += _bilinear(W, sys.Mw, W)
-    if u_t.any():
+def _live(u_t):
+    """The input as the stage kernels take it: None where it is all zero."""
+    return u_t if u_t.any() else None
+
+
+def _qform_batch(sys: IqcSystem, X, u_t, W, terms=None):
+    """Rowwise [x; u; w]' M [x; u; w] for batches X (N,n), W (N,m); ``u_t``
+    is None for a zero input, ``terms`` those of :func:`_system_terms`."""
+    mx, mw, mxw = terms or _system_terms(sys)
+    out = _bilinear(X, mx, X)
+    out += _bilinear(W, mw, W)
+    if u_t is not None:
         out += 2.0 * X @ (sys.Mxu @ u_t) + float(u_t @ sys.Mu @ u_t) + 2.0 * W @ (sys.Muw.T @ u_t)
-    if sys.Mxw.any():
-        out += 2.0 * _bilinear(X, sys.Mxw, W)
+    if mxw:
+        out += 2.0 * _bilinear(X, mxw, W)
     return out
 
 
-def _steered_w(sys, E, f, X, u_t, noise):
-    """Optimal disturbance of per-row parameters (E, f) plus relative noise."""
+def _steered_w(sys, E, f, X, u_t, noise, terms=None):
+    """Optimal disturbance of per-row parameters (E, f) plus relative noise;
+    ``u_t`` and ``terms`` as for :func:`_qform_batch`."""
     V = np.empty_like(X)
     for i in range(X.shape[1]):
         lanes = np.zeros((2, len(X)))       # even and odd j (module docstring)
@@ -170,9 +201,9 @@ def _steered_w(sys, E, f, X, u_t, noise):
             lanes[j % 2] += E[:, i, j] * X[:, j]
         V[:, i] = lanes[0] + lanes[1] - f[:, i]
     V = V @ sys.B
-    if sys.Mxw.any():
+    if (terms or _system_terms(sys))[2]:
         V += X @ sys.Mxw
-    if u_t.any():
+    if u_t is not None:
         for j, c in enumerate(u_t @ sys.Muw):
             V[:, j] += c
     w = -(V @ sys.Mw_inv)
@@ -185,10 +216,13 @@ def _steered_w(sys, E, f, X, u_t, noise):
     return w
 
 
-def _integrate_batch(sys: IqcSystem, X0, XQ0, grid, w_of, save_idx):
-    """Fixed-step RK4 over ``grid``; w_of(step, stage, t, X) supplies the
-    disturbance (stage 0: left node, 1: midpoint, 2: right node).  Saves
-    states at ``save_idx`` nodes and tracks budget nonnegativity."""
+def _integrate_batch(sys: IqcSystem, X0, XQ0, grid, w_of, save_idx, inputs, terms):
+    """Fixed-step RK4 over ``grid``.  Stage times are indexed ``ti`` over the
+    nodes of ``grid``, then its midpoints; ``inputs[ti]`` is the input there
+    (None where zero) and w_of(step, ti, t, X, XQ, u_t) supplies the
+    disturbance.  Saves states at ``save_idx`` nodes and tracks budget
+    nonnegativity.  Rows never mix: a block of two or more rows gets the
+    bits it has in any larger batch."""
     X, XQ = X0.copy(), XQ0.copy()
     N = X.shape[0]
     admissible = XQ >= 0.0
@@ -197,38 +231,94 @@ def _integrate_batch(sys: IqcSystem, X0, XQ0, grid, w_of, save_idx):
     saved_W = np.empty((len(save_idx), N, sys.m))
     save_ptr = {int(i): k for k, i in enumerate(save_idx)}
     A_T, B_T, Bu_T = (np.ascontiguousarray(a.T) for a in (sys.A, sys.B, sys.Bu))
-    u = sys.u
+    mid = len(grid)                 # stage-time index of the first midpoint
 
-    def rhs(step, stage, t, X, XQ):
-        u_t = u(t)
-        W = w_of(step, stage, t, X, XQ)
+    def rhs(step, ti, t, X, XQ):
+        u_t = inputs[ti]
+        W = w_of(step, ti, t, X, XQ, u_t)
         dX = X @ A_T + W @ B_T
-        if u_t.any():
+        if u_t is not None:
             for i, c in enumerate(u_t @ Bu_T):
                 dX[:, i] += c
-        return dX, _qform_batch(sys, X, u_t, W), W
+        return dX, _qform_batch(sys, X, u_t, W, terms)
 
     if 0 in save_ptr:
         k = save_ptr[0]
         saved_X[k], saved_XQ[k] = X, XQ
-        saved_W[k] = rhs(0, 0, grid[0], X, XQ)[2]
+        saved_W[k] = w_of(0, 0, grid[0], X, XQ, inputs[0])
 
     for i in range(len(grid) - 1):
         t0, t1 = grid[i], grid[i + 1]
         h = t1 - t0
         tm = 0.5 * (t0 + t1)
-        k1x, k1q, _ = rhs(i, 0, t0, X, XQ)
-        k2x, k2q, _ = rhs(i, 1, tm, X + 0.5 * h * k1x, XQ + 0.5 * h * k1q)
-        k3x, k3q, _ = rhs(i, 1, tm, X + 0.5 * h * k2x, XQ + 0.5 * h * k2q)
-        k4x, k4q, _ = rhs(i, 2, t1, X + h * k3x, XQ + h * k3q)
+        k1x, k1q = rhs(i, i, t0, X, XQ)
+        k2x, k2q = rhs(i, mid + i, tm, X + 0.5 * h * k1x, XQ + 0.5 * h * k1q)
+        k3x, k3q = rhs(i, mid + i, tm, X + 0.5 * h * k2x, XQ + 0.5 * h * k2q)
+        k4x, k4q = rhs(i, i + 1, t1, X + h * k3x, XQ + h * k3q)
         X = X + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
         XQ = XQ + (h / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
         admissible &= XQ >= 0.0
-        if int(i + 1) in save_ptr:
-            k = save_ptr[int(i + 1)]
+        if i + 1 in save_ptr:
+            k = save_ptr[i + 1]
             saved_X[k], saved_XQ[k] = X, XQ
-            saved_W[k] = rhs(i, 2, t1, X, XQ)[2]
+            saved_W[k] = w_of(i, i + 1, t1, X, XQ, inputs[i + 1])
     return saved_X, saved_XQ, saved_W, admissible
+
+
+# Fewest rows in a block of a split batch.  Each block pays the whole batch's
+# fixed per-stage cost (about 0.2 s for a steered sec5 block), so on 2 cores
+# splitting won from about 2000 rows a block (sec5 at 8000 draws: 1.10 s
+# against 1.21 s unsplit) and lost below (4000 draws: 1.03 s against 0.78 s).
+# At least 2: a one-row block multiplies by gemv, which rounds differently.
+_MIN_BLOCK_ROWS = 2000
+
+
+def _worker_count() -> int:
+    """Forked workers for the RK4 blocks: one per usable CPU, or 0 to run
+    inline, as with one CPU, without ``os.fork``, in a daemonic process
+    (which may not have children) or beside other live threads (a fork from
+    a threaded process can deadlock)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if cpus < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 0
+    import multiprocessing
+    return 0 if multiprocessing.current_process().daemon else cpus
+
+
+def _row_blocks(start, stop, workers):
+    """Rows start..stop as contiguous slices, one per worker, as even as
+    they can be while each keeps ``_MIN_BLOCK_ROWS`` rows; one slice when
+    that cannot be."""
+    n = stop - start
+    k = max(1, min(workers, n // _MIN_BLOCK_ROWS))
+    cuts = [start + n * b // k for b in range(k + 1)]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])] if n else []
+
+
+_block_run = None       # a forked worker's copy of the parent's block function
+
+
+def _adopt(run):
+    global _block_run
+    _block_run = run
+
+
+def _call(b):
+    return _block_run(b)
+
+
+def _map_blocks(run, n_blocks, workers):
+    """``[run(b) for b in range(n_blocks)]``, in forked worker processes
+    when there are two or more workers and blocks.  The workers inherit
+    ``run`` and its data from the fork; only block numbers and results
+    are pickled, and an exception in a block reaches the caller."""
+    if min(workers, n_blocks) < 2:
+        return [run(b) for b in range(n_blocks)]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(min(workers, n_blocks), multiprocessing.get_context("fork"),
+                             initializer=_adopt, initargs=(run,)) as pool:
+        return list(pool.map(_call, range(n_blocks)))
 
 
 def sample_admissible(sys: IqcSystem, P0: Paraboloid, cfg: OracleConfig,
@@ -281,10 +371,12 @@ def _gamma_plus(sys, P0, X0):
     u0 = sys.u_at(0.0)
     w_lin = -((X0 @ P0.E - P0.f) @ sys.B) @ sys.Mw_inv
     w_base = -(X0 @ sys.Mxw + u0 @ sys.Muw) @ sys.Mw_inv
-    a = _bilinear(w_lin, sys.Mw, w_lin)
-    b = 2.0 * (_bilinear(X0, sys.Mxw, w_lin) + w_lin @ (sys.Muw.T @ u0)
-               + _bilinear(w_base, sys.Mw, w_lin))
-    c = _qform_batch(sys, X0, u0, w_base)
+    terms = _system_terms(sys)
+    _, mw, mxw = terms
+    a = _bilinear(w_lin, mw, w_lin)
+    b = 2.0 * (_bilinear(X0, mxw, w_lin) + w_lin @ (sys.Muw.T @ u0)
+               + _bilinear(w_base, mw, w_lin))
+    c = _qform_batch(sys, X0, _live(u0), w_base, terms)
     disc = b * b - 4.0 * a * c
     with np.errstate(invalid="ignore", divide="ignore"):
         root = (-b - np.sqrt(np.maximum(disc, 0.0))) / (2.0 * a)
@@ -299,7 +391,7 @@ def _affordable_amplitude(sys, X0, XQ0, t_end):
     decided by the integration."""
     u0 = sys.u_at(0.0)
     Z = np.zeros((X0.shape[0], sys.m))
-    harvest = _qform_batch(sys, X0, u0, Z)
+    harvest = _qform_batch(sys, X0, _live(u0), Z)
     wcost = -float(np.min(np.linalg.eigvalsh(sys.Mw)))
     budget = XQ0 + np.maximum(harvest, 0.0) * t_end
     return np.sqrt(np.maximum(budget, 0.0) / (wcost * t_end)) + 1e-6
@@ -309,7 +401,8 @@ def _one_batch(sys, P0, cfg, family, save_times, seed_seq):
     N = cfg.n_trajectories
     rng = np.random.default_rng(seed_seq)
 
-    # fixed draw order: initial states, amplitudes, directions, noise, picks
+    # fixed draw order: initial states, amplitudes, directions, noise, picks,
+    # then the steered draws' noise levels and release rates
     X0, XQ0 = _draw_initial_states(P0, N, rng)
     amp = cfg.w_scale * rng.uniform(0.0, 1.0, size=N) * _affordable_amplitude(
         sys, X0, XQ0, cfg.t_end)
@@ -321,7 +414,7 @@ def _one_batch(sys, P0, cfg, family, save_times, seed_seq):
     raw_W = (persistence * direction[:, None, :]
              + np.sqrt(1.0 - persistence ** 2) * raw_W)
     n_boundary = 0
-    member_of = switch_t = None
+    member_of = switch_t = noise_lvl = release_u = span = None
     if family is not None and cfg.boundary_fraction > 0 and sys.m > 0:
         n_boundary = int(round(cfg.boundary_fraction * N))
         member_of = rng.integers(0, len(family.members), size=n_boundary)
@@ -337,6 +430,15 @@ def _one_batch(sys, P0, cfg, family, save_times, seed_seq):
         # ride the member surface (banking budget), then release it as a
         # plain push; switch beyond t_end means riding the whole horizon
         switch_t = cfg.t_end * rng.uniform(0.25, 1.5, size=n_boundary)
+        # noise level per trajectory, down to (near) pure rides: surface
+        # riding is a knife edge for the budget, and only low-noise rides
+        # survive it out to the far reaches of the set
+        noise_lvl = cfg.noise_rel * rng.uniform(0.0, 1.0, size=n_boundary) ** 2
+        # releases above the balanced rate are sustainable because harvesting
+        # continues; overdrafts are culled by the admissibility check
+        release_u = cfg.w_scale * rng.uniform(0.3, 1.6, size=n_boundary)
+        wcost = -float(np.min(np.linalg.eigvalsh(sys.Mw)))
+        span = wcost * np.maximum(cfg.t_end - switch_t, 0.05 * cfg.t_end)
 
     base = np.linspace(0.0, cfg.t_end, cfg.n_steps + 1)
     seg_bounds = np.linspace(0.0, cfg.t_end, cfg.segments + 1)
@@ -346,65 +448,71 @@ def _one_batch(sys, P0, cfg, family, save_times, seed_seq):
         np.searchsorted(seg_bounds, 0.5 * (grid[:-1] + grid[1:]), side="right") - 1,
         cfg.segments - 1)
 
+    # the input and the member parameters at every RK4 stage time, nodes
+    # then midpoints, are evaluated here: the blocks call no user code
+    stage_t = np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:])])
+    inputs = [_live(sys.u(t)) for t in stage_t]
     if family is not None:
-        # member parameters at every RK4 stage time: nodes, then midpoints
-        E_tab, f_tab, g_tab, defined = family.params_at_many(
-            np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:])]))
+        E_tab, f_tab, g_tab, defined = family.params_at_many(stage_t)
+    terms = _system_terms(sys)
 
-    kept, owner = [], []            # admissible columns and their members
+    # the disturbance sources of a block of rows; each block builds its own
+    # arrays, so no whole-batch copy is made
+    def plain(rows):
+        W_plain = amp[rows, None, None] * raw_W[rows]
 
-    if n_boundary < N:
-        idx = np.arange(n_boundary, N)
-        W_plain = amp[idx, None, None] * raw_W[idx]
-
-        def plain_w(step, stage, t, X, XQ, W_plain=W_plain):
+        def plain_w(step, ti, t, X, XQ, u_t):
             return W_plain[:, seg_of_step[step], :]
+        return plain_w
 
-        sX, sXQ, sW, ok = _integrate_batch(sys, X0[idx], XQ0[idx], grid,
-                                           plain_w, save_idx)
-        keep = np.nonzero(ok)[0]
-        kept.append((sX[:, keep], sXQ[:, keep], sW[:, keep]))
-        owner.append(np.zeros(len(keep), dtype=int))
-
-    if n_boundary:
-        members, raw_b = member_of, raw_W[:n_boundary]
-        # noise level per trajectory, down to (near) pure rides: surface
-        # riding is a knife edge for the budget, and only low-noise rides
-        # survive it out to the far reaches of the set
-        noise_lvl = cfg.noise_rel * rng.uniform(0.0, 1.0, size=n_boundary) ** 2
-        noise = noise_lvl[:, None, None] * raw_b
-        # releases above the balanced rate are sustainable because harvesting
-        # continues; overdrafts are culled by the admissibility check
-        release_u = cfg.w_scale * rng.uniform(0.3, 1.6, size=n_boundary)
-        wcost = -float(np.min(np.linalg.eigvalsh(sys.Mw))) if sys.m else 1.0
-        horizon = np.maximum(cfg.t_end - switch_t, 0.05 * cfg.t_end)
-
+    def steered(rows):
+        members, raw_b = member_of[rows], raw_W[rows]
+        noise = noise_lvl[rows, None, None] * raw_b
+        switch, release, budget_span = switch_t[rows], release_u[rows], span[rows]
         gathered = {}   # one stage table at a time: stages repeat in runs
 
-        def steered(step, stage, t, X, XQ, members=members, noise=noise):
-            ti = step + (0, len(grid), 1)[stage]    # stages 0, 2: nodes; 1: midpoints
+        def steered_w(step, ti, t, X, XQ, u_t):
             if ti not in gathered:
                 gathered.clear()
                 gathered[ti] = [a[:, ti].take(members, axis=0) for a in (E_tab, f_tab, defined)]
             E, f, ok = gathered[ti]
             seg = seg_of_step[step]
-            w = _steered_w(sys, E, f, X, sys.u(t), noise[:, seg, :])
+            w = _steered_w(sys, E, f, X, u_t, noise[:, seg, :], terms)
             # past its member's interval of definition a ride is released too
-            riding = (t < switch_t) & ok
+            riding = (t < switch) & ok
             if riding.all():
                 return w
             # release: spend the banked budget on the drawn direction pieces
-            spend = release_u * np.sqrt(np.maximum(XQ, 0.0) / (wcost * horizon))
+            spend = release * np.sqrt(np.maximum(XQ, 0.0) / budget_span)
             for j in range(sys.m):
                 np.copyto(w[:, j], spend * raw_b[:, seg, j], where=~riding)
             return w
+        return steered_w
 
-        sX, sXQ, sW, ok = _integrate_batch(sys, X0[:n_boundary], XQ0[:n_boundary],
-                                           grid, steered, save_idx)
-        keep = np.argsort(members, kind="stable")
-        keep = keep[ok[keep]]
-        kept.append((sX[:, keep], sXQ[:, keep], sW[:, keep]))
-        owner.append(members[keep])
+    workers = _worker_count()
+    blocks = ([(plain, rows) for rows in _row_blocks(n_boundary, N, workers)]
+              + [(steered, rows) for rows in _row_blocks(0, n_boundary, workers)])
+
+    def run(b):
+        source, rows = blocks[b]
+        sX, sXQ, sW, ok = _integrate_batch(sys, X0[rows], XQ0[rows], grid, source(rows),
+                                           save_idx, inputs, terms)
+        keep = np.nonzero(ok)[0]
+        return ok, sX[:, keep], sXQ[:, keep], sW[:, keep]
+
+    done = _map_blocks(run, len(blocks), workers)
+    n_plain = sum(source is plain for source, _ in blocks)
+    # plain rows in draw order, then steered rows stably by member
+    kept = [cols for _, *cols in done[:n_plain]]    # admissible columns
+    owner = [np.zeros(cols[0].shape[1], dtype=int) for cols in kept]
+    if n_boundary:
+        ok = np.concatenate([d[0] for d in done[n_plain:]])
+        cols = (np.concatenate(a, axis=1) for a in zip(*(d[1:] for d in done[n_plain:])))
+        order = np.argsort(member_of, kind="stable")
+        order = order[ok[order]]
+        at = np.cumsum(ok) - 1      # each steered row's admissible column
+        kept.append([c[:, at[order]] for c in cols])
+        owner.append(member_of[order])
 
     x, xq, w = (np.concatenate(a, axis=1) for a in zip(*kept))
     h = np.full(xq.shape, np.nan)

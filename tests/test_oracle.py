@@ -1,4 +1,7 @@
 import hashlib
+import multiprocessing
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -9,7 +12,8 @@ from scipy.integrate import cumulative_simpson
 
 import parareach as pr
 from parareach.errors import ConfigError, RejectionStarvation
-from parareach.oracle import _qform_batch, _steered_w
+from parareach import oracle
+from parareach.oracle import _integrate_batch, _qform_batch, _steered_w, _system_terms
 from parareach.presets import load_preset
 
 from conftest import random_iqc_system
@@ -238,7 +242,8 @@ class TestStageKernels:
     start at three rows: for one or two rows of a two-state system, einsum
     sums each row i of the quadratic form apart, while the kernels keep
     their single (i, j) order at every batch size.  The kernels skip zero
-    coefficients and all-zero inputs, which the einsum forms compute."""
+    coefficients, and take an all-zero input as None and skip its terms;
+    the einsum forms compute all of them."""
 
     @settings(max_examples=80, deadline=None)
     @given(dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
@@ -277,10 +282,128 @@ class TestStageKernels:
 
         X, W, E, f, noise = batch(n), batch(m), batch(n, n), batch(n), batch(m)
         u_t = np.zeros(p) if zero_u else rng.standard_normal(p)
-        assert np.array_equal(_qform_batch(sys_, X, u_t, W),
+        u_k = None if zero_u else u_t
+        assert np.array_equal(_qform_batch(sys_, X, u_k, W),
                               qform_reference(sys_, X, u_t, W))
-        assert np.array_equal(_steered_w(sys_, E, f, X, u_t, noise),
+        assert np.array_equal(_steered_w(sys_, E, f, X, u_k, noise),
                               steered_w_reference(sys_, E, f, X, u_t, noise))
+
+
+class TestRowBlocks:
+    """Rows never mix in the RK4: contiguous blocks of two or more rows give
+    the bits of the whole batch, for plain and steered disturbances, with and
+    without input.  This is what lets a batch run in forked blocks."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+           rows=st.integers(2, 300), steered=st.booleans(), driven=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_blocks_match_whole_batch(self, dims, rows, steered, driven, seed):
+        rng = np.random.default_rng(seed)
+        sys_ = random_iqc_system(rng, *dims)
+        n, m, p = sys_.n, sys_.m, sys_.p
+        grid = np.linspace(0.0, 0.2, 9)
+        save_idx = np.array([0, 3, 8])
+        n_stage = 2 * len(grid) - 1                 # nodes, then midpoints
+        inputs = [rng.standard_normal(p) if driven and rng.random() < 0.8 else None
+                  for _ in range(n_stage)]
+        X0, XQ0 = rng.standard_normal((rows, n)), rng.uniform(-0.1, 5.0, rows)
+        W = rng.standard_normal((rows, len(grid) - 1, m))
+        E, f = rng.standard_normal((rows, n_stage, n, n)), rng.standard_normal((rows, n_stage, n))
+        noise = 0.05 * rng.standard_normal((rows, m))
+        terms = _system_terms(sys_)
+
+        def integrate(a, b):
+            def w_of(step, ti, t, X, XQ, u_t):
+                if steered:
+                    return _steered_w(sys_, E[a:b, ti], f[a:b, ti], X, u_t, noise[a:b], terms)
+                return W[a:b, step]
+            return _integrate_batch(sys_, X0[a:b], XQ0[a:b], grid, w_of, save_idx, inputs,
+                                    terms)
+
+        k = int(rng.integers(1, rows // 2 + 1))
+        cuts = np.concatenate([[0], np.cumsum(2 + rng.multinomial(rows - 2 * k, [1 / k] * k))])
+        parts = [integrate(a, b) for a, b in zip(cuts, cuts[1:])]
+        for got, want in zip(zip(*parts), integrate(0, rows)):
+            assert np.array_equal(np.concatenate(got, axis=min(1, want.ndim - 1)), want)
+
+
+class BlockFailure(Exception):
+    """Raised inside a forked block."""
+
+
+def run_in_daemon(fn):
+    """fn() in a forked daemonic process, as a pool worker is; returns its
+    result, or fails with the child's error."""
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+
+    def target():
+        try:
+            send.send((True, fn()))
+        except Exception as e:
+            send.send((False, repr(e)))
+
+    proc = ctx.Process(target=target, daemon=True)
+    proc.start()
+    assert recv.poll(300), "no result from the daemonic process"
+    ok, value = recv.recv()
+    proc.join(60)
+    assert not proc.is_alive()
+    assert ok, value
+    return value
+
+
+class TestWorkers:
+    """Forked blocks and the cases that run inline."""
+
+    @pytest.fixture
+    def forkable(self, monkeypatch):
+        # three usable CPUs and blocks of two rows: only the inline cases
+        # keep a run from forking
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(oracle, "_MIN_BLOCK_ROWS", 2)
+
+    def test_block_exception_reaches_caller(self, forkable, monkeypatch, ex1_system,
+                                            ex1_stable_seed, ex1_small_family):
+        def fail(*args):
+            raise BlockFailure("injected")
+
+        monkeypatch.setattr(oracle, "_steered_w", fail)
+        assert oracle._worker_count() == 3
+        cfg = pr.OracleConfig(n_trajectories=40, segments=2, seed=1, t_end=0.5)
+        with pytest.raises(BlockFailure):
+            pr.sample_admissible(ex1_system, ex1_stable_seed, cfg, family=ex1_small_family)
+        assert multiprocessing.active_children() == []
+
+    def test_daemonic_worker_runs_inline(self, forkable, driven_system, driven_seed):
+        def pin():
+            assert oracle._worker_count() == 0
+            TestFixedSeedPins().test_driven_family(driven_system, driven_seed)
+
+        run_in_daemon(pin)
+        assert multiprocessing.active_children() == []
+
+    def test_second_thread_runs_inline(self, forkable, monkeypatch, driven_system,
+                                       driven_seed):
+        def no_fork():
+            raise AssertionError("forked beside a live thread")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        errors = []
+
+        def pin():
+            try:
+                assert oracle._worker_count() == 0
+                TestFixedSeedPins().test_driven_family(driven_system, driven_seed)
+            except Exception as e:
+                errors.append(e)
+
+        thread = threading.Thread(target=pin)
+        thread.start()
+        thread.join(300)
+        assert not thread.is_alive()
+        assert not errors, errors
 
 
 def samples_digest(samples):
@@ -295,6 +418,11 @@ class TestFixedSeedPins:
     the einsum-form oracle produced them on x86-64 (numpy 2.4, OpenBLAS).
     Any change to the stage arithmetic, the draw order or the row order
     changes the digest."""
+
+    @pytest.fixture(autouse=True)
+    def blocks(self, monkeypatch):
+        # inline: one block per batch
+        monkeypatch.setattr(oracle, "_worker_count", lambda: 0)
 
     def test_sec5_family(self, sec5_system, sec5_seed, sec5_cfg):
         sec5 = load_preset("sec5")
@@ -334,3 +462,13 @@ class TestFixedSeedPins:
         assert len(samples) == 2136
         assert samples_digest(samples) == (
             "bbf89b963548dc5f15ece1070bf774e5d7cf59338a29f54ed139ab70867d0b15")
+
+
+class TestFixedSeedPinsForked(TestFixedSeedPins):
+    """The same pins from three forked workers, each batch cut into three
+    blocks."""
+
+    @pytest.fixture(autouse=True)
+    def blocks(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_worker_count", lambda: 3)
+        monkeypatch.setattr(oracle, "_MIN_BLOCK_ROWS", 2)
