@@ -22,11 +22,9 @@ from .model import (AugmentedState, IqcSystem, Paraboloid, make_system,
 from .oracle import (CoverageReport, OracleConfig, OracleSamples, coverage,
                      sample_admissible)
 from .riccati import (IntegratorConfig, ParaboloidStack, TimeVaryingParaboloid,
-                      f_rhs, g_quadrature_matrix, propagate, riccati_rhs)
+                      propagate)
 from .signals import SampledSignal, ZeroSignal, signal_from_json
-from .touching import (AugmentedTrajectory, ParaboloidRate,
-                       optimal_disturbance, paraboloid_rate,
-                       touching_trajectory, trace_back_to_seed,
-                       value_derivative, xq_rate_at_zero)
+from .touching import (AugmentedTrajectory, optimal_disturbance,
+                       touching_trajectory, trace_back_to_seed)
 
 __version__ = "0.1.0"

@@ -23,6 +23,8 @@ from .touching import (optimal_disturbance, touching_trajectory,
                        trace_back_to_seed)
 
 _DEFINED_TOL = 1e-12
+_RATE_MARGIN = 0.0      # a budget rate >= -margin in the rim band is a violation
+_MEMBERSHIP_TOL = 1e-4  # relative slack for a ride point on the intersection's surface
 _QUERY_BLOCK = 4096     # member-time queries per block; each needs ~0.5 kB of temporaries
 
 
@@ -38,6 +40,19 @@ def _sphere_directions(n: int, count: int, seed: int = 20_170_824) -> np.ndarray
     return d / np.linalg.norm(d, axis=1, keepdims=True)
 
 
+def _seed_center(P0: Paraboloid):
+    """Eigenpairs (lam, V) of E0, the center c of the seed and the least
+    value q_min of its x-part there; :class:`UnboundedSlab` unless E0 is
+    positive definite."""
+    lam, V = np.linalg.eigh(P0.E)
+    if np.any(lam <= 0.0):
+        raise UnboundedSlab(
+            f"seed quadratic coefficient not positive definite (eigenvalues {lam}); "
+            "the rim slab is unbounded: give the scalings, or a probe grid, explicitly")
+    c = V @ ((V.T @ P0.f) / lam)
+    return lam, V, c, P0.g - float(c @ (P0.E @ c))
+
+
 def sample_slab_states(P0: Paraboloid, eps_q: float, density: int = 64,
                        n_radial: int = 3, n_levels: int = 8):
     """Sample the slab of states near the seed rim: x with the x-part of the
@@ -46,13 +61,7 @@ def sample_slab_states(P0: Paraboloid, eps_q: float, density: int = 64,
     Parameterizes the shell through the whitening map of E0 (requires
     E0 positive definite, else :class:`UnboundedSlab`).
     """
-    lam, V = np.linalg.eigh(P0.E)
-    if np.any(lam <= 0.0):
-        raise UnboundedSlab(
-            f"seed quadratic coefficient not positive definite (eigenvalues {lam}); "
-            "the rim slab is unbounded, supply the scaling bound explicitly")
-    c = V @ ((V.T @ P0.f) / lam)
-    q_min = P0.g - float(c @ (P0.E @ c))
+    lam, V, c, q_min = _seed_center(P0)
     rho_lo = max(0.0, -q_min)
     rho_hi = -q_min + eps_q
     if rho_hi <= 0.0:
@@ -92,7 +101,7 @@ def gamma_bar(P0: Paraboloid, sys: IqcSystem, eps_q: float,
     """Largest scaling with nonnegative initial budget rate over the sampled
     rim slab; 1.0 when no sampled state admits a rising rate."""
     if eps_q <= 0:
-        raise DimensionMismatch(f"eps_q must be positive, got {eps_q}")
+        raise ConfigError(f"eps_q must be positive, got {eps_q}")
     states = sample_slab_states(P0, eps_q, density=sampler_density,
                                 n_radial=3, n_levels=1)
     best = 1.0
@@ -319,10 +328,6 @@ class AssumptionReport:
     n_boundary_points: int
     notes: str = ""
 
-    @property
-    def all_ok(self) -> bool:
-        return self.bounded_ok and self.falling_ok
-
     def to_json(self) -> dict:
         return {
             "k_bound": self.k_bound,
@@ -336,22 +341,20 @@ class AssumptionReport:
         }
 
 
-def _rim_points(slc: ReachSlice):
-    """Zero crossings of the headroom along grid-axis neighbors, located by
-    linear interpolation.  Works on regular grids (row-major mesh) and on
-    1-D grids."""
-    xs, v = slc.x_grid, slc.xq_max
-    pts = []
-    order = np.lexsort(xs.T[::-1])
-    xs_o, v_o = xs[order], v[order]
-    for k in range(len(v_o) - 1):
-        a, b = v_o[k], v_o[k + 1]
-        if np.isfinite(a) and np.isfinite(b) and (a < 0) != (b < 0) and a != b:
-            s = a / (a - b)
-            # only interpolate between genuine neighbors (single axis moved)
-            if np.count_nonzero(np.abs(xs_o[k + 1] - xs_o[k]) > 1e-12) == 1:
-                pts.append(xs_o[k] + s * (xs_o[k + 1] - xs_o[k]))
-    return pts
+def _rim_points(slc: ReachSlice) -> np.ndarray:
+    """Zero crossings of the headroom between consecutive grid points in
+    lexicographic order, located by linear interpolation, as rows.
+
+    On a row-major mesh the consecutive pairs are neighbours along the last
+    axis, plus the row wraps, which move more than one coordinate and are
+    dropped.  So crossings are found along the last axis only; on a 1-D
+    grid that is every crossing."""
+    order = np.lexsort(slc.x_grid.T[::-1])
+    xs, v = slc.x_grid[order], slc.xq_max[order]
+    a, b, d = v[:-1], v[1:], xs[1:] - xs[:-1]
+    k = np.nonzero(np.isfinite(a) & np.isfinite(b) & ((a < 0) != (b < 0)) & (a != b)
+                   & (np.count_nonzero(np.abs(d) > 1e-12, axis=1) == 1))[0]
+    return xs[k] + (a[k] / (a[k] - b[k]))[:, None] * d[k]
 
 
 def _band_times(traj, eps_q):
@@ -372,9 +375,7 @@ def _band_times(traj, eps_q):
 
 
 def check_assumptions(F: ParaboloidFamily, cfg: IntegratorConfig,
-                      times=None, probe_grid=None, margin: float = 0.0,
-                      membership_tol: float = 1e-4,
-                      max_rim_points: int = 8,
+                      times=None, probe_grid=None, max_rim_points: int = 8,
                       extra_trajectories=None) -> AssumptionReport:
     """Diagnose the exactness hypotheses on the built family.
 
@@ -408,7 +409,7 @@ def check_assumptions(F: ParaboloidFamily, cfg: IntegratorConfig,
         if len(rims) > max_rim_points:
             stride = max(1, len(rims) // max_rim_points)
             rims = rims[::stride][:max_rim_points]
-        active = reach_slice(F, float(t), np.reshape(rims, (-1, F.seed.dim))).member_argmin
+        active = reach_slice(F, float(t), rims).member_argmin
         for x_rim, member_idx in zip(rims, active):
             tvp = F.members[member_idx]
             try:
@@ -424,19 +425,19 @@ def check_assumptions(F: ParaboloidFamily, cfg: IntegratorConfig,
             E, f, g, defined = F.params_at_many(tbs)
             worst = np.where(defined, tvp.flow.value(E, f, g, xs), -np.inf).max(axis=0) + xqs
             # points on the intersection's surface, with the rate of the ride's member
-            for k in np.nonzero(worst <= membership_tol * (1.0 + np.abs(xqs)))[0]:
+            for k in np.nonzero(worst <= _MEMBERSHIP_TOL * (1.0 + np.abs(xqs)))[0]:
                 u_t = sys.u_at(tbs[k])
                 own = Paraboloid(E[member_idx, k], f[member_idx, k], g[member_idx, k])
                 rate = sys.energy_rate(xs[k], u_t, optimal_disturbance(own, xs[k], u_t, sys))
                 n_points += 1
-                if rate >= -margin:
+                if rate >= -_RATE_MARGIN:
                     violations.append({"t": float(tbs[k]), "x": list(map(float, xs[k])),
                                        "x_q": float(xqs[k]), "rate": float(rate),
                                        "gamma": float(F.gammas[member_idx])})
 
     if extra_trajectories:
         for xq_vals, rates in extra_trajectories:
-            for k in rising_energy_violations(xq_vals, rates, F.eps_q, margin):
+            for k in rising_energy_violations(xq_vals, rates, F.eps_q, _RATE_MARGIN):
                 violations.append({"t": None, "x": None,
                                    "x_q": float(np.asarray(xq_vals)[k]),
                                    "rate": float(np.asarray(rates)[k]),
@@ -455,12 +456,7 @@ def check_assumptions(F: ParaboloidFamily, cfg: IntegratorConfig,
 def _default_probe_grid(F: ParaboloidFamily, points_per_dim: int = 41,
                         inflate: float = 3.0):
     """Axis-aligned grid covering the seed footprint, inflated."""
-    lam, V = np.linalg.eigh(F.seed.E)
-    if np.any(lam <= 0):
-        raise DimensionMismatch("automatic probe grid needs a positive definite "
-                                "seed quadratic coefficient; pass probe_grid")
-    c = V @ ((V.T @ F.seed.f) / lam)
-    q_min = F.seed.g - float(c @ (F.seed.E @ c))
+    lam, V, c, q_min = _seed_center(F.seed)
     rho = max(-q_min, F.eps_q)
     half = inflate * np.sqrt(rho * np.sum(V ** 2 / lam, axis=1))
     axes = [np.linspace(c[d] - half[d], c[d] + half[d], points_per_dim)

@@ -51,7 +51,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, RejectionStarvation, UnboundedSlab
+from .errors import ConfigError, RejectionStarvation, UnboundedSlab
 from .family import ParaboloidFamily, xq_max_at
 from .model import IqcSystem, Paraboloid
 
@@ -341,7 +341,7 @@ def sample_admissible(sys: IqcSystem, P0: Paraboloid, cfg: OracleConfig,
         np.linspace(0.0, cfg.t_end, cfg.segments + 1),
         np.asarray(list(sample_times), dtype=float)]))
     if np.any(save_times < 0) or np.any(save_times > cfg.t_end):
-        raise DimensionMismatch("sample times must lie within [0, t_end]")
+        raise ConfigError("sample times must lie within [0, t_end]")
 
     master = np.random.SeedSequence(cfg.seed)
     batches = []
@@ -565,7 +565,7 @@ def coverage(F: ParaboloidFamily, t: float, endpoints, cells_per_dim: int = 24,
     pts = pts[:, :F.seed.dim]
     if window is None:
         if len(pts) == 0:
-            raise DimensionMismatch("coverage needs endpoints or an explicit window")
+            raise ConfigError("coverage needs endpoints or an explicit window")
         lo = pts.min(axis=0)
         hi = pts.max(axis=0)
         pad = 0.05 * np.maximum(hi - lo, 1e-9)

@@ -78,54 +78,6 @@ def _mw_solve(sys: IqcSystem, rhs):
     return sys.Mw_inv @ rhs
 
 
-def riccati_rhs(E: np.ndarray, sys: IqcSystem) -> np.ndarray:
-    """dE/dt = -EA - A'E - Mx + (B'E + Mxw')' Mw^-1 (B'E + Mxw'), symmetrized."""
-    E = np.asarray(E, dtype=float)
-    if E.shape != (sys.n, sys.n):
-        raise DimensionMismatch(f"E must be {sys.n}x{sys.n}, got {E.shape}")
-    S = sys.B.T @ E + sys.Mxw.T
-    dE = -E @ sys.A - sys.A.T @ E - sys.Mx + S.T @ _mw_solve(sys, S)
-    return 0.5 * (dE + dE.T)
-
-
-def f_rhs(E: np.ndarray, f: np.ndarray, sys: IqcSystem, u_t) -> np.ndarray:
-    """df/dt = -A'f + (Mxu + E Bu) u + (E B + Mxw) Mw^-1 (B'f - Muw' u)."""
-    E = np.asarray(E, dtype=float)
-    f = np.asarray(f, dtype=float).reshape(-1)
-    u_t = np.asarray(u_t, dtype=float).reshape(-1)
-    if E.shape != (sys.n, sys.n) or f.shape[0] != sys.n or u_t.shape[0] != sys.p:
-        raise DimensionMismatch(
-            f"f_rhs shapes: E {E.shape}, f {f.shape}, u {u_t.shape} for n={sys.n}, p={sys.p}")
-    r = sys.B.T @ f - sys.Muw.T @ u_t
-    return (-sys.A.T @ f + (sys.Mxu + E @ sys.Bu) @ u_t
-            + (E @ sys.B + sys.Mxw) @ _mw_solve(sys, r))
-
-
-def g_quadrature_matrix(sys: IqcSystem) -> np.ndarray:
-    """Constant matrix G with dg/dt = [f; u]' G [f; u].
-
-    G = [[B Mw^-1 B',            Bu - B Mw^-1 Muw'],
-         [(Bu - B Mw^-1 Muw')',  Muw Mw^-1 Muw' - Mu]].
-
-    The sign of the u-block is fixed by requiring the maximum over w of the
-    value-function time derivative to vanish identically (the property the
-    whole overapproximation rests on); see tests for the numerical check.
-    """
-    BMw = _mw_solve(sys, sys.B.T).T if sys.m else np.zeros((sys.n, 0))
-    # BMw = B Mw^-1  (n x m)
-    G11 = BMw @ sys.B.T
-    G12 = sys.Bu - BMw @ sys.Muw.T
-    G22 = sys.Muw @ _mw_solve(sys, sys.Muw.T) - sys.Mu
-    G = np.block([[G11, G12], [G12.T, G22]])
-    return 0.5 * (G + G.T)
-
-
-def g_rhs(f: np.ndarray, u_t, G: np.ndarray) -> float:
-    z = np.concatenate([np.asarray(f, dtype=float).reshape(-1),
-                        np.asarray(u_t, dtype=float).reshape(-1)])
-    return float(z @ G @ z)
-
-
 def _swap(a):
     return np.swapaxes(a, -1, -2)
 
@@ -161,7 +113,7 @@ class Flow:
         D = np.diag(np.arange(1.0, d1), -1)          # d/ds [1, s, ..] = D [1, s, ..]
         B = np.vstack([sys.B, np.zeros((d1, sys.m))])
         Mxu, Mxuw = sys.M[:n + p, :n + p], sys.M[:n + p, n + p:]
-        H, K, Z = [], [], []
+        H, Z = [], []
         for a in self.starts:
             C = np.asarray(u.taylor(a), dtype=float).reshape(d1, p).T   # u = C [1, s, ..]
             L = np.block([[np.eye(n), np.zeros((n, d1))], [np.zeros((p, n)), C]])
@@ -174,9 +126,8 @@ class Flow:
             N = T.T @ np.block([[Mz, Mzw], [Mzw.T, sys.Mw]]) @ T
             N = 0.5 * (N + N.T)
             H.append(Hj)
-            K.append(np.hstack([Kz, Kl]))
             Z.append(np.block([[-Hj.T, N], [np.zeros_like(N), Hj]]))
-        self.H, self.K, self.Z = np.array(H), np.array(K), np.array(Z)
+        self.H, self.Z = np.array(H), np.array(Z)
         self._full = {}         # full steps, forward and backward
         for j, h in enumerate(self.h):
             self._full[j, h] = self.vanloan(j, h)

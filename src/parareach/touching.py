@@ -15,16 +15,13 @@ budget gains Van Loan's exact integral of the energy rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotOnBoundary, StepSizeUnderflow
-from .model import (AugmentedState, IqcSystem, Paraboloid, scale_paraboloid,
-                    value_function)
-from .riccati import (IntegratorConfig, TimeVaryingParaboloid, f_rhs,
-                      g_quadrature_matrix, g_rhs, riccati_rhs)
+from .model import AugmentedState, IqcSystem, Paraboloid, value_function
+from .riccati import IntegratorConfig, TimeVaryingParaboloid
 
 TOUCH_TOL_FACTOR = 100.0  # touch_tol = factor * rel_tol unless given
 
@@ -41,64 +38,16 @@ def optimal_disturbance(P: Paraboloid, x, u_t, sys: IqcSystem) -> np.ndarray:
     return -(sys.Mw_inv @ v)
 
 
-@dataclass(frozen=True)
-class ParaboloidRate:
-    """Time derivatives (dE, df, dg) of paraboloid parameters at an instant."""
-
-    dE: np.ndarray
-    df: np.ndarray
-    dg: float
-
-
-def paraboloid_rate(P: Paraboloid, sys: IqcSystem, u_t) -> ParaboloidRate:
-    """Parameter derivatives at the instant where the input takes value u_t."""
-    dE = riccati_rhs(P.E, sys)
-    df = f_rhs(P.E, P.f, sys, u_t)
-    dg = g_rhs(P.f, u_t, g_quadrature_matrix(sys))
-    return ParaboloidRate(dE=dE, df=df, dg=dg)
-
-
-def value_derivative(P: Paraboloid, x, x_q, u_t, w_t, sys: IqcSystem,
-                     rate: ParaboloidRate) -> float:
-    """dh/dt along the flow for disturbance w_t, by the chain rule over
-    (x, x_q, E, f, g).  The budget level x_q itself does not enter (h is
-    affine in x_q with unit slope); the argument is kept for signature
-    symmetry with the state.  The quadratic coefficient in w_t is Mw, so the
-    value at ``optimal_disturbance`` is the maximum.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    u_t = np.asarray(u_t, dtype=float).reshape(-1)
-    w_t = np.asarray(w_t, dtype=float).reshape(-1)
-    if x.shape[0] != sys.n or u_t.shape[0] != sys.p or w_t.shape[0] != sys.m:
-        raise DimensionMismatch(
-            f"value_derivative shapes: x {x.shape}, u {u_t.shape}, w {w_t.shape}")
-    xdot = sys.A @ x + sys.B @ w_t + sys.Bu @ u_t
-    dxq = sys.energy_rate(x, u_t, w_t)
-    return float(x @ rate.dE @ x - 2.0 * rate.df @ x + rate.dg
-                 + 2.0 * (P.E @ x - P.f) @ xdot + dxq)
-
-
-def xq_rate_at_zero(P0: Paraboloid, gamma: float, X: AugmentedState,
-                    sys: IqcSystem) -> float:
-    """Budget rate at t=0 of the surface-riding trajectory of the scaled seed
-    through X.  Quadratic in gamma with negative leading coefficient."""
-    u0 = sys.u_at(0.0)
-    w = optimal_disturbance(scale_paraboloid(P0, gamma), X.x, u0, sys)
-    return sys.energy_rate(X.x, u0, w)
-
-
 class AugmentedTrajectory:
-    """A surface ride built by :func:`touching_trajectory`: (x, x_q, w) at
-    the nodes, with the paraboloid's value function recorded along the way
+    """A surface ride built by :func:`touching_trajectory`: (x, x_q) at the
+    nodes, with the paraboloid's value function recorded along the way
     as a diagnostic, and the engine state at the nodes (``flow`` and
     ``etas``), from which :meth:`state_at` is exact between nodes."""
 
-    def __init__(self, grid, x_samples, xq_samples, w_samples, h_samples,
-                 flow, etas):
+    def __init__(self, grid, x_samples, xq_samples, h_samples, flow, etas):
         self.grid = np.asarray(grid, dtype=float)
         self.x_samples = np.asarray(x_samples, dtype=float)
         self.xq_samples = np.asarray(xq_samples, dtype=float)
-        self.w_samples = np.asarray(w_samples, dtype=float)
         self.h_samples = np.asarray(h_samples, dtype=float)
         self._flow = flow
         self._etas = etas
@@ -189,9 +138,7 @@ def touching_trajectory(tvp: TimeVaryingParaboloid, X0: AugmentedState,
         raise StepSizeUnderflow(
             f"value-function drift exceeded touch_tol={touch_tol:.1e} near t={grid[k]}",
             t_last=grid[k - 1])
-    K_nodes = flow.K[np.append(pieces, j_end)]
-    w = np.einsum("kij,kj->ki", K_nodes, etas)
-    return AugmentedTrajectory(grid, xs, xqs, w, h, flow=flow, etas=etas)
+    return AugmentedTrajectory(grid, xs, xqs, h, flow=flow, etas=etas)
 
 
 def trace_back_to_seed(tvp: TimeVaryingParaboloid, sys: IqcSystem,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,87 @@ def driven_tvp(driven_system, driven_seed, driven_cfg):
     return pr.propagate(driven_seed, driven_system, driven_cfg)
 
 
+# -- the (E, f, g) flow in closed form, state by state: the tests' reference
+# for the transition-matrix engine of parareach.riccati ----------------------
+
+def riccati_rhs(E, sys_):
+    """dE/dt = -EA - A'E - Mx + (B'E + Mxw')' Mw^-1 (B'E + Mxw'), symmetrized."""
+    E = np.asarray(E, dtype=float)
+    S = sys_.B.T @ E + sys_.Mxw.T
+    dE = -E @ sys_.A - sys_.A.T @ E - sys_.Mx + S.T @ (sys_.Mw_inv @ S)
+    return 0.5 * (dE + dE.T)
+
+
+def f_rhs(E, f, sys_, u_t):
+    """df/dt = -A'f + (Mxu + E Bu) u + (E B + Mxw) Mw^-1 (B'f - Muw' u)."""
+    E = np.asarray(E, dtype=float)
+    f = np.asarray(f, dtype=float).reshape(-1)
+    u_t = np.asarray(u_t, dtype=float).reshape(-1)
+    r = sys_.B.T @ f - sys_.Muw.T @ u_t
+    return (-sys_.A.T @ f + (sys_.Mxu + E @ sys_.Bu) @ u_t
+            + (E @ sys_.B + sys_.Mxw) @ (sys_.Mw_inv @ r))
+
+
+def g_quadrature_matrix(sys_):
+    """Constant matrix G with dg/dt = [f; u]' G [f; u].
+
+    G = [[B Mw^-1 B',            Bu - B Mw^-1 Muw'],
+         [(Bu - B Mw^-1 Muw')',  Muw Mw^-1 Muw' - Mu]].
+
+    The sign of the u-block is fixed by requiring the maximum over w of the
+    value-function time derivative to vanish identically (the property the
+    whole overapproximation rests on); TestValueDerivative checks it.
+    """
+    BMw = (sys_.Mw_inv @ sys_.B.T).T         # B Mw^-1  (n x m)
+    G12 = sys_.Bu - BMw @ sys_.Muw.T
+    G22 = sys_.Muw @ (sys_.Mw_inv @ sys_.Muw.T) - sys_.Mu
+    G = np.block([[BMw @ sys_.B.T, G12], [G12.T, G22]])
+    return 0.5 * (G + G.T)
+
+
+def g_rhs(f, u_t, G):
+    z = np.concatenate([np.asarray(f, dtype=float).reshape(-1),
+                        np.asarray(u_t, dtype=float).reshape(-1)])
+    return float(z @ G @ z)
+
+
+@dataclass(frozen=True)
+class ParaboloidRate:
+    """Time derivatives (dE, df, dg) of paraboloid parameters at an instant."""
+
+    dE: np.ndarray
+    df: np.ndarray
+    dg: float
+
+
+def paraboloid_rate(P, sys_, u_t):
+    """Parameter derivatives at the instant where the input takes value u_t."""
+    return ParaboloidRate(dE=riccati_rhs(P.E, sys_), df=f_rhs(P.E, P.f, sys_, u_t),
+                          dg=g_rhs(P.f, u_t, g_quadrature_matrix(sys_)))
+
+
+def value_derivative(P, x, u_t, w_t, sys_, rate):
+    """dh/dt along the flow for disturbance w_t, by the chain rule over
+    (x, x_q, E, f, g).  h is affine in x_q with unit slope, so the budget
+    level does not enter.  The quadratic coefficient in w_t is Mw, so the
+    value at ``optimal_disturbance`` is the maximum."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    u_t = np.asarray(u_t, dtype=float).reshape(-1)
+    w_t = np.asarray(w_t, dtype=float).reshape(-1)
+    xdot = sys_.A @ x + sys_.B @ w_t + sys_.Bu @ u_t
+    dxq = sys_.energy_rate(x, u_t, w_t)
+    return float(x @ rate.dE @ x - 2.0 * rate.df @ x + rate.dg
+                 + 2.0 * (P.E @ x - P.f) @ xdot + dxq)
+
+
+def xq_rate_at_zero(P0, gamma, X, sys_):
+    """Budget rate at t=0 of the surface-riding trajectory of the scaled seed
+    through X.  Quadratic in gamma with negative leading coefficient."""
+    u0 = sys_.u_at(0.0)
+    w = pr.optimal_disturbance(pr.scale_paraboloid(P0, gamma), X.x, u0, sys_)
+    return sys_.energy_rate(X.x, u0, w)
+
+
 def reference_params(sys_, P0, t_end):
     """Independent (E, f, g) solution: scipy's DOP853 (rtol 1e-12) on
     riccati_rhs, f_rhs and g_quadrature_matrix, restarted at every input
@@ -125,13 +208,13 @@ def reference_params(sys_, P0, t_end):
     from scipy.integrate import solve_ivp
 
     n = sys_.n
-    G = pr.g_quadrature_matrix(sys_)
+    G = g_quadrature_matrix(sys_)
 
     def rhs(t, y):
         E, f, u_t = y[:n * n].reshape(n, n), y[n * n:n * n + n], sys_.u(t)
         z = np.concatenate([f, u_t])
-        return np.concatenate([pr.riccati_rhs(E, sys_).ravel(),
-                               pr.f_rhs(E, f, sys_, u_t), [z @ G @ z]])
+        return np.concatenate([riccati_rhs(E, sys_).ravel(),
+                               f_rhs(E, f, sys_, u_t), [z @ G @ z]])
 
     knots = np.asarray(sys_.u.knots, dtype=float)
     cuts = np.concatenate([[0.0], knots[(knots > 0) & (knots < t_end)], [t_end]])

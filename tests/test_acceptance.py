@@ -15,8 +15,9 @@ import pytest
 import parareach as pr
 from parareach.presets import load_preset
 
-from conftest import (ROOT_HI, ROOT_LO, random_boundary_states,
-                      random_iqc_system, scalar_blowup_time, scalar_flow)
+from conftest import (ROOT_HI, ROOT_LO, paraboloid_rate, random_boundary_states,
+                      random_iqc_system, riccati_rhs, scalar_blowup_time,
+                      scalar_flow, value_derivative)
 
 _fixture_cost = {}
 CHECK_TIMES = np.linspace(0.1, 1.0, 10)
@@ -73,7 +74,7 @@ def test_gate1_riccati_equilibria_and_convergence(ex1_system):
     # propagation is checked against the closed form at t=10 and against the
     # equilibrium at t=14.
     t0 = time.perf_counter()
-    resid = max(abs(pr.riccati_rhs(np.array([[r]]), ex1_system)[0, 0])
+    resid = max(abs(riccati_rhs(np.array([[r]]), ex1_system)[0, 0])
                 for r in (ROOT_LO, ROOT_HI))
     cfg = pr.IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12, max_step=0.025,
                               t_end=14.0)
@@ -135,11 +136,11 @@ def test_gate4_optimal_disturbance_maximality():
                           rng.standard_normal())
         x = rng.standard_normal(sys_.n)
         u_t = rng.standard_normal(sys_.p)
-        rate = pr.paraboloid_rate(P, sys_, u_t)
+        rate = paraboloid_rate(P, sys_, u_t)
         w_star = pr.optimal_disturbance(P, x, u_t, sys_)
-        v0 = pr.value_derivative(P, x, 0.0, u_t, w_star, sys_, rate)
+        v0 = value_derivative(P, x, u_t, w_star, sys_, rate)
         delta = rng.standard_normal(sys_.m)
-        v1 = pr.value_derivative(P, x, 0.0, u_t, w_star + delta, sys_, rate)
+        v1 = value_derivative(P, x, u_t, w_star + delta, sys_, rate)
         worst_zero = max(worst_zero, abs(v0))
         worst_quad = max(worst_quad, abs(v1 - v0 - float(delta @ sys_.Mw @ delta)))
     elapsed = time.perf_counter() - t0

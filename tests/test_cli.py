@@ -121,6 +121,19 @@ class TestReach:
         assert np.all(fam <= solo + 1e-12)
         assert np.max(solo - fam) > 1e-6
 
+    def test_stable_assumptions_pinned(self, tmp_path):
+        out = tmp_path / "run"
+        assert run(["reach", "--example", "ex1-stable", "--out", str(out)]) == 0
+        report = json.loads((out / "family_manifest.json").read_text())["assumptions"]
+        assert report["n_boundary_points"] == 24
+        assert report["violations"] == []
+
+    def test_nonpositive_eps_q_is_config_error(self, tmp_path, capsys):
+        assert run(["reach", "--example", "ex1-stable", "--eps-q", "0",
+                    "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert json.loads(err[len("error: "):])["error"] == "ConfigError"
+
     def test_members_one(self, tmp_path):
         out = tmp_path / "run"
         assert run(["reach", "--example", "ex1-stable", "--members", "1",

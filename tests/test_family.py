@@ -11,7 +11,7 @@ from parareach.errors import (ConfigError, NotOnBoundary, OutOfDomain,
 from parareach.family import sample_slab_states
 from parareach.presets import load_preset
 
-from conftest import random_iqc_system, scalar_flow
+from conftest import random_iqc_system, scalar_flow, xq_rate_at_zero
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +28,14 @@ def sec5_family(sec5_system, sec5_seed, sec5_cfg):
     return pr.build_family(sec5_seed, sec5_system, sec5["eps_q"], 64, sec5_cfg,
                            spacing=sec5["gamma_spacing"],
                            sampler_density=sec5["sampler_density"])
+
+
+def cli_grid(name):
+    """The evaluation grid the CLI builds from a preset's window, row-major."""
+    preset = load_preset(name)
+    lo, hi = preset["grid_window"]
+    axes = [np.linspace(a, b, preset["grid_points"]) for a, b in zip(lo, hi)]
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
 
 
 def member_slice(F, t, xs):
@@ -61,7 +69,7 @@ class TestGammaBar:
             X = pr.AugmentedState([x], 0.0)
 
             def rate(g):
-                return pr.xq_rate_at_zero(ex1_stable_seed, g, X, ex1_system)
+                return xq_rate_at_zero(ex1_stable_seed, g, X, ex1_system)
 
             if rate(1.0) < 0.0:
                 continue
@@ -94,7 +102,7 @@ class TestGammaBar:
         gb = pr.gamma_bar(ex1_stable_seed, ex1_system, 6e-5, sampler_density=16)
         for X in sample_slab_states(ex1_stable_seed, 6e-5, density=16, n_levels=2):
             for g in (gb + 1e-9, 2.0 * gb):
-                assert pr.xq_rate_at_zero(ex1_stable_seed, g, X, ex1_system) < 0.0
+                assert xq_rate_at_zero(ex1_stable_seed, g, X, ex1_system) < 0.0
 
 
 class TestBuildFamily:
@@ -363,12 +371,8 @@ class TestAssumptions:
             return band_times(traj, eps_q)
 
         monkeypatch.setattr(family_mod, "_band_times", record)
-        sec5 = load_preset("sec5")
-        lo, hi = sec5["grid_window"]
-        axes = [np.linspace(lo[d], hi[d], sec5["grid_points"]) for d in range(2)]
-        grid = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
         pr.check_assumptions(sec5_family, sec5_cfg, times=[0.794],
-                             probe_grid=grid, max_rim_points=6)
+                             probe_grid=cli_grid("sec5"), max_rim_points=6)
         eps = sec5_family.eps_q
         n_crossings = 0
         for traj in rides:
@@ -390,8 +394,51 @@ class TestAssumptions:
             n_crossings += len(crossings)
         assert n_crossings > 0
 
+    def test_sec5_boundary_points_pinned(self, sec5_family, sec5_cfg):
+        # what `reach --example sec5` reports
+        report = pr.check_assumptions(sec5_family, sec5_cfg,
+                                      probe_grid=cli_grid("sec5"), max_rim_points=6)
+        assert report.n_boundary_points == 66
+        assert report.violations == []
+
+    def test_default_probe_grid_needs_definite_seed(self, ex1_system):
+        seed = pr.Paraboloid([[-1.0]], [0.0], -0.05)
+        cfg = pr.IntegratorConfig(t_end=1.0)
+        fam = pr.build_family(seed, ex1_system, 5e-5, 1, cfg, gammas=[1.0])
+        with pytest.raises(UnboundedSlab):
+            pr.check_assumptions(fam, cfg)
+
     def test_detector(self):
         idx = pr.rising_energy_violations(
             xq_values=[0.5, -1e-5, -3e-5, -1e-4],
             xq_rates=[1.0, 0.1, -1.0, 0.2], eps_q=5e-5)
         np.testing.assert_array_equal(idx, [1])
+
+
+class TestRimPoints:
+    @staticmethod
+    def crossings(xs, values):
+        xs = np.asarray(xs, dtype=float).reshape(len(values), -1)
+        return family_mod._rim_points(
+            pr.ReachSlice(0.0, xs, values, np.zeros(len(values), dtype=int)))
+
+    def test_line_has_two(self):
+        x = np.linspace(-2.0, 2.0, 40)            # no grid point on the rim
+        rims = self.crossings(x, 1.0 - x ** 2)
+        assert rims.shape == (2, 1)
+        np.testing.assert_allclose(rims[:, 0], [-1.0, 1.0], rtol=0.0,
+                                   atol=(x[1] - x[0]) ** 2)
+
+    def test_circle_along_rows_only(self):
+        # a unit circle centred at (0, 1.2): rows with |x0| < 0.6 end inside
+        # it and the next row starts outside, so the headroom changes sign
+        # across those row wraps.  Crossings are searched along the last
+        # axis, so every point keeps its row's x0.
+        ax = np.linspace(-2.0, 2.0, 41)
+        xs = np.stack([m.ravel() for m in np.meshgrid(ax, ax, indexing="ij")], axis=1)
+        centre = np.array([0.0, 1.2])
+        rims = self.crossings(xs, 1.0 - np.sum((xs - centre) ** 2, axis=1))
+        assert len(rims) > 0
+        assert np.all(np.abs(np.linalg.norm(rims - centre, axis=1) - 1.0)
+                      <= (ax[1] - ax[0]) ** 2)
+        assert np.all(np.isin(rims[:, 0], ax))

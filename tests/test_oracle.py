@@ -189,6 +189,10 @@ class TestCoverage:
         rep = pr.coverage(ex1_small_family, 0.91, samples.x[k], cells_per_dim=10)
         assert rep.fraction >= 0.9
 
+    def test_no_endpoints_no_window_is_config_error(self, ex1_small_family):
+        with pytest.raises(ConfigError):
+            pr.coverage(ex1_small_family, 1.0, np.zeros((0, 1)))
+
     def test_report_json(self, ex1_small_family):
         rep = pr.coverage(ex1_small_family, 1.0, np.array([[0.05]]),
                           cells_per_dim=4, window=([-0.5], [0.5]))
@@ -210,6 +214,12 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 pr.OracleConfig(n_trajectories=10, **bad)
         assert pr.OracleConfig(n_trajectories=10, steps=1).n_steps == 1
+
+    def test_sample_times_outside_horizon(self, ex1_system, ex1_stable_seed):
+        cfg = pr.OracleConfig(n_trajectories=10, t_end=1.0)
+        for bad in ([1.5], [-0.1]):
+            with pytest.raises(ConfigError):
+                pr.sample_admissible(ex1_system, ex1_stable_seed, cfg, sample_times=bad)
 
 
 def qform_reference(sys_, X, u_t, W):

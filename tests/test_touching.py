@@ -4,7 +4,8 @@ import pytest
 import parareach as pr
 from parareach.errors import DimensionMismatch, NotOnBoundary
 
-from conftest import boundary_state, random_boundary_states, random_iqc_system
+from conftest import (boundary_state, paraboloid_rate, random_boundary_states,
+                      random_iqc_system, value_derivative, xq_rate_at_zero)
 
 
 class TestOptimalDisturbance:
@@ -35,12 +36,12 @@ class TestValueDerivative:
                           rng.standard_normal())
         x = rng.standard_normal(n)
         u_t = rng.standard_normal(p)
-        rate = pr.paraboloid_rate(P, sys_, u_t)
+        rate = paraboloid_rate(P, sys_, u_t)
         w_star = pr.optimal_disturbance(P, x, u_t, sys_)
-        v0 = pr.value_derivative(P, x, rng.standard_normal(), u_t, w_star,
-                                 sys_, rate)
+        rng.standard_normal()   # a budget level, which dh/dt does not read
+        v0 = value_derivative(P, x, u_t, w_star, sys_, rate)
         delta = rng.standard_normal(m)
-        v1 = pr.value_derivative(P, x, 0.0, u_t, w_star + delta, sys_, rate)
+        v1 = value_derivative(P, x, u_t, w_star + delta, sys_, rate)
         return v0, v1 - v0 - float(delta @ sys_.Mw @ delta), v1 - v0
 
     def test_zero_at_maximizer_and_quadratic_drop(self):
@@ -89,14 +90,14 @@ class TestTouchingTrajectory:
         traj = pr.touching_trajectory(ex1_stable_tvp, X0, ex1_system, ex1_cfg)
         for _ in range(100):
             t = rng.uniform(0.0, 10.0)
-            x, xq = traj.state_at(t)
+            x, _ = traj.state_at(t)
             P = ex1_stable_tvp(t)
             u_t = ex1_system.u_at(t)
-            rate = pr.paraboloid_rate(P, ex1_system, u_t)
+            rate = paraboloid_rate(P, ex1_system, u_t)
             w_star = pr.optimal_disturbance(P, x, u_t, ex1_system)
-            v_star = pr.value_derivative(P, x, xq, u_t, w_star, ex1_system, rate)
+            v_star = value_derivative(P, x, u_t, w_star, ex1_system, rate)
             w = rng.standard_normal(1) * 2.0
-            v = pr.value_derivative(P, x, xq, u_t, w, ex1_system, rate)
+            v = value_derivative(P, x, u_t, w, ex1_system, rate)
             assert v <= v_star + 1e-9
 
     def test_overapproximation_for_arbitrary_disturbances(
@@ -166,27 +167,27 @@ class TestBudgetRate:
         P0 = pr.Paraboloid([[1.0]], [0.0], -0.06)
         X = pr.AugmentedState([0.0], 0.0)
         for g in (1.0, 2.0, 3.3):
-            assert pr.xq_rate_at_zero(P0, g, X, ex1_system) == 0.0
+            assert xq_rate_at_zero(P0, g, X, ex1_system) == 0.0
 
     def test_worked_scalar_quadratic(self, ex1_system):
         P0 = pr.Paraboloid([[1.0]], [0.0], -0.06)
         X = pr.AugmentedState([1.0], 0.0)
         for g in (0.5, 1.0, 2.0, 3.0):
-            assert pr.xq_rate_at_zero(P0, g, X, ex1_system) == pytest.approx(
+            assert xq_rate_at_zero(P0, g, X, ex1_system) == pytest.approx(
                 1.0 - g * g / 2.0)
 
     def test_quadratic_exactness(self, sec5_system, sec5_seed):
         rng = np.random.default_rng(12)
         for _ in range(10):
             X = pr.AugmentedState(rng.uniform(-50, 50, size=2), 0.0)
-            r = [pr.xq_rate_at_zero(sec5_seed, g, X, sec5_system)
+            r = [xq_rate_at_zero(sec5_seed, g, X, sec5_system)
                  for g in (1.0, 2.0, 3.0)]
             a = 0.5 * (r[2] - 2 * r[1] + r[0])
             b = r[1] - r[0] - 3 * a
             c = r[0] - a - b
             g4 = 4.0
             pred = a * g4 * g4 + b * g4 + c
-            actual = pr.xq_rate_at_zero(sec5_seed, g4, X, sec5_system)
+            actual = xq_rate_at_zero(sec5_seed, g4, X, sec5_system)
             assert actual == pytest.approx(pred, rel=1e-10, abs=1e-12)
 
     def test_leading_coefficient_negative(self, sec5_system, sec5_seed):
@@ -195,7 +196,7 @@ class TestBudgetRate:
             X = pr.AugmentedState(rng.uniform(-80, 80, size=2), 0.0)
             if np.linalg.norm(sec5_seed.E @ X.x) < 1e-12:
                 continue
-            r = [pr.xq_rate_at_zero(sec5_seed, g, X, sec5_system)
+            r = [xq_rate_at_zero(sec5_seed, g, X, sec5_system)
                  for g in (1.0, 2.0, 3.0)]
             a = 0.5 * (r[2] - 2 * r[1] + r[0])
             assert a < 0.0
