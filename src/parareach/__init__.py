@@ -24,7 +24,7 @@ from .oracle import (CoverageReport, OracleConfig, OracleSamples, coverage,
 from .riccati import (IntegratorConfig, ParaboloidStack, TimeVaryingParaboloid,
                       propagate)
 from .signals import SampledSignal, ZeroSignal, signal_from_json
-from .touching import (AugmentedTrajectory, optimal_disturbance,
+from .touching import (AugmentedTrajectory, Rides, optimal_disturbance,
                        touching_trajectory, trace_back_to_seed)
 
 __version__ = "0.1.0"

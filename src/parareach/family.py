@@ -15,8 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (ConfigError, DimensionMismatch, OutOfDomain,
-                     ParareachError, UnboundedSlab)
+from .errors import ConfigError, DimensionMismatch, OutOfDomain, UnboundedSlab
 from .model import AugmentedState, IqcSystem, Paraboloid
 from .riccati import IntegratorConfig, ParaboloidStack, propagate
 from .touching import (optimal_disturbance, touching_trajectory,
@@ -357,21 +356,27 @@ def _rim_points(slc: ReachSlice) -> np.ndarray:
     return xs[k] + (a[k] / (a[k] - b[k]))[:, None] * d[k]
 
 
-def _band_times(traj, eps_q):
-    """Times where the ride's budget sits in [-eps_q, 0] at a node, or crosses
-    0, -eps_q/2 or -eps_q between two nodes (bisected on its dense output)."""
-    ts, xq = traj.grid, traj.xq_samples
+def _band_times(rides, eps_q):
+    """Per ride of a :class:`Rides` stack: the times where its budget sits in
+    [-eps_q, 0] at a node, or crosses 0, -eps_q/2 or -eps_q between two
+    nodes, bisected on the dense output of all rides together.  Rows with an
+    error get none."""
+    ts, xq, R = rides.times, rides.xq, len(rides.times)
     levels = np.array([0.0, -0.5 * eps_q, -eps_q])
-    z = xq - levels[:, None]
-    lv, k = np.nonzero(np.signbit(z[:, :-1]) != np.signbit(z[:, 1:]))
-    lo, hi, side = ts[k], ts[k + 1], np.signbit(z[lv, k])
-    for _ in range(50):                 # all crossings of all levels at once
+    ok = np.array([e is None for e in rides.errors])[:, None, None]
+    z = xq[:, None, :] - levels[:, None]
+    r, lv, k = np.nonzero(ok & (np.signbit(z[..., :-1]) != np.signbit(z[..., 1:])))
+    lo, hi, side = ts[r, k], ts[r, k + 1], np.signbit(z[r, lv, k])
+    for _ in range(50):                 # all crossings of all rides at once
         mid = 0.5 * (lo + hi)
         if np.all((mid == lo) | (mid == hi)):
             break                       # every bracket is down to adjacent floats
-        below = np.signbit(traj.state_at_many(mid)[1] - levels[lv]) == side
+        below = np.signbit(rides.state_at_many(r, mid)[1] - levels[lv]) == side
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    return np.sort(np.concatenate([0.5 * (lo + hi), ts[(xq >= -eps_q) & (xq <= 0.0)]]))
+    band = (ok[:, 0] & (xq >= -eps_q) & (xq <= 0.0)
+            & (np.arange(ts.shape[1]) <= rides.last[:, None]))
+    mid = 0.5 * (lo + hi)
+    return [np.sort(np.concatenate([mid[r == q], ts[q][band[q]]])) for q in range(R)]
 
 
 def check_assumptions(F: ParaboloidFamily, cfg: IntegratorConfig,
@@ -383,6 +388,12 @@ def check_assumptions(F: ParaboloidFamily, cfg: IntegratorConfig,
     (ii) surface-riding trajectories of the intersection, located by tracing
     the active member back from sampled rim states, must have strictly
     falling budget whenever it lies in [-eps_q, 0].
+
+    The rim points of all slice times are the rows of one stack: one
+    stacked :func:`trace_back_to_seed` finds their seed states and one
+    stacked :func:`touching_trajectory` rides them, each row on its active
+    member.  A row whose trace or ride fails is left out and named in
+    ``notes``, in rim order, as is a slice time past every member's domain.
 
     ``extra_trajectories`` takes (xq_values, xq_rates) pairs fed straight to
     the rising-budget detector; used to self-test the detector.
@@ -397,43 +408,51 @@ def check_assumptions(F: ParaboloidFamily, cfg: IntegratorConfig,
     if probe_grid is None:
         probe_grid = _default_probe_grid(F)
 
-    violations = []
-    n_points = 0
-    skipped = []
+    skipped_times, t_rows, x_rows, m_rows = [], [], [], []
     for t in times:
         try:
             slc = reach_slice(F, float(t), probe_grid)
-        except OutOfDomain:
+        except OutOfDomain as e:
+            skipped_times.append(f"t={float(t):g}: OutOfDomain: {e}")
             continue
         rims = _rim_points(slc)
         if len(rims) > max_rim_points:
             stride = max(1, len(rims) // max_rim_points)
             rims = rims[::stride][:max_rim_points]
-        active = reach_slice(F, float(t), rims).member_argmin
-        for x_rim, member_idx in zip(rims, active):
-            tvp = F.members[member_idx]
-            try:
-                X0 = trace_back_to_seed(tvp, sys, cfg, float(t), x_rim)
-                # back-traces carry rounding error at the state's scale
-                tol = max(100.0 * cfg.rel_tol, 1e-4 * (1.0 + abs(X0.x_q)))
-                traj = touching_trajectory(tvp, X0, sys, cfg, touch_tol=tol)
-            except ParareachError as e:
-                skipped.append(f"{type(e).__name__}: {e}")
-                continue
-            tbs = _band_times(traj, F.eps_q)
-            xs, xqs = traj.state_at_many(tbs)
-            E, f, g, defined = F.params_at_many(tbs)
-            worst = np.where(defined, tvp.flow.value(E, f, g, xs), -np.inf).max(axis=0) + xqs
-            # points on the intersection's surface, with the rate of the ride's member
-            for k in np.nonzero(worst <= _MEMBERSHIP_TOL * (1.0 + np.abs(xqs)))[0]:
-                u_t = sys.u_at(tbs[k])
-                own = Paraboloid(E[member_idx, k], f[member_idx, k], g[member_idx, k])
-                rate = sys.energy_rate(xs[k], u_t, optimal_disturbance(own, xs[k], u_t, sys))
-                n_points += 1
-                if rate >= -_RATE_MARGIN:
-                    violations.append({"t": float(tbs[k]), "x": list(map(float, xs[k])),
-                                       "x_q": float(xqs[k]), "rate": float(rate),
-                                       "gamma": float(F.gammas[member_idx])})
+        t_rows += [float(t)] * len(rims)
+        x_rows += list(rims)
+        m_rows += list(reach_slice(F, float(t), rims).member_argmin)
+
+    violations = []
+    n_points = 0
+    seeds = (trace_back_to_seed([F.members[m] for m in m_rows], sys, cfg, t_rows, x_rows)
+             if t_rows else [])
+    skipped = {r: e for r, e in enumerate(seeds) if not isinstance(e, AugmentedState)}
+    ok = [r for r in range(len(seeds)) if r not in skipped]
+    if ok:
+        members = [m_rows[r] for r in ok]
+        # back-traces carry rounding error at the state's scale
+        tols = [max(100.0 * cfg.rel_tol, 1e-4 * (1.0 + abs(seeds[r].x_q))) for r in ok]
+        rides = touching_trajectory([F.members[m] for m in members], [seeds[r] for r in ok],
+                                    sys, cfg, touch_tol=tols)
+        skipped.update((ok[q], e) for q, e in enumerate(rides.errors) if e is not None)
+        tbs = _band_times(rides, F.eps_q)
+        row = np.repeat(np.arange(len(ok)), [len(tb) for tb in tbs])
+        tbs = np.concatenate(tbs)
+        xs, xqs = rides.state_at_many(row, tbs)
+        E, f, g, defined = F.params_at_many(tbs)
+        worst = np.where(defined, rides.flow.value(E, f, g, xs), -np.inf).max(axis=0) + xqs
+        # points on the intersection's surface, with the rate of the ride's member
+        for k in np.nonzero(worst <= _MEMBERSHIP_TOL * (1.0 + np.abs(xqs)))[0]:
+            member_idx = members[row[k]]
+            u_t = sys.u_at(tbs[k])
+            own = Paraboloid(E[member_idx, k], f[member_idx, k], g[member_idx, k])
+            rate = sys.energy_rate(xs[k], u_t, optimal_disturbance(own, xs[k], u_t, sys))
+            n_points += 1
+            if rate >= -_RATE_MARGIN:
+                violations.append({"t": float(tbs[k]), "x": list(map(float, xs[k])),
+                                   "x_q": float(xqs[k]), "rate": float(rate),
+                                   "gamma": float(F.gammas[member_idx])})
 
     if extra_trajectories:
         for xq_vals, rates in extra_trajectories:
@@ -444,9 +463,13 @@ def check_assumptions(F: ParaboloidFamily, cfg: IntegratorConfig,
                                    "gamma": None})
 
     notes = "diagnostic only; outer approximation holds regardless"
+    if skipped_times:
+        notes += (f"; {len(skipped_times)} slice time(s) skipped: "
+                  + "; ".join(skipped_times))
     if skipped:
-        notes += (f"; {len(skipped)} boundary trace(s) not usable: "
-                  + "; ".join(skipped))
+        errors = [skipped[r] for r in sorted(skipped)]        # in rim order
+        notes += (f"; {len(errors)} boundary trace(s) not usable: "
+                  + "; ".join(f"{type(e).__name__}: {e}" for e in errors))
     return AssumptionReport(
         k_bound=F.K_bound, escape_norm=cfg.escape_norm, bounded_ok=bounded_ok,
         escaped_members=escaped, falling_ok=not violations,

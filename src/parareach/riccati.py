@@ -130,8 +130,8 @@ class Flow:
         self.H, self.Z = np.array(H), np.array(Z)
         self._full = {}         # full steps, forward and backward
         for j, h in enumerate(self.h):
-            self._full[j, h] = self.vanloan(j, h)
-            self._full[j, -h] = self.vanloan(j, -h)
+            self._full[j, h] = self._exp(np.asarray(j), np.asarray(h))
+            self._full[j, -h] = self._exp(np.asarray(j), np.asarray(-h))
 
     # -- pieces and the augmented representation ----------------------------
 
@@ -213,25 +213,50 @@ class Flow:
     # -- rides --------------------------------------------------------------
 
     def anchor(self, j, t, x, E, f):
-        """Ride state [zeta; P zeta] at time t in the basis of piece j.  Only
-        the x-part of P zeta moves zeta and the budget; the rest is left 0."""
-        return np.concatenate([x, self.basis(j, t), E @ x - f, np.zeros(self.k - self.n)])
+        """Ride states [zeta; P zeta] at times t in the basis of piece j, over
+        leading axes.  Only the x-part of P zeta moves zeta and the budget;
+        the rest is left 0."""
+        b = np.broadcast_to(self.basis(j, t), x.shape[:-1] + self.powers.shape)
+        Ex_f = np.einsum("...ij,...j->...i", E, x) - f
+        return np.concatenate([x, b, Ex_f, np.zeros_like(b)], axis=-1)
 
-    def ride(self, j, t, x, xq, E, f, dt):
-        """Ride from (x, xq) at time t on the surface with parameters (E, f)
-        there, by dt within piece j (either sign): (x, xq) after, and the
-        ride state it started from."""
-        eta = self.anchor(j, t, x, E, f)
+    def ride(self, j, t, E, f, dt):
+        """Steps of rides anchored at times t to surfaces with parameters
+        (E, f) there, by dt within piece j (either sign), over leading axes:
+        (A, c, W), with which a ride from x ends at A x + c and gains the
+        budget eta' W eta, eta = ``anchor(j, t, x, E, f)``.  (A, c) is
+        Phi[:n] eta with the anchor written out."""
         Phi, W = self.vanloan(j, dt)
-        return Phi[:self.n] @ eta, xq + eta @ W @ eta, eta
+        n, k = self.n, self.k
+        Pf = Phi[..., :n, k:k + n]                  # on P zeta's x-part
+        A = Phi[..., :n, :n] + Pf @ E
+        c = (np.einsum("...ij,...j->...i", Phi[..., :n, n:k], self.basis(j, t))
+             - np.einsum("...ij,...j->...i", Pf, f))
+        return A, c, W
 
     def vanloan(self, j, dt):
-        """(Phi(dt), W(dt)) on piece j, with W(dt) the integral over [0, dt]
-        of Phi' N Phi: a ride from eta gains the budget eta' W eta.  Exact
-        for either sign of dt; the full steps are precomputed."""
-        if np.ndim(dt) == 0 and (j, dt) in self._full:
-            return self._full[j, dt]
-        F = expm(self.Z[j] * np.asarray(dt)[..., None, None])
+        """(Phi(dt), W(dt)) on piece j, over leading axes, with W(dt) the
+        integral over [0, dt] of Phi' N Phi: a ride from eta gains the budget
+        eta' W eta.  Exact for either sign of dt; the full steps are
+        precomputed, and each other distinct (j, dt) takes one Van Loan
+        exponential."""
+        j, dt = np.broadcast_arrays(j, np.asarray(dt, dtype=float))
+        # one key per pair, exact: j the real part, dt the imaginary
+        key, inv = np.unique(j + 1j * dt, return_inverse=True)
+        js, hs = key.real.astype(int), key.imag
+        m = 2 * self.k
+        Phi, W = np.empty((len(key), m, m)), np.empty((len(key), m, m))
+        full = np.array([(a, h) in self._full for a, h in zip(js, hs)], dtype=bool)
+        for u in np.nonzero(full)[0]:
+            Phi[u], W[u] = self._full[js[u], hs[u]]
+        if not full.all():
+            Phi[~full], W[~full] = self._exp(js[~full], hs[~full])
+        inv = inv.reshape(dt.shape)
+        return Phi[inv], W[inv]
+
+    def _exp(self, j, dt):
+        """(Phi, W) from one Van Loan exponential per (j, dt) pair."""
+        F = expm(self.Z[j] * dt[..., None, None])
         m = 2 * self.k
         Phi = F[..., m:, m:]
         W = _swap(Phi) @ F[..., :m, m:]

@@ -11,16 +11,22 @@ Rides and back-traces are stepped with the transition matrices of the
 propagation engine (:class:`parareach.riccati.Flow`): the ride state
 [zeta; P zeta] moves by Phi over each step, Phi(-h) steps it back, and the
 budget gains Van Loan's exact integral of the energy rate.
+
+Both come in stacks of rows, one member of one Flow each; a single ride or
+back-trace is a one-row stack.  All rows step with the same Phi at a node,
+so one batched product per node moves them all.  A ride's row ends at its
+member's last node or the horizon and is padded past it, as
+:class:`parareach.riccati.ParaboloidStack` pads its members; a back-trace's
+row joins the backward sweep at the node before its start.  A failed row
+keeps its error, and the other rows finish.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from .errors import DimensionMismatch, NotOnBoundary, StepSizeUnderflow
-from .model import AugmentedState, IqcSystem, Paraboloid, value_function
+from .errors import DimensionMismatch, NotOnBoundary, OutOfDomain, StepSizeUnderflow
+from .model import AugmentedState, IqcSystem, Paraboloid
 from .riccati import IntegratorConfig, TimeVaryingParaboloid
 
 TOUCH_TOL_FACTOR = 100.0  # touch_tol = factor * rel_tol unless given
@@ -38,58 +44,128 @@ def optimal_disturbance(P: Paraboloid, x, u_t, sys: IqcSystem) -> np.ndarray:
     return -(sys.Mw_inv @ v)
 
 
-class AugmentedTrajectory:
-    """A surface ride built by :func:`touching_trajectory`: (x, x_q) at the
-    nodes, with the paraboloid's value function recorded along the way
-    as a diagnostic, and the engine state at the nodes (``flow`` and
-    ``etas``), from which :meth:`state_at` is exact between nodes."""
+class Rides:
+    """Surface rides stepped together, one per row, on the nodes of one
+    :class:`parareach.riccati.Flow`: ``grid`` (K,) the Flow's nodes the stack
+    steps over, and per row the node times ``times`` (R, K), states ``x``
+    (R, K, n), budgets ``xq`` (R, K) and value functions ``h`` (R, K) (a
+    diagnostic), each padded past the row's last node ``last[r]`` by
+    repeating it.  ``etas`` (R, K - 1, 2k) are the ride states each step
+    starts from, from which :meth:`state_at_many` is exact between nodes.
+    ``errors[r]`` is the :class:`NotOnBoundary` or
+    :class:`StepSizeUnderflow` of a row that left the surface, else None."""
 
-    def __init__(self, grid, x_samples, xq_samples, h_samples, flow, etas):
-        self.grid = np.asarray(grid, dtype=float)
-        self.x_samples = np.asarray(x_samples, dtype=float)
-        self.xq_samples = np.asarray(xq_samples, dtype=float)
-        self.h_samples = np.asarray(h_samples, dtype=float)
-        self._flow = flow
-        self._etas = etas
+    def __init__(self, flow, times, last, x, xq, h, etas, errors):
+        self.flow = flow
+        self.grid = flow.grid[:times.shape[1]]
+        self.times, self.last = times, last
+        self.x, self.xq, self.h, self.etas = x, xq, h, etas
+        self.errors = errors
 
-    def state_at_many(self, tq):
-        """(x, x_q) at an array of times, shapes (K, n), (K,): the ride state
-        of the node before each time, advanced by its transition matrix.
-        Times outside the grid are clamped to its ends."""
-        tq = np.clip(np.asarray(tq, dtype=float), self.grid[0], self.grid[-1])
-        i = np.searchsorted(self.grid, tq, side="right") - 1
-        x, xq = self.x_samples[i], self.xq_samples[i]
-        dt = tq - self.grid[i]
-        off = np.nonzero(dt > 0.0)[0]
+    def state_at_many(self, rows, tq):
+        """(x, x_q) of the rides ``rows`` at the times ``tq``, shapes (Q, n),
+        (Q,): the ride state of the node before each time, advanced by its
+        transition matrix.  Times outside a row's nodes are clamped to them."""
+        rows = np.asarray(rows)
+        last = self.last[rows]
+        end = self.times[rows, last]
+        tq = np.clip(np.asarray(tq, dtype=float), 0.0, end)
+        i = np.where(tq < end, np.searchsorted(self.grid, tq, side="right") - 1, last)
+        x, xq = self.x[rows, i], self.xq[rows, i]
+        t0 = self.times[rows, i]
+        off = np.nonzero(tq > t0)[0]
         if len(off):
-            eta = self._etas[i[off]]
-            Phi, W = self._flow.vanloan(self._flow.piece_of(self.grid[i[off]]), dt[off])
+            eta = self.etas[rows[off], i[off]]
+            Phi, W = self.flow.vanloan(self.flow.piece_of(t0[off]), tq[off] - t0[off])
             x[off] = np.einsum("kij,kj->ki", Phi[:, :x.shape[1]], eta)
             xq[off] += np.einsum("ki,kij,kj->k", eta, W, eta)
         return x, xq
+
+    def row(self, r: int) -> "AugmentedTrajectory":
+        return AugmentedTrajectory(self, r)
+
+
+class AugmentedTrajectory:
+    """One ride of :class:`Rides` (row ``r``): (x, x_q) at its nodes
+    ``grid``, with the paraboloid's value function recorded along the way as
+    a diagnostic, and exact dense output between them."""
+
+    def __init__(self, rides: Rides, r: int):
+        k = rides.last[r] + 1
+        self.grid = rides.times[r, :k]
+        self.x_samples = rides.x[r, :k]
+        self.xq_samples = rides.xq[r, :k]
+        self.h_samples = rides.h[r, :k]
+        self._rides, self._row = rides, r
+
+    def state_at_many(self, tq):
+        """(x, x_q) at an array of times, shapes (K, n), (K,); times outside
+        the grid are clamped to its ends."""
+        tq = np.asarray(tq, dtype=float)
+        return self._rides.state_at_many(np.full(tq.shape, self._row), tq)
 
     def state_at(self, t: float):
         """(x, x_q) at time t (exact dense output of a ride)."""
         x, xq = self.state_at_many([t])
         return x[0], float(xq[0])
 
-    @property
-    def endpoint(self) -> AugmentedState:
-        return AugmentedState(self.x_samples[-1], self.xq_samples[-1])
 
-
-def _check_system(tvp: TimeVaryingParaboloid, sys: IqcSystem):
-    """Rides step with the transition matrices of ``tvp``; refuse a ``sys``
-    other than the system those were built from."""
-    own = tvp.flow.system
+def _flow_of(tvps, sys: IqcSystem):
+    """The Flow all rows step with; refuse rows on different Flows, and a
+    ``sys`` other than the system it was built from."""
+    flow = tvps[0].flow
+    if any(m.flow is not flow for m in tvps):
+        raise DimensionMismatch("stacked rows must share one propagation Flow")
+    own = flow.system
     if sys is not own and sys.to_json() != own.to_json():
         raise DimensionMismatch(
             "sys differs from the system the paraboloid was propagated with")
+    return flow
 
 
-def touching_trajectory(tvp: TimeVaryingParaboloid, X0: AugmentedState,
-                        sys: IqcSystem, cfg: IntegratorConfig,
-                        touch_tol: Optional[float] = None) -> AugmentedTrajectory:
+def _node_tables(tvps, ends):
+    """Each member's nodes before its end time, then the end: node times
+    (R, K), step lengths (R, K - 1) and (E, f, g) (R, K, ...), padded past
+    each row's last node by repeating it, with steps of 0 there (which leave
+    a ride where it is), and the index of each row's last node.  Nodes and
+    steps are the member's own; an end between two nodes is reached by a
+    shorter last step, with its parameters from dense output.  The rows are
+    copied from the paraboloids, not gathered from ``ParaboloidStack.nodes``:
+    a :class:`TimeVaryingParaboloid` holds views of its own nodes only, not
+    its row of a stack, and a single ride's paraboloid (``propagate`` with
+    one scaling) belongs to no stack."""
+    last = np.array([np.searchsorted(m.grid, e, side="left") for m, e in zip(tvps, ends)])
+    R, K, n = len(tvps), last.max() + 1, tvps[0].n
+    times, steps = np.empty((R, K)), np.zeros((R, K - 1))
+    E, f, g = np.empty((R, K, n, n)), np.empty((R, K, n)), np.empty((R, K))
+    for r, (m, end, c) in enumerate(zip(tvps, ends, last)):
+        times[r, :c], times[r, c:] = m.grid[:c], end
+        E[r, :c], f[r, :c], g[r, :c] = m.E_samples[:c], m.f_samples[:c], m.g_samples[:c]
+        E[r, c:], f[r, c:], g[r, c:] = m.params_at(end)
+        if c:
+            steps[r, :c] = m.steps[:c]
+            if m.grid[c] != end:
+                steps[r, c - 1] = end - m.grid[c - 1]
+    return times, steps, E, f, g, last
+
+
+def _sweep(flow, j, t, E, f, dt, x0):
+    """Rides of R rows over S steps each, step i of row r anchored at time
+    t[r, i] to (E, f)[r, i], by dt[r, i] within piece j[r, i], from x0 (R, n),
+    with one batched product per step for all rows: the states (R, S + 1, n),
+    the budget gain of each step (R, S), and the ride states the steps start
+    from (R, S, 2k)."""
+    A, c, W = flow.ride(j, t, E, f, dt)
+    x = np.empty((len(x0), A.shape[1] + 1, flow.n))
+    x[:, 0] = x0
+    for i in range(A.shape[1]):
+        x[:, i + 1] = (A[:, i] @ x[:, i, :, None])[..., 0] + c[:, i]
+    etas = flow.anchor(j, t, x[:, :-1], E, f)
+    return x, np.einsum("...i,...ij,...j->...", etas, W, etas), etas
+
+
+def touching_trajectory(tvp, X0, sys: IqcSystem, cfg: IntegratorConfig,
+                        touch_tol=None):
     """Ride the surface of ``tvp`` from a seed-boundary state over the
     paraboloid's interval of definition (up to ``cfg.t_end``).
 
@@ -97,71 +173,101 @@ def touching_trajectory(tvp: TimeVaryingParaboloid, X0: AugmentedState,
     matrices, re-anchored at every node to the stored parameters, so the
     disturbance is the exact maximizer throughout; ``cfg.max_step`` does not
     apply.  ``sys`` must be the system ``tvp`` was propagated with, else
-    :class:`DimensionMismatch` is raised.  If |h| exceeds ``touch_tol`` at a
-    node, the ride raises :class:`StepSizeUnderflow` rather than projecting
-    back.
+    :class:`DimensionMismatch` is raised.  A start with |h| above
+    ``touch_tol`` raises :class:`NotOnBoundary`; if |h| exceeds it at a
+    later node, the ride raises :class:`StepSizeUnderflow` rather than
+    projecting back.  Returns an :class:`AugmentedTrajectory`.
+
+    Stacked: with a sequence of paraboloids sharing one Flow (the members
+    of a family, repeats allowed), one start each, and ``touch_tol`` a
+    number or one per row, all rides are stepped together and a
+    :class:`Rides` is returned, whose ``errors`` hold what a single ride
+    would have raised.
     """
-    _check_system(tvp, sys)
+    single = isinstance(tvp, TimeVaryingParaboloid)
+    tvps, X0 = ([tvp], [X0]) if single else (list(tvp), list(X0))
+    flow = _flow_of(tvps, sys)
+    for X in X0:
+        if X.x.shape[0] != flow.n:
+            raise DimensionMismatch(f"state dim {X.x.shape[0]} != paraboloid dim {flow.n}")
     if touch_tol is None:
         touch_tol = TOUCH_TOL_FACTOR * cfg.rel_tol
-    h0 = value_function(tvp(0.0), X0)
-    if abs(h0) > touch_tol:
-        raise NotOnBoundary(
-            f"initial state is off the seed surface: h={h0:.3e} (tol {touch_tol:.1e})")
+    tols = np.broadcast_to(np.asarray(touch_tol, dtype=float), (len(tvps),))
 
-    flow = tvp.flow
-    t_end = min(cfg.t_end, tvp.t_end)
-    K = int(np.searchsorted(tvp.grid, t_end, side="right"))
-    grid, steps = tvp.grid[:K], list(tvp.steps[:K - 1])
-    if grid[-1] < t_end:
-        grid = np.append(grid, t_end)
-        steps.append(t_end - grid[-2])
-    E, f, g = tvp.params_at_many(grid)
-    pieces = flow.piece_of(grid[:-1])
-
-    x, xq = np.array(X0.x, dtype=float), X0.x_q
-    xs, xqs, etas = [x], [xq], []
-    for i, (j, dt) in enumerate(zip(pieces, steps)):
-        x, xq, eta = flow.ride(j, grid[i], x, xq, E[i], f[i], dt)
-        etas.append(eta)
-        xs.append(x)
-        xqs.append(xq)
-    j_end = pieces[-1] if len(pieces) else flow.piece_of(grid[-1])
-    etas.append(flow.anchor(j_end, grid[-1], x, E[-1], f[-1]))
-    etas = np.array(etas)
-    xs, xqs = np.array(xs), np.array(xqs)
-
-    h = flow.value(E, f, g, xs) + xqs
-    drift = np.nonzero(np.abs(h) > touch_tol)[0]
-    if len(drift):
-        k = drift[0]
-        raise StepSizeUnderflow(
-            f"value-function drift exceeded touch_tol={touch_tol:.1e} near t={grid[k]}",
-            t_last=grid[k - 1])
-    return AugmentedTrajectory(grid, xs, xqs, h, flow=flow, etas=etas)
+    times, steps, E, f, g, last = _node_tables(tvps, [min(cfg.t_end, m.t_end) for m in tvps])
+    x, gains, etas = _sweep(flow, flow.piece_of(times[:, :-1]), times[:, :-1], E[:, :-1],
+                            f[:, :-1], steps, [X.x for X in X0])
+    xq = np.cumsum(np.column_stack([[X.x_q for X in X0], gains]), axis=1)
+    h = flow.value(E, f, g, x) + xq
+    errors = [None] * len(tvps)
+    for r in np.nonzero(np.any(np.abs(h) > tols[:, None], axis=1))[0]:
+        k = np.nonzero(np.abs(h[r]) > tols[r])[0][0]
+        if k == 0:
+            errors[r] = NotOnBoundary(f"initial state is off the seed surface: "
+                                      f"h={h[r, 0]:.3e} (tol {tols[r]:.1e})")
+        else:
+            errors[r] = StepSizeUnderflow(
+                f"value-function drift exceeded touch_tol={tols[r]:.1e} "
+                f"near t={times[r, k]}", t_last=times[r, k - 1])
+    rides = Rides(flow, times, last, x, xq, h, etas, errors)
+    if not single:
+        return rides
+    if errors[0] is not None:
+        raise errors[0]
+    return rides.row(0)
 
 
-def trace_back_to_seed(tvp: TimeVaryingParaboloid, sys: IqcSystem,
-                       cfg: IntegratorConfig, t_at: float, x_at) -> AugmentedState:
+def trace_back_to_seed(tvp, sys: IqcSystem, cfg: IntegratorConfig, t_at, x_at):
     """Find the seed state whose surface-riding trajectory passes through
     ``x_at`` (on the surface of tvp) at time ``t_at``, by stepping the ride
     back to t=0 with the inverse transition matrices Phi(-h).  The budget at
     t_at is pinned to the surface, so the returned state lies on the seed
     surface up to rounding.  ``sys`` must be the system ``tvp`` was
     propagated with, else :class:`DimensionMismatch` is raised; ``cfg`` is
-    not used, since the steps are the paraboloid's own."""
-    _check_system(tvp, sys)
-    x = np.asarray(x_at, dtype=float).reshape(-1)
-    E, f, g = tvp.params_at(t_at)
-    xq = -(x @ E @ x - 2.0 * f @ x + g)
-    if t_at <= 0.0:
-        return AugmentedState(x, xq)
-    flow, grid = tvp.flow, tvp.grid
-    i = int(np.searchsorted(grid, t_at, side="right")) - 1
-    t, dt = t_at, grid[i] - t_at
-    for k in range(i, -1, -1):          # the leg from t back to node k
-        if dt < 0.0:
-            x, xq, _ = flow.ride(flow.piece_of(grid[k]), t, x, xq, E, f, dt)
-        if k:
-            t, E, f, dt = grid[k], tvp.E_samples[k], tvp.f_samples[k], -tvp.steps[k - 1]
-    return AugmentedState(x, float(xq))
+    not used, since the steps are the paraboloid's own.  A ``t_at`` outside
+    the paraboloid's domain raises :class:`OutOfDomain`.
+
+    Stacked: with a sequence of paraboloids sharing one Flow, ``t_at`` one
+    time per row and ``x_at`` one state per row, all rows are stepped back
+    together (each joins at the node before its start), and a list is
+    returned holding per row the :class:`AugmentedState`, or the error a
+    single back-trace would have raised.
+    """
+    single = isinstance(tvp, TimeVaryingParaboloid)
+    tvps = [tvp] if single else list(tvp)
+    flow = _flow_of(tvps, sys)
+    R, n = len(tvps), flow.n
+    t_at = np.array(t_at, dtype=float).reshape(R)
+    x_at = np.array(x_at, dtype=float).reshape(R, n)
+    out = [None] * R
+    for r, m in enumerate(tvps):
+        try:
+            m._check_domain(t_at[r])
+        except OutOfDomain as e:
+            out[r], t_at[r] = e, 0.0        # the row is stepped from 0, then dropped
+    t_at = np.maximum(t_at, 0.0)
+
+    times, steps, E, f, g, last = _node_tables(tvps, [m.t_end for m in tvps])
+    rows, end = np.arange(R), times[np.arange(R), last]
+    Ea, fa, ga = (a[:, 0] for a in flow.dense_output(E, f, g, end, t_at[:, None]))
+    start = np.where(t_at < end, np.searchsorted(flow.grid, t_at, side="right") - 1, last)
+    t0 = times[rows, start]
+    back = np.where(np.arange(times.shape[1] - 1) < start[:, None], -steps, 0.0)
+
+    def legs(first, nodes):             # the leg to the node before t_at, then back to 0
+        return np.concatenate([first[:, None], nodes[:, ::-1]], axis=1)
+
+    x, gains, _ = _sweep(flow, legs(flow.piece_of(t0), flow.piece_of(times[:, :-1])),
+                         legs(t_at, times[:, 1:]), legs(Ea, E[:, 1:]), legs(fa, f[:, 1:]),
+                         legs(t0 - t_at, back), x_at)
+    xq = np.cumsum(np.column_stack([-flow.value(Ea, fa, ga, x_at), gains]), axis=1)[:, -1]
+    for r in np.nonzero([e is None for e in out])[0]:
+        try:
+            out[r] = AugmentedState(x[r, -1], xq[r])
+        except DimensionMismatch as e:      # not finite
+            out[r] = e
+    if not single:
+        return out
+    if not isinstance(out[0], AugmentedState):
+        raise out[0]
+    return out[0]

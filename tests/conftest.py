@@ -280,8 +280,10 @@ def random_boundary_states(P0, n, rng):
     return out
 
 
-def random_iqc_system(rng, n=None, m=None, p=None):
-    """Random well-posed system (w-block strictly negative definite)."""
+def random_iqc_system(rng, n=None, m=None, p=None, sampled_input=False):
+    """Random well-posed system (w-block strictly negative definite); with
+    ``sampled_input``, driven by a cubic spline through 4 to 8 random samples
+    on [0, 1.5], so the engine steps several input pieces."""
     n = n or int(rng.integers(1, 4))
     m = m or int(rng.integers(1, 4))
     p = p or int(rng.integers(1, 4))
@@ -293,4 +295,59 @@ def random_iqc_system(rng, n=None, m=None, p=None):
     M = 0.5 * (M + M.T)
     W = rng.standard_normal((m, m))
     M[n + p:, n + p:] = -(W @ W.T + np.eye(m))
-    return pr.make_system(A, B, Bu, M)
+    u = None
+    if sampled_input:
+        times = np.linspace(0.0, 1.5, int(rng.integers(4, 9)))
+        u = pr.SampledSignal(times, rng.standard_normal((len(times), p)))
+    return pr.make_system(A, B, Bu, M, u=u)
+
+
+# -- rides and back-traces node by node: the tests' reference for the stacked
+# rides of parareach.touching ------------------------------------------------
+
+def _reference_step(flow, j, t, x, xq, E, f, dt):
+    """One step of a ride anchored at (t, E, f) on piece j: the ride state
+    [x; basis; E x - f; 0] moved by Phi(dt), its budget by W(dt)."""
+    eta = np.concatenate([x, flow.basis(j, t), E @ x - f, np.zeros(flow.k - flow.n)])
+    Phi, W = flow.vanloan(j, dt)
+    return Phi[:flow.n] @ eta, xq + eta @ W @ eta
+
+
+def reference_ride(tvp, X0, t_end):
+    """A ride of tvp from X0 up to min(t_end, tvp.t_end), one node at a time:
+    (node times, x (K, n), x_q (K,))."""
+    flow = tvp.flow
+    t_end = min(t_end, tvp.t_end)
+    K = int(np.searchsorted(tvp.grid, t_end, side="right"))
+    grid, steps = tvp.grid[:K], list(tvp.steps[:K - 1])
+    if grid[-1] < t_end:
+        grid = np.append(grid, t_end)
+        steps.append(t_end - grid[-2])
+    E, f, _ = tvp.params_at_many(grid)
+    x, xq = np.array(X0.x, dtype=float), X0.x_q
+    xs, xqs = [x], [xq]
+    for i, dt in enumerate(steps):
+        x, xq = _reference_step(flow, flow.piece_of(grid[i]), grid[i], x, xq,
+                                E[i], f[i], dt)
+        xs.append(x)
+        xqs.append(xq)
+    return grid, np.array(xs), np.array(xqs)
+
+
+def reference_trace_back(tvp, t_at, x_at):
+    """The back-trace of tvp from x_at at t_at to t=0, one node at a time,
+    with the budget pinned to the surface at t_at: (x, x_q) at 0."""
+    flow, grid = tvp.flow, tvp.grid
+    x = np.asarray(x_at, dtype=float).reshape(-1)
+    E, f, g = tvp.params_at(t_at)
+    xq = -(x @ E @ x - 2.0 * f @ x + g)
+    if t_at <= 0.0:
+        return x, xq
+    i = int(np.searchsorted(grid, t_at, side="right")) - 1
+    t, dt = t_at, grid[i] - t_at
+    for k in range(i, -1, -1):          # the leg from t back to node k
+        if dt < 0.0:
+            x, xq = _reference_step(flow, flow.piece_of(grid[k]), t, x, xq, E, f, dt)
+        if k:
+            t, E, f, dt = grid[k], tvp.E_samples[k], tvp.f_samples[k], -tvp.steps[k - 1]
+    return x, float(xq)

@@ -7,7 +7,7 @@ from scipy.optimize import brentq
 import parareach as pr
 import parareach.family as family_mod
 from parareach.errors import (ConfigError, NotOnBoundary, OutOfDomain,
-                              UnboundedSlab)
+                              StepSizeUnderflow, UnboundedSlab)
 from parareach.family import sample_slab_states
 from parareach.presets import load_preset
 
@@ -337,10 +337,10 @@ class TestAssumptions:
         calls = []
 
         def first_fails(*args, **kwargs):
-            calls.append(args)
-            if len(calls) == 1:
-                raise NotOnBoundary("synthetic off-surface trace")
-            return real(*args, **kwargs)
+            seeds = real(*args, **kwargs)      # one stacked call, a row per rim point
+            calls.extend(seeds)
+            seeds[0] = NotOnBoundary("synthetic off-surface trace")
+            return seeds
 
         monkeypatch.setattr(family_mod, "trace_back_to_seed", first_fails)
         report = pr.check_assumptions(
@@ -352,7 +352,10 @@ class TestAssumptions:
             "NotOnBoundary: synthetic off-surface trace")
 
     def test_foreign_error_propagates(self, ex1_family, ex1_cfg, monkeypatch):
+        real = family_mod.trace_back_to_seed
+
         def broken(*args, **kwargs):
+            real(*args, **kwargs)
             raise ZeroDivisionError("not a parareach error")
 
         monkeypatch.setattr(family_mod, "trace_back_to_seed", broken)
@@ -361,37 +364,95 @@ class TestAssumptions:
                 ex1_family, ex1_cfg,
                 probe_grid=np.linspace(-1.5, 1.5, 61)[:, None], times=[0.91])
 
+    def test_ride_failure_drops_its_row_only(self, sec5_family, sec5_cfg, monkeypatch):
+        # one row's touch tolerance sits between its start's |h| and the
+        # drift it reaches later, so that ride fails mid-way; the rest finish
+        real = family_mod.touching_trajectory
+        seen = []
+
+        def tight_one(tvps, starts, sys_, cfg, touch_tol):
+            h = np.abs(real(tvps, starts, sys_, cfg, touch_tol=np.inf).h)
+            q = int(np.nonzero(h[:, 1:].max(axis=1) > h[:, 0])[0][0])
+            tols = list(touch_tol)
+            tols[q] = 0.5 * (h[q, 0] + h[q, 1:].max())
+            rides = real(tvps, starts, sys_, cfg, touch_tol=tols)
+            seen.append((q, rides.errors))
+            return rides
+
+        monkeypatch.setattr(family_mod, "touching_trajectory", tight_one)
+        report = pr.check_assumptions(sec5_family, sec5_cfg, times=[0.794],
+                                      probe_grid=cli_grid("sec5"), max_rim_points=6)
+        ((q, errors),) = seen
+        assert isinstance(errors[q], StepSizeUnderflow)
+        assert errors[:q] + errors[q + 1:] == [None] * (len(errors) - 1)
+        assert report.notes.endswith(
+            f"; 1 boundary trace(s) not usable: StepSizeUnderflow: {errors[q]}")
+        assert report.n_boundary_points > 0
+
+    def test_skipped_slice_time_is_named_in_notes(self, ex1_system, ex1_escape_seed,
+                                                  ex1_cfg):
+        fam = pr.build_family(ex1_escape_seed, ex1_system, 3e-5, 1, ex1_cfg,
+                              gammas=[1.0])         # escapes near t = 2.49
+        report = pr.check_assumptions(fam, ex1_cfg, times=[0.91, 3.0],
+                                      probe_grid=np.linspace(-1.5, 1.5, 61)[:, None])
+        assert report.n_boundary_points > 0
+        assert report.notes.endswith(
+            "; 1 slice time(s) skipped: t=3: OutOfDomain: t=3.0 beyond the family's "
+            f"interval of definition [0, {fam.t_max}]")
+
+    def test_rides_are_stacked_per_call(self, sec5_family, sec5_cfg, monkeypatch):
+        # what the traced benchmark counts: check_assumptions reaches the
+        # rides and back-traces through family.py's names, with calls that do
+        # not grow with the number of rim points (at most one per slice time)
+        counts = {}
+        for name in ("touching_trajectory", "trace_back_to_seed"):
+            def counted(*args, _real=getattr(family_mod, name), _name=name, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(family_mod, name, counted)
+        seen = []
+        for rims in (2, 6):
+            counts.clear()
+            report = pr.check_assumptions(sec5_family, sec5_cfg, probe_grid=cli_grid("sec5"),
+                                          max_rim_points=rims)
+            assert report.n_boundary_points > 0
+            assert 1 <= counts["touching_trajectory"] <= 5
+            assert 1 <= counts["trace_back_to_seed"] <= 5
+            seen.append(dict(counts))
+        assert seen[0] == seen[1]
+
     def test_band_crossings_are_roots(self, sec5_family, sec5_cfg, monkeypatch):
         # rides from the rims of the CLI's sec5 slice, whose budgets pass the band
-        rides = []
+        stacks = []
         band_times = family_mod._band_times
 
-        def record(traj, eps_q):
-            rides.append(traj)
-            return band_times(traj, eps_q)
+        def record(rides, eps_q):
+            stacks.append(rides)
+            return band_times(rides, eps_q)
 
         monkeypatch.setattr(family_mod, "_band_times", record)
         pr.check_assumptions(sec5_family, sec5_cfg, times=[0.794],
                              probe_grid=cli_grid("sec5"), max_rim_points=6)
         eps = sec5_family.eps_q
         n_crossings = 0
-        for traj in rides:
-            tb = band_times(traj, eps)
-            crossings = tb[~np.isin(tb, traj.grid)]
-            # every crossing of a level seen on a scan four times finer than
-            # the nodes is returned, within 1e-9 of its brentq root
-            ts = np.linspace(traj.grid[0], traj.grid[-1], 4 * len(traj.grid))
-            xq = traj.state_at_many(ts)[1]
-            roots = []
-            for level in (0.0, -0.5 * eps, -eps):
-                z = xq - level
-                for k in np.nonzero(np.signbit(z[:-1]) != np.signbit(z[1:]))[0]:
-                    roots.append(brentq(lambda t: traj.state_at(t)[1] - level,
-                                        ts[k], ts[k + 1], xtol=1e-14))
-            assert len(crossings) == len(roots)
-            for t in crossings:
-                assert np.min(np.abs(np.array(roots) - t)) <= 1e-9
-            n_crossings += len(crossings)
+        for rides in stacks:
+            for r, tb in enumerate(band_times(rides, eps)):
+                traj = rides.row(r)
+                crossings = tb[~np.isin(tb, traj.grid)]
+                # every crossing of a level seen on a scan four times finer than
+                # the nodes is returned, within 1e-9 of its brentq root
+                ts = np.linspace(traj.grid[0], traj.grid[-1], 4 * len(traj.grid))
+                xq = traj.state_at_many(ts)[1]
+                roots = []
+                for level in (0.0, -0.5 * eps, -eps):
+                    z = xq - level
+                    for k in np.nonzero(np.signbit(z[:-1]) != np.signbit(z[1:]))[0]:
+                        roots.append(brentq(lambda t: traj.state_at(t)[1] - level,
+                                            ts[k], ts[k + 1], xtol=1e-14))
+                assert len(crossings) == len(roots)
+                for t in crossings:
+                    assert np.min(np.abs(np.array(roots) - t)) <= 1e-9
+                n_crossings += len(crossings)
         assert n_crossings > 0
 
     def test_sec5_boundary_points_pinned(self, sec5_family, sec5_cfg):
