@@ -395,6 +395,9 @@ def check_assumptions(F: ParaboloidFamily, cfg: IntegratorConfig,
     member.  A row whose trace or ride fails is left out and named in
     ``notes``, in rim order, as is a slice time past every member's domain.
 
+    The default ``times`` are five from T/5 to min(T, t_max), or from
+    t_max/5 to t_max when every member escapes before T/5.
+
     ``extra_trajectories`` takes (xq_values, xq_rates) pairs fed straight to
     the rising-budget detector; used to self-test the detector.
     """
@@ -403,8 +406,9 @@ def check_assumptions(F: ParaboloidFamily, cfg: IntegratorConfig,
                if m.t_end < F.T * (1 - 1e-12)]
     bounded_ok = (not escaped) and F.K_bound <= cfg.escape_norm
 
-    if times is None:
-        times = np.linspace(F.T / 5.0, min(F.T, F.t_max), 5)
+    if times is None:                   # five times inside the family's domain
+        hi = min(F.T, F.t_max)
+        times = np.linspace(F.T / 5.0 if F.T / 5.0 < hi else hi / 5.0, hi, 5)
     if probe_grid is None:
         probe_grid = _default_probe_grid(F)
 

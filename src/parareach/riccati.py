@@ -16,6 +16,10 @@ alike:
   block exponential of the energy rate (IEEE TAC 23(3), 1978);
 * a back-trace advances by Phi(-h).
 
+The exponentials are the scaling-and-squaring Padé algorithm of Al-Mohy &
+Higham (SIAM J. Matrix Anal. Appl. 31(3), 2009), batched over stacks of
+(piece, step) pairs in :mod:`parareach._expm`.
+
 The seeds of a family differ only in their scaling, so :func:`propagate`
 steps them together: each node is one step of the (M, k, k) stack of their
 augmented P with the piece's shared Phi.
@@ -35,8 +39,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import expm
 
+from ._expm import expm
 from .errors import (ConfigError, DimensionMismatch, NonPositiveScale, OutOfDomain,
                      SingularMw)
 from .model import IqcSystem, Paraboloid
@@ -128,10 +132,11 @@ class Flow:
             H.append(Hj)
             Z.append(np.block([[-Hj.T, N], [np.zeros_like(N), Hj]]))
         self.H, self.Z = np.array(H), np.array(Z)
-        self._full = {}         # full steps, forward and backward
-        for j, h in enumerate(self.h):
-            self._full[j, h] = self._exp(np.asarray(j), np.asarray(h))
-            self._full[j, -h] = self._exp(np.asarray(j), np.asarray(-h))
+        # full steps, forward and backward, from one stacked exponential
+        js, hs = np.tile(np.arange(len(self.h)), 2), np.concatenate([self.h, -self.h])
+        Phi, W = self._exp(js, hs)
+        self._full = {key: (Phi[i], W[i])
+                      for i, key in enumerate(zip(js.tolist(), hs.tolist()))}
 
     # -- pieces and the augmented representation ----------------------------
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,6 +119,39 @@ def driven_cfg():
 @pytest.fixture(scope="session")
 def driven_tvp(driven_system, driven_seed, driven_cfg):
     return pr.propagate(driven_seed, driven_system, driven_cfg)
+
+
+# -- the input spline as scipy's CubicSpline gives it: the tests' reference for
+# the spline of parareach.signals ---------------------------------------------
+
+class ScipySplineSignal(pr.SampledSignal):
+    """A sampled signal interpolated by scipy's CubicSpline (not-a-knot), with
+    ``taylor(a)`` from its derivatives at a: the signal parareach had before
+    it had its own spline."""
+
+    def __init__(self, times, values):
+        from scipy.interpolate import CubicSpline
+
+        super().__init__(times, values)
+        self.spline = CubicSpline(self.times, self.values, axis=0)
+
+    def __call__(self, t):
+        return self.spline(min(max(t, self.times[0]), self.times[-1]))
+
+    def taylor(self, a):
+        c = np.zeros((self.degree + 1, self.dim))
+        if a < self.times[0] or a >= self.times[-1]:
+            c[0] = self(a)
+            return c
+        for j in range(self.degree + 1):
+            c[j] = self.spline(a, nu=j) / math.factorial(j)
+        return c
+
+
+def with_scipy_spline(sys_):
+    """sys_ with its sampled input interpolated by :class:`ScipySplineSignal`."""
+    return pr.make_system(sys_.A, sys_.B, sys_.Bu, sys_.M,
+                          u=ScipySplineSignal(sys_.u.times, sys_.u.values))
 
 
 # -- the (E, f, g) flow in closed form, state by state: the tests' reference

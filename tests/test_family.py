@@ -400,6 +400,18 @@ class TestAssumptions:
             "; 1 slice time(s) skipped: t=3: OutOfDomain: t=3.0 beyond the family's "
             f"interval of definition [0, {fam.t_max}]")
 
+    def test_default_times_stay_in_an_early_escaping_domain(self, ex1_system,
+                                                            ex1_escape_seed):
+        # every member escapes (near t = 2.49) before T/5 = 4: the default
+        # times fall inside [0, t_max] instead of running backwards past it
+        cfg = pr.IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12, max_step=0.025,
+                                  t_end=20.0)
+        fam = pr.build_family(ex1_escape_seed, ex1_system, 1e-3, 1, cfg, gammas=[1.0])
+        assert fam.t_max < fam.T / 5.0
+        report = pr.check_assumptions(fam, cfg)
+        assert report.n_boundary_points > 0
+        assert "skipped" not in report.notes
+
     def test_rides_are_stacked_per_call(self, sec5_family, sec5_cfg, monkeypatch):
         # what the traced benchmark counts: check_assumptions reaches the
         # rides and back-traces through family.py's names, with calls that do

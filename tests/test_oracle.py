@@ -6,17 +6,18 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson
 
 import parareach as pr
 from parareach.errors import ConfigError, RejectionStarvation
-from parareach import oracle
+from parareach import oracle, riccati
 from parareach.oracle import _integrate_batch, _qform_batch, _steered_w, _system_terms
 from parareach.presets import load_preset
 
-from conftest import random_iqc_system
+from conftest import random_iqc_system, with_scipy_spline
 
 
 @pytest.fixture(scope="module")
@@ -423,11 +424,46 @@ def samples_digest(samples):
     return h.hexdigest()
 
 
+def sec5_pin_samples(sec5_system, sec5_seed, sec5_cfg):
+    sec5 = load_preset("sec5")
+    fam = pr.build_family(sec5_seed, sec5_system, sec5["eps_q"], 64, sec5_cfg,
+                          spacing=sec5["gamma_spacing"],
+                          sampler_density=sec5["sampler_density"])
+    cfg = pr.OracleConfig(n_trajectories=2000, segments=8, w_scale=1.0,
+                          seed=42, t_end=1.0)
+    return pr.sample_admissible(sec5_system, sec5_seed, cfg, family=fam,
+                                sample_times=[0.794])
+
+
+def ex1_pin_samples(ex1_cfg):
+    # n = m = 1 with an escaping member: the release path is live
+    ex1 = load_preset("ex1-family")
+    fam = pr.build_family(ex1["seed"], ex1["system"], ex1["eps_q"], ex1["n_members"],
+                          ex1_cfg, gammas=ex1["gammas"],
+                          sampler_density=ex1["sampler_density"])
+    cfg = pr.OracleConfig(n_trajectories=2000, segments=8, w_scale=0.3,
+                          seed=3, t_end=10.0)
+    return pr.sample_admissible(ex1["system"], ex1["seed"], cfg, family=fam,
+                                sample_times=ex1["times"])
+
+
+def driven_pin_samples(driven_system, driven_seed):
+    # nonzero Mxw, input and f: every term of the stage kernels is live
+    icfg = pr.IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12, max_step=0.01,
+                               t_end=2.0)
+    fam = pr.build_family(driven_seed, driven_system, 5e-4, 6, icfg)
+    cfg = pr.OracleConfig(n_trajectories=3000, seed=7, t_end=2.0)
+    return pr.sample_admissible(driven_system, driven_seed, cfg, family=fam,
+                                sample_times=[0.7, 1.3])
+
+
 class TestFixedSeedPins:
     """Fixed-seed samples pinned by length and a sha256 of their columns, as
-    the einsum-form oracle produced them on x86-64 (numpy 2.4, OpenBLAS).
-    Any change to the stage arithmetic, the draw order or the row order
-    changes the digest."""
+    the einsum-form oracle produced them on x86-64 (numpy 2.4, OpenBLAS),
+    with the family's exponentials from parareach._expm and the driven
+    input's spline from parareach.signals.  Any change to the stage
+    arithmetic, the draw order, the row order, the exponentials or the
+    spline changes the digest."""
 
     @pytest.fixture(autouse=True)
     def blocks(self, monkeypatch):
@@ -435,43 +471,79 @@ class TestFixedSeedPins:
         monkeypatch.setattr(oracle, "_worker_count", lambda: 0)
 
     def test_sec5_family(self, sec5_system, sec5_seed, sec5_cfg):
-        sec5 = load_preset("sec5")
-        fam = pr.build_family(sec5_seed, sec5_system, sec5["eps_q"], 64, sec5_cfg,
-                              spacing=sec5["gamma_spacing"],
-                              sampler_density=sec5["sampler_density"])
-        cfg = pr.OracleConfig(n_trajectories=2000, segments=8, w_scale=1.0,
-                              seed=42, t_end=1.0)
-        samples = pr.sample_admissible(sec5_system, sec5_seed, cfg, family=fam,
-                                       sample_times=[0.794])
+        samples = sec5_pin_samples(sec5_system, sec5_seed, sec5_cfg)
         assert len(samples) == 1104
         assert samples_digest(samples) == (
-            "9ea20364fbec7bb1eed5ebbf86c52a4680500fd16165ad1ec8dfb966198e5610")
+            "624bdd9adab684bad42060d2df9a68e89e1b3f60053c03c5c66a2143c5e589c5")
 
     def test_ex1_family_releases(self, ex1_cfg):
-        # n = m = 1 with an escaping member: the release path is live
-        ex1 = load_preset("ex1-family")
-        fam = pr.build_family(ex1["seed"], ex1["system"], ex1["eps_q"], ex1["n_members"],
-                              ex1_cfg, gammas=ex1["gammas"],
-                              sampler_density=ex1["sampler_density"])
-        cfg = pr.OracleConfig(n_trajectories=2000, segments=8, w_scale=0.3,
-                              seed=3, t_end=10.0)
-        samples = pr.sample_admissible(ex1["system"], ex1["seed"], cfg, family=fam,
-                                       sample_times=ex1["times"])
+        samples = ex1_pin_samples(ex1_cfg)
         assert len(samples) == 1137
         assert samples_digest(samples) == (
-            "b65756aebdb939e7761eb8f6e2a5f8271ec021f3d0ff941bb27b4d24e50a0a5a")
+            "37b7459bb94cbb4692d0a7b30e9c61453ffdc742eb55f834c054049527a2c925")
 
     def test_driven_family(self, driven_system, driven_seed):
-        # nonzero Mxw, input and f: every term of the stage kernels is live
-        icfg = pr.IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12, max_step=0.01,
-                                   t_end=2.0)
-        fam = pr.build_family(driven_seed, driven_system, 5e-4, 6, icfg)
-        cfg = pr.OracleConfig(n_trajectories=3000, seed=7, t_end=2.0)
-        samples = pr.sample_admissible(driven_system, driven_seed, cfg, family=fam,
-                                       sample_times=[0.7, 1.3])
+        samples = driven_pin_samples(driven_system, driven_seed)
         assert len(samples) == 2136
         assert samples_digest(samples) == (
+            "cd74cc589f3005a572b5ad170fa1aa7c04cfdc37cb640bd4250e5d638e0b88d0")
+
+
+# Bound on the column differences between the two engines' pinned samples,
+# relative to 1 + |value|; the largest seen is 3.0e-12 (sec5, w).
+ENGINE_RTOL = 1e-10
+
+
+class TestScipyEnginePins:
+    """The same pins with the family's exponentials from scipy.linalg.expm
+    and, for the driven input, the spline from scipy's CubicSpline (the
+    engine before parareach had its own): the digests that engine pinned,
+    bit for bit.  The samples of parareach's own engine agree with them in
+    length and, column by column, within ENGINE_RTOL."""
+
+    @pytest.fixture(autouse=True)
+    def blocks(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_worker_count", lambda: 0)
+
+    @staticmethod
+    def under_scipy_expm(monkeypatch, run):
+        with monkeypatch.context() as m:
+            m.setattr(riccati, "expm", scipy.linalg.expm)
+            return run()
+
+    @staticmethod
+    def assert_close(ours, theirs):
+        assert len(ours) == len(theirs)
+        for name in ("times", "x", "x_q", "w", "h"):
+            a, b = getattr(ours, name), getattr(theirs, name)
+            assert np.array_equal(np.isnan(a), np.isnan(b)), name
+            ok = ~np.isnan(b)
+            assert np.all(np.abs(a[ok] - b[ok]) <= ENGINE_RTOL * (1.0 + np.abs(b[ok]))), name
+
+    def test_sec5_family(self, monkeypatch, sec5_system, sec5_seed, sec5_cfg):
+        def run():
+            return sec5_pin_samples(sec5_system, sec5_seed, sec5_cfg)
+
+        theirs = self.under_scipy_expm(monkeypatch, run)
+        assert len(theirs) == 1104
+        assert samples_digest(theirs) == (
+            "9ea20364fbec7bb1eed5ebbf86c52a4680500fd16165ad1ec8dfb966198e5610")
+        self.assert_close(run(), theirs)
+
+    def test_ex1_family_releases(self, monkeypatch, ex1_cfg):
+        theirs = self.under_scipy_expm(monkeypatch, lambda: ex1_pin_samples(ex1_cfg))
+        assert len(theirs) == 1137
+        assert samples_digest(theirs) == (
+            "b65756aebdb939e7761eb8f6e2a5f8271ec021f3d0ff941bb27b4d24e50a0a5a")
+        self.assert_close(ex1_pin_samples(ex1_cfg), theirs)
+
+    def test_driven_family(self, monkeypatch, driven_system, driven_seed):
+        theirs = self.under_scipy_expm(monkeypatch, lambda: driven_pin_samples(
+            with_scipy_spline(driven_system), driven_seed))
+        assert len(theirs) == 2136
+        assert samples_digest(theirs) == (
             "bbf89b963548dc5f15ece1070bf774e5d7cf59338a29f54ed139ab70867d0b15")
+        self.assert_close(driven_pin_samples(driven_system, driven_seed), theirs)
 
 
 class TestFixedSeedPinsForked(TestFixedSeedPins):
