@@ -31,15 +31,24 @@ in batch order, and the rows are cut to ``min_admissible``.
 So is the stage arithmetic, which keeps numpy's own summation orders: x' M y
 term by term in (i, j) order (einsum's for three rows or more), the steered
 E x in two running sums over even and odd j (einsum's for n < 8), and the
-noise scale's norm as a running sum of squared columns (np.linalg.norm's for
-m < 8).  It broadcasts no short row or column but works column by column, and
-skips zero coefficients and all-zero inputs, which add only +-0 to sums that
-start at +0 (finite operands).  BLAS products take row-major operands; on a
-transposed view a one-row batch (gemv) rounds differently.  Rows never mix,
-and the BLAS products give the same bits for any batch of two rows or more,
-so contiguous blocks of two rows or more, cut anywhere, give the bits of the
-whole batch; a one-row block (gemv) would not.  Reordering, fusing or
-regrouping a sum, or a per-member feedback table, changes the outputs.
+noise scale's norm as a running sum of squared coordinates (np.linalg.norm's
+for m < 8).  It broadcasts no short row or column but works coordinate by
+coordinate, and skips zero coefficients and all-zero inputs, which add only
++-0 to sums that start at +0 (finite operands).
+
+The kernels hold a block's trajectories in column layout: states (n, N),
+disturbances (m, N), steered stage tables (n, n, N) and (n, N), so that each
+coordinate is one contiguous row.  Elementwise operations round alike in any
+layout, and an OpenBLAS gemm of the row-layout product X' A equals A' X bit
+for bit (the fixed-seed pins check it), so the products run as A' X.  Where
+the row-layout product is a gemv, which may round differently from its
+transpose, it runs on a contiguous row copy instead (:func:`_times`): a
+one-row batch, a product with one output column over an inner dimension of 2
+or more (B or Mxw with m = 1, say), and the input terms' products with a
+vector.  Columns never mix, so contiguous
+blocks of two rows or more, cut anywhere, give the bits of the whole batch;
+a one-row block (gemv) need not.  Reordering, fusing or regrouping a sum, or
+a per-member feedback table, changes the outputs.
 """
 
 from __future__ import annotations
@@ -139,7 +148,7 @@ def _draw_initial_states(P0: Paraboloid, n: int, rng):
         for d in range(dim):                    # c + half * x, column by column
             x[:, d] = c[d] + half[d] * x[:, d]
         xq = rng.uniform(0.0, cap, size=block)
-        q = _bilinear(x, e_terms, x) - 2.0 * x @ P0.f + P0.g
+        q = _bilinear(x.T, e_terms, x.T) - 2.0 * x @ P0.f + P0.g
         ok = np.nonzero(q + xq <= 0.0)[0]
         take = ok[:n - got]
         xs[got:got + len(take)] = x[take]
@@ -165,12 +174,22 @@ def _system_terms(sys: IqcSystem):
 
 
 def _bilinear(X, terms, Y):
-    """Rowwise X[k] @ M @ Y[k] from M's nonzero ``terms``, summed term by
-    term in (i, j) order."""
-    out = np.zeros(len(X))
+    """Columnwise X[:, k] @ M @ Y[:, k] for column-layout X, Y from M's
+    nonzero ``terms``, summed term by term in (i, j) order."""
+    out = np.zeros(X.shape[1])
     for i, j, m_ij in terms:
-        out += X[:, i] * m_ij * Y[:, j]
+        out += X[i] * m_ij * Y[j]
     return out
+
+
+def _times(X, A):
+    """The row-layout product ``X.T @ A`` in column layout (transposed back;
+    1-D for a vector A), with its bits: a gemm there equals ``A.T @ X``, but
+    a gemv (one row, a vector, or one output column over an inner dimension
+    of 2 or more) may round otherwise, so it runs on a contiguous row copy."""
+    if X.shape[1] == 1 or A.ndim == 1 or (A.shape[1] == 1 and A.shape[0] > 1):
+        return (np.ascontiguousarray(X.T) @ A).T
+    return A.T @ X
 
 
 def _live(u_t):
@@ -179,52 +198,55 @@ def _live(u_t):
 
 
 def _qform_batch(sys: IqcSystem, X, u_t, W, terms=None):
-    """Rowwise [x; u; w]' M [x; u; w] for batches X (N,n), W (N,m); ``u_t``
-    is None for a zero input, ``terms`` those of :func:`_system_terms`."""
+    """Columnwise [x; u; w]' M [x; u; w] for column-layout X (n, N), W (m, N);
+    ``u_t`` is None for a zero input, ``terms`` those of :func:`_system_terms`."""
     mx, mw, mxw = terms or _system_terms(sys)
     out = _bilinear(X, mx, X)
     out += _bilinear(W, mw, W)
     if u_t is not None:
-        out += 2.0 * X @ (sys.Mxu @ u_t) + float(u_t @ sys.Mu @ u_t) + 2.0 * W @ (sys.Muw.T @ u_t)
+        out += (_times(2.0 * X, sys.Mxu @ u_t) + float(u_t @ sys.Mu @ u_t)
+                + _times(2.0 * W, sys.Muw.T @ u_t))
     if mxw:
         out += 2.0 * _bilinear(X, mxw, W)
     return out
 
 
 def _steered_w(sys, E, f, X, u_t, noise, terms=None):
-    """Optimal disturbance of per-row parameters (E, f) plus relative noise;
-    ``u_t`` and ``terms`` as for :func:`_qform_batch`."""
+    """Optimal disturbance (m, N) of per-column parameters E (n, n, N),
+    f (n, N) at X (n, N), plus relative noise (m, N); ``u_t`` and ``terms``
+    as for :func:`_qform_batch`."""
     V = np.empty_like(X)
-    for i in range(X.shape[1]):
-        lanes = np.zeros((2, len(X)))       # even and odd j (module docstring)
-        for j in range(X.shape[1]):
-            lanes[j % 2] += E[:, i, j] * X[:, j]
-        V[:, i] = lanes[0] + lanes[1] - f[:, i]
-    V = V @ sys.B
+    for i in range(len(X)):
+        lanes = np.zeros((2, X.shape[1]))   # even and odd j (module docstring)
+        for j in range(len(X)):
+            lanes[j % 2] += E[i, j] * X[j]
+        V[i] = lanes[0] + lanes[1] - f[i]
+    V = _times(V, sys.B)
     if (terms or _system_terms(sys))[2]:
-        V += X @ sys.Mxw
+        V += _times(X, sys.Mxw)
     if u_t is not None:
         for j, c in enumerate(u_t @ sys.Muw):
-            V[:, j] += c
-    w = -(V @ sys.Mw_inv)
-    sq = np.zeros(len(w))                   # the norm in numpy's order (m < 8)
-    for j in range(w.shape[1]):
-        sq += w[:, j] * w[:, j]
+            V[j] += c
+    w = -_times(V, sys.Mw_inv)
+    sq = np.zeros(w.shape[1])               # the norm in numpy's order (m < 8)
+    for w_j in w:
+        sq += w_j * w_j
     scale = np.maximum(np.sqrt(sq), 1e-3)
-    for j in range(w.shape[1]):
-        w[:, j] += scale * noise[:, j]
+    for w_j, noise_j in zip(w, noise):
+        w_j += scale * noise_j
     return w
 
 
 def _integrate_batch(sys: IqcSystem, X0, XQ0, grid, w_of, save_idx, inputs, terms):
-    """Fixed-step RK4 over ``grid``.  Stage times are indexed ``ti`` over the
-    nodes of ``grid``, then its midpoints; ``inputs[ti]`` is the input there
-    (None where zero) and w_of(step, ti, t, X, XQ, u_t) supplies the
-    disturbance.  Saves states at ``save_idx`` nodes and tracks budget
-    nonnegativity.  Rows never mix: a block of two or more rows gets the
-    bits it has in any larger batch."""
+    """Fixed-step RK4 over ``grid`` from column-layout states X0 (n, N).
+    Stage times are indexed ``ti`` over the nodes of ``grid``, then its
+    midpoints; ``inputs[ti]`` is the input there (None where zero) and
+    w_of(step, ti, t, X, XQ, u_t) supplies the disturbance (m, N).  Saves
+    states (S, N, n) at ``save_idx`` nodes and tracks budget nonnegativity.
+    Columns never mix: a block of two or more gets the bits it has in any
+    larger batch."""
     X, XQ = X0.copy(), XQ0.copy()
-    N = X.shape[0]
+    N = X.shape[1]
     admissible = XQ >= 0.0
     saved_X = np.empty((len(save_idx), N, sys.n))
     saved_XQ = np.empty((len(save_idx), N))
@@ -236,16 +258,18 @@ def _integrate_batch(sys: IqcSystem, X0, XQ0, grid, w_of, save_idx, inputs, term
     def rhs(step, ti, t, X, XQ):
         u_t = inputs[ti]
         W = w_of(step, ti, t, X, XQ, u_t)
-        dX = X @ A_T + W @ B_T
+        dX = _times(X, A_T) + _times(W, B_T)
         if u_t is not None:
-            for i, c in enumerate(u_t @ Bu_T):
-                dX[:, i] += c
+            for dX_i, c in zip(dX, u_t @ Bu_T):
+                dX_i += c
         return dX, _qform_batch(sys, X, u_t, W, terms)
 
+    def save(k, step, ti, t, X, XQ):
+        saved_X[k].T[...], saved_XQ[k] = X, XQ
+        saved_W[k].T[...] = w_of(step, ti, t, X, XQ, inputs[ti])
+
     if 0 in save_ptr:
-        k = save_ptr[0]
-        saved_X[k], saved_XQ[k] = X, XQ
-        saved_W[k] = w_of(0, 0, grid[0], X, XQ, inputs[0])
+        save(save_ptr[0], 0, 0, grid[0], X, XQ)
 
     for i in range(len(grid) - 1):
         t0, t1 = grid[i], grid[i + 1]
@@ -259,16 +283,16 @@ def _integrate_batch(sys: IqcSystem, X0, XQ0, grid, w_of, save_idx, inputs, term
         XQ = XQ + (h / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
         admissible &= XQ >= 0.0
         if i + 1 in save_ptr:
-            k = save_ptr[i + 1]
-            saved_X[k], saved_XQ[k] = X, XQ
-            saved_W[k] = w_of(i, i + 1, t1, X, XQ, inputs[i + 1])
+            save(save_ptr[i + 1], i, i + 1, t1, X, XQ)
     return saved_X, saved_XQ, saved_W, admissible
 
 
 # Fewest rows in a block of a split batch.  Each block pays the whole batch's
-# fixed per-stage cost (about 0.2 s for a steered sec5 block), so on 2 cores
-# splitting won from about 2000 rows a block (sec5 at 8000 draws: 1.10 s
-# against 1.21 s unsplit) and lost below (4000 draws: 1.03 s against 0.78 s).
+# fixed per-stage cost (about 0.13 s of CPU for a steered sec5 block, 0.05 s
+# for a plain one), so on 2 cores splitting breaks even at about 2000 rows a
+# block (sec5 at 8000 draws, medians of 10: 0.82 and 0.71 s in two sets
+# against 0.78 and 0.79 s unsplit) and loses below (6000 draws: 0.65 s
+# against 0.60 s).
 # At least 2: a one-row block multiplies by gemv, which rounds differently.
 _MIN_BLOCK_ROWS = 2000
 
@@ -367,14 +391,14 @@ def sample_admissible(sys: IqcSystem, P0: Paraboloid, cfg: OracleConfig,
 def _gamma_plus(sys, P0, X0):
     """Largest seed scaling whose surface ride starts with a nonnegative
     budget rate, per start state (the positive root of the rate quadratic;
-    1 when none exists).  Batched over rows of X0."""
+    1 when none exists).  Batched over the columns of X0 (n, N)."""
     u0 = sys.u_at(0.0)
-    w_lin = -((X0 @ P0.E - P0.f) @ sys.B) @ sys.Mw_inv
-    w_base = -(X0 @ sys.Mxw + u0 @ sys.Muw) @ sys.Mw_inv
+    w_lin = -_times(_times(_times(X0, P0.E) - P0.f[:, None], sys.B), sys.Mw_inv)
+    w_base = -_times(_times(X0, sys.Mxw) + (u0 @ sys.Muw)[:, None], sys.Mw_inv)
     terms = _system_terms(sys)
     _, mw, mxw = terms
     a = _bilinear(w_lin, mw, w_lin)
-    b = 2.0 * (_bilinear(X0, mxw, w_lin) + w_lin @ (sys.Muw.T @ u0)
+    b = 2.0 * (_bilinear(X0, mxw, w_lin) + _times(w_lin, sys.Muw.T @ u0)
                + _bilinear(w_base, mw, w_lin))
     c = _qform_batch(sys, X0, _live(u0), w_base, terms)
     disc = b * b - 4.0 * a * c
@@ -384,15 +408,15 @@ def _gamma_plus(sys, P0, X0):
     return np.maximum(root, 1.0)
 
 
-def _affordable_amplitude(sys, X0, XQ0, t_end):
-    """Disturbance scale a trajectory could sustain: balance the w-cost in
-    the energy-rate form against the drawn budget plus the initial harvest
-    rate over the horizon.  Only sets the sampling scale; admissibility is
+def _affordable_amplitude(sys, X0, XQ0, t_end, wcost):
+    """Disturbance scale a trajectory could sustain: balance the w-cost
+    ``wcost`` (the largest eigenvalue of -Mw) in the energy-rate form against
+    the drawn budget plus the initial harvest rate over the horizon, per
+    column of X0 (n, N).  Only sets the sampling scale; admissibility is
     decided by the integration."""
     u0 = sys.u_at(0.0)
-    Z = np.zeros((X0.shape[0], sys.m))
+    Z = np.zeros((sys.m, X0.shape[1]))
     harvest = _qform_batch(sys, X0, _live(u0), Z)
-    wcost = -float(np.min(np.linalg.eigvalsh(sys.Mw)))
     budget = XQ0 + np.maximum(harvest, 0.0) * t_end
     return np.sqrt(np.maximum(budget, 0.0) / (wcost * t_end)) + 1e-6
 
@@ -404,8 +428,9 @@ def _one_batch(sys, P0, cfg, family, save_times, seed_seq):
     # fixed draw order: initial states, amplitudes, directions, noise, picks,
     # then the steered draws' noise levels and release rates
     X0, XQ0 = _draw_initial_states(P0, N, rng)
+    wcost = -float(np.min(np.linalg.eigvalsh(sys.Mw)))
     amp = cfg.w_scale * rng.uniform(0.0, 1.0, size=N) * _affordable_amplitude(
-        sys, X0, XQ0, cfg.t_end)
+        sys, X0.T, XQ0, cfg.t_end, wcost)
     direction = rng.standard_normal((N, sys.m))
     norms = np.linalg.norm(direction, axis=1, keepdims=True)
     direction /= np.maximum(norms, 1e-12)
@@ -422,7 +447,7 @@ def _one_batch(sys, P0, cfg, family, save_times, seed_seq):
         # member the start state can afford (initial budget rate >= 0), which
         # is what survives out to the far reaches of the set
         affordable = rng.random(size=n_boundary) < 0.5
-        gplus = _gamma_plus(sys, P0, X0[:n_boundary])
+        gplus = _gamma_plus(sys, P0, X0[:n_boundary].T)
         target = 1.0 + rng.random(size=n_boundary) ** 2 * np.maximum(gplus - 1.0, 0.0)
         nearest = np.clip(np.searchsorted(family.gammas, target), 0,
                           len(family.gammas) - 1)
@@ -437,7 +462,6 @@ def _one_batch(sys, P0, cfg, family, save_times, seed_seq):
         # releases above the balanced rate are sustainable because harvesting
         # continues; overdrafts are culled by the admissibility check
         release_u = cfg.w_scale * rng.uniform(0.3, 1.6, size=n_boundary)
-        wcost = -float(np.min(np.linalg.eigvalsh(sys.Mw)))
         span = wcost * np.maximum(cfg.t_end - switch_t, 0.05 * cfg.t_end)
 
     base = np.linspace(0.0, cfg.t_end, cfg.n_steps + 1)
@@ -456,37 +480,41 @@ def _one_batch(sys, P0, cfg, family, save_times, seed_seq):
         E_tab, f_tab, g_tab, defined = family.params_at_many(stage_t)
     terms = _system_terms(sys)
 
-    # the disturbance sources of a block of rows; each block builds its own
-    # arrays, so no whole-batch copy is made
+    # the disturbance sources of a block of rows, in column layout; each
+    # block builds its own segment-major (S, m, rows) arrays, so no
+    # whole-batch copy is made
+    def segment_major(rows):
+        return np.ascontiguousarray(raw_W[rows].transpose(1, 2, 0))
+
     def plain(rows):
-        W_plain = amp[rows, None, None] * raw_W[rows]
+        W_plain = amp[rows] * segment_major(rows)
 
         def plain_w(step, ti, t, X, XQ, u_t):
-            return W_plain[:, seg_of_step[step], :]
+            return W_plain[seg_of_step[step]]
         return plain_w
 
     def steered(rows):
-        members, raw_b = member_of[rows], raw_W[rows]
-        noise = noise_lvl[rows, None, None] * raw_b
+        members, raw_b = member_of[rows], segment_major(rows)
+        noise = noise_lvl[rows] * raw_b
         switch, release, budget_span = switch_t[rows], release_u[rows], span[rows]
         gathered = {}   # one stage table at a time: stages repeat in runs
 
         def steered_w(step, ti, t, X, XQ, u_t):
             if ti not in gathered:
                 gathered.clear()
-                gathered[ti] = [a[:, ti].take(members, axis=0) for a in (E_tab, f_tab, defined)]
+                E, f, ok = E_tab[:, ti], f_tab[:, ti], defined[:, ti]
+                gathered[ti] = (E.transpose(1, 2, 0).take(members, axis=2),
+                                f.T.take(members, axis=1), ok.take(members))
             E, f, ok = gathered[ti]
             seg = seg_of_step[step]
-            w = _steered_w(sys, E, f, X, u_t, noise[:, seg, :], terms)
+            w = _steered_w(sys, E, f, X, u_t, noise[seg], terms)
             # past its member's interval of definition a ride is released too
             riding = (t < switch) & ok
             if riding.all():
                 return w
             # release: spend the banked budget on the drawn direction pieces
             spend = release * np.sqrt(np.maximum(XQ, 0.0) / budget_span)
-            for j in range(sys.m):
-                np.copyto(w[:, j], spend * raw_b[:, seg, j], where=~riding)
-            return w
+            return np.where(riding, w, spend * raw_b[seg])
         return steered_w
 
     workers = _worker_count()
@@ -495,7 +523,7 @@ def _one_batch(sys, P0, cfg, family, save_times, seed_seq):
 
     def run(b):
         source, rows = blocks[b]
-        sX, sXQ, sW, ok = _integrate_batch(sys, X0[rows], XQ0[rows], grid, source(rows),
+        sX, sXQ, sW, ok = _integrate_batch(sys, X0[rows].T, XQ0[rows], grid, source(rows),
                                            save_idx, inputs, terms)
         keep = np.nonzero(ok)[0]
         return ok, sX[:, keep], sXQ[:, keep], sW[:, keep]
@@ -557,8 +585,11 @@ def coverage(F: ParaboloidFamily, t: float, endpoints, cells_per_dim: int = 24,
              window=None) -> CoverageReport:
     """Fraction of slice cells with nonnegative budget headroom that contain
     at least one endpoint.  Uncovered cells point at over-conservatism of the
-    family (or under-sampling) and are returned as the gap report.
+    family (or under-sampling) and are returned as the gap report.  An
+    explicit ``window`` is a finite (lo, hi) pair with hi > lo.
     """
+    if cells_per_dim < 1:
+        raise ConfigError(f"coverage needs at least one cell per dimension, got {cells_per_dim}")
     pts = np.asarray(endpoints, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
@@ -572,6 +603,8 @@ def coverage(F: ParaboloidFamily, t: float, endpoints, cells_per_dim: int = 24,
         lo, hi = lo - pad, hi + pad
     else:
         lo, hi = (np.asarray(w, dtype=float) for w in window)
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all() and np.all(hi > lo)):
+            raise ConfigError("coverage window must be finite, with hi > lo")
     dim = F.seed.dim
     width = (hi - lo) / cells_per_dim
     axes = [lo[d] + width[d] * (np.arange(cells_per_dim) + 0.5) for d in range(dim)]

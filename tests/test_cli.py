@@ -165,6 +165,14 @@ class TestVerify:
         assert run(["verify", "--example", "ex1-stable", "--n", "0",
                     "--out", str(tmp_path)]) == 1
 
+    def test_zero_cells_config_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(["verify", "--example", "ex1-stable", "--n", "50", "--members", "4",
+                    "--cells", "0", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert json.loads(err[len("error: "):])["error"] == "ConfigError"
+        assert not (out / "coverage.json").exists()
+
     def test_tampered_slice_detected(self, ex1_system, ex1_stable_seed,
                                      ex1_cfg):
         # harness self-test: negating the slice's budget headroom must turn

@@ -194,6 +194,16 @@ class TestCoverage:
         with pytest.raises(ConfigError):
             pr.coverage(ex1_small_family, 1.0, np.zeros((0, 1)))
 
+    def test_bad_cells_or_window_is_config_error(self, ex1_small_family):
+        pts = np.array([[0.05]])
+        for cells in (0, -2):
+            with pytest.raises(ConfigError):
+                pr.coverage(ex1_small_family, 1.0, pts, cells_per_dim=cells)
+        for window in (([0.5], [0.5]), ([0.5], [-0.5]), ([-np.inf], [0.5]),
+                       ([-0.5], [np.nan])):
+            with pytest.raises(ConfigError):
+                pr.coverage(ex1_small_family, 1.0, pts, window=window)
+
     def test_report_json(self, ex1_small_family):
         rep = pr.coverage(ex1_small_family, 1.0, np.array([[0.05]]),
                           cells_per_dim=4, window=([-0.5], [0.5]))
@@ -223,22 +233,35 @@ class TestConfig:
                 pr.sample_admissible(ex1_system, ex1_stable_seed, cfg, sample_times=bad)
 
 
+def quadratic_reference(X, M, Y):
+    """Rowwise X[k] @ M @ Y[k] in einsum's order, which for three rows or
+    more is the (i, j) order the kernels keep at every batch size.  For one
+    or two rows einsum sums each row i apart, so those are summed term by
+    term in (i, j) order, as the row-layout kernels did."""
+    if len(X) >= 3:
+        return np.einsum("ki,ij,kj->k", X, M, Y)
+    out = np.zeros(len(X))
+    for (i, j), m_ij in np.ndenumerate(M):
+        out += X[:, i] * m_ij * Y[:, j]
+    return out
+
+
 def qform_reference(sys_, X, u_t, W):
-    """The stage quadratic form written with einsum: the specification of
-    the bits of ``_qform_batch``."""
-    out = np.einsum("ki,ij,kj->k", X, sys_.Mx, X)
-    out += np.einsum("ki,ij,kj->k", W, sys_.Mw, W)
+    """The stage quadratic form on row-layout batches, written with einsum:
+    the specification of the bits of ``_qform_batch``."""
+    out = quadratic_reference(X, sys_.Mx, X)
+    out += quadratic_reference(W, sys_.Mw, W)
     if sys_.p:
         out += (2.0 * X @ (sys_.Mxu @ u_t) + float(u_t @ sys_.Mu @ u_t)
                 + 2.0 * W @ (sys_.Muw.T @ u_t))
     if sys_.Mxw.size:
-        out += 2.0 * np.einsum("ki,ij,kj->k", X, sys_.Mxw, W)
+        out += 2.0 * quadratic_reference(X, sys_.Mxw, W)
     return out
 
 
 def steered_w_reference(sys_, E, f, X, u_t, noise):
-    """The steered disturbance written with einsum: the specification of
-    the bits of ``_steered_w``."""
+    """The steered disturbance on row-layout batches, written with einsum:
+    the specification of the bits of ``_steered_w``."""
     V = np.einsum("kij,kj->ki", E, X) - f
     V = V @ sys_.B + X @ sys_.Mxw
     if sys_.p:
@@ -249,25 +272,36 @@ def steered_w_reference(sys_, E, f, X, u_t, noise):
 
 
 class TestStageKernels:
-    """The RK4 stage kernels equal their einsum forms bit for bit.  Batches
-    start at three rows: for one or two rows of a two-state system, einsum
-    sums each row i of the quadratic form apart, while the kernels keep
-    their single (i, j) order at every batch size.  The kernels skip zero
-    coefficients, and take an all-zero input as None and skip its terms;
-    the einsum forms compute all of them."""
+    """The column-layout RK4 stage kernels equal the row-layout reference
+    forms bit for bit, on transposed views and on contiguous copies.  A
+    one-row batch, a product with one output column and a product with a
+    vector are gemv in the row layout and run on a row copy.  The kernels
+    skip zero coefficients, and take an all-zero input as None and skip its
+    terms; the reference forms compute all of them."""
 
     @settings(max_examples=80, deadline=None)
     @given(dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
-           rows=st.integers(3, 40), zero_mxw=st.booleans(), zeros=st.booleans(),
-           zero_u=st.booleans(), seed=st.integers(0, 2**32 - 1), preset=st.none())
+           rows=st.integers(1, 40), zero_mxw=st.booleans(), zeros=st.booleans(),
+           zero_u=st.booleans(), contiguous=st.booleans(), seed=st.integers(0, 2**32 - 1),
+           preset=st.none())
     @example(dims=(2, 2, 1), rows=7, zero_mxw=True, zeros=False, zero_u=False,
-             seed=0, preset=None)
+             contiguous=True, seed=0, preset=None)
+    # a one-row batch, whose row copy OpenBLAS on x86-64 rounds like the
+    # transposed product (other BLAS builds need not); then two that fail
+    # without their row copy: one output column (n > 1, m = 1), and the
+    # input terms' products with a vector
+    @example(dims=(3, 3, 3), rows=1, zero_mxw=False, zeros=False, zero_u=False,
+             contiguous=True, seed=1, preset=None)
+    @example(dims=(2, 1, 1), rows=3, zero_mxw=False, zeros=False, zero_u=False,
+             contiguous=True, seed=0, preset=None)
+    @example(dims=(1, 3, 3), rows=5, zero_mxw=False, zeros=False, zero_u=False,
+             contiguous=True, seed=3, preset=None)
     @example(dims=(2, 2, 1), rows=50, zero_mxw=False, zeros=False, zero_u=True,
-             seed=1, preset="sec5")
+             contiguous=True, seed=1, preset="sec5")
     @example(dims=(2, 2, 1), rows=50, zero_mxw=False, zeros=False, zero_u=False,
-             seed=2, preset="sec5")
-    def test_kernels_match_einsum(self, dims, rows, zero_mxw, zeros, zero_u, seed,
-                                  preset):
+             contiguous=False, seed=2, preset="sec5")
+    def test_kernels_match_einsum(self, dims, rows, zero_mxw, zeros, zero_u, contiguous,
+                                  seed, preset):
         rng = np.random.default_rng(seed)
         sys_ = load_preset(preset)["system"] if preset else random_iqc_system(rng, *dims)
         n, m, p = sys_.n, sys_.m, sys_.p
@@ -285,25 +319,32 @@ class TestStageKernels:
         sys_ = pr.make_system(sys_.A, sys_.B, sys_.Bu, M)
 
         def batch(*shape):
-            # magnitudes over eight decades, and one all-zero row
+            # magnitudes over eight decades, and one all-zero row of several
             a = rng.standard_normal((rows,) + shape) * 10.0 ** rng.uniform(
                 -4, 4, size=(rows,) + shape)
-            a[0] = 0.0
+            if rows > 1:
+                a[0] = 0.0
             return a
+
+        def col(a):
+            # the batch axis last
+            a = np.moveaxis(a, 0, -1)
+            return np.ascontiguousarray(a) if contiguous else a
 
         X, W, E, f, noise = batch(n), batch(m), batch(n, n), batch(n), batch(m)
         u_t = np.zeros(p) if zero_u else rng.standard_normal(p)
         u_k = None if zero_u else u_t
-        assert np.array_equal(_qform_batch(sys_, X, u_k, W),
+        assert np.array_equal(_qform_batch(sys_, col(X), u_k, col(W)),
                               qform_reference(sys_, X, u_t, W))
-        assert np.array_equal(_steered_w(sys_, E, f, X, u_k, noise),
-                              steered_w_reference(sys_, E, f, X, u_t, noise))
+        assert np.array_equal(_steered_w(sys_, col(E), col(f), col(X), u_k, col(noise)),
+                              steered_w_reference(sys_, E, f, X, u_t, noise).T)
 
 
 class TestRowBlocks:
-    """Rows never mix in the RK4: contiguous blocks of two or more rows give
-    the bits of the whole batch, for plain and steered disturbances, with and
-    without input.  This is what lets a batch run in forked blocks."""
+    """Trajectories never mix in the RK4: contiguous blocks of two or more
+    give the bits of the whole batch, for plain and steered disturbances,
+    with and without input.  This is what lets a batch run in forked
+    blocks."""
 
     @settings(max_examples=40, deadline=None)
     @given(dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
@@ -318,18 +359,20 @@ class TestRowBlocks:
         n_stage = 2 * len(grid) - 1                 # nodes, then midpoints
         inputs = [rng.standard_normal(p) if driven and rng.random() < 0.8 else None
                   for _ in range(n_stage)]
-        X0, XQ0 = rng.standard_normal((rows, n)), rng.uniform(-0.1, 5.0, rows)
-        W = rng.standard_normal((rows, len(grid) - 1, m))
-        E, f = rng.standard_normal((rows, n_stage, n, n)), rng.standard_normal((rows, n_stage, n))
-        noise = 0.05 * rng.standard_normal((rows, m))
+        # column layout: the batch axis last
+        X0, XQ0 = rng.standard_normal((n, rows)), rng.uniform(-0.1, 5.0, rows)
+        W = rng.standard_normal((len(grid) - 1, m, rows))
+        E, f = rng.standard_normal((n, n, n_stage, rows)), rng.standard_normal((n, n_stage, rows))
+        noise = 0.05 * rng.standard_normal((m, rows))
         terms = _system_terms(sys_)
 
         def integrate(a, b):
             def w_of(step, ti, t, X, XQ, u_t):
                 if steered:
-                    return _steered_w(sys_, E[a:b, ti], f[a:b, ti], X, u_t, noise[a:b], terms)
-                return W[a:b, step]
-            return _integrate_batch(sys_, X0[a:b], XQ0[a:b], grid, w_of, save_idx, inputs,
+                    return _steered_w(sys_, E[:, :, ti, a:b], f[:, ti, a:b], X, u_t,
+                                      noise[:, a:b], terms)
+                return W[step, :, a:b]
+            return _integrate_batch(sys_, X0[:, a:b], XQ0[a:b], grid, w_of, save_idx, inputs,
                                     terms)
 
         k = int(rng.integers(1, rows // 2 + 1))
@@ -487,6 +530,35 @@ class TestFixedSeedPins:
         assert len(samples) == 2136
         assert samples_digest(samples) == (
             "cd74cc589f3005a572b5ad170fa1aa7c04cfdc37cb640bd4250e5d638e0b88d0")
+
+
+class TestTinyBatchPins:
+    """Batches of one, two and three draws on the driven system, pinned as
+    the row-layout oracle produced them: each has a one-row plain block,
+    whose BLAS products are gemv and run on a row copy, and a live input."""
+
+    @pytest.fixture(autouse=True)
+    def blocks(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_worker_count", lambda: 0)
+
+    @pytest.fixture(scope="class")
+    def driven_family(self, driven_system, driven_seed):
+        icfg = pr.IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12, max_step=0.01,
+                                   t_end=2.0)
+        return pr.build_family(driven_seed, driven_system, 5e-4, 6, icfg)
+
+    @pytest.mark.parametrize("draws, length, digest", [
+        (1, 1, "9f881949a950b94d5d6b1c1fe280b8ee8b37512912beace9ef42a0d947685e18"),
+        (2, 1, "88a91b6275362afe9b0e7c6b5c9da542a2e801e8a5f10b8b1f2cb4fb9eef447e"),
+        (3, 2, "6196f7e393663a8748d0c9e103f495a9e45c7c781e23056fc25150e1154a0b70"),
+    ])
+    def test_driven_family(self, driven_system, driven_seed, driven_family, draws, length,
+                           digest):
+        cfg = pr.OracleConfig(n_trajectories=draws, seed=7, t_end=2.0)
+        samples = pr.sample_admissible(driven_system, driven_seed, cfg, family=driven_family,
+                                       sample_times=[0.7, 1.3])
+        assert len(samples) == length
+        assert samples_digest(samples) == digest
 
 
 # Bound on the column differences between the two engines' pinned samples,
