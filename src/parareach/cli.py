@@ -133,6 +133,11 @@ def _build_config(args) -> RunConfig:
     if args.members is not None:
         gammas = gammas if args.gammas else None  # explicit member count wins
 
+    grid_points = int(pick(args.grid_points, "grid_points", 61))
+    for flag, value in (("--cells", args.cells), ("--grid-points", grid_points)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be at least 1, got {value}")
+
     out_dir = Path(args.out)
     return RunConfig(
         system=system, seed_paraboloid=seed_par, t_end=t_end,
@@ -141,7 +146,7 @@ def _build_config(args) -> RunConfig:
         n_members=n_members, gammas=gammas,
         gamma_spacing=pick(args.gamma_spacing, "gamma_spacing", "uniform"),
         sampler_density=int(pick(None, "sampler_density", 64)),
-        grid_window=window, grid_points=int(pick(args.grid_points, "grid_points", 61)),
+        grid_window=window, grid_points=grid_points,
         integrator=cfg,
         oracle_n=int(pick(args.n, None, orc.get("n", 2000))),
         oracle_segments=int(pick(args.segments, None, orc.get("segments", 8))),
@@ -172,16 +177,25 @@ def _names(prefix: str, count: int) -> list:
     return [f"{prefix}_{i}" for i in range(count)]
 
 
-def _emit_table(rc: RunConfig, stem: str, columns: list, rows):
-    """Write a 2-D float array as ``stem.csv`` (a header line, then the
-    ``repr`` of each value) or, with ``--format json``, as ``stem.json``
-    holding ``{"columns", "rows"}``."""
+def _format_rows(rc: RunConfig, rows) -> list:
+    """The rows of a 2-D float array as a table holds them: lists of floats
+    for ``--format json``, CSV lines of each value's ``repr`` otherwise."""
     rows = np.asarray(rows, dtype=float).tolist()
+    return rows if rc.fmt == "json" else [",".join(map(repr, row)) for row in rows]
+
+
+def _write_table(rc: RunConfig, stem: str, columns: list, rows: list):
+    """Write formatted rows as ``stem.csv`` (a header line, then the rows) or
+    as ``stem.json`` holding ``{"columns", "rows"}``."""
     if rc.fmt == "json":
         _write_json(rc, f"{stem}.json", {"columns": columns, "rows": rows})
     else:
-        lines = [",".join(columns)] + [",".join(map(repr, row)) for row in rows]
-        _write(rc, f"{stem}.csv", "\n".join(lines) + "\n")
+        _write(rc, f"{stem}.csv", "\n".join([",".join(columns)] + rows) + "\n")
+
+
+def _emit_table(rc: RunConfig, stem: str, columns: list, rows):
+    """Write a 2-D float array as a table."""
+    _write_table(rc, stem, columns, _format_rows(rc, rows))
 
 
 def cmd_propagate(rc: RunConfig) -> int:
@@ -219,13 +233,14 @@ def cmd_reach(rc: RunConfig) -> int:
     report = check_assumptions(fam, rc.integrator, probe_grid=grid,
                                max_rim_points=6)
     columns = _names("x", rc.system.n) + ["xq_max", "argmin_gamma"]
-    tube = []
+    tube = []           # the slices' formatted rows, each led by its t
     for t in rc.times:
         slc = reach_slice(fam, t, grid)
-        table = np.column_stack([slc.x_grid, slc.xq_max, slc.argmin_gamma])
-        _emit_table(rc, f"slice_t{t:g}".replace(".", "p"), columns, table)
-        tube.append(np.column_stack([np.full(len(table), t), table]))
-    _emit_table(rc, "tube", ["t"] + columns, np.concatenate(tube))
+        rows = _format_rows(rc, np.column_stack([slc.x_grid, slc.xq_max, slc.argmin_gamma]))
+        _write_table(rc, f"slice_t{t:g}".replace(".", "p"), columns, rows)
+        tube += ([[t] + row for row in rows] if rc.fmt == "json"
+                 else [f"{t!r},{row}" for row in rows])
+    _write_table(rc, "tube", ["t"] + columns, tube)
     _write_json(rc, "family_manifest.json", fam.to_manifest(report))
     return EXIT_OK
 

@@ -35,6 +35,7 @@ before it, and the others step on unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,6 +47,8 @@ from .errors import (ConfigError, DimensionMismatch, NonPositiveScale, OutOfDoma
 from .model import IqcSystem, Paraboloid
 
 ESCAPE_BRACKET_RTOL = 1e-6  # relative width of the blow-up time bracket
+_VALUE_BLOCK = 8192         # elements of Flow.value's scratch block (64 kB)
+_VALUE_KERNEL_MIN = 2048    # results below which Flow.value's einsum costs less
 
 
 @dataclass(frozen=True)
@@ -161,11 +164,48 @@ class Flow:
         return P
 
     def value(self, E, f, g, x):
-        """x'Ex - 2f'x + g as one quadratic form in [x; 1], which makes no
-        temporaries of the result's size; shapes broadcast over leading axes."""
-        Q = self.embed(E, f, g)[..., :self.n + 1, :self.n + 1]
-        z = np.concatenate([x, np.ones(np.shape(x)[:-1] + (1,))], axis=-1)
-        return np.einsum("...i,...ij,...j->...", z, Q, z)
+        """x'Ex - 2f'x + g as the quadratic form z'Qz in z = [x; 1], with
+        Q = [[E, -f], [-f', g]]; shapes broadcast over leading axes.
+
+        The terms (z_i Q_ij) z_j are added into a zeroed result in i-outer,
+        j-inner order, from contiguous columns, leaving out the products with
+        z_n = 1.  That is the order and the rounding of numpy's one-call
+        einsum over z, Q, z, except where its iterator loops over j alone and
+        sums each row of Q apart: at a single point, and for n = 1 at some
+        sizes (a trailing axis of 2).  Calls with n = 1 or with fewer than
+        ``_VALUE_KERNEL_MIN`` results keep the einsum, which costs less there
+        than the kernel's Python overhead.  The terms go through one small
+        scratch array, a block of leading rows at a time: a scratch array of
+        the result's size costs more in fresh pages than the arithmetic."""
+        n = self.n
+        E, f, x = (np.asarray(a, dtype=float) for a in (E, f, x))
+        shape = np.broadcast_shapes(E.shape[:-2], x.shape[:-1])
+        if n == 1 or math.prod(shape) < _VALUE_KERNEL_MIN:
+            Q = self.embed(E, f, g)[..., :n + 1, :n + 1]
+            z = np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
+            return np.einsum("...i,...ij,...j->...", z, Q, z)
+
+        def column(a):      # a contiguous copy, viewed at the result's shape
+            return np.broadcast_to(np.ascontiguousarray(a), shape)
+        z = [column(x[..., i]) for i in range(n)]
+        q = [column(-f[..., i]) for i in range(n)]      # Q_in = Q_ni
+        Q = [[column(E[..., i, j]) for j in range(n)] + [q[i]]
+             for i in range(n)] + [q + [column(np.asarray(g, dtype=float))]]
+        out = np.zeros(shape)
+        rows = max(1, _VALUE_BLOCK // math.prod(shape[1:]))
+        tmp = np.empty((min(rows, shape[0]),) + shape[1:])
+        for a in range(0, shape[0], rows):
+            b = slice(a, a + rows)
+            o, t = out[b], tmp[:min(rows, shape[0] - a)]
+            for i in range(n + 1):
+                for j in range(n + 1):
+                    term = Q[i][j][b]
+                    if i < n:
+                        term = np.multiply(z[i][b], term, out=t)
+                    if j < n:
+                        term = np.multiply(term, z[j][b], out=t)
+                    o += term
+        return out
 
     def read(self, P, phi):
         """(E, f, g) of an augmented P at the basis value phi."""

@@ -385,3 +385,14 @@ def reference_trace_back(tvp, t_at, x_at):
         if k:
             t, E, f, dt = grid[k], tvp.E_samples[k], tvp.f_samples[k], -tvp.steps[k - 1]
     return x, float(xq)
+
+
+# -- the value function as one einsum over [x; 1]: the tests' reference for
+# the bits of Flow.value -----------------------------------------------------
+
+def reference_value(flow, E, f, g, x):
+    """x'Ex - 2f'x + g as numpy's one-call einsum of z'Qz, z = [x; 1], with Q
+    the top-left (n+1)-block of ``flow.embed``."""
+    Q = flow.embed(E, f, g)[..., :flow.n + 1, :flow.n + 1]
+    z = np.concatenate([x, np.ones(np.shape(x)[:-1] + (1,))], axis=-1)
+    return np.einsum("...i,...ij,...j->...", z, Q, z)

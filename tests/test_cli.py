@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import parareach as pr
+from parareach import cli
 from parareach.cli import main
 
 
@@ -140,6 +141,42 @@ class TestReach:
                     "--time", "0.91", "--out", str(out)]) == 0
         manifest = json.loads((out / "family_manifest.json").read_text())
         assert manifest["gammas"] == [1.0]
+
+    def test_tube_is_the_slices_led_by_t(self, tmp_path):
+        argv = ["reach", "--example", "ex1-family", "--time", "0.5", "--time", "1.62",
+                "--grid-points", "11", "--out"]
+        slices = {0.5: "slice_t0p5", 1.62: "slice_t1p62"}
+        out = tmp_path / "csv"
+        assert run(argv + [str(out)]) == 0
+        lines = ["t,x_0,xq_max,argmin_gamma"]
+        for t, stem in slices.items():
+            rows = (out / f"{stem}.csv").read_text().splitlines()[1:]
+            lines += [repr(t) + "," + row for row in rows]
+        assert (out / "tube.csv").read_text() == "\n".join(lines) + "\n"
+
+        out = tmp_path / "json"
+        assert run(argv + [str(out), "--format", "json"]) == 0
+        rows = {stem: json.loads((out / f"{stem}.json").read_text())["rows"]
+                for stem in ["tube", *slices.values()]}
+        assert rows["tube"] == [[t] + row for t, stem in slices.items() for row in rows[stem]]
+
+
+class TestIntegerFlags:
+    """An integer flag below 1 is a ConfigError before the family is built."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--example", "sec5", "--cells", "0"],
+        ["reach", "--example", "ex1-stable", "--grid-points", "-3"],
+        ["reach", "--example", "ex1-stable", "--grid-points", "0"],
+    ])
+    def test_config_error_before_any_work(self, argv, tmp_path, capsys, monkeypatch):
+        def build_family(*args, **kwargs):
+            raise AssertionError("build_family called")
+        monkeypatch.setattr(cli, "build_family", build_family)
+        assert run(argv + ["--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert json.loads(err[len("error: "):])["error"] == "ConfigError"
+        assert not (tmp_path / "run").exists()
 
 
 class TestVerify:

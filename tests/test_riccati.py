@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 import parareach as pr
 from parareach.errors import ConfigError, NonPositiveScale, OutOfDomain
+from parareach.riccati import _VALUE_BLOCK, Flow
 
 from conftest import (ROOT_HI, ROOT_LO, f_rhs, g_quadrature_matrix, g_rhs,
                       node_rates, random_iqc_system, reference_params,
-                      riccati_rhs, scalar_blowup_time, scalar_flow)
+                      reference_value, riccati_rhs, scalar_blowup_time, scalar_flow)
 
 
 class TestRhs:
@@ -338,6 +339,37 @@ class TestStack:
         for gamma in (0.0, [1.0, -2.0], [], np.nan):
             with pytest.raises(NonPositiveScale):
                 pr.propagate(ex1_stable_seed, ex1_system, ex1_cfg, gamma=gamma)
+
+
+class TestValue:
+    """Flow.value against the one-call einsum it replaced, bit for bit, on
+    the shapes the library passes, with and without an input basis (which
+    makes the embedded Q a strided block)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+           sampled=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_bits_match_einsum(self, dims, sampled, seed):
+        rng = np.random.default_rng(seed)
+        sys_ = random_iqc_system(rng, *dims, sampled_input=sampled)
+        flow, n = Flow(sys_, 1.5, 0.1), sys_.n
+
+        def params(*lead):
+            E = rng.standard_normal(lead + (n, n))
+            f, g = rng.standard_normal(lead + (n,)), rng.standard_normal(lead)
+            return E + np.swapaxes(E, -1, -2), f, g
+
+        M, G, K = (int(rng.integers(2, hi)) for hi in (9, 50, 9))
+        B = _VALUE_BLOCK + 1        # past one scratch block, so the kernel runs
+        # members x grid (a two-point grid trips einsum's per-row sums for n = 1)
+        cases = ([(params(M, 1), (G,)), (params(3, 1), (B,)), (params(B, 1), (2,))]
+                 + [(params(N), (N,)) for N in (1, 2, 5, 2 * B)]   # per-row stacks
+                 + [(params(2, K), (2, K)), (params(2, B), (2, B))]  # rows x nodes
+                 + [(params(M, K), (K,)), (params(2, B), (B,))]    # members x times
+                 + [(params(), ())])                               # one point
+        for (E, f, g), lead in cases:
+            x = rng.standard_normal(lead + (n,))
+            assert same_bits(flow.value(E, f, g, x), reference_value(flow, E, f, g, x)), lead
 
 
 class TestConfig:
