@@ -124,6 +124,8 @@ def _build_config(args) -> RunConfig:
     window = pick(None, "grid_window", None)
     if args.window is not None:
         half = abs(float(args.window))
+        if not np.isfinite(half):
+            raise ConfigError(f"--window must be finite, got {args.window}")
         window = ([-half] * system.n, [half] * system.n)
     if window is None:
         window = ([-2.0] * system.n, [2.0] * system.n)
@@ -137,13 +139,15 @@ def _build_config(args) -> RunConfig:
     for flag, value in (("--cells", args.cells), ("--grid-points", grid_points)):
         if value < 1:
             raise ConfigError(f"{flag} must be at least 1, got {value}")
+    eps_q = float(pick(args.eps_q, "eps_q", 1e-3 * max(abs(seed_par.g), 1e-6)))
+    if not (np.isfinite(eps_q) and eps_q > 0):
+        raise ConfigError(f"--eps-q must be positive and finite, got {eps_q}")
 
     out_dir = Path(args.out)
     return RunConfig(
         system=system, seed_paraboloid=seed_par, t_end=t_end,
         times=[float(t) for t in times],
-        eps_q=float(pick(args.eps_q, "eps_q", 1e-3 * max(abs(seed_par.g), 1e-6))),
-        n_members=n_members, gammas=gammas,
+        eps_q=eps_q, n_members=n_members, gammas=gammas,
         gamma_spacing=pick(args.gamma_spacing, "gamma_spacing", "uniform"),
         sampler_density=int(pick(None, "sampler_density", 64)),
         grid_window=window, grid_points=grid_points,
@@ -246,15 +250,15 @@ def cmd_reach(rc: RunConfig) -> int:
 
 
 def cmd_verify(rc: RunConfig) -> int:
+    ocfg = OracleConfig(n_trajectories=rc.oracle_n, segments=rc.oracle_segments,
+                        w_scale=rc.oracle_w_scale, seed=rc.oracle_seed,
+                        t_end=rc.t_end)
     fam = build_family(rc.seed_paraboloid, rc.system, rc.eps_q, rc.n_members,
                        rc.integrator, gammas=rc.gammas,
                        spacing=rc.gamma_spacing,
                        sampler_density=rc.sampler_density)
     check_times = rc.times if rc.times else [rc.t_end]
     sample_times = sorted(set(check_times))
-    ocfg = OracleConfig(n_trajectories=rc.oracle_n, segments=rc.oracle_segments,
-                        w_scale=rc.oracle_w_scale, seed=rc.oracle_seed,
-                        t_end=rc.t_end)
     samples = sample_admissible(rc.system, rc.seed_paraboloid, ocfg, family=fam,
                                 sample_times=sample_times)
     if not len(samples):

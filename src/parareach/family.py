@@ -10,7 +10,7 @@ coefficient, which yields a finite largest useful scaling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -18,8 +18,7 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatch, OutOfDomain, UnboundedSlab
 from .model import AugmentedState, IqcSystem, Paraboloid
 from .riccati import IntegratorConfig, ParaboloidStack, propagate
-from .touching import (optimal_disturbance, touching_trajectory,
-                       trace_back_to_seed)
+from .touching import touching_trajectory, trace_back_to_seed
 
 _DEFINED_TOL = 1e-12
 _RATE_MARGIN = 0.0      # a budget rate >= -margin in the rim band is a violation
@@ -52,70 +51,75 @@ def _seed_center(P0: Paraboloid):
     return lam, V, c, P0.g - float(c @ (P0.E @ c))
 
 
-def sample_slab_states(P0: Paraboloid, eps_q: float, density: int = 64,
-                       n_radial: int = 3, n_levels: int = 8):
-    """Sample the slab of states near the seed rim: x with the x-part of the
-    value function in [0, eps_q], budget levels in [-eps_q, 0].
-
-    Parameterizes the shell through the whitening map of E0 (requires
-    E0 positive definite, else :class:`UnboundedSlab`).
-    """
+def _slab_points(P0: Paraboloid, eps_q: float, density: int, n_radial: int) -> np.ndarray:
+    """States x (N, n) with the seed's x-part value in [0, eps_q], on shells
+    through the whitening map of E0 (else :class:`UnboundedSlab`)."""
     lam, V, c, q_min = _seed_center(P0)
     rho_lo = max(0.0, -q_min)
     rho_hi = -q_min + eps_q
     if rho_hi <= 0.0:
-        return []
+        return np.empty((0, P0.dim))
     root = V @ np.diag(1.0 / np.sqrt(lam)) @ V.T  # E0^{-1/2}
     dirs = _sphere_directions(P0.dim, density)
     radii = np.linspace(rho_lo, rho_hi, n_radial)
     radii = radii[radii > 0.0] if rho_lo == 0.0 else radii
+    return np.concatenate([c + np.sqrt(rho) * dirs @ root.T for rho in radii])
+
+
+def sample_slab_states(P0: Paraboloid, eps_q: float, density: int = 64,
+                       n_radial: int = 3, n_levels: int = 8):
+    """Sample the slab of states near the seed rim: x with the x-part of the
+    value function in [0, eps_q], budget levels in [-eps_q, 0]."""
     levels = np.linspace(-eps_q, 0.0, n_levels)
-    states = []
-    for rho in radii:
-        xs = c + np.sqrt(rho) * dirs @ root.T
-        for x in xs:
-            for xq in levels:
-                states.append(AugmentedState(x, xq))
-    return states
+    return [AugmentedState(x, xq) for x in _slab_points(P0, eps_q, density, n_radial)
+            for xq in levels]
 
 
-def _rate_quadratic(P0: Paraboloid, X: AugmentedState, sys: IqcSystem):
-    """Coefficients (a, b, c) of the budget rate as a quadratic in the
-    scaling.  Assembled from the affine dependence of the optimal disturbance
-    on the scaling (w = w_base + gamma * w_lin): interpolating three rate
-    evaluations instead would cancel catastrophically when the leading
-    coefficient is many orders below the rate itself."""
-    u0 = sys.u_at(0.0)
-    w_lin = -(sys.Mw_inv @ (sys.B.T @ (P0.E @ X.x - P0.f)))
-    w_base = -(sys.Mw_inv @ (sys.Mxw.T @ X.x + sys.Muw.T @ u0))
-    a = float(w_lin @ sys.Mw @ w_lin)
-    b = 2.0 * float(X.x @ sys.Mxw @ w_lin + u0 @ sys.Muw @ w_lin
-                    + w_base @ sys.Mw @ w_lin)
-    c = sys.energy_rate(X.x, u0, w_base)
+# Stacked per-row products: each row rounds like the product of its state
+# alone, where one matrix product over all rows would sum in another order.
+def _mv(A, X):                  # A @ x for every row x of X
+    return (A @ X[..., None])[..., 0]
+
+
+def _form(Y, A, Z):             # y @ A @ z for every pair of rows
+    return ((Y[:, None, :] @ A) @ Z[..., None])[:, 0, 0]
+
+
+def _rate_quadratic(P0: Paraboloid, X: np.ndarray, sys: IqcSystem):
+    """Coefficients (a, b, c), one per row of X (N, n), of the budget rate at
+    t = 0 as a quadratic in the scaling, from the affine dependence of the
+    optimal disturbance on it (w = w_base + gamma * w_lin): interpolating
+    three rates instead would cancel catastrophically when a is many orders
+    below the rate itself."""
+    u0 = np.asarray(sys.u_at(0.0), dtype=float).reshape(sys.p)
+    U = np.broadcast_to(u0, (len(X), sys.p))
+    w_lin = -_mv(sys.Mw_inv, _mv(sys.B.T, _mv(P0.E, X) - P0.f))
+    w_base = -_mv(sys.Mw_inv, _mv(sys.Mxw.T, X) + sys.Muw.T @ u0)
+    a = _form(w_lin, sys.Mw, w_lin)
+    b = 2.0 * (_form(X, sys.Mxw, w_lin) + _form(U, sys.Muw, w_lin)
+               + _form(w_base, sys.Mw, w_lin))
+    c = (_form(X, sys.Mx, X) + _form(2.0 * X, sys.Mxu, U) + _form(2.0 * X, sys.Mxw, w_base)
+         + _form(U, sys.Mu, U) + _form(2.0 * U, sys.Muw, w_base)
+         + _form(w_base, sys.Mw, w_base))
     return a, b, c
+
+
+def _check_eps_q(eps_q):
+    if not (np.isfinite(eps_q) and eps_q > 0):
+        raise ConfigError(f"eps_q must be positive and finite, got {eps_q}")
 
 
 def gamma_bar(P0: Paraboloid, sys: IqcSystem, eps_q: float,
               sampler_density: int = 64) -> float:
     """Largest scaling with nonnegative initial budget rate over the sampled
-    rim slab; 1.0 when no sampled state admits a rising rate."""
-    if eps_q <= 0:
-        raise ConfigError(f"eps_q must be positive, got {eps_q}")
-    states = sample_slab_states(P0, eps_q, density=sampler_density,
-                                n_radial=3, n_levels=1)
-    best = 1.0
-    for X in states:
-        a, b, c = _rate_quadratic(P0, X, sys)
-        if a >= -1e-300:
-            # degenerate sample (rate does not depend on the scaling)
-            continue
-        disc = b * b - 4.0 * a * c
-        if disc < 0.0:
-            continue
-        root = (-b - np.sqrt(disc)) / (2.0 * a)
-        if root >= 1.0:
-            best = max(best, float(root))
-    return best
+    rim slab; 1.0 when no sampled state admits a rising rate.  Samples whose
+    rate does not depend on the scaling (a >= -1e-300) are left out."""
+    _check_eps_q(eps_q)
+    a, b, c = _rate_quadratic(P0, _slab_points(P0, eps_q, sampler_density, 3), sys)
+    disc = b * b - 4.0 * a * c
+    k = (a < -1e-300) & (disc >= 0.0)
+    root = (-b[k] - np.sqrt(disc[k])) / (2.0 * a[k])
+    return float(np.max(root, initial=1.0, where=root >= 1.0))
 
 
 @dataclass
@@ -180,6 +184,7 @@ def build_family(P0: Paraboloid, sys: IqcSystem, eps_q: float, n_members: int,
     always included.  Explicit ``gammas`` bypass the bound computation.
     Members that escape before the horizon keep their truncated domains.
     """
+    _check_eps_q(eps_q)
     gbar = None
     if gammas is None:
         if n_members < 1:
@@ -328,16 +333,7 @@ class AssumptionReport:
     notes: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "k_bound": self.k_bound,
-            "escape_norm": self.escape_norm,
-            "bounded_ok": self.bounded_ok,
-            "escaped_members": self.escaped_members,
-            "falling_ok": self.falling_ok,
-            "violations": self.violations,
-            "n_boundary_points": self.n_boundary_points,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def _rim_points(slc: ReachSlice) -> np.ndarray:
@@ -359,8 +355,9 @@ def _rim_points(slc: ReachSlice) -> np.ndarray:
 def _band_times(rides, eps_q):
     """Per ride of a :class:`Rides` stack: the times where its budget sits in
     [-eps_q, 0] at a node, or crosses 0, -eps_q/2 or -eps_q between two
-    nodes, bisected on the dense output of all rides together.  Rows with an
-    error get none."""
+    nodes, bisected on the dense output of all rides together down to the
+    end of the last bracket on the band's side of the level, so that every
+    time returned has its budget in the band.  Rows with an error get none."""
     ts, xq, R = rides.times, rides.xq, len(rides.times)
     levels = np.array([0.0, -0.5 * eps_q, -eps_q])
     ok = np.array([e is None for e in rides.errors])[:, None, None]
@@ -375,13 +372,13 @@ def _band_times(rides, eps_q):
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     band = (ok[:, 0] & (xq >= -eps_q) & (xq <= 0.0)
             & (np.arange(ts.shape[1]) <= rides.last[:, None]))
-    mid = 0.5 * (lo + hi)
-    return [np.sort(np.concatenate([mid[r == q], ts[q][band[q]]])) for q in range(R)]
+    end = np.where(side == (lv == 0), lo, hi)       # lo is below 0, above -eps_q
+    return [np.sort(np.concatenate([end[r == q], ts[q][band[q]]])) for q in range(R)]
 
 
 def check_assumptions(F: ParaboloidFamily, cfg: IntegratorConfig,
-                      times=None, probe_grid=None, max_rim_points: int = 8,
-                      extra_trajectories=None) -> AssumptionReport:
+                      times=None, probe_grid=None,
+                      max_rim_points: int = 8) -> AssumptionReport:
     """Diagnose the exactness hypotheses on the built family.
 
     (i) every member must stay defined (and below the escape norm) on [0, T];
@@ -397,9 +394,6 @@ def check_assumptions(F: ParaboloidFamily, cfg: IntegratorConfig,
 
     The default ``times`` are five from T/5 to min(T, t_max), or from
     t_max/5 to t_max when every member escapes before T/5.
-
-    ``extra_trajectories`` takes (xq_values, xq_rates) pairs fed straight to
-    the rising-budget detector; used to self-test the detector.
     """
     sys = F.system
     escaped = [(float(g), m.escape_time) for g, m in zip(F.gammas, F.members)
@@ -447,24 +441,15 @@ def check_assumptions(F: ParaboloidFamily, cfg: IntegratorConfig,
         E, f, g, defined = F.params_at_many(tbs)
         worst = np.where(defined, rides.flow.value(E, f, g, xs), -np.inf).max(axis=0) + xqs
         # points on the intersection's surface, with the rate of the ride's member
-        for k in np.nonzero(worst <= _MEMBERSHIP_TOL * (1.0 + np.abs(xqs)))[0]:
-            member_idx = members[row[k]]
-            u_t = sys.u_at(tbs[k])
-            own = Paraboloid(E[member_idx, k], f[member_idx, k], g[member_idx, k])
-            rate = sys.energy_rate(xs[k], u_t, optimal_disturbance(own, xs[k], u_t, sys))
-            n_points += 1
-            if rate >= -_RATE_MARGIN:
-                violations.append({"t": float(tbs[k]), "x": list(map(float, xs[k])),
-                                   "x_q": float(xqs[k]), "rate": float(rate),
-                                   "gamma": float(F.gammas[member_idx])})
-
-    if extra_trajectories:
-        for xq_vals, rates in extra_trajectories:
-            for k in rising_energy_violations(xq_vals, rates, F.eps_q, _RATE_MARGIN):
-                violations.append({"t": None, "x": None,
-                                   "x_q": float(np.asarray(xq_vals)[k]),
-                                   "rate": float(np.asarray(rates)[k]),
-                                   "gamma": None})
+        k = np.nonzero(worst <= _MEMBERSHIP_TOL * (1.0 + np.abs(xqs)))[0]
+        own = np.asarray(members)[row[k]]
+        t_k, x_k, xq_k = tbs[k], xs[k], xqs[k]
+        rates = rides.flow.rate(rides.flow.piece_of(t_k), t_k, x_k, E[own, k], f[own, k])
+        n_points = len(k)
+        for q in rising_energy_violations(xq_k, rates, F.eps_q, _RATE_MARGIN):
+            violations.append({"t": float(t_k[q]), "x": list(map(float, x_k[q])),
+                               "x_q": float(xq_k[q]), "rate": float(rates[q]),
+                               "gamma": float(F.gammas[own[q]])})
 
     notes = "diagnostic only; outer approximation holds regardless"
     if skipped_times:

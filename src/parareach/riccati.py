@@ -265,6 +265,12 @@ class Flow:
         Ex_f = np.einsum("...ij,...j->...i", E, x) - f
         return np.concatenate([x, b, Ex_f, np.zeros_like(b)], axis=-1)
 
+    def rate(self, j, t, x, E, f):
+        """Budget rates eta' N eta, eta = ``anchor(j, t, x, E, f)``, over
+        leading axes: the energy rate whose integral W a ride adds."""
+        eta, m = self.anchor(j, t, x, E, f), 2 * self.k
+        return np.einsum("...i,...ij,...j->...", eta, self.Z[j, :m, m:], eta)
+
     def ride(self, j, t, E, f, dt):
         """Steps of rides anchored at times t to surfaces with parameters
         (E, f) there, by dt within piece j (either sign), over leading axes:

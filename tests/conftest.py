@@ -235,6 +235,40 @@ def xq_rate_at_zero(P0, gamma, X, sys_):
     return sys_.energy_rate(X.x, u0, w)
 
 
+# -- gamma_bar state by state: the tests' reference for the bits of the
+# batched rate quadratic of parareach.family ---------------------------------
+
+def reference_rate_quadratic(P0, x, sys_):
+    """(a, b, c) of the budget rate at t=0 of the surface ride through x, as a
+    quadratic in the seed scaling, from lone products of one state."""
+    u0 = sys_.u_at(0.0)
+    w_lin = -(sys_.Mw_inv @ (sys_.B.T @ (P0.E @ x - P0.f)))
+    w_base = -(sys_.Mw_inv @ (sys_.Mxw.T @ x + sys_.Muw.T @ u0))
+    a = float(w_lin @ sys_.Mw @ w_lin)
+    b = 2.0 * float(x @ sys_.Mxw @ w_lin + u0 @ sys_.Muw @ w_lin
+                    + w_base @ sys_.Mw @ w_lin)
+    c = sys_.energy_rate(x, u0, w_base)
+    return a, b, c
+
+
+def reference_gamma_bar(P0, sys_, eps_q, sampler_density=64):
+    """The largest root >= 1 of the rate quadratic over the rim slab's
+    states, one state at a time; 1.0 when there is none."""
+    best = 1.0
+    for X in pr.sample_slab_states(P0, eps_q, density=sampler_density, n_radial=3,
+                                   n_levels=1):
+        a, b, c = reference_rate_quadratic(P0, X.x, sys_)
+        if a >= -1e-300:
+            continue
+        disc = b * b - 4.0 * a * c
+        if disc < 0.0:
+            continue
+        root = (-b - np.sqrt(disc)) / (2.0 * a)
+        if root >= 1.0:
+            best = max(best, float(root))
+    return best
+
+
 def reference_params(sys_, P0, t_end):
     """Independent (E, f, g) solution: scipy's DOP853 (rtol 1e-12) on
     riccati_rhs, f_rhs and g_quadrature_matrix, restarted at every input

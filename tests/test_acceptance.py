@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import parareach as pr
+import parareach.family as family_mod
 from parareach.presets import load_preset
 
 from conftest import (ROOT_HI, ROOT_LO, paraboloid_rate, random_boundary_states,
@@ -230,7 +231,7 @@ def test_gate8_coverage_at_desk_scale(sec5, sec5_cfg_acc, sec5_fam64,
             f"(needs >= 0.9 at 64, nondecreasing)")
 
 
-def test_gate9_assumption_diagnostics(sec5, sec5_cfg_acc, sec5_fam64):
+def test_gate9_assumption_diagnostics(sec5, sec5_cfg_acc, sec5_fam64, monkeypatch):
     t0 = time.perf_counter()
     lo, hi = sec5["grid_window"]
     axes = [np.linspace(lo[d], hi[d], 61) for d in range(2)]
@@ -241,12 +242,15 @@ def test_gate9_assumption_diagnostics(sec5, sec5_cfg_acc, sec5_fam64):
     clean = (report.bounded_ok and report.falling_ok
              and report.n_boundary_points > 0)
     eps = sec5_fam64.eps_q
-    injected = pr.check_assumptions(
-        sec5_fam64, sec5_cfg_acc, probe_grid=grid, times=[0.5],
-        max_rim_points=2,
-        extra_trajectories=[(np.array([-eps / 2]), np.array([0.1]))])
-    detected = not injected.falling_ok and any(
-        v["t"] is None for v in injected.violations)
+    # with no margin, every surface-band point of the real rides is rising
+    monkeypatch.setattr(family_mod, "_RATE_MARGIN", np.inf)
+    injected = pr.check_assumptions(sec5_fam64, sec5_cfg_acc, probe_grid=grid,
+                                    times=[0.5], max_rim_points=2)
+    detected = (not injected.falling_ok
+                and len(injected.violations) == injected.n_boundary_points > 0
+                and all(np.isfinite(v["t"]) and np.all(np.isfinite(v["x"]))
+                        and -eps <= v["x_q"] <= 0.0 and v["gamma"] in sec5_fam64.gammas
+                        for v in injected.violations))
     elapsed = time.perf_counter() - t0
     ok = clean and detected
     _report(9, ok, 30.0, elapsed,

@@ -162,12 +162,18 @@ class TestReach:
 
 
 class TestIntegerFlags:
-    """An integer flag below 1 is a ConfigError before the family is built."""
+    """A flag out of range (an integer below 1, a non-finite or nonpositive
+    float) is a ConfigError before the family is built."""
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--example", "sec5", "--cells", "0"],
         ["reach", "--example", "ex1-stable", "--grid-points", "-3"],
         ["reach", "--example", "ex1-stable", "--grid-points", "0"],
+        ["reach", "--example", "ex1-family", "--eps-q", "nan"],
+        ["reach", "--example", "ex1-stable", "--eps-q", "nan"],
+        ["reach", "--example", "ex1-stable", "--window", "nan"],
+        ["verify", "--example", "ex1-stable", "--n", "0"],
+        ["verify", "--example", "ex1-stable", "--segments", "0"],
     ])
     def test_config_error_before_any_work(self, argv, tmp_path, capsys, monkeypatch):
         def build_family(*args, **kwargs):

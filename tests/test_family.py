@@ -11,7 +11,8 @@ from parareach.errors import (ConfigError, NotOnBoundary, OutOfDomain,
 from parareach.family import sample_slab_states
 from parareach.presets import load_preset
 
-from conftest import random_iqc_system, scalar_flow, xq_rate_at_zero
+from conftest import (random_iqc_system, reference_gamma_bar, reference_rate_quadratic,
+                      scalar_flow, xq_rate_at_zero)
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +89,14 @@ class TestGammaBar:
         P0 = pr.Paraboloid([[1.0]], [0.0], -0.05)
         assert pr.gamma_bar(P0, sys_, 5e-5, sampler_density=8) == 1.0
 
+    @pytest.mark.parametrize("eps_q", [0.0, -1e-3, np.nan, np.inf])
+    def test_eps_q_must_be_positive_and_finite(self, ex1_system, ex1_stable_seed,
+                                              ex1_cfg, eps_q):
+        with pytest.raises(ConfigError):
+            pr.gamma_bar(ex1_stable_seed, ex1_system, eps_q)
+        with pytest.raises(ConfigError):
+            pr.build_family(ex1_stable_seed, ex1_system, eps_q, 1, ex1_cfg, gammas=[1.0])
+
     def test_unbounded_slab(self, ex1_system):
         P0 = pr.Paraboloid([[-1.0]], [0.0], -0.05)
         with pytest.raises(UnboundedSlab):
@@ -103,6 +112,40 @@ class TestGammaBar:
         for X in sample_slab_states(ex1_stable_seed, 6e-5, density=16, n_levels=2):
             for g in (gb + 1e-9, 2.0 * gb):
                 assert xq_rate_at_zero(ex1_stable_seed, g, X, ex1_system) < 0.0
+
+
+class TestRateArrays:
+    """The batched rate quadratic and gamma_bar keep the bits of the state by
+    state reference: every product is a stacked per-row product."""
+
+    @pytest.mark.parametrize("name", ["sec5", "ex1-stable", "ex1-family", "ex1-escape"])
+    def test_presets(self, name):
+        p = load_preset(name)
+        gb = pr.gamma_bar(p["seed"], p["system"], p["eps_q"], p["sampler_density"])
+        assert gb == reference_gamma_bar(p["seed"], p["system"], p["eps_q"],
+                                         p["sampler_density"])
+        if name == "sec5":
+            assert gb.hex() == "0x1.594458ff7cc0cp+20"
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+           sampled=st.booleans(), density=st.integers(2, 24),
+           log_eps=st.floats(-6.0, 0.0), seed=st.integers(0, 2**32 - 1))
+    def test_bits_match_reference(self, dims, sampled, density, log_eps, seed):
+        rng = np.random.default_rng(seed)
+        sys_ = random_iqc_system(rng, *dims, sampled_input=sampled)
+        W = rng.standard_normal((sys_.n, sys_.n))
+        P0 = pr.Paraboloid(W @ W.T + 0.1 * np.eye(sys_.n), rng.standard_normal(sys_.n),
+                           rng.standard_normal())
+        eps_q = 10.0 ** log_eps
+        xs = family_mod._slab_points(P0, eps_q, density, 3)
+        abc = family_mod._rate_quadratic(P0, xs, sys_)
+        ref = np.array([reference_rate_quadratic(P0, x, sys_) for x in xs]).reshape(-1, 3)
+        for got, want in zip(abc, ref.T):
+            assert got.tobytes() == want.tobytes()
+        gb = pr.gamma_bar(P0, sys_, eps_q, sampler_density=density)
+        assert np.float64(gb).tobytes() == np.float64(
+            reference_gamma_bar(P0, sys_, eps_q, density)).tobytes()
 
 
 class TestBuildFamily:
@@ -319,17 +362,20 @@ class TestAssumptions:
         assert not report.bounded_ok
         assert report.escaped_members[0][0] == 1.0
 
-    def test_synthetic_violation_detected(self, ex1_family, ex1_cfg):
+    def test_synthetic_violation_detected(self, ex1_family, ex1_cfg, monkeypatch):
+        # with no margin, every surface-band point of the real rides is rising
+        # and reported through the detector
+        monkeypatch.setattr(family_mod, "_RATE_MARGIN", np.inf)
         eps = ex1_family.eps_q
         report = pr.check_assumptions(
             ex1_family, ex1_cfg,
-            probe_grid=np.linspace(-1.5, 1.5, 31)[:, None], times=[0.91],
-            extra_trajectories=[(np.array([0.5, -eps / 2, -2 * eps]),
-                                 np.array([-1.0, 0.1, 0.5]))])
+            probe_grid=np.linspace(-1.5, 1.5, 31)[:, None], times=[0.91])
         assert not report.falling_ok
-        injected = [v for v in report.violations if v["t"] is None]
-        assert len(injected) == 1
-        assert injected[0]["x_q"] == pytest.approx(-eps / 2)
+        assert len(report.violations) == report.n_boundary_points > 0
+        for v in report.violations:
+            assert np.isfinite(v["t"]) and np.all(np.isfinite(v["x"]))
+            assert -eps <= v["x_q"] <= 0.0
+            assert v["gamma"] in ex1_family.gammas
 
     def test_skipped_trace_is_named_in_notes(self, ex1_family, ex1_cfg,
                                              monkeypatch):
@@ -450,6 +496,8 @@ class TestAssumptions:
         for rides in stacks:
             for r, tb in enumerate(band_times(rides, eps)):
                 traj = rides.row(r)
+                xq_tb = traj.state_at_many(tb)[1]       # every time lies in the band
+                assert np.all((xq_tb >= -eps) & (xq_tb <= 0.0))
                 crossings = tb[~np.isin(tb, traj.grid)]
                 # every crossing of a level seen on a scan four times finer than
                 # the nodes is returned, within 1e-9 of its brentq root

@@ -269,6 +269,39 @@ class TestSystemCheck:
 
 
 class TestBudgetRate:
+    @settings(max_examples=40, deadline=None)
+    @given(dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+           sampled=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_engine_rate_matches_scalar(self, dims, sampled, seed):
+        # Flow.rate, the quadratic form the rides integrate, against the
+        # energy rate of the optimal disturbance, at nodes and between them.
+        # The disturbance cancels terms of the size of E x - f, which grows
+        # near a blow-up, so the two agree to 1e-12 of the magnitude of every
+        # term summed: z' |M| z, z = [|x|; |u|; |w|] with |w| bounded termwise
+        rng = np.random.default_rng(seed)
+        sys_ = random_iqc_system(rng, *dims, sampled_input=sampled)
+        E0 = rng.standard_normal((sys_.n, sys_.n))
+        P0 = pr.Paraboloid(0.5 * (E0 + E0.T), rng.standard_normal(sys_.n),
+                           rng.standard_normal())
+        cfg = pr.IntegratorConfig(max_step=0.05, t_end=1.5)
+        gammas = rng.uniform(0.5, 3.0, size=3)
+        member = pr.propagate(P0, sys_, cfg, gamma=gammas).members[rng.integers(3)]
+        ts = np.concatenate([rng.uniform(0.0, member.t_end, 6),
+                             rng.choice(member.grid, 3)])
+        xs = rng.standard_normal((len(ts), sys_.n))
+        E, f, g = member.params_at_many(ts)
+        flow = member.flow
+        rates = flow.rate(flow.piece_of(ts), ts, xs, E, f)
+        for t, x, Et, ft, gt, rate in zip(ts, xs, E, f, g, rates):
+            u_t = sys_.u_at(t)
+            w = pr.optimal_disturbance(pr.Paraboloid(Et, ft, gt), x, u_t, sys_)
+            ref = sys_.energy_rate(x, u_t, w)
+            ax, au = np.abs(x), np.abs(u_t)
+            aw = np.abs(sys_.Mw_inv) @ (np.abs(sys_.B.T) @ (np.abs(Et) @ ax + np.abs(ft))
+                                        + np.abs(sys_.Mxw.T) @ ax + np.abs(sys_.Muw.T) @ au)
+            z = np.concatenate([ax, au, aw])
+            assert abs(rate - ref) <= 1e-12 * (1.0 + z @ np.abs(sys_.M) @ z)
+
     def test_zero_state_zero_rate(self, ex1_system):
         P0 = pr.Paraboloid([[1.0]], [0.0], -0.06)
         X = pr.AugmentedState([0.0], 0.0)
