@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, ParareachError, RejectionStarvation
 from .family import (build_family, check_assumptions, membership_margins,
-                     reach_slice)
+                     mesh_points, reach_slice)
 from .model import IqcSystem, Paraboloid, system_from_json
 from .oracle import OracleConfig, coverage, sample_admissible
 from .presets import load_preset, preset_names
@@ -109,12 +109,14 @@ def _build_config(args) -> RunConfig:
     integ = preset["integrator"] if preset else {}
     cfg = IntegratorConfig(
         rel_tol=float(pick(args.rel_tol, None, integ.get("rel_tol", 1e-9))),
-        abs_tol=float(pick(args.abs_tol, None, integ.get("abs_tol", 1e-12))),
+        abs_tol=float(integ.get("abs_tol", 1e-12)),
         max_step=float(pick(args.max_step, None, integ.get("max_step", 0.025))),
         escape_norm=float(args.escape_norm),
         t_end=t_end)
 
-    times = args.time if args.time else pick(None, "times", [t_end])
+    times = [float(t) for t in (args.time or pick(None, "times", [t_end]))]
+    if args.command != "propagate" and not all(0.0 <= t <= t_end for t in times):
+        raise ConfigError(f"times must lie in [0, t_end = {t_end:g}], got {times}")
     gammas = None
     if args.gammas:
         gammas = [float(g) for g in args.gammas.split(",") if g.strip()]
@@ -146,7 +148,7 @@ def _build_config(args) -> RunConfig:
     out_dir = Path(args.out)
     return RunConfig(
         system=system, seed_paraboloid=seed_par, t_end=t_end,
-        times=[float(t) for t in times],
+        times=times,
         eps_q=eps_q, n_members=n_members, gammas=gammas,
         gamma_spacing=pick(args.gamma_spacing, "gamma_spacing", "uniform"),
         sampler_density=int(pick(None, "sampler_density", 64)),
@@ -161,9 +163,7 @@ def _build_config(args) -> RunConfig:
 
 def _grid_from_window(rc: RunConfig):
     lo, hi = rc.grid_window
-    axes = [np.linspace(lo[d], hi[d], rc.grid_points) for d in range(rc.system.n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    return mesh_points([np.linspace(lo[d], hi[d], rc.grid_points) for d in range(rc.system.n)])
 
 
 def _write(rc: RunConfig, name: str, text: str):
@@ -333,7 +333,6 @@ def _add_common(sp):
     sp.add_argument("--time", type=float, action="append",
                     help="evaluation time (repeatable)")
     sp.add_argument("--rel-tol", dest="rel_tol", type=float)
-    sp.add_argument("--abs-tol", dest="abs_tol", type=float)
     sp.add_argument("--max-step", dest="max_step", type=float)
     sp.add_argument("--escape-norm", dest="escape_norm", type=float, default=1e7)
     sp.add_argument("--gammas", help="explicit comma-separated scalings")

@@ -279,20 +279,20 @@ def membership_margins(F: ParaboloidFamily, t: float, xs, xqs) -> np.ndarray:
     return np.asarray(xqs, dtype=float) - xq_max_at(F, t, xs)
 
 
-def find_nonconvex_witness(F: ParaboloidFamily, slc: ReachSlice,
-                           n_pairs: int = 20000, seed: int = 7,
-                           margin: float = 1e-9):
-    """Search for inside points whose midpoint is outside the projected set.
+def find_nonconvex_witness(F: ParaboloidFamily, slc: ReachSlice):
+    """Search for inside points whose midpoint is outside the projected set,
+    among 20000 random pairs of inside grid points (a fixed seed).
 
-    Returns (x1, x2, midpoint) with headroom > margin at the endpoints and
-    < -margin at the midpoint (all re-evaluated exactly), or None.
+    Returns (x1, x2, midpoint) with headroom > 1e-9 at the endpoints and
+    < -1e-9 at the midpoint (all re-evaluated exactly), or None.
     """
+    margin = 1e-9
     inside = slc.x_grid[slc.xq_max > margin]
     if len(inside) < 2:
         return None
-    rng = np.random.default_rng(seed)
-    i = rng.integers(0, len(inside), size=n_pairs)
-    j = rng.integers(0, len(inside), size=n_pairs)
+    rng = np.random.default_rng(7)
+    i = rng.integers(0, len(inside), size=20000)
+    j = rng.integers(0, len(inside), size=20000)
     keep = i != j
     i, j = i[keep], j[keep]
     mids = 0.5 * (inside[i] + inside[j])
@@ -471,7 +471,12 @@ def _default_probe_grid(F: ParaboloidFamily, points_per_dim: int = 41,
     lam, V, c, q_min = _seed_center(F.seed)
     rho = max(-q_min, F.eps_q)
     half = inflate * np.sqrt(rho * np.sum(V ** 2 / lam, axis=1))
-    axes = [np.linspace(c[d] - half[d], c[d] + half[d], points_per_dim)
-            for d in range(F.seed.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    return mesh_points([np.linspace(c[d] - half[d], c[d] + half[d], points_per_dim)
+                        for d in range(F.seed.dim)])
+
+
+def mesh_points(axes) -> np.ndarray:
+    """The points of the row-major mesh of ``axes``, one per row, the last
+    axis varying fastest: lexicographic order, as :func:`_rim_points` walks
+    a grid."""
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)

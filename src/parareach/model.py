@@ -40,10 +40,10 @@ def _as_matrix(a, name):
     return a
 
 
-def _symmetrize(a, name, tol=SYM_TOL):
+def _symmetrize(a, name):
     scale = np.linalg.norm(a)
     asym = np.linalg.norm(a - a.T)
-    if asym > tol * max(scale, 1e-300) and asym > tol:
+    if asym > SYM_TOL * max(scale, 1e-300) and asym > SYM_TOL:
         raise AsymmetricMatrix(f"{name} is not symmetric: rel deviation {asym / max(scale, 1e-300):.3e}")
     return 0.5 * (a + a.T)
 
@@ -101,12 +101,12 @@ class IqcSystem:
         }
 
 
-def make_system(A, B, B_u, M, u=None, sym_tol=SYM_TOL, pd_margin=PD_MARGIN) -> IqcSystem:
+def make_system(A, B, B_u, M, u=None) -> IqcSystem:
     """Validate matrices and assemble an :class:`IqcSystem`.
 
     ``M`` is indexed in (x, u, w) block order and must be symmetric up to
-    ``sym_tol`` (it is symmetrized on construction); its w-block must be
-    negative definite with eigenvalues at most ``-pd_margin``.  ``u`` may be
+    ``SYM_TOL`` (it is symmetrized on construction); its w-block must be
+    negative definite with eigenvalues at most ``-PD_MARGIN``.  ``u`` may be
     ``None`` (zero input), a piecewise-polynomial signal, or the JSON form
     accepted by :func:`parareach.signals.signal_from_json`.  A signal is
     called as ``u(t)`` and, for the propagation engine, gives its polynomial
@@ -129,7 +129,7 @@ def make_system(A, B, B_u, M, u=None, sym_tol=SYM_TOL, pd_margin=PD_MARGIN) -> I
     k = n + p + m
     if M.shape != (k, k):
         raise DimensionMismatch(f"M must be {k}x{k} for n={n}, p={p}, m={m}; got {M.shape}")
-    M = _symmetrize(M, "M", sym_tol)
+    M = _symmetrize(M, "M")
 
     Mx = M[:n, :n]
     Mxu = M[:n, n:n + p]
@@ -140,7 +140,7 @@ def make_system(A, B, B_u, M, u=None, sym_tol=SYM_TOL, pd_margin=PD_MARGIN) -> I
 
     if m > 0:
         eig = np.linalg.eigvalsh(Mw)
-        if np.any(eig > -pd_margin):
+        if np.any(eig > -PD_MARGIN):
             raise NotNegativeDefinite(
                 f"w-block of M must be negative definite; eigenvalues {eig}"
             )

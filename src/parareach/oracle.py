@@ -10,23 +10,24 @@ Half of the samples can be steered by the surface-riding disturbance of a
 randomly chosen family member (plus noise): extremal trajectories hug the
 boundary, which uniform disturbances almost never reach.  A ride is released
 into a plain push at a drawn time, or earlier where its member escapes.  All
-randomness is drawn up front from one generator per batch in a fixed order,
-so a fixed seed reproduces trajectories byte for byte regardless of how the
-integration work is later distributed.
+randomness is drawn up front from one generator in a fixed order, so a fixed
+seed reproduces trajectories byte for byte regardless of how the integration
+work is later distributed.
 
 That work is distributed over forked worker processes, one per usable CPU
-(``os.sched_getaffinity``), each integrating a contiguous block of a batch's
+(``os.sched_getaffinity``), each integrating a contiguous block of the
 rows.  Before the fork the parent evaluates the input and the member
 parameters at every RK4 stage time, so the workers call no user code; they
-send back each block's admissible columns.  The oracle runs inline, one block
-per batch, with one usable CPU, without ``os.fork``, in a daemonic process
+send back each block's admissible columns.  The oracle runs its blocks
+inline with one usable CPU, without ``os.fork``, in a daemonic process
 (which may not have children) and beside other live threads.
 
 The admissible trajectories come back as columns (:class:`OracleSamples`),
 one row per trajectory in a fixed order, which keeps fixed-seed outputs
-byte-identical: within a batch the plain draws come first, in draw order,
-then the steered draws, grouped stably by ascending member; batches follow
-in batch order, and the rows are cut to ``min_admissible``.
+byte-identical: the plain draws come first, in draw order, then the steered
+draws, grouped stably by ascending member.  The steered rows are put in that
+order after the last draw and before the integration, so the blocks return
+every row where it belongs.
 
 So is the stage arithmetic, which keeps numpy's own summation orders: x' M y
 term by term in (i, j) order (einsum's for three rows or more), the steered
@@ -61,7 +62,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, RejectionStarvation, UnboundedSlab
-from .family import ParaboloidFamily, xq_max_at
+from .family import ParaboloidFamily, mesh_points, xq_max_at
 from .model import IqcSystem, Paraboloid
 
 
@@ -82,12 +83,11 @@ class OracleConfig:
     w_scale: float = 1.0
     seed: int = 0
     t_end: float = 1.0
-    steps: Optional[int] = None       # RK4 substeps over [0, t_end]; default ~t_end/2.5e-3
     boundary_fraction: float = 0.5    # share steered by a member's optimal disturbance
     noise_rel: float = 0.05
 
     def __post_init__(self):
-        if min(self.n_trajectories, self.segments, 1 if self.steps is None else self.steps) < 1:
+        if min(self.n_trajectories, self.segments) < 1:
             raise ConfigError("oracle counts must be positive")
         finite = np.isfinite([self.t_end, self.w_scale, self.noise_rel]).all()
         if not (finite and self.t_end > 0 and self.w_scale >= 0):
@@ -97,7 +97,8 @@ class OracleConfig:
 
     @property
     def n_steps(self) -> int:
-        return self.steps if self.steps is not None else max(200, int(np.ceil(self.t_end / 2.5e-3)))
+        """RK4 steps over [0, t_end], about one per 2.5e-3."""
+        return max(200, int(np.ceil(self.t_end / 2.5e-3)))
 
 
 @dataclass(frozen=True)
@@ -345,49 +346,6 @@ def _map_blocks(run, n_blocks, workers):
         return list(pool.map(_call, range(n_blocks)))
 
 
-def sample_admissible(sys: IqcSystem, P0: Paraboloid, cfg: OracleConfig,
-                      family: Optional[ParaboloidFamily] = None,
-                      sample_times: Optional[Sequence[float]] = None,
-                      min_admissible: Optional[int] = None):
-    """Draw piecewise-constant disturbances, integrate the constrained plant,
-    and keep the trajectories whose budget never dips below zero, as one
-    :class:`OracleSamples` in the row order of the module docstring.
-
-    With a ``family``, a ``boundary_fraction`` share of the draws is steered
-    by the optimal disturbance of a randomly chosen member plus relative
-    noise.  ``sample_times`` join the segment bounds as the sample times.
-    When ``min_admissible`` is set, further seeded batches are drawn until
-    that many admissible trajectories are collected.
-    """
-    if sample_times is None:
-        sample_times = []
-    save_times = np.unique(np.concatenate([
-        np.linspace(0.0, cfg.t_end, cfg.segments + 1),
-        np.asarray(list(sample_times), dtype=float)]))
-    if np.any(save_times < 0) or np.any(save_times > cfg.t_end):
-        raise ConfigError("sample times must lie within [0, t_end]")
-
-    master = np.random.SeedSequence(cfg.seed)
-    batches = []
-    got = total_drawn = 0
-    while True:
-        batches.append(_one_batch(sys, P0, cfg, family, save_times,
-                                  master.spawn(1)[0]))
-        got += batches[-1][0].shape[1]
-        total_drawn += cfg.n_trajectories
-        if min_admissible is None or got >= min_admissible:
-            break
-        if total_drawn >= 20 * cfg.n_trajectories:
-            raise RejectionStarvation(
-                f"could not collect {min_admissible} admissible trajectories "
-                f"({got} of {total_drawn} drawn)")
-    if total_drawn >= 1000 and got < 0.001 * total_drawn:
-        raise RejectionStarvation(
-            f"acceptance rate {got / total_drawn:.2e} below 0.1%")
-    return OracleSamples(save_times, *(np.concatenate(a, axis=1)[:, :min_admissible]
-                                       for a in zip(*batches)))
-
-
 def _gamma_plus(sys, P0, X0):
     """Largest seed scaling whose surface ride starts with a nonnegative
     budget rate, per start state (the positive root of the rate quadratic;
@@ -421,9 +379,27 @@ def _affordable_amplitude(sys, X0, XQ0, t_end, wcost):
     return np.sqrt(np.maximum(budget, 0.0) / (wcost * t_end)) + 1e-6
 
 
-def _one_batch(sys, P0, cfg, family, save_times, seed_seq):
+def sample_admissible(sys: IqcSystem, P0: Paraboloid, cfg: OracleConfig,
+                      family: Optional[ParaboloidFamily] = None,
+                      sample_times: Optional[Sequence[float]] = None) -> OracleSamples:
+    """Draw piecewise-constant disturbances, integrate the constrained plant,
+    and keep the trajectories whose budget never dips below zero, as one
+    :class:`OracleSamples` in the row order of the module docstring.
+
+    With a ``family``, a ``boundary_fraction`` share of the draws is steered
+    by the optimal disturbance of a randomly chosen member plus relative
+    noise.  ``sample_times`` join the segment bounds as the sample times.
+    """
+    if sample_times is None:
+        sample_times = []
+    save_times = np.unique(np.concatenate([
+        np.linspace(0.0, cfg.t_end, cfg.segments + 1),
+        np.asarray(list(sample_times), dtype=float)]))
+    if np.any(save_times < 0) or np.any(save_times > cfg.t_end):
+        raise ConfigError("sample times must lie within [0, t_end]")
+
     N = cfg.n_trajectories
-    rng = np.random.default_rng(seed_seq)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
 
     # fixed draw order: initial states, amplitudes, directions, noise, picks,
     # then the steered draws' noise levels and release rates
@@ -463,6 +439,13 @@ def _one_batch(sys, P0, cfg, family, save_times, seed_seq):
         # continues; overdrafts are culled by the admissibility check
         release_u = cfg.w_scale * rng.uniform(0.3, 1.6, size=n_boundary)
         span = wcost * np.maximum(cfg.t_end - switch_t, 0.05 * cfg.t_end)
+        # group the steered rows stably by member, so that the blocks return
+        # them in output order; every row keeps its bits (columns never mix)
+        order = np.argsort(member_of, kind="stable")
+        for a in (X0, XQ0, raw_W):
+            a[:n_boundary] = a[order]
+        member_of, switch_t, noise_lvl, release_u, span = (
+            a[order] for a in (member_of, switch_t, noise_lvl, release_u, span))
 
     base = np.linspace(0.0, cfg.t_end, cfg.n_steps + 1)
     seg_bounds = np.linspace(0.0, cfg.t_end, cfg.segments + 1)
@@ -529,30 +512,23 @@ def _one_batch(sys, P0, cfg, family, save_times, seed_seq):
         return ok, sX[:, keep], sXQ[:, keep], sW[:, keep]
 
     done = _map_blocks(run, len(blocks), workers)
-    n_plain = sum(source is plain for source, _ in blocks)
-    # plain rows in draw order, then steered rows stably by member
-    kept = [cols for _, *cols in done[:n_plain]]    # admissible columns
-    owner = [np.zeros(cols[0].shape[1], dtype=int) for cols in kept]
-    if n_boundary:
-        ok = np.concatenate([d[0] for d in done[n_plain:]])
-        cols = (np.concatenate(a, axis=1) for a in zip(*(d[1:] for d in done[n_plain:])))
-        order = np.argsort(member_of, kind="stable")
-        order = order[ok[order]]
-        at = np.cumsum(ok) - 1      # each steered row's admissible column
-        kept.append([c[:, at[order]] for c in cols])
-        owner.append(member_of[order])
-
-    x, xq, w = (np.concatenate(a, axis=1) for a in zip(*kept))
+    admitted = np.concatenate([d[0] for d in done])
+    x, xq, w = (np.concatenate(a, axis=1) for a in zip(*(d[1:] for d in done)))
+    if N >= 1000 and xq.shape[1] < 0.001 * N:
+        raise RejectionStarvation(f"acceptance rate {xq.shape[1] / N:.2e} below 0.1%")
     h = np.full(xq.shape, np.nan)
     if family is not None:
         # the owner's value function, gathered from the stage table by each
         # row's member; one sample time at a time bounds the temporaries
-        mi = np.concatenate(owner)
+        owner = np.zeros(N, dtype=int)      # plain rows first, owned by member 0
+        if n_boundary:
+            owner[N - n_boundary:] = member_of
+        owner = owner[admitted]
         for s, ti in enumerate(save_idx):
-            E, f, g, ok = (a[:, ti].take(mi, axis=0) for a in (E_tab, f_tab, g_tab, defined))
+            E, f, g, ok = (a[:, ti].take(owner, axis=0) for a in (E_tab, f_tab, g_tab, defined))
             h[s] = family.members[0].flow.value(E, f, g, x[s]) + xq[s]
             h[s, ~ok] = np.nan
-    return x, xq, w, h
+    return OracleSamples(save_times, x, xq, w, h)
 
 
 @dataclass
@@ -607,9 +583,8 @@ def coverage(F: ParaboloidFamily, t: float, endpoints, cells_per_dim: int = 24,
             raise ConfigError("coverage window must be finite, with hi > lo")
     dim = F.seed.dim
     width = (hi - lo) / cells_per_dim
-    axes = [lo[d] + width[d] * (np.arange(cells_per_dim) + 0.5) for d in range(dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    centers = np.stack([m.ravel() for m in mesh], axis=1)
+    centers = mesh_points([lo[d] + width[d] * (np.arange(cells_per_dim) + 0.5)
+                           for d in range(dim)])
     inside = xq_max_at(F, t, centers) >= 0.0
 
     covered = np.zeros(len(centers), dtype=bool)

@@ -41,10 +41,6 @@ class ZeroSignal:
     def taylor(self, a: float) -> np.ndarray:
         return np.zeros((1, self.dim))
 
-    @property
-    def is_zero(self) -> bool:
-        return True
-
     def to_json(self):
         return "zero"
 
@@ -143,10 +139,6 @@ class SampledSignal:
             c[2] = 3.0 * p[3] * d + p[2]
             c[3] = p[3]
         return c
-
-    @property
-    def is_zero(self) -> bool:
-        return False
 
     def to_json(self):
         return {"times": self.times.tolist(), "values": self.values.tolist()}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -73,6 +74,10 @@ class TestPropagate:
         sys_path.write_text(json.dumps(sys1.to_json()))
         assert run(["propagate", "--system", str(sys_path),
                     "--out", str(tmp_path)]) == 1
+
+    def test_ignores_time(self, tmp_path):
+        assert run(["propagate", "--example", "ex1-stable", "--time", "-1",
+                    "--out", str(tmp_path / "run")]) == 0
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "run"
@@ -163,7 +168,8 @@ class TestReach:
 
 class TestIntegerFlags:
     """A flag out of range (an integer below 1, a non-finite or nonpositive
-    float) is a ConfigError before the family is built."""
+    float, a time outside [0, t_end]) is a ConfigError before the family is
+    built."""
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--example", "sec5", "--cells", "0"],
@@ -174,6 +180,10 @@ class TestIntegerFlags:
         ["reach", "--example", "ex1-stable", "--window", "nan"],
         ["verify", "--example", "ex1-stable", "--n", "0"],
         ["verify", "--example", "ex1-stable", "--segments", "0"],
+        ["reach", "--example", "sec5", "--time", "2"],
+        ["reach", "--example", "ex1-stable", "--time", "-1"],
+        ["reach", "--example", "ex1-stable", "--time", "nan"],
+        ["verify", "--example", "ex1-stable", "--time", "11"],
     ])
     def test_config_error_before_any_work(self, argv, tmp_path, capsys, monkeypatch):
         def build_family(*args, **kwargs):
@@ -290,3 +300,38 @@ class TestTables:
         assert cols == ["x_0", "x_q"]
         assert len(rows) == report["n_admissible"] > 0
         assert np.all(rows[:, 1] >= 0.0)
+
+
+class TestByteIdentity:
+    """Every file a preset run writes, pinned by its sha256 as the CLI wrote
+    it on x86-64 (numpy 2.4, OpenBLAS).  Any change to an output's bits, its
+    formatting or the set of files written changes a digest."""
+
+    @pytest.mark.parametrize("argv, code, digests", [
+        (["reach", "--example", "sec5"], 0, {
+            "family_manifest.json":
+                "772368ff27d73787575d3b0eb0391dac5178acf0f197f0b61411d636e0b19f05",
+            "slice_t0p794.csv":
+                "34ae0a638c04cb8618539ce4b382aba8161120a2d9c98de11c8580e931106895",
+            "tube.csv": "8bf0056a8b49ee5cbd245cf19c0a1c0d2c1e7bd749efaa9b5e916bdc7ad84110"}),
+        (["reach", "--example", "ex1-escape"], 0, {
+            "family_manifest.json":
+                "e2685f4e82de6b7bad7f7eecbd38f17427abb67ce0786d19db3f0ee5918e6861",
+            "slice_t0p91.csv":
+                "7cadd847860d0bc3a3b536406ff08ae6f3761caf314da481089309f15cce9e5b",
+            "slice_t1p62.csv":
+                "d77673cef8ab9157713c21d956ac7192cab674a1380285de0d4147357b85f45a",
+            "tube.csv": "eeb65210d305b3cbb0d7ae89c998ef34a543f40a0773628021d8e79bf4e79556"}),
+        (["propagate", "--example", "ex1-escape"], 2, {
+            "manifest.json": "72703f87a672a4a44653090d6c24318957168bb11526ab2b6d0ed30d11435072",
+            "tvp.csv": "05be1bbf39c3d15f1f6e2e14dd42106da7d85754a040a1648d6a1d11c921ce22"}),
+        (["verify", "--example", "ex1-family", "--seed", "3"], 0, {
+            "coverage.json": "9c3aa630a52731297c27b593e4a65dc9a3e3e8afc26ecfb41515f8eef8817c43",
+            "endpoints.csv": "dd3c490e9f17b23fb6214bf826faa024acb62d577aceedd134574824fa7abed5",
+            "verify_report.json":
+                "5b456b636dc38ee3b025278fa082bffd71c3e8ec133fb8cb4881377987f464a0"}),
+    ])
+    def test_preset_run(self, tmp_path, argv, code, digests):
+        assert run(argv + ["--out", str(tmp_path)]) == code
+        assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in tmp_path.iterdir()} == digests

@@ -191,4 +191,4 @@ class TestSystemJson:
         sys1 = pr.make_system([[-1.0]], [[1.0]], [[1.0]],
                               np.diag([1.0, 1.0, -2.0]), u=sig.to_json())
         assert sys1.u(0.5)[0] == pytest.approx(1.0)
-        assert not sys1.u.is_zero
+        assert isinstance(sys1.u, pr.SampledSignal)

@@ -73,13 +73,20 @@ class TestSampling:
         with pytest.raises(RejectionStarvation):
             pr.sample_admissible(sys_, P0, cfg)
 
-    def test_min_admissible_collects(self, ex1_system, ex1_stable_seed):
-        cfg = pr.OracleConfig(n_trajectories=50, segments=4, w_scale=0.5,
+    def test_unsteered_family_rows_owned_by_member_zero(self, ex1_system, ex1_stable_seed,
+                                                       ex1_small_family):
+        # a family but no steered draws: every row is plain, and h is the
+        # value function of the family's first member
+        cfg = pr.OracleConfig(n_trajectories=60, segments=4, w_scale=0.5,
                               seed=9, t_end=1.0, boundary_fraction=0.0)
         samples = pr.sample_admissible(ex1_system, ex1_stable_seed, cfg,
-                                       min_admissible=120)
-        assert len(samples) == 120
-        assert samples.x.shape == (len(samples.times), 120, 1)
+                                       family=ex1_small_family)
+        member = ex1_small_family.members[0]
+        assert len(samples) > 0
+        for t, xs, xqs, hs in zip(samples.times, samples.x, samples.x_q, samples.h):
+            P = pr.Paraboloid(*member.params_at(t))
+            want = [pr.value_function(P, pr.AugmentedState(x, xq)) for x, xq in zip(xs, xqs)]
+            np.testing.assert_allclose(hs, want, rtol=0, atol=1e-12)
 
     def test_initial_states_inside_seed(self, ex1_system, ex1_stable_seed):
         cfg = pr.OracleConfig(n_trajectories=300, segments=2, w_scale=0.3,
@@ -219,12 +226,10 @@ class TestConfig:
             pr.OracleConfig(n_trajectories=10, segments=0)
         with pytest.raises(ConfigError):
             pr.OracleConfig(n_trajectories=10, boundary_fraction=1.5)
-        for bad in ({"steps": 0}, {"steps": -3}, {"t_end": np.nan}, {"t_end": np.inf},
-                    {"w_scale": np.nan}, {"w_scale": np.inf}, {"noise_rel": np.nan},
-                    {"noise_rel": -np.inf}):
+        for bad in ({"t_end": np.nan}, {"t_end": np.inf}, {"w_scale": np.nan},
+                    {"w_scale": np.inf}, {"noise_rel": np.nan}, {"noise_rel": -np.inf}):
             with pytest.raises(ConfigError):
                 pr.OracleConfig(n_trajectories=10, **bad)
-        assert pr.OracleConfig(n_trajectories=10, steps=1).n_steps == 1
 
     def test_sample_times_outside_horizon(self, ex1_system, ex1_stable_seed):
         cfg = pr.OracleConfig(n_trajectories=10, t_end=1.0)
