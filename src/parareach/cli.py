@@ -39,7 +39,6 @@ class RunConfig:
 
     system: IqcSystem
     seed_paraboloid: Paraboloid
-    t_end: float
     times: list
     eps_q: float
     n_members: int
@@ -49,10 +48,7 @@ class RunConfig:
     grid_window: tuple
     grid_points: int
     integrator: IntegratorConfig
-    oracle_n: int
-    oracle_segments: int
-    oracle_w_scale: float
-    oracle_seed: int
+    oracle: Optional[OracleConfig]      # verify only
     cells_per_dim: int
     out_dir: Path
     fmt: str
@@ -66,8 +62,13 @@ def _parse_json_flag(text, what):
         raise ConfigError(f"could not parse {what} as JSON: {e}") from e
 
 
+def _with_flags(base: dict, **flags) -> dict:
+    """``base`` with the flags set on the command line put over it."""
+    return {**base, **{name: v for name, v in flags.items() if v is not None}}
+
+
 def _build_config(args) -> RunConfig:
-    preset = None
+    preset = {}
     if args.example:
         try:
             preset = load_preset(args.example)
@@ -90,7 +91,7 @@ def _build_config(args) -> RunConfig:
     else:
         raise ConfigError("one of --example or --system is required")
 
-    if preset is not None and (args.e0, args.f0, args.g0) != (None, None, None):
+    if preset and (args.e0, args.f0, args.g0) != (None, None, None):
         seed_par = Paraboloid(
             (seed_par.E if args.e0 is None
              else np.asarray(_parse_json_flag(args.e0, "--e0"), dtype=float)),
@@ -99,43 +100,36 @@ def _build_config(args) -> RunConfig:
             seed_par.g if args.g0 is None else args.g0)
 
     def pick(flag, key, fallback):
-        if flag is not None:
-            return flag
-        if preset is not None and key in preset:
-            return preset[key]
-        return fallback
+        return flag if flag is not None else preset.get(key, fallback)
 
-    t_end = float(pick(args.t_end, "t_end", 1.0))
-    integ = preset["integrator"] if preset else {}
-    cfg = IntegratorConfig(
-        rel_tol=float(pick(args.rel_tol, None, integ.get("rel_tol", 1e-9))),
-        abs_tol=float(integ.get("abs_tol", 1e-12)),
-        max_step=float(pick(args.max_step, None, integ.get("max_step", 0.025))),
-        escape_norm=float(args.escape_norm),
-        t_end=t_end)
+    # flags over the preset over the library's defaults
+    integrator = IntegratorConfig(
+        **_with_flags(preset.get("integrator", {}), max_step=args.max_step,
+                      t_end=pick(args.t_end, "t_end", None)),
+        escape_norm=args.escape_norm)
+    t_end = integrator.t_end
+    oracle = None
+    if args.command == "verify":
+        oracle = OracleConfig(
+            **_with_flags({"n_trajectories": 2000, **preset.get("oracle", {})},
+                          n_trajectories=args.n, segments=args.segments,
+                          w_scale=args.w_scale),
+            seed=args.seed, t_end=t_end)
 
-    times = [float(t) for t in (args.time or pick(None, "times", [t_end]))]
+    times = [float(t) for t in (args.time or preset.get("times", [t_end]))]
     if args.command != "propagate" and not all(0.0 <= t <= t_end for t in times):
         raise ConfigError(f"times must lie in [0, t_end = {t_end:g}], got {times}")
-    gammas = None
     if args.gammas:
         gammas = [float(g) for g in args.gammas.split(",") if g.strip()]
-    elif preset is not None and "gammas" in preset:
-        gammas = preset["gammas"]
+    else:               # an explicit member count drops the preset's scalings
+        gammas = None if args.members is not None else preset.get("gammas")
 
-    window = pick(None, "grid_window", None)
+    window = preset.get("grid_window", ([-2.0] * system.n, [2.0] * system.n))
     if args.window is not None:
-        half = abs(float(args.window))
-        if not np.isfinite(half):
-            raise ConfigError(f"--window must be finite, got {args.window}")
+        half = args.window
+        if not (np.isfinite(half) and half > 0):
+            raise ConfigError(f"--window must be positive and finite, got {half}")
         window = ([-half] * system.n, [half] * system.n)
-    if window is None:
-        window = ([-2.0] * system.n, [2.0] * system.n)
-
-    orc = preset["oracle"] if preset else {}
-    n_members = int(pick(args.members, "n_members", 16))
-    if args.members is not None:
-        gammas = gammas if args.gammas else None  # explicit member count wins
 
     grid_points = int(pick(args.grid_points, "grid_points", 61))
     for flag, value in (("--cells", args.cells), ("--grid-points", grid_points)):
@@ -145,20 +139,14 @@ def _build_config(args) -> RunConfig:
     if not (np.isfinite(eps_q) and eps_q > 0):
         raise ConfigError(f"--eps-q must be positive and finite, got {eps_q}")
 
-    out_dir = Path(args.out)
     return RunConfig(
-        system=system, seed_paraboloid=seed_par, t_end=t_end,
-        times=times,
-        eps_q=eps_q, n_members=n_members, gammas=gammas,
+        system=system, seed_paraboloid=seed_par, times=times, eps_q=eps_q,
+        n_members=int(pick(args.members, "n_members", 16)), gammas=gammas,
         gamma_spacing=pick(args.gamma_spacing, "gamma_spacing", "uniform"),
         sampler_density=int(pick(None, "sampler_density", 64)),
         grid_window=window, grid_points=grid_points,
-        integrator=cfg,
-        oracle_n=int(pick(args.n, None, orc.get("n", 2000))),
-        oracle_segments=int(pick(args.segments, None, orc.get("segments", 8))),
-        oracle_w_scale=float(pick(args.w_scale, None, orc.get("w_scale", 1.0))),
-        oracle_seed=int(args.seed), cells_per_dim=int(args.cells),
-        out_dir=out_dir, fmt=args.format, preset_name=args.example)
+        integrator=integrator, oracle=oracle, cells_per_dim=int(args.cells),
+        out_dir=Path(args.out), fmt=args.format, preset_name=args.example)
 
 
 def _grid_from_window(rc: RunConfig):
@@ -197,22 +185,22 @@ def _write_table(rc: RunConfig, stem: str, columns: list, rows: list):
         _write(rc, f"{stem}.csv", "\n".join([",".join(columns)] + rows) + "\n")
 
 
-def _emit_table(rc: RunConfig, stem: str, columns: list, rows):
-    """Write a 2-D float array as a table."""
-    _write_table(rc, stem, columns, _format_rows(rc, rows))
+def _family(rc: RunConfig):
+    return build_family(rc.seed_paraboloid, rc.system, rc.eps_q, rc.n_members,
+                        rc.integrator, gammas=rc.gammas, spacing=rc.gamma_spacing,
+                        sampler_density=rc.sampler_density)
 
 
 def cmd_propagate(rc: RunConfig) -> int:
     tvp = propagate(rc.seed_paraboloid, rc.system, rc.integrator)
     n = tvp.n
-    _emit_table(rc, "tvp",
-                ["t"] + [f"E_{i}{j}" for i in range(n) for j in range(n)]
-                + _names("f", n) + ["g"],
-                np.column_stack([tvp.grid, tvp.E_samples.reshape(len(tvp.grid), -1),
-                                 tvp.f_samples, tvp.g_samples]))
+    rows = np.column_stack([tvp.grid, tvp.E_samples.reshape(len(tvp.grid), -1),
+                            tvp.f_samples, tvp.g_samples])
+    _write_table(rc, "tvp", ["t"] + [f"E_{i}{j}" for i in range(n) for j in range(n)]
+                 + _names("f", n) + ["g"], _format_rows(rc, rows))
     E, f, g = tvp.params_at(tvp.t_end)
     manifest = {
-        "t_end_requested": rc.t_end,
+        "t_end_requested": rc.integrator.t_end,
         "t_end_reached": tvp.t_end,
         "escape_time": tvp.escape_time,
         "n_grid_points": int(len(tvp.grid)),
@@ -223,16 +211,13 @@ def cmd_propagate(rc: RunConfig) -> int:
         "preset": rc.preset_name,
     }
     _write_json(rc, "manifest.json", manifest)
-    if tvp.escape_time is not None and tvp.escape_time < rc.t_end:
+    if tvp.escape_time is not None and tvp.escape_time < rc.integrator.t_end:
         return EXIT_ESCAPE
     return EXIT_OK
 
 
 def cmd_reach(rc: RunConfig) -> int:
-    fam = build_family(rc.seed_paraboloid, rc.system, rc.eps_q, rc.n_members,
-                       rc.integrator, gammas=rc.gammas,
-                       spacing=rc.gamma_spacing,
-                       sampler_density=rc.sampler_density)
+    fam = _family(rc)
     grid = _grid_from_window(rc)
     report = check_assumptions(fam, rc.integrator, probe_grid=grid,
                                max_rim_points=6)
@@ -250,20 +235,13 @@ def cmd_reach(rc: RunConfig) -> int:
 
 
 def cmd_verify(rc: RunConfig) -> int:
-    ocfg = OracleConfig(n_trajectories=rc.oracle_n, segments=rc.oracle_segments,
-                        w_scale=rc.oracle_w_scale, seed=rc.oracle_seed,
-                        t_end=rc.t_end)
-    fam = build_family(rc.seed_paraboloid, rc.system, rc.eps_q, rc.n_members,
-                       rc.integrator, gammas=rc.gammas,
-                       spacing=rc.gamma_spacing,
-                       sampler_density=rc.sampler_density)
-    check_times = rc.times if rc.times else [rc.t_end]
-    sample_times = sorted(set(check_times))
-    samples = sample_admissible(rc.system, rc.seed_paraboloid, ocfg, family=fam,
+    fam = _family(rc)
+    sample_times = sorted(set(rc.times))
+    samples = sample_admissible(rc.system, rc.seed_paraboloid, rc.oracle, family=fam,
                                 sample_times=sample_times)
     if not len(samples):
         raise RejectionStarvation(
-            f"no admissible trajectory among {rc.oracle_n} draws")
+            f"no admissible trajectory among {rc.oracle.n_trajectories} draws")
     violations = []
     worst = -np.inf
     for t in sample_times:
@@ -275,15 +253,15 @@ def cmd_verify(rc: RunConfig) -> int:
             violations.append({"t": float(t), "x": xs[j].tolist(),
                                "x_q": float(xqs[j]), "margin": float(margins[j])})
 
-    t_cov = sample_times[-1] if rc.times else rc.t_end
+    t_cov = sample_times[-1]
     k = int(np.argmin(np.abs(samples.times - t_cov)))
     cov = coverage(fam, t_cov, samples.x[k], cells_per_dim=rc.cells_per_dim)
 
-    _emit_table(rc, "endpoints", _names("x", rc.system.n) + ["x_q"],
-                np.column_stack([samples.x[k], samples.x_q[k]]))
+    _write_table(rc, "endpoints", _names("x", rc.system.n) + ["x_q"],
+                 _format_rows(rc, np.column_stack([samples.x[k], samples.x_q[k]])))
     _write_json(rc, "coverage.json", cov.to_json())
     report = {
-        "n_requested": rc.oracle_n,
+        "n_requested": rc.oracle.n_trajectories,
         "n_admissible": len(samples),
         "check_times": list(map(float, sample_times)),
         "worst_margin": worst,
@@ -292,7 +270,7 @@ def cmd_verify(rc: RunConfig) -> int:
         "violations": violations[:100],
         "coverage_fraction": cov.fraction,
         "coverage_time": float(t_cov),
-        "seed": rc.oracle_seed,
+        "seed": rc.oracle.seed,
     }
     _write_json(rc, "verify_report.json", report)
     return EXIT_OK if not violations else EXIT_ERROR
@@ -332,7 +310,6 @@ def _add_common(sp):
     sp.add_argument("--t-end", dest="t_end", type=float, help="horizon")
     sp.add_argument("--time", type=float, action="append",
                     help="evaluation time (repeatable)")
-    sp.add_argument("--rel-tol", dest="rel_tol", type=float)
     sp.add_argument("--max-step", dest="max_step", type=float)
     sp.add_argument("--escape-norm", dest="escape_norm", type=float, default=1e7)
     sp.add_argument("--gammas", help="explicit comma-separated scalings")

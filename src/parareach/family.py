@@ -114,6 +114,8 @@ def gamma_bar(P0: Paraboloid, sys: IqcSystem, eps_q: float,
     """Largest scaling with nonnegative initial budget rate over the sampled
     rim slab; 1.0 when no sampled state admits a rising rate.  Samples whose
     rate does not depend on the scaling (a >= -1e-300) are left out."""
+    if P0.dim != sys.n:
+        raise DimensionMismatch(f"seed dim {P0.dim} != system dim {sys.n}")
     _check_eps_q(eps_q)
     a, b, c = _rate_quadratic(P0, _slab_points(P0, eps_q, sampler_density, 3), sys)
     disc = b * b - 4.0 * a * c
@@ -465,13 +467,13 @@ def check_assumptions(F: ParaboloidFamily, cfg: IntegratorConfig,
         violations=violations, n_boundary_points=n_points, notes=notes)
 
 
-def _default_probe_grid(F: ParaboloidFamily, points_per_dim: int = 41,
-                        inflate: float = 3.0):
-    """Axis-aligned grid covering the seed footprint, inflated."""
+def _default_probe_grid(F: ParaboloidFamily):
+    """Axis-aligned grid of 41 points per axis covering the seed footprint,
+    inflated threefold."""
     lam, V, c, q_min = _seed_center(F.seed)
     rho = max(-q_min, F.eps_q)
-    half = inflate * np.sqrt(rho * np.sum(V ** 2 / lam, axis=1))
-    return mesh_points([np.linspace(c[d] - half[d], c[d] + half[d], points_per_dim)
+    half = 3.0 * np.sqrt(rho * np.sum(V ** 2 / lam, axis=1))
+    return mesh_points([np.linspace(c[d] - half[d], c[d] + half[d], 41)
                         for d in range(F.seed.dim)])
 
 

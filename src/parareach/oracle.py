@@ -89,6 +89,8 @@ class OracleConfig:
     def __post_init__(self):
         if min(self.n_trajectories, self.segments) < 1:
             raise ConfigError("oracle counts must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"oracle seed must be nonnegative, got {self.seed}")
         finite = np.isfinite([self.t_end, self.w_scale, self.noise_rel]).all()
         if not (finite and self.t_end > 0 and self.w_scale >= 0):
             raise ConfigError("oracle horizon must be positive, amplitude nonnegative, all finite")

@@ -11,6 +11,8 @@ center, matching the published energy levels (0.06 / 0.03 / 0.015).
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from .model import Paraboloid, make_system
@@ -42,50 +44,29 @@ def _sec5_seed():
     return Paraboloid(E0, np.zeros(2), -SEC5_CAP)
 
 
+# ex1-escape is the base of the scalar presets; the others override it
+_EX1_ESCAPE = {
+    "system": _ex1_system,
+    "seed": lambda: Paraboloid([[0.5]], [0.0], -EX1_XQ_ESCAPE),
+    "t_end": 10.0,
+    "times": [0.91, 1.62],
+    "grid_window": ([-1.5], [1.5]),
+    "grid_points": 201,
+    "eps_q": 1e-3 * EX1_XQ_ESCAPE,
+    "n_members": 16,
+    "gamma_spacing": "uniform",
+    "sampler_density": 64,
+    "oracle": {"n_trajectories": 2000, "segments": 8, "w_scale": 0.3},
+    "integrator": {"rel_tol": 1e-9, "abs_tol": 1e-12, "max_step": 0.025},
+}
+
 PRESETS = {
-    "ex1-stable": {
-        "system": _ex1_system,
-        "seed": lambda: Paraboloid([[1.0]], [0.0], -EX1_XQ_STABLE),
-        "t_end": 10.0,
-        "times": [0.91, 1.62, 10.0],
-        "grid_window": ([-1.5], [1.5]),
-        "grid_points": 201,
-        "eps_q": 1e-3 * EX1_XQ_STABLE,
-        "n_members": 16,
-        "gamma_spacing": "uniform",
-        "sampler_density": 64,
-        "oracle": {"n": 2000, "segments": 8, "w_scale": 0.3},
-        "integrator": {"rel_tol": 1e-9, "abs_tol": 1e-12, "max_step": 0.025},
-    },
-    "ex1-escape": {
-        "system": _ex1_system,
-        "seed": lambda: Paraboloid([[0.5]], [0.0], -EX1_XQ_ESCAPE),
-        "t_end": 10.0,
-        "times": [0.91, 1.62],
-        "grid_window": ([-1.5], [1.5]),
-        "grid_points": 201,
-        "eps_q": 1e-3 * EX1_XQ_ESCAPE,
-        "n_members": 16,
-        "gamma_spacing": "uniform",
-        "sampler_density": 64,
-        "oracle": {"n": 2000, "segments": 8, "w_scale": 0.3},
-        "integrator": {"rel_tol": 1e-9, "abs_tol": 1e-12, "max_step": 0.025},
-    },
-    "ex1-family": {
-        "system": _ex1_system,
-        "seed": lambda: Paraboloid([[0.5]], [0.0], -EX1_XQ_ESCAPE),
-        "t_end": 10.0,
-        "times": [0.91, 1.62],
-        "gammas": [1.0, 1.6, 2.2, 2.7, 3.3],
-        "grid_window": ([-1.5], [1.5]),
-        "grid_points": 201,
-        "eps_q": 1e-3 * EX1_XQ_ESCAPE,
-        "n_members": 5,
-        "gamma_spacing": "uniform",
-        "sampler_density": 64,
-        "oracle": {"n": 2000, "segments": 8, "w_scale": 0.3},
-        "integrator": {"rel_tol": 1e-9, "abs_tol": 1e-12, "max_step": 0.025},
-    },
+    "ex1-stable": {**_EX1_ESCAPE,
+                   "seed": lambda: Paraboloid([[1.0]], [0.0], -EX1_XQ_STABLE),
+                   "times": [0.91, 1.62, 10.0],
+                   "eps_q": 1e-3 * EX1_XQ_STABLE},
+    "ex1-escape": _EX1_ESCAPE,
+    "ex1-family": {**_EX1_ESCAPE, "gammas": [1.0, 1.6, 2.2, 2.7, 3.3], "n_members": 5},
     "sec5": {
         "system": _sec5_system,
         "seed": _sec5_seed,
@@ -99,7 +80,7 @@ PRESETS = {
         # leave the low scalings (which shape the waist) unsampled
         "gamma_spacing": "log",
         "sampler_density": 128,
-        "oracle": {"n": 10_000, "segments": 8, "w_scale": 1.0},
+        "oracle": {"n_trajectories": 10_000, "segments": 8, "w_scale": 1.0},
         # dense-output interpolation must stay accurate at state scale ~1e2,
         # where the value function sums terms of size ~1e4
         "integrator": {"rel_tol": 1e-9, "abs_tol": 1e-12, "max_step": 0.004},
@@ -114,7 +95,7 @@ def preset_names():
 def load_preset(name: str):
     if name not in PRESETS:
         raise KeyError(f"unknown preset {name!r}; available: {', '.join(preset_names())}")
-    spec = dict(PRESETS[name])
+    spec = copy.deepcopy(PRESETS[name])      # the presets share nested values
     spec["system"] = spec["system"]()
     spec["seed"] = spec["seed"]()
     return spec

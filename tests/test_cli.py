@@ -7,6 +7,7 @@ import pytest
 import parareach as pr
 from parareach import cli
 from parareach.cli import main
+from parareach.presets import load_preset
 
 
 def run(args):
@@ -28,6 +29,19 @@ class TestExamples:
 
     def test_unknown_preset(self, capsys):
         assert run(["examples", "--show", "nope"]) == 1
+
+    def test_loaded_presets_share_nothing(self):
+        # the ex1 presets are built on one base dict
+        for name in ["ex1-escape", "ex1-stable", "ex1-family"]:
+            spec = load_preset(name)
+            spec["oracle"]["n_trajectories"] = 1
+            spec["integrator"]["max_step"] = 1.0
+            spec["times"].append(99.0)
+        for name in ["ex1-escape", "ex1-stable", "ex1-family"]:
+            spec = load_preset(name)
+            assert spec["oracle"]["n_trajectories"] == 2000
+            assert spec["integrator"]["max_step"] == 0.025
+            assert 99.0 not in spec["times"]
 
 
 class TestPropagate:
@@ -167,9 +181,9 @@ class TestReach:
 
 
 class TestIntegerFlags:
-    """A flag out of range (an integer below 1, a non-finite or nonpositive
-    float, a time outside [0, t_end]) is a ConfigError before the family is
-    built."""
+    """A flag out of range (an integer below 1, a negative seed, a non-finite
+    or nonpositive float, a time outside [0, t_end]) is a ConfigError before
+    the family is built."""
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--example", "sec5", "--cells", "0"],
@@ -184,6 +198,9 @@ class TestIntegerFlags:
         ["reach", "--example", "ex1-stable", "--time", "-1"],
         ["reach", "--example", "ex1-stable", "--time", "nan"],
         ["verify", "--example", "ex1-stable", "--time", "11"],
+        ["reach", "--example", "sec5", "--window", "0"],
+        ["reach", "--example", "ex1-escape", "--window", "-1"],
+        ["verify", "--example", "ex1-stable", "--seed", "-1"],
     ])
     def test_config_error_before_any_work(self, argv, tmp_path, capsys, monkeypatch):
         def build_family(*args, **kwargs):
@@ -193,6 +210,19 @@ class TestIntegerFlags:
         err = capsys.readouterr().err
         assert json.loads(err[len("error: "):])["error"] == "ConfigError"
         assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["reach", "verify"])
+def test_seed_of_wrong_dimension(command, tmp_path, capsys, monkeypatch):
+    def propagate(*args, **kwargs):
+        raise AssertionError("propagate called")
+    monkeypatch.setattr(pr.family, "propagate", propagate)
+    out = tmp_path / "run"
+    assert run([command, "--example", "sec5", "--e0", "[[1]]", "--f0", "[0]",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert json.loads(err[len("error: "):])["error"] == "DimensionMismatch"
+    assert not out.exists()
 
 
 class TestVerify:
@@ -303,9 +333,10 @@ class TestTables:
 
 
 class TestByteIdentity:
-    """Every file a preset run writes, pinned by its sha256 as the CLI wrote
-    it on x86-64 (numpy 2.4, OpenBLAS).  Any change to an output's bits, its
-    formatting or the set of files written changes a digest."""
+    """Every file a preset run writes, and every preset's ``examples --show``
+    output, pinned by its sha256 as the CLI wrote it on x86-64 (numpy 2.4,
+    OpenBLAS).  Any change to an output's bits, its formatting or the set of
+    files written changes a digest."""
 
     @pytest.mark.parametrize("argv, code, digests", [
         (["reach", "--example", "sec5"], 0, {
@@ -330,8 +361,28 @@ class TestByteIdentity:
             "endpoints.csv": "dd3c490e9f17b23fb6214bf826faa024acb62d577aceedd134574824fa7abed5",
             "verify_report.json":
                 "5b456b636dc38ee3b025278fa082bffd71c3e8ec133fb8cb4881377987f464a0"}),
+        (["reach", "--example", "ex1-stable"], 0, {
+            "family_manifest.json":
+                "36fb5c7d104a199cfdc074a7cf261381213e8363c376665bc64bbe2bcd1e6274",
+            "slice_t0p91.csv":
+                "0b0ee9691c44b0802b2ece6f603af2f6e9b8d498c8b3ad43e8645ea5bcebc958",
+            "slice_t10.csv":
+                "5ae4e67928c96bc1f2fda1dc40215e783575f071863f2ea93417724919bfddd7",
+            "slice_t1p62.csv":
+                "5b440713d29c16746b6e5956647b5b5737ec070649f5e8f416a06624729ba665",
+            "tube.csv": "6b1d2c2405906fe060aac4338d93da5e1bdbb399742e6ce4de2f84ef73bb448b"}),
     ])
     def test_preset_run(self, tmp_path, argv, code, digests):
         assert run(argv + ["--out", str(tmp_path)]) == code
         assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                 for path in tmp_path.iterdir()} == digests
+
+    @pytest.mark.parametrize("name, digest", [
+        ("ex1-stable", "b8e75d80ffb4eda81a7dde617a714783ef8f993dae1c7e55b07c76bc6ecb567f"),
+        ("ex1-escape", "fe611ceed391af1c3c18da6a2cde7bdadee9760a8b90b929ae3eb18686b7eae7"),
+        ("ex1-family", "3216c936aab1388a4be23c91bc769971677955374a83547d7180132c1fa3776a"),
+        ("sec5", "192ddedfad59e1399a730e358bd84feac2d2f7c7f629140d426fb20d52f4a4a1"),
+    ])
+    def test_examples_show(self, capsys, name, digest):
+        assert run(["examples", "--show", name]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

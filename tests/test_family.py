@@ -6,8 +6,8 @@ from scipy.optimize import brentq
 
 import parareach as pr
 import parareach.family as family_mod
-from parareach.errors import (ConfigError, NotOnBoundary, OutOfDomain,
-                              StepSizeUnderflow, UnboundedSlab)
+from parareach.errors import (ConfigError, DimensionMismatch, NotOnBoundary,
+                              OutOfDomain, StepSizeUnderflow, UnboundedSlab)
 from parareach.family import sample_slab_states
 from parareach.presets import load_preset
 
@@ -96,6 +96,10 @@ class TestGammaBar:
             pr.gamma_bar(ex1_stable_seed, ex1_system, eps_q)
         with pytest.raises(ConfigError):
             pr.build_family(ex1_stable_seed, ex1_system, eps_q, 1, ex1_cfg, gammas=[1.0])
+
+    def test_seed_dimension_must_match(self, sec5_system):
+        with pytest.raises(DimensionMismatch):
+            pr.gamma_bar(pr.Paraboloid([[1.0]], [0.0], -0.05), sec5_system, 5e-5)
 
     def test_unbounded_slab(self, ex1_system):
         P0 = pr.Paraboloid([[-1.0]], [0.0], -0.05)

@@ -226,8 +226,9 @@ class TestConfig:
             pr.OracleConfig(n_trajectories=10, segments=0)
         with pytest.raises(ConfigError):
             pr.OracleConfig(n_trajectories=10, boundary_fraction=1.5)
-        for bad in ({"t_end": np.nan}, {"t_end": np.inf}, {"w_scale": np.nan},
-                    {"w_scale": np.inf}, {"noise_rel": np.nan}, {"noise_rel": -np.inf}):
+        for bad in ({"seed": -1}, {"t_end": np.nan}, {"t_end": np.inf},
+                    {"w_scale": np.nan}, {"w_scale": np.inf}, {"noise_rel": np.nan},
+                    {"noise_rel": -np.inf}):
             with pytest.raises(ConfigError):
                 pr.OracleConfig(n_trajectories=10, **bad)
 
