@@ -12,6 +12,7 @@ import argparse
 import json
 import sys as _sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -43,8 +44,8 @@ class RunConfig:
     eps_q: float
     n_members: int
     gammas: Optional[list]
-    gamma_spacing: str
-    sampler_density: int
+    gamma_spacing: Optional[str]        # None: build_family's defaults
+    sampler_density: Optional[int]
     grid_window: tuple
     grid_points: int
     integrator: IntegratorConfig
@@ -55,11 +56,12 @@ class RunConfig:
     preset_name: Optional[str] = None
 
 
-def _parse_json_flag(text, what):
+def _parse_json_flag(text, what, convert):
+    """``convert`` of ``text`` parsed as JSON; a ConfigError if either fails."""
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"could not parse {what} as JSON: {e}") from e
+        return convert(json.loads(text))
+    except (TypeError, ValueError) as e:        # JSONDecodeError is a ValueError
+        raise ConfigError(f"could not parse {what}: {e}") from e
 
 
 def _with_flags(base: dict, **flags) -> dict:
@@ -74,30 +76,22 @@ def _build_config(args) -> RunConfig:
             preset = load_preset(args.example)
         except KeyError as e:
             raise ConfigError(str(e)) from e
-        system = preset["system"]
-        seed_par = preset["seed"]
+        system, seed = preset["system"], preset["seed"]
     elif args.system:
         path = Path(args.system)
         if not path.exists():
             raise ConfigError(f"system file not found: {path}")
-        with open(path) as fh:
-            system = system_from_json(json.load(fh))
+        system = _parse_json_flag(path.read_text(), f"system file {path}", system_from_json)
         if args.e0 is None:
             raise ConfigError("--e0 is required with --system (plus --f0/--g0)")
-        E0 = np.asarray(_parse_json_flag(args.e0, "--e0"), dtype=float)
-        f0 = (np.zeros(system.n) if args.f0 is None
-              else np.asarray(_parse_json_flag(args.f0, "--f0"), dtype=float))
-        seed_par = Paraboloid(E0, f0, args.g0 if args.g0 is not None else 0.0)
+        seed = Paraboloid(np.zeros((system.n, system.n)), np.zeros(system.n), 0.0)
     else:
         raise ConfigError("one of --example or --system is required")
-
-    if preset and (args.e0, args.f0, args.g0) != (None, None, None):
-        seed_par = Paraboloid(
-            (seed_par.E if args.e0 is None
-             else np.asarray(_parse_json_flag(args.e0, "--e0"), dtype=float)),
-            (seed_par.f if args.f0 is None
-             else np.asarray(_parse_json_flag(args.f0, "--f0"), dtype=float)),
-            seed_par.g if args.g0 is None else args.g0)
+    floats = partial(np.asarray, dtype=float)   # the seed flags over the preset's or 0
+    seed_par = Paraboloid(
+        seed.E if args.e0 is None else _parse_json_flag(args.e0, "--e0", floats),
+        seed.f if args.f0 is None else _parse_json_flag(args.f0, "--f0", floats),
+        seed.g if args.g0 is None else args.g0)
 
     def pick(flag, key, fallback):
         return flag if flag is not None else preset.get(key, fallback)
@@ -105,22 +99,24 @@ def _build_config(args) -> RunConfig:
     # flags over the preset over the library's defaults
     integrator = IntegratorConfig(
         **_with_flags(preset.get("integrator", {}), max_step=args.max_step,
-                      t_end=pick(args.t_end, "t_end", None)),
-        escape_norm=args.escape_norm)
+                      t_end=pick(args.t_end, "t_end", None), escape_norm=args.escape_norm))
     t_end = integrator.t_end
     oracle = None
     if args.command == "verify":
         oracle = OracleConfig(
             **_with_flags({"n_trajectories": 2000, **preset.get("oracle", {})},
                           n_trajectories=args.n, segments=args.segments,
-                          w_scale=args.w_scale),
-            seed=args.seed, t_end=t_end)
+                          w_scale=args.w_scale, seed=args.seed),
+            t_end=t_end)
 
     times = [float(t) for t in (args.time or preset.get("times", [t_end]))]
     if args.command != "propagate" and not all(0.0 <= t <= t_end for t in times):
         raise ConfigError(f"times must lie in [0, t_end = {t_end:g}], got {times}")
     if args.gammas:
-        gammas = [float(g) for g in args.gammas.split(",") if g.strip()]
+        try:
+            gammas = [float(g) for g in args.gammas.split(",") if g.strip()]
+        except ValueError as e:
+            raise ConfigError(f"--gammas must be numbers, got {args.gammas}") from e
     else:               # an explicit member count drops the preset's scalings
         gammas = None if args.members is not None else preset.get("gammas")
 
@@ -142,8 +138,8 @@ def _build_config(args) -> RunConfig:
     return RunConfig(
         system=system, seed_paraboloid=seed_par, times=times, eps_q=eps_q,
         n_members=int(pick(args.members, "n_members", 16)), gammas=gammas,
-        gamma_spacing=pick(args.gamma_spacing, "gamma_spacing", "uniform"),
-        sampler_density=int(pick(None, "sampler_density", 64)),
+        gamma_spacing=pick(args.gamma_spacing, "gamma_spacing", None),
+        sampler_density=preset.get("sampler_density"),
         grid_window=window, grid_points=grid_points,
         integrator=integrator, oracle=oracle, cells_per_dim=int(args.cells),
         out_dir=Path(args.out), fmt=args.format, preset_name=args.example)
@@ -187,8 +183,9 @@ def _write_table(rc: RunConfig, stem: str, columns: list, rows: list):
 
 def _family(rc: RunConfig):
     return build_family(rc.seed_paraboloid, rc.system, rc.eps_q, rc.n_members,
-                        rc.integrator, gammas=rc.gammas, spacing=rc.gamma_spacing,
-                        sampler_density=rc.sampler_density)
+                        rc.integrator, gammas=rc.gammas,
+                        **_with_flags({}, spacing=rc.gamma_spacing,
+                                      sampler_density=rc.sampler_density))
 
 
 def cmd_propagate(rc: RunConfig) -> int:
@@ -311,7 +308,7 @@ def _add_common(sp):
     sp.add_argument("--time", type=float, action="append",
                     help="evaluation time (repeatable)")
     sp.add_argument("--max-step", dest="max_step", type=float)
-    sp.add_argument("--escape-norm", dest="escape_norm", type=float, default=1e7)
+    sp.add_argument("--escape-norm", dest="escape_norm", type=float)
     sp.add_argument("--gammas", help="explicit comma-separated scalings")
     sp.add_argument("--members", type=int, help="family size")
     sp.add_argument("--eps-q", dest="eps_q", type=float, help="rim slab thickness")
@@ -323,7 +320,7 @@ def _add_common(sp):
     sp.add_argument("--n", type=int, help="oracle trajectory draws")
     sp.add_argument("--segments", type=int, help="disturbance segments")
     sp.add_argument("--w-scale", dest="w_scale", type=float)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int)
     sp.add_argument("--cells", type=int, default=10, help="coverage cells per dim")
     sp.add_argument("--out", default="parareach_out", help="output directory")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")

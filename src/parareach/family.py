@@ -104,6 +104,19 @@ def _rate_quadratic(P0: Paraboloid, X: np.ndarray, sys: IqcSystem):
     return a, b, c
 
 
+def _rate_roots(P0: Paraboloid, X: np.ndarray, sys: IqcSystem) -> np.ndarray:
+    """Per row x of X (N, n): the largest scaling whose surface ride from x
+    starts with a nonnegative budget rate, the larger root of the rate
+    quadratic; 1 where there is none above 1, or where the rate does not
+    depend on the scaling (a >= -1e-300)."""
+    a, b, c = _rate_quadratic(P0, X, sys)
+    disc = b * b - 4.0 * a * c
+    k = (a < -1e-300) & (disc >= 0.0)
+    root = np.ones(len(X))
+    root[k] = (-b[k] - np.sqrt(disc[k])) / (2.0 * a[k])
+    return np.where(root >= 1.0, root, 1.0)
+
+
 def _check_eps_q(eps_q):
     if not (np.isfinite(eps_q) and eps_q > 0):
         raise ConfigError(f"eps_q must be positive and finite, got {eps_q}")
@@ -117,11 +130,8 @@ def gamma_bar(P0: Paraboloid, sys: IqcSystem, eps_q: float,
     if P0.dim != sys.n:
         raise DimensionMismatch(f"seed dim {P0.dim} != system dim {sys.n}")
     _check_eps_q(eps_q)
-    a, b, c = _rate_quadratic(P0, _slab_points(P0, eps_q, sampler_density, 3), sys)
-    disc = b * b - 4.0 * a * c
-    k = (a < -1e-300) & (disc >= 0.0)
-    root = (-b[k] - np.sqrt(disc[k])) / (2.0 * a[k])
-    return float(np.max(root, initial=1.0, where=root >= 1.0))
+    roots = _rate_roots(P0, _slab_points(P0, eps_q, sampler_density, 3), sys)
+    return float(np.max(roots, initial=1.0))
 
 
 @dataclass
@@ -130,7 +140,6 @@ class ParaboloidFamily:
     :class:`ParaboloidStack`; immutable after build."""
 
     seed: Paraboloid
-    gammas: np.ndarray
     stack: ParaboloidStack
     eps_q: float
     T: float
@@ -139,12 +148,16 @@ class ParaboloidFamily:
     gamma_bar_value: Optional[float] = None
 
     @property
+    def gammas(self) -> np.ndarray:
+        return self.stack.gammas
+
+    @property
     def members(self) -> tuple:
         return self.stack.members
 
     @property
     def t_max(self) -> float:
-        return max(m.t_end for m in self.members)
+        return float(self.stack.t_end.max())
 
     def params_at_many(self, tq):
         """(E, f, g, defined) of every member at the times tq, shapes (M, T, n, n),
@@ -153,10 +166,9 @@ class ParaboloidFamily:
         tq = np.asarray(tq, dtype=float)
         if np.any(tq < -1e-12):
             raise OutOfDomain(f"t={tq.min()} before the family's start 0")
-        t_end = np.array([m.t_end for m in self.members])
-        step = max(1, _QUERY_BLOCK // len(self.members))     # times per block
-        blocks = [self.members[0].flow.dense_output(*self.stack.nodes, t_end,
-                                                    tq[s:s + step])
+        t_end = self.stack.t_end
+        step = max(1, _QUERY_BLOCK // len(t_end))     # times per block
+        blocks = [self.stack.flow.dense_output(*self.stack.nodes, t_end, tq[s:s + step])
                   for s in range(0, max(len(tq), 1), step)]
         E, f, g = (np.concatenate(a, axis=1) for a in zip(*blocks))
         return E, f, g, tq <= t_end[:, None] * (1 + _DEFINED_TOL) + 1e-15
@@ -164,7 +176,7 @@ class ParaboloidFamily:
     def to_manifest(self, assumption_report=None) -> dict:
         man = {
             "gammas": self.gammas.tolist(),
-            "escape_times": [m.escape_time for m in self.members],
+            "escape_times": list(self.stack.escape),
             "K_bound": self.K_bound,
             "eps_q": self.eps_q,
             "horizon": self.T,
@@ -208,7 +220,7 @@ def build_family(P0: Paraboloid, sys: IqcSystem, eps_q: float, n_members: int,
 
     stack = propagate(P0, sys, cfg, gamma=gs)
     k_bound = float(np.max(np.linalg.norm(stack.nodes[0], axis=(-2, -1))))
-    return ParaboloidFamily(seed=P0, gammas=gs, stack=stack,
+    return ParaboloidFamily(seed=P0, stack=stack,
                             eps_q=eps_q, T=cfg.t_end, K_bound=k_bound,
                             system=sys, gamma_bar_value=gbar)
 
@@ -248,7 +260,7 @@ def _member_values(F: ParaboloidFamily, t: float, xs: np.ndarray):
     if not defined.any():
         raise OutOfDomain(f"t={t} beyond the family's interval of definition "
                           f"[0, {F.t_max}]")
-    vals = F.members[0].flow.value(E, f, g, xs)
+    vals = F.stack.flow.value(E, f, g, xs)
     vals[~defined[:, 0]] = -np.inf
     return np.negative(vals, out=vals)
 
@@ -398,8 +410,8 @@ def check_assumptions(F: ParaboloidFamily, cfg: IntegratorConfig,
     t_max/5 to t_max when every member escapes before T/5.
     """
     sys = F.system
-    escaped = [(float(g), m.escape_time) for g, m in zip(F.gammas, F.members)
-               if m.t_end < F.T * (1 - 1e-12)]
+    escaped = [(float(g), e) for g, e, t in zip(F.gammas, F.stack.escape, F.stack.t_end)
+               if t < F.T * (1 - 1e-12)]
     bounded_ok = (not escaped) and F.K_bound <= cfg.escape_norm
 
     if times is None:                   # five times inside the family's domain

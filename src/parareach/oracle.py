@@ -62,7 +62,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, RejectionStarvation, UnboundedSlab
-from .family import ParaboloidFamily, mesh_points, xq_max_at
+from .family import ParaboloidFamily, _rate_roots, mesh_points, xq_max_at
 from .model import IqcSystem, Paraboloid
 
 
@@ -348,26 +348,6 @@ def _map_blocks(run, n_blocks, workers):
         return list(pool.map(_call, range(n_blocks)))
 
 
-def _gamma_plus(sys, P0, X0):
-    """Largest seed scaling whose surface ride starts with a nonnegative
-    budget rate, per start state (the positive root of the rate quadratic;
-    1 when none exists).  Batched over the columns of X0 (n, N)."""
-    u0 = sys.u_at(0.0)
-    w_lin = -_times(_times(_times(X0, P0.E) - P0.f[:, None], sys.B), sys.Mw_inv)
-    w_base = -_times(_times(X0, sys.Mxw) + (u0 @ sys.Muw)[:, None], sys.Mw_inv)
-    terms = _system_terms(sys)
-    _, mw, mxw = terms
-    a = _bilinear(w_lin, mw, w_lin)
-    b = 2.0 * (_bilinear(X0, mxw, w_lin) + _times(w_lin, sys.Muw.T @ u0)
-               + _bilinear(w_base, mw, w_lin))
-    c = _qform_batch(sys, X0, _live(u0), w_base, terms)
-    disc = b * b - 4.0 * a * c
-    with np.errstate(invalid="ignore", divide="ignore"):
-        root = (-b - np.sqrt(np.maximum(disc, 0.0))) / (2.0 * a)
-    root = np.where((disc >= 0.0) & (a < -1e-300), root, 1.0)
-    return np.maximum(root, 1.0)
-
-
 def _affordable_amplitude(sys, X0, XQ0, t_end, wcost):
     """Disturbance scale a trajectory could sustain: balance the w-cost
     ``wcost`` (the largest eigenvalue of -Mw) in the energy-rate form against
@@ -425,7 +405,7 @@ def sample_admissible(sys: IqcSystem, P0: Paraboloid, cfg: OracleConfig,
         # member the start state can afford (initial budget rate >= 0), which
         # is what survives out to the far reaches of the set
         affordable = rng.random(size=n_boundary) < 0.5
-        gplus = _gamma_plus(sys, P0, X0[:n_boundary].T)
+        gplus = _rate_roots(P0, X0[:n_boundary], sys)
         target = 1.0 + rng.random(size=n_boundary) ** 2 * np.maximum(gplus - 1.0, 0.0)
         nearest = np.clip(np.searchsorted(family.gammas, target), 0,
                           len(family.gammas) - 1)
@@ -528,7 +508,7 @@ def sample_admissible(sys: IqcSystem, P0: Paraboloid, cfg: OracleConfig,
         owner = owner[admitted]
         for s, ti in enumerate(save_idx):
             E, f, g, ok = (a[:, ti].take(owner, axis=0) for a in (E_tab, f_tab, g_tab, defined))
-            h[s] = family.members[0].flow.value(E, f, g, x[s]) + xq[s]
+            h[s] = family.stack.flow.value(E, f, g, x[s]) + xq[s]
             h[s, ~ok] = np.nan
     return OracleSamples(save_times, x, xq, w, h)
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
 
 import numpy as np
 
@@ -315,29 +315,24 @@ class Flow:
 
 
 class TimeVaryingParaboloid:
-    """Sampled solution (E(t), f(t), g(t)) on the node grid of a :class:`Flow`,
-    with exact dense output: a query between nodes applies the transition
-    matrix Phi(t - t_k) of its piece to the node before it.
+    """Member ``row`` of a :class:`ParaboloidStack`: (E(t), f(t), g(t)) at
+    its nodes, read-only views of the row cut after its last node, with
+    exact dense output: a query between nodes applies the transition matrix
+    Phi(t - t_k) of its piece to the node before it.
 
     ``steps[k]`` is the length the flow stepped from node k (the piece's
     uniform step, or a shorter last step before a finite escape).  grid[0] =
     0; if ``escape_time`` is set, the grid ends strictly before it and queries
-    past the grid raise :class:`OutOfDomain`.  ``gamma`` records the seed
-    scaling this propagation was started from.  :func:`propagate` builds it on
-    read-only views of its node stack.
-    """
+    past the grid raise :class:`OutOfDomain`.  ``gamma`` is the row's seed
+    scaling."""
 
-    def __init__(self, grid, E_samples, f_samples, g_samples, flow: Flow, steps,
-                 escape_time: Optional[float] = None, gamma: float = 1.0):
-        self.grid = np.asarray(grid, dtype=float)
-        self.E_samples = np.asarray(E_samples, dtype=float)
-        self.f_samples = np.asarray(f_samples, dtype=float)
-        self.g_samples = np.asarray(g_samples, dtype=float)
-        self.flow = flow
-        self.steps = np.asarray(steps, dtype=float)
-        self.escape_time = escape_time
-        self.gamma = float(gamma)
-        self.n = self.E_samples.shape[1]
+    def __init__(self, stack: "ParaboloidStack", row: int):
+        k = int(stack.last[row]) + 1
+        self.stack, self.row, self.flow, self.n = stack, row, stack.flow, stack.flow.n
+        self.grid, self.steps = stack.times[row, :k], stack.steps[row, :k - 1]
+        self.E_samples, self.f_samples, self.g_samples = (a[row, :k] for a in stack.nodes)
+        self.escape_time = stack.escape[row]
+        self.gamma = float(stack.gammas[row])
 
     @property
     def t_end(self) -> float:
@@ -374,19 +369,35 @@ class TimeVaryingParaboloid:
 
 @dataclass(frozen=True)
 class ParaboloidStack:
-    """One seed under M scalings, stepped together on the K nodes ``grid``:
-    ``nodes`` (E, f, g), (M, K, n, n), (M, K, n), (M, K), each row padded past
-    its last node by repeating it, and the ``members``, views of them."""
+    """One seed under M scalings ``gammas`` (M,), stepped together by one
+    :class:`Flow` on its first K nodes ``grid`` (K,).  Per member (row r):
+    the node times ``times`` (M, K), steps ``steps`` (M, K - 1) and nodes
+    ``nodes`` (E, f, g), (M, K, n, n), (M, K, n), (M, K); the index
+    ``last[r]`` of its last node, at ``t_end[r]``; and its ``escape[r]``
+    time, or None.  Past ``last[r]`` a row is padded: its times and nodes
+    repeat the last one, and its steps are 0.  All arrays are read-only;
+    the ``members`` are views of the rows."""
 
+    flow: Flow
     grid: np.ndarray
+    gammas: np.ndarray
+    times: np.ndarray
+    steps: np.ndarray
     nodes: tuple
-    members: tuple
+    last: np.ndarray
+    t_end: np.ndarray
+    escape: tuple
+
+    @cached_property
+    def members(self) -> tuple:
+        return tuple(TimeVaryingParaboloid(self, r) for r in range(len(self.last)))
 
 
 def propagate(P0: Paraboloid, sys: IqcSystem, cfg: IntegratorConfig, gamma=1.0):
     """Step the (E, f, g) flow from the seed scaled by ``gamma`` over the grid
-    of one :class:`Flow` up to cfg.t_end: a :class:`TimeVaryingParaboloid`
-    for a scalar ``gamma``, a :class:`ParaboloidStack` for an array of them.
+    of one :class:`Flow` up to cfg.t_end: a :class:`ParaboloidStack` for an
+    array of scalings, and the one member of its stack, a
+    :class:`TimeVaryingParaboloid`, for a scalar ``gamma``.
 
     Each node is one :meth:`Flow.params_after` on the member stack and one
     batched test.  A member leaves the stack at the first step where an
@@ -402,9 +413,9 @@ def propagate(P0: Paraboloid, sys: IqcSystem, cfg: IntegratorConfig, gamma=1.0):
     if gs.ndim > 1 or gs.size == 0 or not np.all(np.isfinite(gs) & (gs > 0.0)):
         raise NonPositiveScale(f"seed scalings must be positive, got {gamma}")
     flow = Flow(sys, cfg.t_end, cfg.max_step)
-    M, K, gm = gs.size, len(flow.grid), gs.reshape(-1)
+    M, K, gm = gs.size, len(flow.grid), gs.flatten()
     pieces = flow.piece_of(flow.grid[:-1])
-    grid, steps = np.tile(flow.grid, (M, 1)), np.tile(flow.h[pieces], (M, 1))
+    times, steps = np.tile(flow.grid, (M, 1)), np.tile(flow.h[pieces], (M, 1))
     node = (gm[:, None, None] * P0.E, gm[:, None] * P0.f, gm * P0.g)  # of live members
     E, f, g = (np.repeat(a[:, None], K, axis=1) for a in node)
     last, escape, live = np.full(M, K - 1), [None] * M, np.arange(M)
@@ -432,19 +443,16 @@ def propagate(P0: Paraboloid, sys: IqcSystem, cfg: IntegratorConfig, gamma=1.0):
                 else:
                     hi = mid
             escape[r], last[r] = float(t + hi), i + (lo > 0.0)
-            grid[r, i + 1], steps[r, i] = t + lo, lo
-            for a in (E, f, g):
-                a[r, last[r] + 1:] = a[r, last[r]]
+            times[r, i + 1], steps[r, i] = t + lo, lo
         node, live = tuple(a[ok] for a in node), live[ok]
         if not len(live):
             break
-    for a in (grid, steps, E, f, g):
-        a.flags.writeable = False
-    members = tuple(
-        TimeVaryingParaboloid(grid[r, :k + 1], E[r, :k + 1], f[r, :k + 1], g[r, :k + 1],
-                              flow, steps[r, :k], escape_time=escape[r], gamma=gm[r])
-        for r, k in enumerate(last))
-    if gs.ndim == 0:
-        return members[0]
     K = last.max() + 1
-    return ParaboloidStack(flow.grid[:K], (E[:, :K], f[:, :K], g[:, :K]), members)
+    col = np.minimum(np.arange(K), last[:, None])     # each row padded by its last node
+    times, E, f, g = (a[np.arange(M)[:, None], col] for a in (times, E, f, g))
+    steps = np.where(np.arange(K - 1) < last[:, None], steps[:, :K - 1], 0.0)
+    for a in (gm, times, steps, E, f, g, last):
+        a.flags.writeable = False
+    stack = ParaboloidStack(flow, flow.grid[:K], gm, times, steps, (E, f, g), last,
+                            times[:, -1], tuple(escape))
+    return stack.members[0] if gs.ndim == 0 else stack

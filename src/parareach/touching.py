@@ -12,13 +12,13 @@ propagation engine (:class:`parareach.riccati.Flow`): the ride state
 [zeta; P zeta] moves by Phi over each step, Phi(-h) steps it back, and the
 budget gains Van Loan's exact integral of the energy rate.
 
-Both come in stacks of rows, one member of one Flow each; a single ride or
-back-trace is a one-row stack.  All rows step with the same Phi at a node,
-so one batched product per node moves them all.  A ride's row ends at its
-member's last node or the horizon and is padded past it, as
-:class:`parareach.riccati.ParaboloidStack` pads its members; a back-trace's
-row joins the backward sweep at the node before its start.  A failed row
-keeps its error, and the other rows finish.
+Both come in stacks of rows, each a member of one
+:class:`parareach.riccati.ParaboloidStack`; a single ride or back-trace is a
+one-row stack.  All rows step with the same Phi at a node, so one batched
+product per node moves them all.  A ride's row is its member's stack row,
+cut at the member's last node or the horizon and padded past it as the
+stack pads it; a back-trace's row joins the backward sweep at the node
+before its start.  A failed row keeps its error, and the other rows finish.
 """
 
 from __future__ import annotations
@@ -111,41 +111,39 @@ class AugmentedTrajectory:
 
 
 def _flow_of(tvps, sys: IqcSystem):
-    """The Flow all rows step with; refuse rows on different Flows, and a
+    """The Flow all rows step with; refuse rows of different stacks, and a
     ``sys`` other than the system it was built from."""
-    flow = tvps[0].flow
-    if any(m.flow is not flow for m in tvps):
-        raise DimensionMismatch("stacked rows must share one propagation Flow")
-    own = flow.system
+    stack = tvps[0].stack
+    if any(m.stack is not stack for m in tvps):
+        raise DimensionMismatch("stacked rows must be members of one ParaboloidStack")
+    own = stack.flow.system
     if sys is not own and sys.to_json() != own.to_json():
         raise DimensionMismatch(
             "sys differs from the system the paraboloid was propagated with")
-    return flow
+    return stack.flow
 
 
 def _node_tables(tvps, ends):
-    """Each member's nodes before its end time, then the end: node times
-    (R, K), step lengths (R, K - 1) and (E, f, g) (R, K, ...), padded past
-    each row's last node by repeating it, with steps of 0 there (which leave
-    a ride where it is), and the index of each row's last node.  Nodes and
-    steps are the member's own; an end between two nodes is reached by a
-    shorter last step, with its parameters from dense output.  The rows are
-    copied from the paraboloids, not gathered from ``ParaboloidStack.nodes``:
-    a :class:`TimeVaryingParaboloid` holds views of its own nodes only, not
-    its row of a stack, and a single ride's paraboloid (``propagate`` with
-    one scaling) belongs to no stack."""
-    last = np.array([np.searchsorted(m.grid, e, side="left") for m, e in zip(tvps, ends)])
-    R, K, n = len(tvps), last.max() + 1, tvps[0].n
-    times, steps = np.empty((R, K)), np.zeros((R, K - 1))
-    E, f, g = np.empty((R, K, n, n)), np.empty((R, K, n)), np.empty((R, K))
-    for r, (m, end, c) in enumerate(zip(tvps, ends, last)):
-        times[r, :c], times[r, c:] = m.grid[:c], end
-        E[r, :c], f[r, :c], g[r, :c] = m.E_samples[:c], m.f_samples[:c], m.g_samples[:c]
-        E[r, c:], f[r, c:], g[r, c:] = m.params_at(end)
-        if c:
-            steps[r, :c] = m.steps[:c]
-            if m.grid[c] != end:
-                steps[r, c - 1] = end - m.grid[c - 1]
+    """Each member's stack row cut at its end time: node times (R, K), step
+    lengths (R, K - 1) and (E, f, g) (R, K, ...), padded past each row's
+    last node (the first at or after its end) by the end and the parameters
+    there, with steps of 0 (which leave a ride where it is), and the index
+    of each row's last node.  An end between two nodes is reached by a
+    shorter last step, with its parameters from dense output."""
+    stack = tvps[0].stack
+    rows, ends = np.array([m.row for m in tvps]), np.asarray(ends, dtype=float)
+    last = np.count_nonzero(stack.times[rows] < ends[:, None], axis=1)
+    K = last.max() + 1
+    nodes = [a[rows, :K] for a in stack.nodes]
+    at_end = stack.flow.dense_output(*nodes, stack.t_end[rows], ends[:, None])
+    past = np.arange(K) >= last[:, None]
+    times = np.where(past, ends[:, None], stack.times[rows, :K])
+    E, f, g = (np.where(past.reshape(past.shape + (1,) * (a.ndim - 2)), a_end, a)
+               for a, a_end in zip(nodes, at_end))
+    cols = np.arange(K - 1)
+    steps = np.where(cols < last[:, None], stack.steps[rows, :K - 1], 0.0)
+    short = (cols == last[:, None] - 1) & (stack.times[rows, last] != ends)[:, None]
+    steps[short] = (times[:, 1:] - times[:, :-1])[short]    # into an end off the nodes
     return times, steps, E, f, g, last
 
 
@@ -178,11 +176,10 @@ def touching_trajectory(tvp, X0, sys: IqcSystem, cfg: IntegratorConfig,
     later node, the ride raises :class:`StepSizeUnderflow` rather than
     projecting back.  Returns an :class:`AugmentedTrajectory`.
 
-    Stacked: with a sequence of paraboloids sharing one Flow (the members
-    of a family, repeats allowed), one start each, and ``touch_tol`` a
-    number or one per row, all rides are stepped together and a
-    :class:`Rides` is returned, whose ``errors`` hold what a single ride
-    would have raised.
+    Stacked: with a sequence of members of one stack (a family's, repeats
+    allowed), one start each, and ``touch_tol`` a number or one per row, all
+    rides are stepped together and a :class:`Rides` is returned, whose
+    ``errors`` hold what a single ride would have raised.
     """
     single = isinstance(tvp, TimeVaryingParaboloid)
     tvps, X0 = ([tvp], [X0]) if single else (list(tvp), list(X0))
@@ -227,11 +224,11 @@ def trace_back_to_seed(tvp, sys: IqcSystem, cfg: IntegratorConfig, t_at, x_at):
     not used, since the steps are the paraboloid's own.  A ``t_at`` outside
     the paraboloid's domain raises :class:`OutOfDomain`.
 
-    Stacked: with a sequence of paraboloids sharing one Flow, ``t_at`` one
-    time per row and ``x_at`` one state per row, all rows are stepped back
-    together (each joins at the node before its start), and a list is
-    returned holding per row the :class:`AugmentedState`, or the error a
-    single back-trace would have raised.
+    Stacked: with a sequence of members of one stack, ``t_at`` one time per
+    row and ``x_at`` one state per row, all rows are stepped back together
+    (each joins at the node before its start), and a list is returned
+    holding per row the :class:`AugmentedState`, or the error a single
+    back-trace would have raised.
     """
     single = isinstance(tvp, TimeVaryingParaboloid)
     tvps = [tvp] if single else list(tvp)

@@ -251,22 +251,25 @@ def reference_rate_quadratic(P0, x, sys_):
     return a, b, c
 
 
+def reference_rate_root(P0, x, sys_):
+    """The larger root of the rate quadratic of the state x if it is at
+    least 1, else 1.0 (also where there is no root, or a >= -1e-300)."""
+    a, b, c = reference_rate_quadratic(P0, x, sys_)
+    if a >= -1e-300:
+        return 1.0
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return 1.0
+    root = float((-b - np.sqrt(disc)) / (2.0 * a))
+    return root if root >= 1.0 else 1.0
+
+
 def reference_gamma_bar(P0, sys_, eps_q, sampler_density=64):
     """The largest root >= 1 of the rate quadratic over the rim slab's
     states, one state at a time; 1.0 when there is none."""
-    best = 1.0
-    for X in pr.sample_slab_states(P0, eps_q, density=sampler_density, n_radial=3,
-                                   n_levels=1):
-        a, b, c = reference_rate_quadratic(P0, X.x, sys_)
-        if a >= -1e-300:
-            continue
-        disc = b * b - 4.0 * a * c
-        if disc < 0.0:
-            continue
-        root = (-b - np.sqrt(disc)) / (2.0 * a)
-        if root >= 1.0:
-            best = max(best, float(root))
-    return best
+    return max((reference_rate_root(P0, X.x, sys_)
+                for X in pr.sample_slab_states(P0, eps_q, density=sampler_density,
+                                               n_radial=3, n_levels=1)), default=1.0)
 
 
 def reference_params(sys_, P0, t_end):

@@ -201,12 +201,28 @@ class TestIntegerFlags:
         ["reach", "--example", "sec5", "--window", "0"],
         ["reach", "--example", "ex1-escape", "--window", "-1"],
         ["verify", "--example", "ex1-stable", "--seed", "-1"],
+        ["reach", "--example", "sec5", "--gammas", "1,abc"],
+        ["reach", "--example", "sec5", "--e0", '"abc"'],
+        ["reach", "--example", "sec5", "--e0", '[[1,"a"]]'],
+        ["reach", "--example", "sec5", "--f0", "{}"],
     ])
     def test_config_error_before_any_work(self, argv, tmp_path, capsys, monkeypatch):
         def build_family(*args, **kwargs):
             raise AssertionError("build_family called")
         monkeypatch.setattr(cli, "build_family", build_family)
         assert run(argv + ["--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert json.loads(err[len("error: "):])["error"] == "ConfigError"
+        assert not (tmp_path / "run").exists()
+
+    def test_malformed_system_file(self, tmp_path, capsys, monkeypatch):
+        def build_family(*args, **kwargs):
+            raise AssertionError("build_family called")
+        monkeypatch.setattr(cli, "build_family", build_family)
+        sys_path = tmp_path / "sys.json"
+        sys_path.write_text('{"A": [[-1.0]], "B": ')
+        assert run(["reach", "--system", str(sys_path), "--e0", "[[1.0]]",
+                    "--out", str(tmp_path / "run")]) == 1
         err = capsys.readouterr().err
         assert json.loads(err[len("error: "):])["error"] == "ConfigError"
         assert not (tmp_path / "run").exists()
@@ -371,6 +387,11 @@ class TestByteIdentity:
             "slice_t1p62.csv":
                 "5b440713d29c16746b6e5956647b5b5737ec070649f5e8f416a06624729ba665",
             "tube.csv": "6b1d2c2405906fe060aac4338d93da5e1bdbb399742e6ce4de2f84ef73bb448b"}),
+        (["verify", "--example", "sec5", "--n", "2000", "--seed", "42"], 0, {
+            "coverage.json": "293a50883338a2c7c1509895d118c6e6887b5729ec06a7951462d3e623c85f30",
+            "endpoints.csv": "356eb91d122fee915e21db0c5840050951a894929f006e74d826291a1989695f",
+            "verify_report.json":
+                "09be0d534f7de69f432e8fef5a3f6c831b72864ef4ffcd9887e2b40b507d8a23"}),
     ])
     def test_preset_run(self, tmp_path, argv, code, digests):
         assert run(argv + ["--out", str(tmp_path)]) == code

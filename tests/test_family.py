@@ -12,7 +12,7 @@ from parareach.family import sample_slab_states
 from parareach.presets import load_preset
 
 from conftest import (random_iqc_system, reference_gamma_bar, reference_rate_quadratic,
-                      scalar_flow, xq_rate_at_zero)
+                      reference_rate_root, scalar_flow, xq_rate_at_zero)
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +147,10 @@ class TestRateArrays:
         ref = np.array([reference_rate_quadratic(P0, x, sys_) for x in xs]).reshape(-1, 3)
         for got, want in zip(abc, ref.T):
             assert got.tobytes() == want.tobytes()
+        roots = family_mod._rate_roots(P0, xs, sys_)
+        assert roots.shape == (len(xs),)
+        for root, x in zip(roots, xs):
+            assert root.tobytes() == np.float64(reference_rate_root(P0, x, sys_)).tobytes()
         gb = pr.gamma_bar(P0, sys_, eps_q, sampler_density=density)
         assert np.float64(gb).tobytes() == np.float64(
             reference_gamma_bar(P0, sys_, eps_q, density)).tobytes()

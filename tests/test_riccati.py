@@ -300,11 +300,22 @@ class TestStack:
                 assert same_bits(getattr(m, a), getattr(alone, a)), a
             assert m.escape_time == alone.escape_time and m.gamma == g
         last = [len(m.grid) - 1 for m in stack.members]
-        assert len(stack.grid) == max(last) + 1
-        for r, m in enumerate(stack.members):     # padded by the last node
-            assert np.all(stack.nodes[2][r, last[r]:] == m.g_samples[-1])
-        for a in stack.nodes + tuple(getattr(m, a) for m in stack.members
-                                     for a in ("grid", "E_samples", "steps")):
+        assert len(stack.grid) == max(last) + 1 and list(stack.last) == last
+        E, f, g = stack.nodes
+        for r, m in enumerate(stack.members):     # rows padded past the last node
+            k = last[r]
+            assert m.stack is stack and m.row == r
+            assert same_bits(stack.times[r, :k + 1], m.grid)
+            assert np.all(stack.times[r, k:] == m.t_end) and stack.t_end[r] == m.t_end
+            assert same_bits(stack.steps[r, :k], m.steps) and np.all(stack.steps[r, k:] == 0.0)
+            for a, own in zip(stack.nodes, (m.E_samples, m.f_samples, m.g_samples)):
+                assert np.all(a[r, k:] == own[-1])
+            assert stack.escape[r] == m.escape_time
+            for a, whole in ((m.grid, stack.times), (m.steps, stack.steps),
+                             (m.E_samples, E), (m.f_samples, f), (m.g_samples, g)):
+                assert a.size == 0 or np.shares_memory(a, whole)
+        for a in stack.nodes + (stack.times, stack.steps, stack.t_end) + tuple(
+                getattr(m, a) for m in stack.members for a in ("grid", "E_samples", "steps")):
             assert not a.flags.writeable
         return [m.escape_time for m in stack.members]
 
