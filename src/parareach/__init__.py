@@ -13,12 +13,11 @@ from .errors import (AsymmetricMatrix, ConfigError, DimensionMismatch,
                      OutOfDomain, ParareachError, RejectionStarvation,
                      SingularMw, StepSizeUnderflow, UnboundedSlab)
 from .family import (AssumptionReport, ParaboloidFamily, ReachSlice,
-                     build_family, check_assumptions, find_nonconvex_witness,
-                     gamma_bar, intersection_membership, membership_margins,
-                     reach_slice, rising_energy_violations, sample_slab_states,
+                     build_family, check_assumptions, gamma_bar,
+                     membership_margins, reach_slice, rising_energy_violations,
                      xq_max_at)
 from .model import (AugmentedState, IqcSystem, Paraboloid, make_system,
-                    scale_paraboloid, system_from_json, value_function)
+                    system_from_json, value_function)
 from .oracle import (CoverageReport, OracleConfig, OracleSamples, coverage,
                      sample_admissible)
 from .riccati import (IntegratorConfig, ParaboloidStack, TimeVaryingParaboloid,

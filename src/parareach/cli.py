@@ -64,6 +64,14 @@ def _parse_json_flag(text, what, convert):
         raise ConfigError(f"could not parse {what}: {e}") from e
 
 
+def _finite(flag, value):
+    """``value`` as a float array; a ConfigError unless every entry is finite."""
+    a = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise ConfigError(f"{flag} must be finite, got {value}")
+    return a
+
+
 def _with_flags(base: dict, **flags) -> dict:
     """``base`` with the flags set on the command line put over it."""
     return {**base, **{name: v for name, v in flags.items() if v is not None}}
@@ -87,11 +95,13 @@ def _build_config(args) -> RunConfig:
         seed = Paraboloid(np.zeros((system.n, system.n)), np.zeros(system.n), 0.0)
     else:
         raise ConfigError("one of --example or --system is required")
-    floats = partial(np.asarray, dtype=float)   # the seed flags over the preset's or 0
-    seed_par = Paraboloid(
-        seed.E if args.e0 is None else _parse_json_flag(args.e0, "--e0", floats),
-        seed.f if args.f0 is None else _parse_json_flag(args.f0, "--f0", floats),
-        seed.g if args.g0 is None else args.g0)
+    def seed_flag(text, flag):          # a JSON array of finite numbers
+        return _parse_json_flag(text, flag, partial(_finite, flag))
+
+    seed_par = Paraboloid(      # the seed flags over the preset's or 0
+        seed.E if args.e0 is None else seed_flag(args.e0, "--e0"),
+        seed.f if args.f0 is None else seed_flag(args.f0, "--f0"),
+        seed.g if args.g0 is None else float(_finite("--g0", args.g0)))
 
     def pick(flag, key, fallback):
         return flag if flag is not None else preset.get(key, fallback)
@@ -117,6 +127,7 @@ def _build_config(args) -> RunConfig:
             gammas = [float(g) for g in args.gammas.split(",") if g.strip()]
         except ValueError as e:
             raise ConfigError(f"--gammas must be numbers, got {args.gammas}") from e
+        _finite("--gammas", gammas)
     else:               # an explicit member count drops the preset's scalings
         gammas = None if args.members is not None else preset.get("gammas")
 
@@ -285,11 +296,8 @@ def cmd_examples(args) -> int:
             "seed_paraboloid": {"E": preset["seed"].E.tolist(),
                                 "f": preset["seed"].f.tolist(),
                                 "g": preset["seed"].g},
-            "t_end": preset["t_end"],
-            "times": preset["times"],
-            "eps_q": preset["eps_q"],
-            "n_members": preset["n_members"],
-            "gamma_spacing": preset["gamma_spacing"],
+            **{key: preset[key] for key in
+               ("t_end", "times", "eps_q", "n_members", "gamma_spacing")},
         }
         print(json.dumps(out, indent=2))
     else:
@@ -326,8 +334,15 @@ def _add_common(sp):
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are ConfigErrors: exit 1, as for any bad flag."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="parareach",
         description="Reachable sets of LTI systems under integral quadratic "
                     "constraints, via time-varying paraboloids.")
@@ -342,8 +357,8 @@ def main(argv=None) -> int:
     spx.add_argument("--show", help="print one preset as JSON")
     spx.set_defaults(fn=None)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.command == "examples":
             return cmd_examples(args)
         rc = _build_config(args)

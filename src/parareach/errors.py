@@ -27,14 +27,7 @@ class SingularMw(ParareachError):
 
 class StepSizeUnderflow(ParareachError):
     """A surface ride drifted off its paraboloid: the value function exceeded
-    the touch tolerance at a node.
-
-    Carries ``t_last``, the last node before the drift.
-    """
-
-    def __init__(self, message, t_last=None):
-        super().__init__(message)
-        self.t_last = t_last
+    the touch tolerance at a node."""
 
 
 class OutOfDomain(ParareachError):

@@ -17,10 +17,9 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, OutOfDomain, UnboundedSlab
 from .model import AugmentedState, IqcSystem, Paraboloid
-from .riccati import IntegratorConfig, ParaboloidStack, propagate
+from .riccati import DOMAIN_TOL, IntegratorConfig, ParaboloidStack, domain_end, propagate
 from .touching import touching_trajectory, trace_back_to_seed
 
-_DEFINED_TOL = 1e-12
 _RATE_MARGIN = 0.0      # a budget rate >= -margin in the rim band is a violation
 _MEMBERSHIP_TOL = 1e-4  # relative slack for a ride point on the intersection's surface
 _QUERY_BLOCK = 4096     # member-time queries per block; each needs ~0.5 kB of temporaries
@@ -66,15 +65,6 @@ def _slab_points(P0: Paraboloid, eps_q: float, density: int, n_radial: int) -> n
     return np.concatenate([c + np.sqrt(rho) * dirs @ root.T for rho in radii])
 
 
-def sample_slab_states(P0: Paraboloid, eps_q: float, density: int = 64,
-                       n_radial: int = 3, n_levels: int = 8):
-    """Sample the slab of states near the seed rim: x with the x-part of the
-    value function in [0, eps_q], budget levels in [-eps_q, 0]."""
-    levels = np.linspace(-eps_q, 0.0, n_levels)
-    return [AugmentedState(x, xq) for x in _slab_points(P0, eps_q, density, n_radial)
-            for xq in levels]
-
-
 # Stacked per-row products: each row rounds like the product of its state
 # alone, where one matrix product over all rows would sum in another order.
 def _mv(A, X):                  # A @ x for every row x of X
@@ -91,7 +81,7 @@ def _rate_quadratic(P0: Paraboloid, X: np.ndarray, sys: IqcSystem):
     optimal disturbance on it (w = w_base + gamma * w_lin): interpolating
     three rates instead would cancel catastrophically when a is many orders
     below the rate itself."""
-    u0 = np.asarray(sys.u_at(0.0), dtype=float).reshape(sys.p)
+    u0 = np.asarray(sys.u(0.0), dtype=float).reshape(sys.p)
     U = np.broadcast_to(u0, (len(X), sys.p))
     w_lin = -_mv(sys.Mw_inv, _mv(sys.B.T, _mv(P0.E, X) - P0.f))
     w_base = -_mv(sys.Mw_inv, _mv(sys.Mxw.T, X) + sys.Muw.T @ u0)
@@ -164,14 +154,14 @@ class ParaboloidFamily:
         (M, T, n), (M, T), (M, T): each member's query is clamped to its t_end,
         and ``defined`` marks the times within its interval of definition."""
         tq = np.asarray(tq, dtype=float)
-        if np.any(tq < -1e-12):
+        if np.any(tq < -DOMAIN_TOL):
             raise OutOfDomain(f"t={tq.min()} before the family's start 0")
         t_end = self.stack.t_end
         step = max(1, _QUERY_BLOCK // len(t_end))     # times per block
         blocks = [self.stack.flow.dense_output(*self.stack.nodes, t_end, tq[s:s + step])
                   for s in range(0, max(len(tq), 1), step)]
         E, f, g = (np.concatenate(a, axis=1) for a in zip(*blocks))
-        return E, f, g, tq <= t_end[:, None] * (1 + _DEFINED_TOL) + 1e-15
+        return E, f, g, tq <= domain_end(t_end[:, None])
 
     def to_manifest(self, assumption_report=None) -> dict:
         man = {
@@ -214,8 +204,8 @@ def build_family(P0: Paraboloid, sys: IqcSystem, eps_q: float, n_members: int,
             raise ConfigError(f"unknown gamma spacing {spacing!r}")
     else:
         gs = np.asarray(sorted(float(g) for g in gammas), dtype=float)
-        if len(gs) == 0 or np.any(gs <= 0):
-            raise ConfigError("explicit gammas must be positive and nonempty")
+        if len(gs) == 0 or not np.all(np.isfinite(gs) & (gs > 0)):
+            raise ConfigError("explicit gammas must be positive, finite and nonempty")
     gs = np.unique(gs)
 
     stack = propagate(P0, sys, cfg, gamma=gs)
@@ -223,14 +213,6 @@ def build_family(P0: Paraboloid, sys: IqcSystem, eps_q: float, n_members: int,
     return ParaboloidFamily(seed=P0, stack=stack,
                             eps_q=eps_q, T=cfg.t_end, K_bound=k_bound,
                             system=sys, gamma_bar_value=gbar)
-
-
-def intersection_membership(F: ParaboloidFamily, t: float, X: AugmentedState):
-    """(inside, margin): inside iff the budget is nonnegative and every member
-    defined at t contains X; margin is the worst member value (negative
-    inside), as :func:`membership_margins` reports it."""
-    margin = float(membership_margins(F, t, X.x[None, :], [X.x_q])[0])
-    return (X.x_q >= 0.0 and margin <= 0.0), margin
 
 
 @dataclass
@@ -288,36 +270,9 @@ def xq_max_at(F: ParaboloidFamily, t: float, xs) -> np.ndarray:
 
 
 def membership_margins(F: ParaboloidFamily, t: float, xs, xqs) -> np.ndarray:
-    """Batched intersection margins: margin_k = x_q_k - xq_max(x_k).
-    Negative inside; same value :func:`intersection_membership` reports."""
+    """Batched intersection margins x_q_k - xq_max(x_k): the intersection
+    holds a state whose margin is <= 0 and whose budget is nonnegative."""
     return np.asarray(xqs, dtype=float) - xq_max_at(F, t, xs)
-
-
-def find_nonconvex_witness(F: ParaboloidFamily, slc: ReachSlice):
-    """Search for inside points whose midpoint is outside the projected set,
-    among 20000 random pairs of inside grid points (a fixed seed).
-
-    Returns (x1, x2, midpoint) with headroom > 1e-9 at the endpoints and
-    < -1e-9 at the midpoint (all re-evaluated exactly), or None.
-    """
-    margin = 1e-9
-    inside = slc.x_grid[slc.xq_max > margin]
-    if len(inside) < 2:
-        return None
-    rng = np.random.default_rng(7)
-    i = rng.integers(0, len(inside), size=20000)
-    j = rng.integers(0, len(inside), size=20000)
-    keep = i != j
-    i, j = i[keep], j[keep]
-    mids = 0.5 * (inside[i] + inside[j])
-    vals = xq_max_at(F, slc.t, mids)
-    hits = np.nonzero(vals < -margin)[0]
-    for h in hits:
-        x1, x2, mid = inside[i[h]], inside[j[h]], mids[h]
-        v1, v2 = xq_max_at(F, slc.t, np.stack([x1, x2]))
-        if v1 > margin and v2 > margin:
-            return x1, x2, mid
-    return None
 
 
 # -- assumption diagnostics ---------------------------------------------------

@@ -18,7 +18,6 @@ from .errors import (
     AsymmetricMatrix,
     ConfigError,
     DimensionMismatch,
-    NonPositiveScale,
     NotNegativeDefinite,
 )
 from .signals import ZeroSignal, signal_from_json
@@ -73,23 +72,6 @@ class IqcSystem:
     Muw: np.ndarray = field(repr=False, default=None)
     Mw: np.ndarray = field(repr=False, default=None)
     Mw_inv: np.ndarray = field(repr=False, default=None)
-
-    def u_at(self, t: float) -> np.ndarray:
-        return self.u(t)
-
-    def energy_rate(self, x, u_t, w) -> float:
-        """[x; u; w]' M [x; u; w] evaluated blockwise."""
-        x = np.asarray(x, dtype=float).reshape(self.n)
-        u_t = np.asarray(u_t, dtype=float).reshape(self.p)
-        w = np.asarray(w, dtype=float).reshape(self.m)
-        return float(
-            x @ self.Mx @ x
-            + 2.0 * x @ self.Mxu @ u_t
-            + 2.0 * x @ self.Mxw @ w
-            + u_t @ self.Mu @ u_t
-            + 2.0 * u_t @ self.Muw @ w
-            + w @ self.Mw @ w
-        )
 
     def to_json(self) -> dict:
         return {
@@ -158,9 +140,7 @@ def make_system(A, B, B_u, M, u=None) -> IqcSystem:
         raise ConfigError(f"input signal {u!r} is not piecewise polynomial: "
                           "it needs degree, knots and taylor(a)")
 
-    arrays = (A, B, B_u, M, Mx, Mxu, Mxw, Mu, Muw, Mw, Mw_inv)
-    for a in arrays:
-        a.flags.writeable = False
+    _freeze(A, B, B_u, M, Mx, Mxu, Mxw, Mu, Muw, Mw, Mw_inv)
     return IqcSystem(A=A, B=B, Bu=B_u, M=M, u=u, n=n, m=m, p=p,
                      Mx=Mx, Mxu=Mxu, Mxw=Mxw, Mu=Mu, Muw=Muw, Mw=Mw, Mw_inv=Mw_inv)
 
@@ -231,14 +211,3 @@ def value_function(P: Paraboloid, X: AugmentedState) -> float:
     if X.x.shape[0] != P.dim:
         raise DimensionMismatch(f"state dim {X.x.shape[0]} != paraboloid dim {P.dim}")
     return P.quad(X.x) + X.x_q
-
-
-def scale_paraboloid(P: Paraboloid, gamma: float) -> Paraboloid:
-    """Componentwise scaling (gE, gf, gg); requires gamma > 0.
-
-    For gamma >= 1 the scaled set contains the original within the
-    nonnegative-budget half-space.
-    """
-    if not np.isfinite(gamma) or gamma <= 0.0:
-        raise NonPositiveScale(f"scaling factor must be positive, got {gamma}")
-    return Paraboloid(gamma * P.E, gamma * P.f, gamma * P.g)

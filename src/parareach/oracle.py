@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -354,7 +354,7 @@ def _affordable_amplitude(sys, X0, XQ0, t_end, wcost):
     the drawn budget plus the initial harvest rate over the horizon, per
     column of X0 (n, N).  Only sets the sampling scale; admissibility is
     decided by the integration."""
-    u0 = sys.u_at(0.0)
+    u0 = sys.u(0.0)
     Z = np.zeros((sys.m, X0.shape[1]))
     harvest = _qform_batch(sys, X0, _live(u0), Z)
     budget = XQ0 + np.maximum(harvest, 0.0) * t_end
@@ -374,9 +374,9 @@ def sample_admissible(sys: IqcSystem, P0: Paraboloid, cfg: OracleConfig,
     """
     if sample_times is None:
         sample_times = []
+    seg_bounds = np.linspace(0.0, cfg.t_end, cfg.segments + 1)
     save_times = np.unique(np.concatenate([
-        np.linspace(0.0, cfg.t_end, cfg.segments + 1),
-        np.asarray(list(sample_times), dtype=float)]))
+        seg_bounds, np.asarray(list(sample_times), dtype=float)]))
     if np.any(save_times < 0) or np.any(save_times > cfg.t_end):
         raise ConfigError("sample times must lie within [0, t_end]")
 
@@ -430,7 +430,6 @@ def sample_admissible(sys: IqcSystem, P0: Paraboloid, cfg: OracleConfig,
             a[order] for a in (member_of, switch_t, noise_lvl, release_u, span))
 
     base = np.linspace(0.0, cfg.t_end, cfg.n_steps + 1)
-    seg_bounds = np.linspace(0.0, cfg.t_end, cfg.segments + 1)
     grid = np.unique(np.concatenate([base, seg_bounds, save_times]))
     save_idx = np.searchsorted(grid, save_times)
     seg_of_step = np.minimum(
@@ -526,17 +525,10 @@ class CoverageReport:
     cells_per_dim: int
     t: float
 
-    def to_json(self) -> dict:
-        return {
-            "fraction": self.fraction,
-            "n_inside_cells": self.n_inside_cells,
-            "n_covered_cells": self.n_covered_cells,
-            "gaps": [list(map(float, g)) for g in self.gaps],
-            "window_lo": list(map(float, self.window_lo)),
-            "window_hi": list(map(float, self.window_hi)),
-            "cells_per_dim": self.cells_per_dim,
-            "t": self.t,
-        }
+    def to_json(self) -> dict:      # the fields in order, arrays as float lists
+        return {**asdict(self), "gaps": [list(map(float, g)) for g in self.gaps],
+                "window_lo": list(map(float, self.window_lo)),
+                "window_hi": list(map(float, self.window_hi))}
 
 
 def coverage(F: ParaboloidFamily, t: float, endpoints, cells_per_dim: int = 24,

@@ -47,6 +47,7 @@ from .errors import (ConfigError, DimensionMismatch, NonPositiveScale, OutOfDoma
 from .model import IqcSystem, Paraboloid
 
 ESCAPE_BRACKET_RTOL = 1e-6  # relative width of the blow-up time bracket
+DOMAIN_TOL = 1e-12          # slack of a domain [0, t_end]: absolute at 0, relative at t_end
 _VALUE_BLOCK = 8192         # elements of Flow.value's scratch block (64 kB)
 _VALUE_KERNEL_MIN = 2048    # results below which Flow.value's einsum costs less
 
@@ -120,7 +121,7 @@ class Flow:
         D = np.diag(np.arange(1.0, d1), -1)          # d/ds [1, s, ..] = D [1, s, ..]
         B = np.vstack([sys.B, np.zeros((d1, sys.m))])
         Mxu, Mxuw = sys.M[:n + p, :n + p], sys.M[:n + p, n + p:]
-        H, Z = [], []
+        Z = []
         for a in self.starts:
             C = np.asarray(u.taylor(a), dtype=float).reshape(d1, p).T   # u = C [1, s, ..]
             L = np.block([[np.eye(n), np.zeros((n, d1))], [np.zeros((p, n)), C]])
@@ -132,9 +133,9 @@ class Flow:
             T = np.block([[np.eye(k), np.zeros((k, k))], [Kz, Kl]])
             N = T.T @ np.block([[Mz, Mzw], [Mzw.T, sys.Mw]]) @ T
             N = 0.5 * (N + N.T)
-            H.append(Hj)
             Z.append(np.block([[-Hj.T, N], [np.zeros_like(N), Hj]]))
-        self.H, self.Z = np.array(H), np.array(Z)
+        self.Z = np.array(Z)
+        self.H = self.Z[:, 2 * k:, 2 * k:]          # views of Z's H blocks
         # full steps, forward and backward, from one stacked exponential
         js, hs = np.tile(np.arange(len(self.h)), 2), np.concatenate([self.h, -self.h])
         Phi, W = self._exp(js, hs)
@@ -314,6 +315,11 @@ class Flow:
         return Phi, 0.5 * (W + _swap(W))
 
 
+def domain_end(t_end):
+    """The last time treated as inside a domain ending at ``t_end``."""
+    return t_end * (1 + DOMAIN_TOL) + 1e-15
+
+
 class TimeVaryingParaboloid:
     """Member ``row`` of a :class:`ParaboloidStack`: (E(t), f(t), g(t)) at
     its nodes, read-only views of the row cut after its last node, with
@@ -339,7 +345,7 @@ class TimeVaryingParaboloid:
         return float(self.grid[-1])
 
     def _check_domain(self, t: float):
-        if t < -1e-12 or t > self.t_end * (1 + 1e-12) + 1e-15:
+        if not -DOMAIN_TOL <= t <= domain_end(self.t_end):     # also NaN
             if self.escape_time is not None and t >= self.t_end:
                 raise OutOfDomain(
                     f"t={t} is beyond the interval of definition "

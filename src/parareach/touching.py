@@ -205,7 +205,7 @@ def touching_trajectory(tvp, X0, sys: IqcSystem, cfg: IntegratorConfig,
         else:
             errors[r] = StepSizeUnderflow(
                 f"value-function drift exceeded touch_tol={tols[r]:.1e} "
-                f"near t={times[r, k]}", t_last=times[r, k - 1])
+                f"near t={times[r, k]}")
     rides = Rides(flow, times, last, x, xq, h, etas, errors)
     if not single:
         return rides

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import parareach as pr
+from parareach.family import _slab_points
 from parareach.presets import load_preset
 
 ROOT_LO = 2.0 - np.sqrt(2.0)
@@ -121,6 +122,70 @@ def driven_tvp(driven_system, driven_seed, driven_cfg):
     return pr.propagate(driven_seed, driven_system, driven_cfg)
 
 
+# -- seed scaling, energy rate, rim slab and nonconvexity witness, written out
+# once: the tests' references, which no library path calls -----------------
+
+def scale_paraboloid(P, gamma):
+    """Componentwise scaling (gE, gf, gg); requires gamma > 0.
+
+    For gamma >= 1 the scaled set contains the original within the
+    nonnegative-budget half-space.
+    """
+    if not np.isfinite(gamma) or gamma <= 0.0:
+        raise pr.NonPositiveScale(f"scaling factor must be positive, got {gamma}")
+    return pr.Paraboloid(gamma * P.E, gamma * P.f, gamma * P.g)
+
+
+def energy_rate(sys_, x, u_t, w):
+    """[x; u; w]' M [x; u; w] evaluated blockwise."""
+    x = np.asarray(x, dtype=float).reshape(sys_.n)
+    u_t = np.asarray(u_t, dtype=float).reshape(sys_.p)
+    w = np.asarray(w, dtype=float).reshape(sys_.m)
+    return float(
+        x @ sys_.Mx @ x
+        + 2.0 * x @ sys_.Mxu @ u_t
+        + 2.0 * x @ sys_.Mxw @ w
+        + u_t @ sys_.Mu @ u_t
+        + 2.0 * u_t @ sys_.Muw @ w
+        + w @ sys_.Mw @ w
+    )
+
+
+def sample_slab_states(P0, eps_q, density=64, n_radial=3, n_levels=8):
+    """Sample the slab of states near the seed rim: x with the x-part of the
+    value function in [0, eps_q], budget levels in [-eps_q, 0]."""
+    levels = np.linspace(-eps_q, 0.0, n_levels)
+    return [pr.AugmentedState(x, xq) for x in _slab_points(P0, eps_q, density, n_radial)
+            for xq in levels]
+
+
+def find_nonconvex_witness(F, slc):
+    """Search for inside points whose midpoint is outside the projected set,
+    among 20000 random pairs of inside grid points (a fixed seed).
+
+    Returns (x1, x2, midpoint) with headroom > 1e-9 at the endpoints and
+    < -1e-9 at the midpoint (all re-evaluated exactly), or None.
+    """
+    margin = 1e-9
+    inside = slc.x_grid[slc.xq_max > margin]
+    if len(inside) < 2:
+        return None
+    rng = np.random.default_rng(7)
+    i = rng.integers(0, len(inside), size=20000)
+    j = rng.integers(0, len(inside), size=20000)
+    keep = i != j
+    i, j = i[keep], j[keep]
+    mids = 0.5 * (inside[i] + inside[j])
+    vals = pr.xq_max_at(F, slc.t, mids)
+    hits = np.nonzero(vals < -margin)[0]
+    for h in hits:
+        x1, x2, mid = inside[i[h]], inside[j[h]], mids[h]
+        v1, v2 = pr.xq_max_at(F, slc.t, np.stack([x1, x2]))
+        if v1 > margin and v2 > margin:
+            return x1, x2, mid
+    return None
+
+
 # -- the input spline as scipy's CubicSpline gives it: the tests' reference for
 # the spline of parareach.signals ---------------------------------------------
 
@@ -222,7 +287,7 @@ def value_derivative(P, x, u_t, w_t, sys_, rate):
     u_t = np.asarray(u_t, dtype=float).reshape(-1)
     w_t = np.asarray(w_t, dtype=float).reshape(-1)
     xdot = sys_.A @ x + sys_.B @ w_t + sys_.Bu @ u_t
-    dxq = sys_.energy_rate(x, u_t, w_t)
+    dxq = energy_rate(sys_, x, u_t, w_t)
     return float(x @ rate.dE @ x - 2.0 * rate.df @ x + rate.dg
                  + 2.0 * (P.E @ x - P.f) @ xdot + dxq)
 
@@ -230,9 +295,9 @@ def value_derivative(P, x, u_t, w_t, sys_, rate):
 def xq_rate_at_zero(P0, gamma, X, sys_):
     """Budget rate at t=0 of the surface-riding trajectory of the scaled seed
     through X.  Quadratic in gamma with negative leading coefficient."""
-    u0 = sys_.u_at(0.0)
-    w = pr.optimal_disturbance(pr.scale_paraboloid(P0, gamma), X.x, u0, sys_)
-    return sys_.energy_rate(X.x, u0, w)
+    u0 = sys_.u(0.0)
+    w = pr.optimal_disturbance(scale_paraboloid(P0, gamma), X.x, u0, sys_)
+    return energy_rate(sys_, X.x, u0, w)
 
 
 # -- gamma_bar state by state: the tests' reference for the bits of the
@@ -241,13 +306,13 @@ def xq_rate_at_zero(P0, gamma, X, sys_):
 def reference_rate_quadratic(P0, x, sys_):
     """(a, b, c) of the budget rate at t=0 of the surface ride through x, as a
     quadratic in the seed scaling, from lone products of one state."""
-    u0 = sys_.u_at(0.0)
+    u0 = sys_.u(0.0)
     w_lin = -(sys_.Mw_inv @ (sys_.B.T @ (P0.E @ x - P0.f)))
     w_base = -(sys_.Mw_inv @ (sys_.Mxw.T @ x + sys_.Muw.T @ u0))
     a = float(w_lin @ sys_.Mw @ w_lin)
     b = 2.0 * float(x @ sys_.Mxw @ w_lin + u0 @ sys_.Muw @ w_lin
                     + w_base @ sys_.Mw @ w_lin)
-    c = sys_.energy_rate(x, u0, w_base)
+    c = energy_rate(sys_, x, u0, w_base)
     return a, b, c
 
 
@@ -268,8 +333,8 @@ def reference_gamma_bar(P0, sys_, eps_q, sampler_density=64):
     """The largest root >= 1 of the rate quadratic over the rim slab's
     states, one state at a time; 1.0 when there is none."""
     return max((reference_rate_root(P0, X.x, sys_)
-                for X in pr.sample_slab_states(P0, eps_q, density=sampler_density,
-                                               n_radial=3, n_levels=1)), default=1.0)
+                for X in sample_slab_states(P0, eps_q, density=sampler_density,
+                                            n_radial=3, n_levels=1)), default=1.0)
 
 
 def reference_params(sys_, P0, t_end):
@@ -315,7 +380,7 @@ def node_rates(tvp, sys_):
     Mw_inv = np.linalg.inv(sys_.Mw)
     dE, df, dg = [], [], []
     for t, E, f in zip(tvp.grid, tvp.E_samples, tvp.f_samples):
-        u = sys_.u_at(t)
+        u = sys_.u(t)
         S = sys_.B.T @ E + sys_.Mxw.T
         r = sys_.B.T @ f - sys_.Muw.T @ u
         dE.append(-E @ sys_.A - sys_.A.T @ E - sys_.Mx + S.T @ Mw_inv @ S)

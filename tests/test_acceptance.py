@@ -16,9 +16,9 @@ import parareach as pr
 import parareach.family as family_mod
 from parareach.presets import load_preset
 
-from conftest import (ROOT_HI, ROOT_LO, paraboloid_rate, random_boundary_states,
-                      random_iqc_system, riccati_rhs, scalar_blowup_time,
-                      scalar_flow, value_derivative)
+from conftest import (ROOT_HI, ROOT_LO, find_nonconvex_witness, paraboloid_rate,
+                      random_boundary_states, random_iqc_system, riccati_rhs,
+                      scalar_blowup_time, scalar_flow, value_derivative)
 
 _fixture_cost = {}
 CHECK_TIMES = np.linspace(0.1, 1.0, 10)
@@ -195,7 +195,7 @@ def test_gate7_nonconvexity_witness(sec5, sec5_fam64):
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.stack([m.ravel() for m in mesh], axis=1)
     slc = pr.reach_slice(sec5_fam64, 0.794, grid)
-    wit = pr.find_nonconvex_witness(sec5_fam64, slc)
+    wit = find_nonconvex_witness(sec5_fam64, slc)
     elapsed = time.perf_counter() - t0 + _fixture_cost.get("fam64", 0.0)
     if wit is None:
         _report(7, False, 60.0, elapsed, "no witness found")

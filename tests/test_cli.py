@@ -205,6 +205,11 @@ class TestIntegerFlags:
         ["reach", "--example", "sec5", "--e0", '"abc"'],
         ["reach", "--example", "sec5", "--e0", '[[1,"a"]]'],
         ["reach", "--example", "sec5", "--f0", "{}"],
+        ["reach", "--example", "sec5", "--gammas", "nan"],
+        ["reach", "--example", "sec5", "--gammas", "1e400"],
+        ["reach", "--example", "sec5", "--g0", "nan"],
+        ["reach", "--example", "sec5", "--e0", "[[NaN, 0], [0, 1]]"],
+        ["verify", "--example", "sec5", "--f0", "[Infinity, 0]"],
     ])
     def test_config_error_before_any_work(self, argv, tmp_path, capsys, monkeypatch):
         def build_family(*args, **kwargs):
@@ -226,6 +231,28 @@ class TestIntegerFlags:
         err = capsys.readouterr().err
         assert json.loads(err[len("error: "):])["error"] == "ConfigError"
         assert not (tmp_path / "run").exists()
+
+
+class TestUsageErrors:
+    """A usage error of the argument parser exits 1 with a ConfigError, like
+    any other bad flag: exit 2 is propagate's finite escape."""
+
+    @pytest.mark.parametrize("argv", [
+        ["propagate", "--example", "ex1-escape", "--max-step", "abc"],
+        ["propagate", "--example", "ex1-escape", "--bogus", "1"],
+        ["reach", "--example", "sec5", "--gamma-spacing", "cubic"],
+    ])
+    def test_config_error(self, argv, tmp_path, capsys):
+        assert run(argv + ["--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert json.loads(err[len("error: "):])["error"] == "ConfigError"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["reach", "--help"]])
+    def test_help_and_version_exit_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as e:
+            run(argv)
+        assert e.value.code == 0
 
 
 @pytest.mark.parametrize("command", ["reach", "verify"])

@@ -10,7 +10,7 @@ import numpy as np
 
 import parareach as pr
 
-from conftest import reference_params
+from conftest import energy_rate, reference_params
 
 
 def test_input_drives_linear_and_offset_parts(driven_tvp):
@@ -89,7 +89,7 @@ def test_containment_for_arbitrary_disturbances(driven_system, driven_seed,
                 dx = (driven_system.A @ y[:2] + driven_system.B @ w
                       + driven_system.Bu @ ut)
                 return np.concatenate(
-                    [dx, [driven_system.energy_rate(y[:2], ut, w)]])
+                    [dx, [energy_rate(driven_system, y[:2], ut, w)]])
 
             k1 = rhs(t, state)
             k2 = rhs(t + dt / 2, state + dt / 2 * k1)
@@ -113,7 +113,7 @@ def test_oracle_bookkeeping_with_input(driven_system, driven_seed):
     assert len(samples)
     for j in range(min(5, len(samples))):
         rates = np.array([
-            driven_system.energy_rate(x, driven_system.u_at(t), w)
+            energy_rate(driven_system, x, driven_system.u(t), w)
             for t, x, w in zip(samples.times, samples.x[:, j], samples.w[:, j])])
         recomputed = samples.x_q[0, j] + cumulative_simpson(
             rates, x=samples.times, initial=0.0)

@@ -8,11 +8,12 @@ import parareach as pr
 import parareach.family as family_mod
 from parareach.errors import (ConfigError, DimensionMismatch, NotOnBoundary,
                               OutOfDomain, StepSizeUnderflow, UnboundedSlab)
-from parareach.family import sample_slab_states
 from parareach.presets import load_preset
+from parareach.riccati import DOMAIN_TOL
 
 from conftest import (random_iqc_system, reference_gamma_bar, reference_rate_quadratic,
-                      reference_rate_root, scalar_flow, xq_rate_at_zero)
+                      reference_rate_root, sample_slab_states, scalar_flow,
+                      xq_rate_at_zero)
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +47,7 @@ def member_slice(F, t, xs):
     (member indices, values, magnitudes)."""
     idx, rows, sizes = [], [], []
     for i, m in enumerate(F.members):
-        if t <= m.t_end * (1 + family_mod._DEFINED_TOL) + 1e-15:
+        if t <= m.t_end * (1 + DOMAIN_TOL) + 1e-15:
             E, f, g = m.params_at(min(t, m.t_end))
             idx.append(i)
             rows.append(-(np.einsum("gi,ij,gj->g", xs, E, xs) - 2.0 * xs @ f + g))
@@ -193,7 +194,8 @@ class TestBuildFamily:
     def test_rejects_bad_config(self, ex1_system, ex1_stable_seed, ex1_cfg):
         for kwargs in ({"n_members": 0}, {"n_members": 4, "spacing": "cubic"},
                        {"n_members": 4, "gammas": []},
-                       {"n_members": 4, "gammas": [1.0, -2.0]}):
+                       {"n_members": 4, "gammas": [1.0, -2.0]},
+                       {"n_members": 4, "gammas": [1.0, np.nan]}):
             with pytest.raises(ConfigError):
                 pr.build_family(ex1_stable_seed, ex1_system, 6e-5, cfg=ex1_cfg,
                                 **kwargs)
@@ -282,21 +284,26 @@ class TestFamilyProperty:
         np.testing.assert_array_equal(other.argmin_gamma, slc.argmin_gamma)
 
 
+def one_state_membership(F, t, x, x_q):
+    """(inside, margin) of one state from :func:`membership_margins`: inside
+    when its budget is nonnegative and its margin is <= 0."""
+    margin = float(pr.membership_margins(F, t, [x], [x_q])[0])
+    return (x_q >= 0.0 and margin <= 0.0), margin
+
+
 class TestMembership:
     def test_negative_budget_outside(self, ex1_family):
-        inside, _ = pr.intersection_membership(
-            ex1_family, 0.5, pr.AugmentedState([0.0], -1e-9))
+        inside, _ = one_state_membership(ex1_family, 0.5, [0.0], -1e-9)
         assert not inside
 
     def test_seed_interior_inside_at_zero(self, ex1_family, ex1_escape_seed):
-        X = pr.AugmentedState([0.0], -ex1_escape_seed.g / 2)
-        inside, margin = pr.intersection_membership(ex1_family, 0.0, X)
+        inside, margin = one_state_membership(ex1_family, 0.0, [0.0],
+                                              -ex1_escape_seed.g / 2)
         assert inside and margin <= 0.0
 
     def test_out_of_domain(self, ex1_family):
         with pytest.raises(OutOfDomain):
-            pr.intersection_membership(ex1_family, 10.5,
-                                       pr.AugmentedState([0.0], 0.0))
+            pr.membership_margins(ex1_family, 10.5, [[0.0]], [0.0])
 
     def test_batched_margins_match(self, ex1_family):
         rng = np.random.default_rng(3)
@@ -304,8 +311,7 @@ class TestMembership:
         xqs = rng.uniform(-0.01, 0.05, size=40)
         margins = pr.membership_margins(ex1_family, 1.0, xs, xqs)
         for k in range(40):
-            _, m = pr.intersection_membership(
-                ex1_family, 1.0, pr.AugmentedState(xs[k], xqs[k]))
+            _, m = one_state_membership(ex1_family, 1.0, xs[k], xqs[k])
             assert margins[k] == pytest.approx(m, abs=1e-12)
 
 

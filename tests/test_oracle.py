@@ -17,7 +17,7 @@ from parareach import oracle, riccati
 from parareach.oracle import _integrate_batch, _qform_batch, _steered_w, _system_terms
 from parareach.presets import load_preset
 
-from conftest import random_iqc_system, with_scipy_spline
+from conftest import energy_rate, random_iqc_system, with_scipy_spline
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +109,7 @@ class TestEnergyBookkeeping:
         assert len(samples)
         for j in range(min(10, len(samples))):
             rates = np.array([
-                ex1_system.energy_rate(x, [0.0], w)
+                energy_rate(ex1_system, x, [0.0], w)
                 for x, w in zip(samples.x[:, j], samples.w[:, j])])
             recomputed = samples.x_q[0, j] + cumulative_simpson(
                 rates, x=samples.times, initial=0.0)

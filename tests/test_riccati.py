@@ -9,7 +9,8 @@ from parareach.riccati import _VALUE_BLOCK, Flow
 
 from conftest import (ROOT_HI, ROOT_LO, f_rhs, g_quadrature_matrix, g_rhs,
                       node_rates, random_iqc_system, reference_params,
-                      reference_value, riccati_rhs, scalar_blowup_time, scalar_flow)
+                      reference_value, riccati_rhs, scalar_blowup_time, scalar_flow,
+                      scale_paraboloid)
 
 
 class TestRhs:
@@ -105,7 +106,7 @@ class TestPropagate:
         for k in range(0, len(ex1_stable_tvp.grid), 37):
             E = ex1_stable_tvp.E_samples[k]
             f = ex1_stable_tvp.f_samples[k]
-            u_t = ex1_system.u_at(ex1_stable_tvp.grid[k])
+            u_t = ex1_system.u(ex1_stable_tvp.grid[k])
             dE = riccati_rhs(E, ex1_system)
             scale = max(np.linalg.norm(dE), 1e-30)
             assert np.linalg.norm(dE_ref[k] - dE) <= 1e-12 * scale
@@ -219,11 +220,12 @@ class TestDenseOutput:
         np.testing.assert_allclose(driven_tvp.params_at_many(mids)[0], E_ref,
                                    rtol=0.0, atol=1e-8)
 
-    def test_out_of_domain(self, ex1_stable_tvp):
+    def test_out_of_domain(self, ex1_stable_tvp, ex1_system, ex1_cfg):
+        for t in (10.5, -0.5, np.nan):
+            with pytest.raises(OutOfDomain):
+                ex1_stable_tvp.params_at(t)
         with pytest.raises(OutOfDomain):
-            ex1_stable_tvp.params_at(10.5)
-        with pytest.raises(OutOfDomain):
-            ex1_stable_tvp.params_at(-0.5)
+            pr.trace_back_to_seed(ex1_stable_tvp, ex1_system, ex1_cfg, np.nan, [0.1])
 
     def test_escape_domain_truncated(self, ex1_system, ex1_escape_seed, ex1_cfg):
         tvp = pr.propagate(ex1_escape_seed, ex1_system, ex1_cfg)
@@ -295,7 +297,7 @@ class TestStack:
         stack = pr.propagate(P0, sys_, cfg, gamma=gammas)
         assert len(stack.members) == len(gammas)
         for m, g in zip(stack.members, gammas):
-            alone = pr.propagate(pr.scale_paraboloid(P0, g), sys_, cfg)
+            alone = pr.propagate(scale_paraboloid(P0, g), sys_, cfg)
             for a in ("grid", "E_samples", "f_samples", "g_samples", "steps"):
                 assert same_bits(getattr(m, a), getattr(alone, a)), a
             assert m.escape_time == alone.escape_time and m.gamma == g

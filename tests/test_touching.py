@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 import parareach as pr
 from parareach.errors import DimensionMismatch, NotOnBoundary, OutOfDomain
 
-from conftest import (boundary_state, paraboloid_rate, random_boundary_states,
+from conftest import (boundary_state, energy_rate, paraboloid_rate, random_boundary_states,
                       random_iqc_system, reference_ride, reference_trace_back,
-                      value_derivative, xq_rate_at_zero)
+                      scale_paraboloid, value_derivative, xq_rate_at_zero)
 
 
 class TestOptimalDisturbance:
@@ -95,7 +95,7 @@ class TestTouchingTrajectory:
             t = rng.uniform(0.0, 10.0)
             x, _ = traj.state_at(t)
             P = ex1_stable_tvp(t)
-            u_t = ex1_system.u_at(t)
+            u_t = ex1_system.u(t)
             rate = paraboloid_rate(P, ex1_system, u_t)
             w_star = pr.optimal_disturbance(P, x, u_t, ex1_system)
             v_star = value_derivative(P, x, u_t, w_star, ex1_system, rate)
@@ -123,7 +123,7 @@ class TestTouchingTrajectory:
 
                 def rhs(tt, y):
                     dx = ex1_system.A @ y[:1] + ex1_system.B @ w
-                    return np.concatenate([dx, [ex1_system.energy_rate(y[:1], [0.0], w)]])
+                    return np.concatenate([dx, [energy_rate(ex1_system, y[:1], [0.0], w)]])
 
                 k1 = rhs(t, state)
                 k2 = rhs(t + dt / 2, state + dt / 2 * k1)
@@ -185,7 +185,7 @@ class TestStackedRows:
         X0 = []
         for r in rows:
             d = rng.standard_normal(n)
-            X0.append(boundary_state(pr.scale_paraboloid(P0, gs[r]), d / np.linalg.norm(d),
+            X0.append(boundary_state(scale_paraboloid(P0, gs[r]), d / np.linalg.norm(d),
                                      rng.uniform(0.0, gs[r])))
 
         rides = pr.touching_trajectory(tvps, X0, sys_, ride_cfg, touch_tol=np.inf)
@@ -293,9 +293,9 @@ class TestBudgetRate:
         flow = member.flow
         rates = flow.rate(flow.piece_of(ts), ts, xs, E, f)
         for t, x, Et, ft, gt, rate in zip(ts, xs, E, f, g, rates):
-            u_t = sys_.u_at(t)
+            u_t = sys_.u(t)
             w = pr.optimal_disturbance(pr.Paraboloid(Et, ft, gt), x, u_t, sys_)
-            ref = sys_.energy_rate(x, u_t, w)
+            ref = energy_rate(sys_, x, u_t, w)
             ax, au = np.abs(x), np.abs(u_t)
             aw = np.abs(sys_.Mw_inv) @ (np.abs(sys_.B.T) @ (np.abs(Et) @ ax + np.abs(ft))
                                         + np.abs(sys_.Mxw.T) @ ax + np.abs(sys_.Muw.T) @ au)
