@@ -322,23 +322,37 @@ def _rim_points(slc: ReachSlice) -> np.ndarray:
 
 
 def _band_times(rides, eps_q):
-    """Per ride of a :class:`Rides` stack: the times where its budget sits in
-    [-eps_q, 0] at a node, or crosses 0, -eps_q/2 or -eps_q between two
-    nodes, bisected on the dense output of all rides together down to the
-    end of the last bracket on the band's side of the level, so that every
-    time returned has its budget in the band.  Rows with an error get none."""
+    """Per ride of a :class:`Rides` stack (none for a row with an error): the
+    times where its budget sits in [-eps_q, 0] at a node, or crosses 0,
+    -eps_q/2 or -eps_q between two nodes, searched for all rides together by
+    Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on the dense
+    output.  A secant point stays a step (a float, or 2^-50 of the node
+    step) inside its bracket; it is the midpoint if not strictly inside, or
+    if the bracket did not halve over two rounds.  A bracket one step wide
+    returns its end on the band's side of the level, so in the band."""
     ts, xq, R = rides.times, rides.xq, len(rides.times)
     levels = np.array([0.0, -0.5 * eps_q, -eps_q])
     ok = np.array([e is None for e in rides.errors])[:, None, None]
     z = xq[:, None, :] - levels[:, None]
     r, lv, k = np.nonzero(ok & (np.signbit(z[..., :-1]) != np.signbit(z[..., 1:])))
     lo, hi, side = ts[r, k], ts[r, k + 1], np.signbit(z[r, lv, k])
-    for _ in range(50):                 # all crossings of all rides at once
-        mid = 0.5 * (lo + hi)
-        if np.all((mid == lo) | (mid == hi)):
-            break                       # every bracket is down to adjacent floats
-        below = np.signbit(rides.state_at_many(r, mid)[1] - levels[lv]) == side
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    z_lo, z_hi, tol = z[r, lv, k], z[r, lv, k + 1], 2.0 ** -50 * (hi - lo)
+    kept = np.full(len(r), -1)          # 1 where the last round kept hi, 0 lo
+    seen = np.full((2, len(r)), np.inf)     # bracket widths one and two rounds ago
+    act = np.arange(len(r))
+    while len(act):
+        a, b, za, zb = lo[act], hi[act], z_lo[act], z_hi[act]
+        w, step = b - a, np.maximum(tol[act], np.spacing(b))
+        with np.errstate(all="ignore"):
+            t = np.clip(a - za * (w / (zb - za)), a + step, b - step)
+        t = np.where((a < t) & (t < b) & (w <= 0.5 * seen[1, act]), t, 0.5 * (a + b))
+        seen[:, act] = w, seen[0, act]
+        zt = rides.state_at_many(r[act], t)[1] - levels[lv[act]]
+        below = np.signbit(zt) == side[act]         # t replaces lo
+        half = np.where(kept[act] == below, 0.5, 1.0)   # Illinois: halve an end kept twice
+        z_lo[act], z_hi[act] = np.where(below, zt, half * za), np.where(below, half * zb, zt)
+        lo[act], hi[act], kept[act] = np.where(below, t, a), np.where(below, b, t), below
+        act = act[hi[act] - lo[act] > np.maximum(tol[act], np.spacing(hi[act]))]
     band = (ok[:, 0] & (xq >= -eps_q) & (xq <= 0.0)
             & (np.arange(ts.shape[1]) <= rides.last[:, None]))
     end = np.where(side == (lv == 0), lo, hi)       # lo is below 0, above -eps_q

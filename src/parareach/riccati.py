@@ -26,11 +26,11 @@ augmented P with the piece's shared Phi.
 
 Riccati solutions can blow up in finite time: E passes through infinity where
 X turns singular.  X starts every step at I, so a step crosses a blow-up when
-an eigenvalue of its x-block leaves the open right half-plane, which also
-catches two eigenvalues of E passing through infinity together (det X keeps
-its sign then).  A member that crosses one leaves the stack: its blow-up time
-alone is bracketed by bisection on Phi(s), its stored grid ends strictly
-before it, and the others step on unchanged.
+an eigenvalue of its x-block leaves the open right half-plane (for n = 2:
+a positive trace and determinant), which also catches two
+eigenvalues of E passing through infinity together (det X keeps its sign).
+A member that crosses one leaves the stack, its blow-up time alone bisected
+on Phi(s) and its stored grid ending strictly before it; the others step on.
 """
 
 from __future__ import annotations
@@ -90,6 +90,14 @@ def _swap(a):
     return np.swapaxes(a, -1, -2)
 
 
+def _right_half_plane(X):
+    """Whether all eigenvalues of each X (..., n, n) have positive real parts."""
+    if X.shape[-1] == 2:
+        a, b, c, d = X[..., 0, 0], X[..., 0, 1], X[..., 1, 0], X[..., 1, 1]
+        return (a + d > 0.0) & (a * d - b * c > 0.0)
+    return np.linalg.eigvals(X).real.min(axis=-1) > 0.0
+
+
 class Flow:
     """Constant Hamiltonians of the augmented value function, one per input
     piece of [0, t_end], and the uniform node grid they are stepped on.
@@ -137,10 +145,10 @@ class Flow:
         self.Z = np.array(Z)
         self.H = self.Z[:, 2 * k:, 2 * k:]          # views of Z's H blocks
         # full steps, forward and backward, from one stacked exponential
-        js, hs = np.tile(np.arange(len(self.h)), 2), np.concatenate([self.h, -self.h])
-        Phi, W = self._exp(js, hs)
-        self._full = {key: (Phi[i], W[i])
-                      for i, key in enumerate(zip(js.tolist(), hs.tolist()))}
+        Phi, W = self._exp(np.tile(np.arange(len(self.h)), 2),
+                           np.concatenate([self.h, -self.h]))
+        self._full = tuple(a.reshape((2, len(self.h)) + a.shape[1:])    # [dt < 0, j]
+                           for a in (Phi, W))
 
     # -- pieces and the augmented representation ----------------------------
 
@@ -222,8 +230,8 @@ class Flow:
         own unit-determinant shift, so X is singular exactly where its x-block
         is.  Shapes broadcast over leading axes, with one matrix exponential
         per distinct (j, dt)."""
-        if np.ndim(dt) == 0 and (j, dt) in self._full:
-            Phi = self._full[j, dt][0]
+        if np.ndim(dt) == 0 and abs(dt) == self.h[j]:
+            Phi = self._full[0][int(dt < 0), j]
         else:
             # one key per pair, exact: j the real part, dt the imaginary
             key, inv = np.unique(j + 1j * np.asarray(dt), return_inverse=True)
@@ -296,11 +304,8 @@ class Flow:
         # one key per pair, exact: j the real part, dt the imaginary
         key, inv = np.unique(j + 1j * dt, return_inverse=True)
         js, hs = key.real.astype(int), key.imag
-        m = 2 * self.k
-        Phi, W = np.empty((len(key), m, m)), np.empty((len(key), m, m))
-        full = np.array([(a, h) in self._full for a, h in zip(js, hs)], dtype=bool)
-        for u in np.nonzero(full)[0]:
-            Phi[u], W[u] = self._full[js[u], hs[u]]
+        full = np.abs(hs) == self.h[js]
+        Phi, W = (a[(hs < 0).astype(int), js] for a in self._full)
         if not full.all():
             Phi[~full], W[~full] = self._exp(js[~full], hs[~full])
         inv = inv.reshape(dt.shape)
@@ -408,10 +413,11 @@ def propagate(P0: Paraboloid, sys: IqcSystem, cfg: IntegratorConfig, gamma=1.0):
     Each node is one :meth:`Flow.params_after` on the member stack and one
     batched test.  A member leaves the stack at the first step where an
     eigenvalue of the x-block of X reaches the closed left half-plane (E
-    passes through infinity) or E exceeds ``cfg.escape_norm`` in Frobenius
-    norm; its crossing is bisected on Phi(s) into ``escape_time``, and its
-    last node is the last time bracketed below it.  So each member's nodes
-    are, bit for bit, those it gets when propagated alone.
+    passes through infinity; :func:`_right_half_plane`) or E exceeds
+    ``cfg.escape_norm`` in Frobenius norm; its crossing is bisected on
+    Phi(s), with the same test, into ``escape_time``, and its last node is
+    the last time bracketed below it.  So each member's nodes are, bit for
+    bit, those it gets when propagated alone.
     """
     if P0.dim != sys.n:
         raise DimensionMismatch(f"seed dim {P0.dim} != system dim {sys.n}")
@@ -428,7 +434,7 @@ def propagate(P0: Paraboloid, sys: IqcSystem, cfg: IntegratorConfig, gamma=1.0):
 
     def step(E0, f0, g0, dt):
         E1, f1, g1, X = flow.params_after(j, t, E0, f0, g0, dt)
-        ok = ((np.linalg.eigvals(X).real.min(axis=-1) > 0.0)
+        ok = (_right_half_plane(X)
               & (np.einsum("...ij,...ij->...", E1, E1) <= cfg.escape_norm ** 2)
               & np.isfinite(f1).all(axis=-1) & np.isfinite(g1))
         return (E1, f1, g1), ok

@@ -106,6 +106,8 @@ class SampledSignal:
             )
         if times.shape[0] < 2:
             raise ConfigError("sampled signal needs at least two samples")
+        if not (np.isfinite(times).all() and np.isfinite(values).all()):
+            raise ConfigError("signal sample times and values must be finite")
         if np.any(np.diff(times) <= 0):
             raise ConfigError("signal sample times must be strictly increasing")
         self.times = times

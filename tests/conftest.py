@@ -498,3 +498,37 @@ def reference_value(flow, E, f, g, x):
     Q = flow.embed(E, f, g)[..., :flow.n + 1, :flow.n + 1]
     z = np.concatenate([x, np.ones(np.shape(x)[:-1] + (1,))], axis=-1)
     return np.einsum("...i,...ij,...j->...", z, Q, z)
+
+
+# -- the blow-up test by the eigenvalues, and the band search by bisection:
+# the tests' references for the closed form of parareach.riccati and the
+# regula falsi of parareach.family ------------------------------------------
+
+def reference_right_half_plane(X):
+    """Whether every eigenvalue of each matrix of X (..., n, n) lies in the
+    open right half-plane, from LAPACK's general eigensolver."""
+    return np.linalg.eigvals(X).real.min(axis=-1) > 0.0
+
+
+def reference_band_times(rides, eps_q):
+    """Per ride of a Rides stack: the times where its budget sits in
+    [-eps_q, 0] at a node, or crosses 0, -eps_q/2 or -eps_q between two
+    nodes, bisected on the dense output of all rides together (up to 50
+    halvings) down to the end of the last bracket on the band's side of the
+    level.  Rows with an error get none."""
+    ts, xq, R = rides.times, rides.xq, len(rides.times)
+    levels = np.array([0.0, -0.5 * eps_q, -eps_q])
+    ok = np.array([e is None for e in rides.errors])[:, None, None]
+    z = xq[:, None, :] - levels[:, None]
+    r, lv, k = np.nonzero(ok & (np.signbit(z[..., :-1]) != np.signbit(z[..., 1:])))
+    lo, hi, side = ts[r, k], ts[r, k + 1], np.signbit(z[r, lv, k])
+    for _ in range(50):                 # all crossings of all rides at once
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            break                       # every bracket is down to adjacent floats
+        below = np.signbit(rides.state_at_many(r, mid)[1] - levels[lv]) == side
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    band = (ok[:, 0] & (xq >= -eps_q) & (xq <= 0.0)
+            & (np.arange(ts.shape[1]) <= rides.last[:, None]))
+    end = np.where(side == (lv == 0), lo, hi)       # lo is below 0, above -eps_q
+    return [np.sort(np.concatenate([end[r == q], ts[q][band[q]]])) for q in range(R)]

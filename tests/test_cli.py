@@ -81,6 +81,19 @@ class TestPropagate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["final"]["E"][0][0] == pytest.approx(2 + np.sqrt(2), abs=2e-5)
 
+    def test_non_finite_input_sample(self, tmp_path, capsys):
+        # Python's json reads NaN; the sampled input refuses it
+        spec = pr.make_system([[-1.0]], [[1.0]], [[1.0]], np.diag([1.0, 1.0, -2.0]),
+                              u=pr.SampledSignal([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])).to_json()
+        spec["u"]["values"][1] = [float("nan")]
+        sys_path, out = tmp_path / "sys.json", tmp_path / "run"
+        sys_path.write_text(json.dumps(spec))
+        assert run(["propagate", "--system", str(sys_path), "--e0", "[[1]]", "--f0", "[0]",
+                    "--g0", "-1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert json.loads(err[len("error: "):])["error"] == "ConfigError"
+        assert not out.exists()
+
     def test_requires_seed_coefficient(self, tmp_path, capsys):
         sys_path = tmp_path / "sys.json"
         sys1 = pr.make_system([[-1.0]], [[1.0]], [[0.0]],

@@ -10,10 +10,11 @@ from parareach.errors import (ConfigError, DimensionMismatch, NotOnBoundary,
                               OutOfDomain, StepSizeUnderflow, UnboundedSlab)
 from parareach.presets import load_preset
 from parareach.riccati import DOMAIN_TOL
+from parareach.touching import Rides
 
-from conftest import (random_iqc_system, reference_gamma_bar, reference_rate_quadratic,
-                      reference_rate_root, sample_slab_states, scalar_flow,
-                      xq_rate_at_zero)
+from conftest import (random_iqc_system, reference_band_times, reference_gamma_bar,
+                      reference_rate_quadratic, reference_rate_root, sample_slab_states,
+                      scalar_flow, xq_rate_at_zero)
 
 
 @pytest.fixture(scope="module")
@@ -493,8 +494,10 @@ class TestAssumptions:
             seen.append(dict(counts))
         assert seen[0] == seen[1]
 
-    def test_band_crossings_are_roots(self, sec5_family, sec5_cfg, monkeypatch):
-        # rides from the rims of the CLI's sec5 slice, whose budgets pass the band
+    @staticmethod
+    def band_rides(family, cfg, monkeypatch, **kwargs):
+        """The ride stacks check_assumptions passes to _band_times on the
+        CLI's sec5 grid."""
         stacks = []
         band_times = family_mod._band_times
 
@@ -502,13 +505,18 @@ class TestAssumptions:
             stacks.append(rides)
             return band_times(rides, eps_q)
 
-        monkeypatch.setattr(family_mod, "_band_times", record)
-        pr.check_assumptions(sec5_family, sec5_cfg, times=[0.794],
-                             probe_grid=cli_grid("sec5"), max_rim_points=6)
+        with monkeypatch.context() as m:
+            m.setattr(family_mod, "_band_times", record)
+            pr.check_assumptions(family, cfg, probe_grid=cli_grid("sec5"),
+                                 max_rim_points=6, **kwargs)
+        return stacks
+
+    def test_band_crossings_are_roots(self, sec5_family, sec5_cfg, monkeypatch):
+        # rides from the rims of the CLI's sec5 slice, whose budgets pass the band
         eps = sec5_family.eps_q
         n_crossings = 0
-        for rides in stacks:
-            for r, tb in enumerate(band_times(rides, eps)):
+        for rides in self.band_rides(sec5_family, sec5_cfg, monkeypatch, times=[0.794]):
+            for r, tb in enumerate(family_mod._band_times(rides, eps)):
                 traj = rides.row(r)
                 xq_tb = traj.state_at_many(tb)[1]       # every time lies in the band
                 assert np.all((xq_tb >= -eps) & (xq_tb <= 0.0))
@@ -528,6 +536,32 @@ class TestAssumptions:
                     assert np.min(np.abs(np.array(roots) - t)) <= 1e-9
                 n_crossings += len(crossings)
         assert n_crossings > 0
+
+    def test_band_search_against_bisection(self, sec5_family, sec5_cfg, monkeypatch):
+        # the rides of `reach --example sec5`: the regula falsi against the
+        # 50-round bisection it replaced, and the ride rows each evaluates
+        (rides,) = self.band_rides(sec5_family, sec5_cfg, monkeypatch)
+        eps, h = sec5_family.eps_q, rides.flow.h[0]
+        rows = []
+        state_at_many = Rides.state_at_many
+
+        def counted(stack, r, tq):
+            rows[-1] += len(r)
+            return state_at_many(stack, r, tq)
+
+        monkeypatch.setattr(Rides, "state_at_many", counted)
+        found = []
+        for search in (reference_band_times, family_mod._band_times):
+            rows.append(0)
+            found.append(search(rides, eps))
+        monkeypatch.undo()
+        assert 0 < rows[1] <= rows[0] // 2
+        for r, (want, got) in enumerate(zip(*found)):
+            assert len(got) == len(want)
+            assert np.all(np.abs(got - want) <= np.maximum(4 * np.spacing(want), 2.0 ** -50 * h))
+            xq = rides.row(r).state_at_many(got)[1]
+            assert np.all((xq >= -eps) & (xq <= 0.0))
+        assert sum(map(len, found[1])) > 0
 
     def test_sec5_boundary_points_pinned(self, sec5_family, sec5_cfg):
         # what `reach --example sec5` reports

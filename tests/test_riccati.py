@@ -4,13 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import parareach as pr
+from parareach import riccati
 from parareach.errors import ConfigError, NonPositiveScale, OutOfDomain
 from parareach.riccati import _VALUE_BLOCK, Flow
 
 from conftest import (ROOT_HI, ROOT_LO, f_rhs, g_quadrature_matrix, g_rhs,
                       node_rates, random_iqc_system, reference_params,
-                      reference_value, riccati_rhs, scalar_blowup_time, scalar_flow,
-                      scale_paraboloid)
+                      reference_right_half_plane, reference_value, riccati_rhs,
+                      scalar_blowup_time, scalar_flow, scale_paraboloid)
 
 
 class TestRhs:
@@ -352,6 +353,43 @@ class TestStack:
         for gamma in (0.0, [1.0, -2.0], [], np.nan):
             with pytest.raises(NonPositiveScale):
                 pr.propagate(ex1_stable_seed, ex1_system, ex1_cfg, gamma=gamma)
+
+
+class TestBlowUpTest:
+    """The closed-form test that the eigenvalues of the x-block of X lie in
+    the open right half-plane, against the eigenvalues themselves."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 2), sampled=st.booleans(),
+           max_step=st.sampled_from([0.025, 0.1, 0.5]), seed=st.integers(0, 2**32 - 1))
+    def test_same_stack_as_eigenvalues(self, n, sampled, max_step, seed):
+        # random seeds, indefinite ones too, so that some members escape
+        rng = np.random.default_rng(seed)
+        sys_ = random_iqc_system(rng, n=n, sampled_input=sampled)
+        E0 = rng.standard_normal((n, n))
+        P0 = pr.Paraboloid(0.5 * (E0 + E0.T), rng.standard_normal(n), rng.standard_normal())
+        cfg = pr.IntegratorConfig(max_step=max_step, t_end=1.5)
+        gammas = np.geomspace(1.0, 50.0, 6)
+        stack = pr.propagate(P0, sys_, cfg, gamma=gammas)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(riccati, "_right_half_plane", reference_right_half_plane)
+            ref = pr.propagate(P0, sys_, cfg, gamma=gammas)
+        for a, b in zip((stack.times, stack.steps, stack.last) + stack.nodes,
+                        (ref.times, ref.steps, ref.last) + ref.nodes):
+            assert same_bits(a, b)
+        assert stack.escape == ref.escape
+
+    def test_flags_eigenvalues_off_the_right_half_plane(self):
+        X = np.array([[[-1.0, 2.0], [-2.0, -1.0]],     # -1 +- 2i
+                      [[-1.0, 0.3], [0.2, -2.0]],      # two negative, det > 0
+                      [[1.0, 0.5], [0.5, -2.0]],       # one negative, det < 0
+                      [[1.0, 2.0], [-2.0, 1.0]],       # 1 +- 2i
+                      [[2.0, 0.3], [0.2, 1.0]]])       # two positive
+        want = [False, False, False, True, True]
+        assert riccati._right_half_plane(X).tolist() == want
+        assert reference_right_half_plane(X).tolist() == want
+        assert riccati._right_half_plane(np.array([[[0.5]], [[0.0]], [[-1.0]]])).tolist() == [
+            True, False, False]
 
 
 class TestValue:

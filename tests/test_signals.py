@@ -71,6 +71,18 @@ def test_held_constant_outside_the_samples():
     assert np.allclose(sig(times[-1]), values[-1], rtol=1e-13, atol=1e-13)
 
 
+@pytest.mark.parametrize("times, values", [
+    ([0.0, 1.0, 2.0], [0.0, np.nan, 2.0]),
+    ([0.0, 1.0, 2.0], [[0.0, 1.0], [np.inf, 1.0], [2.0, 1.0]]),
+    ([0.0, np.nan, 2.0], [0.0, 1.0, 2.0]),
+    ([0.0, 1.0, np.inf], [0.0, 1.0, 2.0]),
+    ([-np.inf, 1.0, 2.0], [0.0, 1.0, 2.0]),
+])
+def test_rejects_non_finite_samples(times, values):
+    with pytest.raises(pr.ConfigError):
+        pr.SampledSignal(times, values)
+
+
 def test_library_imports_no_scipy():
     # the package, its CLI, a sampled input and one propagation
     code = """
