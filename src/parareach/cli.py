@@ -179,8 +179,11 @@ def _names(prefix: str, count: int) -> list:
 def _format_rows(rc: RunConfig, rows) -> list:
     """The rows of a 2-D float array as a table holds them: lists of floats
     for ``--format json``, CSV lines of each value's ``repr`` otherwise."""
-    rows = np.asarray(rows, dtype=float).tolist()
-    return rows if rc.fmt == "json" else [",".join(map(repr, row)) for row in rows]
+    rows = np.asarray(rows, dtype=float)
+    if rc.fmt == "json":
+        return rows.tolist()
+    values = map(repr, rows.ravel().tolist())
+    return list(map(",".join, zip(*[values] * rows.shape[1])))     # k values a line
 
 
 def _write_table(rc: RunConfig, stem: str, columns: list, rows: list):

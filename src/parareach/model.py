@@ -26,7 +26,7 @@ SYM_TOL = 1e-10      # relative symmetry tolerance before construction rejects
 PD_MARGIN = 1e-12    # strict margin for the negative-definiteness of M_w
 
 
-def _as_matrix(a, name):
+def _as_matrix(a, name, non_finite=DimensionMismatch):
     a = np.asarray(a, dtype=float)
     if a.ndim == 0:
         a = a.reshape(1, 1)
@@ -35,7 +35,7 @@ def _as_matrix(a, name):
     if a.ndim != 2:
         raise DimensionMismatch(f"{name} must be a matrix, got ndim={a.ndim}")
     if not np.all(np.isfinite(a)):
-        raise DimensionMismatch(f"{name} has non-finite entries")
+        raise non_finite(f"{name} has non-finite entries")
     return a
 
 
@@ -95,19 +95,19 @@ def make_system(A, B, B_u, M, u=None) -> IqcSystem:
     ``degree``, its ``knots`` and ``taylor(a)``, the coefficients of
     u(a + s) in powers of s (see :mod:`parareach.signals`).
     """
-    A = _as_matrix(A, "A")
+    A = _as_matrix(A, "A", ConfigError)
     n = A.shape[0]
     if A.shape != (n, n):
         raise DimensionMismatch(f"A must be square, got {A.shape}")
-    B = _as_matrix(B, "B")
+    B = _as_matrix(B, "B", ConfigError)
     if B.shape[0] != n:
         raise DimensionMismatch(f"B must have {n} rows, got {B.shape}")
     m = B.shape[1]
-    B_u = _as_matrix(B_u, "B_u")
+    B_u = _as_matrix(B_u, "B_u", ConfigError)
     if B_u.shape[0] != n:
         raise DimensionMismatch(f"B_u must have {n} rows, got {B_u.shape}")
     p = B_u.shape[1]
-    M = _as_matrix(M, "M")
+    M = _as_matrix(M, "M", ConfigError)
     k = n + p + m
     if M.shape != (k, k):
         raise DimensionMismatch(f"M must be {k}x{k} for n={n}, p={p}, m={m}; got {M.shape}")

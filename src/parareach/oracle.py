@@ -15,19 +15,20 @@ seed reproduces trajectories byte for byte regardless of how the integration
 work is later distributed.
 
 That work is distributed over forked worker processes, one per usable CPU
-(``os.sched_getaffinity``), each integrating a contiguous block of the
-rows.  Before the fork the parent evaluates the input and the member
+(``os.sched_getaffinity``).  The rows of each source, plain and steered, are
+dealt to its blocks in turn, so every block gets every member in equal
+shares.  Before the fork the parent evaluates the input and the member
 parameters at every RK4 stage time, so the workers call no user code; they
-send back each block's admissible columns.  The oracle runs its blocks
-inline with one usable CPU, without ``os.fork``, in a daemonic process
-(which may not have children) and beside other live threads.
+send back each block's admissible columns, which the parent writes into the
+output in place.  The oracle runs its blocks inline with one usable CPU,
+without ``os.fork``, in a daemonic process (which may not have children)
+and beside other live threads.
 
 The admissible trajectories come back as columns (:class:`OracleSamples`),
 one row per trajectory in a fixed order, which keeps fixed-seed outputs
 byte-identical: the plain draws come first, in draw order, then the steered
 draws, grouped stably by ascending member.  The steered rows are put in that
-order after the last draw and before the integration, so the blocks return
-every row where it belongs.
+order after the last draw and before the integration.
 
 So is the stage arithmetic, which keeps numpy's own summation orders: x' M y
 term by term in (i, j) order (einsum's for three rows or more), the steered
@@ -46,10 +47,11 @@ the row-layout product is a gemv, which may round differently from its
 transpose, it runs on a contiguous row copy instead (:func:`_times`): a
 one-row batch, a product with one output column over an inner dimension of 2
 or more (B or Mxw with m = 1, say), and the input terms' products with a
-vector.  Columns never mix, so contiguous
-blocks of two rows or more, cut anywhere, give the bits of the whole batch;
-a one-row block (gemv) need not.  Reordering, fusing or regrouping a sum, or
-a per-member feedback table, changes the outputs.
+vector.  Columns never mix, so any subset of two rows or more gives the bits
+of the whole batch; a one-row block (gemv) need not.  So a block drops the
+rows it has rejected at every saved time, keeping at least two columns.
+Reordering, fusing or regrouping a sum, or a per-member feedback table,
+changes the outputs.
 """
 
 from __future__ import annotations
@@ -138,7 +140,7 @@ def _seed_box(P0: Paraboloid):
 
 
 def _draw_initial_states(P0: Paraboloid, n: int, rng):
-    """Uniform draws from the solid seed set by blockwise rejection."""
+    """Uniform draws (n, dim) from the solid seed set by blockwise rejection."""
     c, half, cap = _seed_box(P0)
     dim = P0.dim
     xs = np.empty((n, dim))
@@ -147,14 +149,19 @@ def _draw_initial_states(P0: Paraboloid, n: int, rng):
     got, rounds, drawn = 0, 0, 0
     while got < n:
         block = max(2 * (n - got), 256)
-        x = rng.uniform(-1.0, 1.0, size=(block, dim))
-        for d in range(dim):                    # c + half * x, column by column
-            x[:, d] = c[d] + half[d] * x[:, d]
+        u = rng.uniform(-1.0, 1.0, size=(block, dim))
+        X = np.empty((dim, block))              # c + half * u in column layout
+        for d in range(dim):
+            np.multiply(u[:, d], half[d], out=X[d])
+            X[d] += c[d]
         xq = rng.uniform(0.0, cap, size=block)
-        q = _bilinear(x.T, e_terms, x.T) - 2.0 * x @ P0.f + P0.g
+        q = _bilinear(X, e_terms, X)
+        if P0.f.any():                          # a zero f adds +-0; only q <= 0 is read
+            q -= _times(2.0 * X, P0.f)
+        q += P0.g
         ok = np.nonzero(q + xq <= 0.0)[0]
         take = ok[:n - got]
-        xs[got:got + len(take)] = x[take]
+        xs[got:got + len(take)] = X[:, take].T
         xqs[got:got + len(take)] = xq[take]
         got += len(take)
         drawn += block
@@ -179,9 +186,11 @@ def _system_terms(sys: IqcSystem):
 def _bilinear(X, terms, Y):
     """Columnwise X[:, k] @ M @ Y[:, k] for column-layout X, Y from M's
     nonzero ``terms``, summed term by term in (i, j) order."""
-    out = np.zeros(X.shape[1])
-    for i, j, m_ij in terms:
-        out += X[i] * m_ij * Y[j]
+    out, term = np.zeros(X.shape[1]), np.empty(X.shape[1])
+    for i, j, m_ij in terms:         # one buffer for the terms: no temporaries
+        np.multiply(X[i], m_ij, out=term)
+        term *= Y[j]
+        out += term
     return out
 
 
@@ -220,10 +229,14 @@ def _steered_w(sys, E, f, X, u_t, noise, terms=None):
     as for :func:`_qform_batch`."""
     V = np.empty_like(X)
     for i in range(len(X)):
-        lanes = np.zeros((2, X.shape[1]))   # even and odd j (module docstring)
-        for j in range(len(X)):
+        # even and odd j (module docstring), each from its first product
+        # plus 0.0: the bits of a sum started at +0, signed zero included
+        lanes = [E[i, j] * X[j] for j in range(min(len(X), 2))]
+        for lane in lanes:
+            lane += 0.0
+        for j in range(2, len(X)):
             lanes[j % 2] += E[i, j] * X[j]
-        V[i] = lanes[0] + lanes[1] - f[i]
+        V[i] = (lanes[0] + lanes[1] if len(X) > 1 else lanes[0]) - f[i]
     V = _times(V, sys.B)
     if (terms or _system_terms(sys))[2]:
         V += _times(X, sys.Mxw)
@@ -240,16 +253,23 @@ def _steered_w(sys, E, f, X, u_t, noise, terms=None):
     return w
 
 
-def _integrate_batch(sys: IqcSystem, X0, XQ0, grid, w_of, save_idx, inputs, terms):
+def _integrate_batch(sys: IqcSystem, X0, XQ0, grid, source, save_idx, inputs, terms):
     """Fixed-step RK4 over ``grid`` from column-layout states X0 (n, N).
     Stage times are indexed ``ti`` over the nodes of ``grid``, then its
-    midpoints; ``inputs[ti]`` is the input there (None where zero) and
-    w_of(step, ti, t, X, XQ, u_t) supplies the disturbance (m, N).  Saves
-    states (S, N, n) at ``save_idx`` nodes and tracks budget nonnegativity.
-    Columns never mix: a block of two or more gets the bits it has in any
-    larger batch."""
+    midpoints; ``inputs[ti]`` is the input there (None where zero).
+    ``source(cols)`` gives the disturbance w_of(step, ti, t, X, XQ, u_t)
+    (m, len(cols)) of the columns ``cols`` of X0.  Returns the states
+    (S, K, n), budgets (S, K) and disturbances (S, K, m) at the ``save_idx``
+    nodes of the K columns whose budget stays nonnegative, and that mask (N,).
+
+    At each saved node the batch drops the columns it has rejected, keeping
+    at least two (a one-column product is a gemv), and it stops when none is
+    left.  Columns never mix: each keeps the bits it has in any batch of two
+    or more."""
     X, XQ = X0.copy(), XQ0.copy()
     N = X.shape[1]
+    cols = np.arange(N)             # the column of X0 that each column of X holds
+    w_of = source(cols)
     admissible = XQ >= 0.0
     saved_X = np.empty((len(save_idx), N, sys.n))
     saved_XQ = np.empty((len(save_idx), N))
@@ -267,27 +287,35 @@ def _integrate_batch(sys: IqcSystem, X0, XQ0, grid, w_of, save_idx, inputs, term
                 dX_i += c
         return dX, _qform_batch(sys, X, u_t, W, terms)
 
-    def save(k, step, ti, t, X, XQ):
-        saved_X[k].T[...], saved_XQ[k] = X, XQ
-        saved_W[k].T[...] = w_of(step, ti, t, X, XQ, inputs[ti])
-
-    if 0 in save_ptr:
-        save(save_ptr[0], 0, 0, grid[0], X, XQ)
-
-    for i in range(len(grid) - 1):
-        t0, t1 = grid[i], grid[i + 1]
-        h = t1 - t0
-        tm = 0.5 * (t0 + t1)
-        k1x, k1q = rhs(i, i, t0, X, XQ)
-        k2x, k2q = rhs(i, mid + i, tm, X + 0.5 * h * k1x, XQ + 0.5 * h * k1q)
-        k3x, k3q = rhs(i, mid + i, tm, X + 0.5 * h * k2x, XQ + 0.5 * h * k2q)
-        k4x, k4q = rhs(i, i + 1, t1, X + h * k3x, XQ + h * k3q)
-        X = X + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        XQ = XQ + (h / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
-        admissible &= XQ >= 0.0
-        if i + 1 in save_ptr:
-            save(save_ptr[i + 1], i, i + 1, t1, X, XQ)
-    return saved_X, saved_XQ, saved_W, admissible
+    for i in range(len(grid)):
+        if i:                       # the step from node i - 1 to node i
+            t0, t1 = grid[i - 1], grid[i]
+            h = t1 - t0
+            tm = 0.5 * (t0 + t1)
+            k1x, k1q = rhs(i - 1, i - 1, t0, X, XQ)
+            k2x, k2q = rhs(i - 1, mid + i - 1, tm, X + 0.5 * h * k1x, XQ + 0.5 * h * k1q)
+            k3x, k3q = rhs(i - 1, mid + i - 1, tm, X + 0.5 * h * k2x, XQ + 0.5 * h * k2q)
+            k4x, k4q = rhs(i - 1, i, t1, X + h * k3x, XQ + h * k3q)
+            X = X + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+            XQ = XQ + (h / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
+            admissible &= XQ >= 0.0
+        if i not in save_ptr:
+            continue
+        k = save_ptr[i]
+        saved_X[k, cols], saved_XQ[k, cols] = X.T, XQ
+        saved_W[k, cols] = w_of(max(i - 1, 0), i, grid[i], X, XQ, inputs[i]).T
+        keep = np.flatnonzero(admissible)
+        if not len(keep):
+            break
+        if len(keep) == 1 < len(cols):  # two columns, not a gemv: add a rejected one
+            keep = np.array([0, keep[0] or 1])
+        if len(keep) < len(cols) and i + 1 < len(grid):
+            X, XQ, admissible, cols = X[:, keep], XQ[keep], admissible[keep], cols[keep]
+            w_of = source(cols)
+    ok = np.zeros(N, dtype=bool)
+    ok[cols] = admissible
+    keep = np.flatnonzero(ok)
+    return saved_X[:, keep], saved_XQ[:, keep], saved_W[:, keep], ok
 
 
 # Fewest rows in a block of a split batch.  Each block pays the whole batch's
@@ -295,8 +323,9 @@ def _integrate_batch(sys: IqcSystem, X0, XQ0, grid, w_of, save_idx, inputs, term
 # for a plain one), so on 2 cores splitting breaks even at about 2000 rows a
 # block (sec5 at 8000 draws, medians of 10: 0.82 and 0.71 s in two sets
 # against 0.78 and 0.79 s unsplit) and loses below (6000 draws: 0.65 s
-# against 0.60 s).
-# At least 2: a one-row block multiplies by gemv, which rounds differently.
+# against 0.60 s); measured before blocks dropped their rejected rows.
+# At least 2, as a compacted block keeps 2 columns: a one-column block
+# multiplies by gemv, which rounds differently.
 _MIN_BLOCK_ROWS = 2000
 
 
@@ -313,13 +342,12 @@ def _worker_count() -> int:
 
 
 def _row_blocks(start, stop, workers):
-    """Rows start..stop as contiguous slices, one per worker, as even as
-    they can be while each keeps ``_MIN_BLOCK_ROWS`` rows; one slice when
-    that cannot be."""
+    """Rows start..stop dealt in turn to blocks, row start + r to block r mod
+    k, one block per worker while each keeps ``_MIN_BLOCK_ROWS`` rows; one
+    block when that cannot be.  Row indices are ascending in each block."""
     n = stop - start
     k = max(1, min(workers, n // _MIN_BLOCK_ROWS))
-    cuts = [start + n * b // k for b in range(k + 1)]
-    return [slice(a, b) for a, b in zip(cuts, cuts[1:])] if n else []
+    return [np.arange(start + b, stop, k) for b in range(k)] if n else []
 
 
 _block_run = None       # a forked worker's copy of the parent's block function
@@ -421,8 +449,8 @@ def sample_admissible(sys: IqcSystem, P0: Paraboloid, cfg: OracleConfig,
         # continues; overdrafts are culled by the admissibility check
         release_u = cfg.w_scale * rng.uniform(0.3, 1.6, size=n_boundary)
         span = wcost * np.maximum(cfg.t_end - switch_t, 0.05 * cfg.t_end)
-        # group the steered rows stably by member, so that the blocks return
-        # them in output order; every row keeps its bits (columns never mix)
+        # group the steered rows stably by member, the output order; every
+        # row keeps its bits (columns never mix)
         order = np.argsort(member_of, kind="stable")
         for a in (X0, XQ0, raw_W):
             a[:n_boundary] = a[order]
@@ -444,9 +472,9 @@ def sample_admissible(sys: IqcSystem, P0: Paraboloid, cfg: OracleConfig,
         E_tab, f_tab, g_tab, defined = family.params_at_many(stage_t)
     terms = _system_terms(sys)
 
-    # the disturbance sources of a block of rows, in column layout; each
-    # block builds its own segment-major (S, m, rows) arrays, so no
-    # whole-batch copy is made
+    # the disturbance sources of a block's live rows, in column layout; each
+    # builds its own segment-major (S, m, rows) arrays, so no whole-batch
+    # copy is made, and a block builds them anew as it drops rows
     def segment_major(rows):
         return np.ascontiguousarray(raw_W[rows].transpose(1, 2, 0))
 
@@ -487,16 +515,23 @@ def sample_admissible(sys: IqcSystem, P0: Paraboloid, cfg: OracleConfig,
 
     def run(b):
         source, rows = blocks[b]
-        sX, sXQ, sW, ok = _integrate_batch(sys, X0[rows].T, XQ0[rows], grid, source(rows),
-                                           save_idx, inputs, terms)
-        keep = np.nonzero(ok)[0]
-        return ok, sX[:, keep], sXQ[:, keep], sW[:, keep]
+        return _integrate_batch(sys, X0[rows].T, XQ0[rows], grid,
+                                lambda cols: source(rows[cols]), save_idx, inputs, terms)
 
     done = _map_blocks(run, len(blocks), workers)
-    admitted = np.concatenate([d[0] for d in done])
-    x, xq, w = (np.concatenate(a, axis=1) for a in zip(*(d[1:] for d in done)))
-    if N >= 1000 and xq.shape[1] < 0.001 * N:
-        raise RejectionStarvation(f"acceptance rate {xq.shape[1] / N:.2e} below 0.1%")
+    # each block's kept columns go straight to their output columns: row r
+    # is output row (r - n_boundary) mod N, as the plain rows come first
+    admitted = np.zeros(N, dtype=bool)
+    for (_, rows), (*_, ok) in zip(blocks, done):
+        admitted[(rows - n_boundary) % N] = ok
+    out_col = np.cumsum(admitted) - 1
+    K = int(admitted.sum())
+    x, xq, w = (np.empty((len(save_idx), K, *tail)) for tail in ((sys.n,), (), (sys.m,)))
+    for (_, rows), (sX, sXQ, sW, ok) in zip(blocks, done):
+        at = out_col[(rows[ok] - n_boundary) % N]
+        x[:, at], xq[:, at], w[:, at] = sX, sXQ, sW
+    if N >= 1000 and K < 0.001 * N:
+        raise RejectionStarvation(f"acceptance rate {K / N:.2e} below 0.1%")
     h = np.full(xq.shape, np.nan)
     if family is not None:
         # the owner's value function, gathered from the stage table by each

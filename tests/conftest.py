@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import parareach as pr
+from parareach.errors import RejectionStarvation
 from parareach.family import _slab_points
+from parareach.oracle import _bilinear, _qform_batch, _seed_box, _terms, _times
 from parareach.presets import load_preset
 
 ROOT_LO = 2.0 - np.sqrt(2.0)
@@ -532,3 +534,82 @@ def reference_band_times(rides, eps_q):
             & (np.arange(ts.shape[1]) <= rides.last[:, None]))
     end = np.where(side == (lv == 0), lo, hi)       # lo is below 0, above -eps_q
     return [np.sort(np.concatenate([end[r == q], ts[q][band[q]]])) for q in range(R)]
+
+
+# -- the oracle's RK4 without dropping rejected rows, and its seed sampler on
+# row-layout candidates: the tests' references for parareach.oracle ----------
+
+def reference_integrate_batch(sys_, X0, XQ0, grid, w_of, save_idx, inputs, terms):
+    """Fixed-step RK4 over ``grid`` from column-layout states X0 (n, N), every
+    column integrated to the end: states (S, N, n), budgets (S, N) and
+    disturbances (S, N, m) at the ``save_idx`` nodes, and the mask (N,) of the
+    columns whose budget stays nonnegative.  ``w_of(step, ti, t, X, XQ, u_t)``
+    supplies the disturbance of all N columns."""
+    X, XQ = X0.copy(), XQ0.copy()
+    N = X.shape[1]
+    admissible = XQ >= 0.0
+    saved_X = np.empty((len(save_idx), N, sys_.n))
+    saved_XQ = np.empty((len(save_idx), N))
+    saved_W = np.empty((len(save_idx), N, sys_.m))
+    save_ptr = {int(i): k for k, i in enumerate(save_idx)}
+    A_T, B_T, Bu_T = (np.ascontiguousarray(a.T) for a in (sys_.A, sys_.B, sys_.Bu))
+    mid = len(grid)                 # stage-time index of the first midpoint
+
+    def rhs(step, ti, t, X, XQ):
+        u_t = inputs[ti]
+        W = w_of(step, ti, t, X, XQ, u_t)
+        dX = _times(X, A_T) + _times(W, B_T)
+        if u_t is not None:
+            for dX_i, c in zip(dX, u_t @ Bu_T):
+                dX_i += c
+        return dX, _qform_batch(sys_, X, u_t, W, terms)
+
+    def save(k, step, ti, t, X, XQ):
+        saved_X[k].T[...], saved_XQ[k] = X, XQ
+        saved_W[k].T[...] = w_of(step, ti, t, X, XQ, inputs[ti])
+
+    if 0 in save_ptr:
+        save(save_ptr[0], 0, 0, grid[0], X, XQ)
+
+    for i in range(len(grid) - 1):
+        t0, t1 = grid[i], grid[i + 1]
+        h = t1 - t0
+        tm = 0.5 * (t0 + t1)
+        k1x, k1q = rhs(i, i, t0, X, XQ)
+        k2x, k2q = rhs(i, mid + i, tm, X + 0.5 * h * k1x, XQ + 0.5 * h * k1q)
+        k3x, k3q = rhs(i, mid + i, tm, X + 0.5 * h * k2x, XQ + 0.5 * h * k2q)
+        k4x, k4q = rhs(i, i + 1, t1, X + h * k3x, XQ + h * k3q)
+        X = X + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+        XQ = XQ + (h / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
+        admissible &= XQ >= 0.0
+        if i + 1 in save_ptr:
+            save(save_ptr[i + 1], i, i + 1, t1, X, XQ)
+    return saved_X, saved_XQ, saved_W, admissible
+
+
+def reference_draw_initial_states(P0, n, rng):
+    """Uniform draws from the solid seed set by blockwise rejection."""
+    c, half, cap = _seed_box(P0)
+    dim = P0.dim
+    xs = np.empty((n, dim))
+    xqs = np.empty(n)
+    e_terms = _terms(P0.E)
+    got, rounds, drawn = 0, 0, 0
+    while got < n:
+        block = max(2 * (n - got), 256)
+        x = rng.uniform(-1.0, 1.0, size=(block, dim))
+        for d in range(dim):                    # c + half * x, column by column
+            x[:, d] = c[d] + half[d] * x[:, d]
+        xq = rng.uniform(0.0, cap, size=block)
+        q = _bilinear(x.T, e_terms, x.T) - 2.0 * x @ P0.f + P0.g
+        ok = np.nonzero(q + xq <= 0.0)[0]
+        take = ok[:n - got]
+        xs[got:got + len(take)] = x[take]
+        xqs[got:got + len(take)] = xq[take]
+        got += len(take)
+        drawn += block
+        rounds += 1
+        if rounds > 64 and got < 0.001 * drawn:
+            raise RejectionStarvation(
+                f"initial-state sampling starved: {got} accepted of {drawn} draws")
+    return xs, xqs

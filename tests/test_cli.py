@@ -94,6 +94,18 @@ class TestPropagate:
         assert json.loads(err[len("error: "):])["error"] == "ConfigError"
         assert not out.exists()
 
+    def test_non_finite_system_matrix(self, tmp_path, capsys):
+        # Python's json reads NaN; the system refuses it
+        spec = pr.make_system([[-1.0]], [[1.0]], [[0.0]], np.diag([1.0, 1.0, -2.0])).to_json()
+        spec["A"][0][0] = float("nan")
+        sys_path, out = tmp_path / "sys.json", tmp_path / "run"
+        sys_path.write_text(json.dumps(spec))
+        assert run(["propagate", "--system", str(sys_path), "--e0", "[[1]]", "--g0", "-1",
+                    "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err[len("error: "):])
+        assert err == {"error": "ConfigError", "message": "A has non-finite entries"}
+        assert not out.exists()
+
     def test_requires_seed_coefficient(self, tmp_path, capsys):
         sys_path = tmp_path / "sys.json"
         sys1 = pr.make_system([[-1.0]], [[1.0]], [[0.0]],

@@ -72,6 +72,14 @@ class TestMakeSystem:
         with pytest.raises(DimensionMismatch):
             pr.make_system([[-1.0]], [[1.0]], [[0.0]], np.diag([1.0, -2.0]))
 
+    @pytest.mark.parametrize("field", ["A", "B", "B_u", "M"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_matrix_is_config_error(self, field, value):
+        mats = {k: np.array(v, dtype=float) for k, v in _ex1_matrices().items()}
+        mats[field][0, 0] = value
+        with pytest.raises(ConfigError, match=f"{field} has non-finite entries"):
+            pr.make_system(**mats)
+
     def test_signal_without_pieces_rejected(self):
         with pytest.raises(ConfigError):
             pr.make_system(**_ex1_matrices(), u=lambda t: np.zeros(1))

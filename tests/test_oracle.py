@@ -17,7 +17,8 @@ from parareach import oracle, riccati
 from parareach.oracle import _integrate_batch, _qform_batch, _steered_w, _system_terms
 from parareach.presets import load_preset
 
-from conftest import energy_rate, random_iqc_system, with_scipy_spline
+from conftest import (energy_rate, random_iqc_system, reference_draw_initial_states,
+                      reference_integrate_batch, with_scipy_spline)
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +97,30 @@ class TestSampling:
             X0 = pr.AugmentedState(x, xq)
             assert pr.value_function(ex1_stable_seed, X0) <= 1e-12
             assert X0.x_q >= 0.0
+
+
+class TestSeedSampler:
+    """The seed sampler builds its candidates in column layout and skips a
+    zero f: it returns the row-layout reference's draws bit for bit and
+    leaves the generator in the reference's state, or raises as it does."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(1, 3), n=st.integers(1, 400), zero_f=st.booleans(),
+           g_sign=st.sampled_from([-1.0, 1.0]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_row_layout_reference(self, dim, n, zero_f, g_sign, seed):
+        rng = np.random.default_rng(seed)
+        L = rng.standard_normal((dim, dim))
+        f = np.zeros(dim) if zero_f else rng.standard_normal(dim)
+        P0 = pr.Paraboloid(L @ L.T + 0.1 * np.eye(dim), f, g_sign * rng.uniform(0.01, 2.0))
+        results = []
+        for draw in (oracle._draw_initial_states, reference_draw_initial_states):
+            gen = np.random.default_rng(seed)
+            try:
+                out = tuple(a.tobytes() for a in draw(P0, n, gen))
+            except RejectionStarvation as e:    # no state with a nonnegative budget
+                out = str(e)
+            results.append((out, gen.bit_generator.state))
+        assert results[0] == results[1]
 
 
 class TestEnergyBookkeeping:
@@ -347,45 +372,63 @@ class TestStageKernels:
 
 
 class TestRowBlocks:
-    """Trajectories never mix in the RK4: contiguous blocks of two or more
-    give the bits of the whole batch, for plain and steered disturbances,
-    with and without input.  This is what lets a batch run in forked
-    blocks."""
+    """Trajectories never mix in the RK4: the whole batch, and interleaved
+    blocks of two rows or more that drop their rejected rows at the saved
+    nodes, give the bits of the whole batch integrated to the end, for plain
+    and steered disturbances, with and without input.  This is what lets a
+    batch run in forked blocks."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
            rows=st.integers(2, 300), steered=st.booleans(), driven=st.booleans(),
+           budgets=st.sampled_from(["mixed", "one live", "none live"]),
            seed=st.integers(0, 2**32 - 1))
-    def test_blocks_match_whole_batch(self, dims, rows, steered, driven, seed):
+    def test_blocks_match_whole_batch(self, dims, rows, steered, driven, budgets, seed):
         rng = np.random.default_rng(seed)
         sys_ = random_iqc_system(rng, *dims)
         n, m, p = sys_.n, sys_.m, sys_.p
-        grid = np.linspace(0.0, 0.2, 9)
-        save_idx = np.array([0, 3, 8])
+        grid = np.linspace(0.0, 0.2, 17)
+        # the first and last nodes and a random set between: the blocks drop
+        # their rejected rows at random steps
+        inner = rng.choice(np.arange(1, 16), size=int(rng.integers(0, 8)), replace=False)
+        save_idx = np.sort(np.concatenate([[0, 16], inner]))
         n_stage = 2 * len(grid) - 1                 # nodes, then midpoints
         inputs = [rng.standard_normal(p) if driven and rng.random() < 0.8 else None
                   for _ in range(n_stage)]
         # column layout: the batch axis last
-        X0, XQ0 = rng.standard_normal((n, rows)), rng.uniform(-0.1, 5.0, rows)
+        X0, XQ0 = rng.standard_normal((n, rows)), rng.uniform(-0.1, 0.5, rows)
+        if budgets != "mixed":                      # rejected from the start
+            XQ0 = -rng.uniform(0.0, 1.0, rows) - 1e-3
+        if budgets == "one live":
+            XQ0[rng.integers(rows)] = 1e6
         W = rng.standard_normal((len(grid) - 1, m, rows))
         E, f = rng.standard_normal((n, n, n_stage, rows)), rng.standard_normal((n, n_stage, rows))
         noise = 0.05 * rng.standard_normal((m, rows))
         terms = _system_terms(sys_)
+        calls = []
 
-        def integrate(a, b):
+        def source(sel):                            # the disturbance of rows ``sel``
             def w_of(step, ti, t, X, XQ, u_t):
+                calls.append(ti)
                 if steered:
-                    return _steered_w(sys_, E[:, :, ti, a:b], f[:, ti, a:b], X, u_t,
-                                      noise[:, a:b], terms)
-                return W[step, :, a:b]
-            return _integrate_batch(sys_, X0[:, a:b], XQ0[a:b], grid, w_of, save_idx, inputs,
-                                    terms)
+                    return _steered_w(sys_, E[:, :, ti][..., sel], f[:, ti][:, sel], X, u_t,
+                                      noise[:, sel], terms)
+                return W[step][:, sel]
+            return w_of
 
+        *want, want_ok = reference_integrate_batch(sys_, X0, XQ0, grid, source(np.arange(rows)),
+                                                   save_idx, inputs, terms)
         k = int(rng.integers(1, rows // 2 + 1))
-        cuts = np.concatenate([[0], np.cumsum(2 + rng.multinomial(rows - 2 * k, [1 / k] * k))])
-        parts = [integrate(a, b) for a, b in zip(cuts, cuts[1:])]
-        for got, want in zip(zip(*parts), integrate(0, rows)):
-            assert np.array_equal(np.concatenate(got, axis=min(1, want.ndim - 1)), want)
+        for block in [np.arange(rows)] + [np.arange(b, rows, k) for b in range(k)]:
+            calls.clear()
+            *got, ok = _integrate_batch(sys_, X0[:, block], XQ0[block], grid,
+                                        lambda cols: source(block[cols]), save_idx, inputs,
+                                        terms)
+            assert np.array_equal(ok, want_ok[block])
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w[:, block[ok]])
+            if budgets == "none live":              # saves node 0, then stops
+                assert calls == [0]
 
 
 class BlockFailure(Exception):
