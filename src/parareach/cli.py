@@ -80,10 +80,7 @@ def _with_flags(base: dict, **flags) -> dict:
 def _build_config(args) -> RunConfig:
     preset = {}
     if args.example:
-        try:
-            preset = load_preset(args.example)
-        except KeyError as e:
-            raise ConfigError(str(e)) from e
+        preset = load_preset(args.example)
         system, seed = preset["system"], preset["seed"]
     elif args.system:
         path = Path(args.system)
@@ -222,9 +219,7 @@ def cmd_propagate(rc: RunConfig) -> int:
         "preset": rc.preset_name,
     }
     _write_json(rc, "manifest.json", manifest)
-    if tvp.escape_time is not None and tvp.escape_time < rc.integrator.t_end:
-        return EXIT_ESCAPE
-    return EXIT_OK
+    return EXIT_OK if tvp.escape_time is None else EXIT_ESCAPE
 
 
 def cmd_reach(rc: RunConfig) -> int:
@@ -289,10 +284,7 @@ def cmd_verify(rc: RunConfig) -> int:
 
 def cmd_examples(args) -> int:
     if args.show:
-        try:
-            preset = load_preset(args.show)
-        except KeyError as e:
-            raise ConfigError(str(e)) from e
+        preset = load_preset(args.show)
         out = {
             "name": args.show,
             "system": preset["system"].to_json(),

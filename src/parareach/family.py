@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatch, OutOfDomain, UnboundedSlab
 from .model import AugmentedState, IqcSystem, Paraboloid
 from .riccati import DOMAIN_TOL, IntegratorConfig, ParaboloidStack, domain_end, propagate
-from .touching import touching_trajectory, trace_back_to_seed
+from .touching import TOUCH_TOL_FACTOR, touching_trajectory, trace_back_to_seed
 
 _RATE_MARGIN = 0.0      # a budget rate >= -margin in the rim band is a violation
 _MEMBERSHIP_TOL = 1e-4  # relative slack for a ride point on the intersection's surface
@@ -236,8 +236,17 @@ class ReachSlice:
         return self.gammas[self.member_argmin]
 
 
-def _member_values(F: ParaboloidFamily, t: float, xs: np.ndarray):
-    """Member values -(x'Ex - 2f'x + g) at t, (M, G); +inf where not defined."""
+def _points(F: ParaboloidFamily, xs) -> np.ndarray:
+    """The point rows (G, n) of every query on F, else DimensionMismatch."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != F.seed.dim:
+        raise DimensionMismatch(f"points must be rows (G, {F.seed.dim}), got {xs.shape}")
+    return xs
+
+
+def _member_values(F: ParaboloidFamily, t: float, xs) -> np.ndarray:
+    """Member values -(x'Ex - 2f'x + g) at t of points xs, (M, G); +inf where not defined."""
+    xs = _points(F, xs)
     E, f, g, defined = F.params_at_many([t])
     if not defined.any():
         raise OutOfDomain(f"t={t} beyond the family's interval of definition "
@@ -248,24 +257,16 @@ def _member_values(F: ParaboloidFamily, t: float, xs: np.ndarray):
 
 
 def reach_slice(F: ParaboloidFamily, t: float, x_grid) -> ReachSlice:
-    """Evaluate the intersection's budget headroom over a grid of states."""
-    xs = np.asarray(x_grid, dtype=float)
-    if xs.ndim == 1:
-        xs = xs[:, None]
-    if xs.shape[1] != F.seed.dim:
-        raise DimensionMismatch(
-            f"grid points have dim {xs.shape[1]}, family dim {F.seed.dim}")
-    vals = _member_values(F, t, xs)
+    """Evaluate the intersection's budget headroom over a grid of states (G, n)."""
+    vals = _member_values(F, t, x_grid)
     pos = np.argmin(vals, axis=0)          # first minimum = lowest gamma (sorted)
-    return ReachSlice(t=float(t), x_grid=xs, xq_max=vals[pos, np.arange(xs.shape[0])],
-                      member_argmin=pos, gammas=F.gammas)
+    return ReachSlice(t=float(t), x_grid=np.asarray(x_grid, dtype=float),
+                      xq_max=vals[pos, np.arange(len(pos))], member_argmin=pos,
+                      gammas=F.gammas)
 
 
 def xq_max_at(F: ParaboloidFamily, t: float, xs) -> np.ndarray:
-    """Budget headroom min over members at arbitrary points (vectorized)."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim == 1:
-        xs = xs[None, :]
+    """Budget headroom min over members at the points ``xs`` (G, n)."""
     return np.min(_member_values(F, t, xs), axis=0)
 
 
@@ -379,8 +380,7 @@ def check_assumptions(F: ParaboloidFamily, cfg: IntegratorConfig,
     t_max/5 to t_max when every member escapes before T/5.
     """
     sys = F.system
-    escaped = [(float(g), e) for g, e, t in zip(F.gammas, F.stack.escape, F.stack.t_end)
-               if t < F.T * (1 - 1e-12)]
+    escaped = [(float(g), e) for g, e in zip(F.gammas, F.stack.escape) if e is not None]
     bounded_ok = (not escaped) and F.K_bound <= cfg.escape_norm
 
     if times is None:                   # five times inside the family's domain
@@ -413,7 +413,8 @@ def check_assumptions(F: ParaboloidFamily, cfg: IntegratorConfig,
     if ok:
         members = [m_rows[r] for r in ok]
         # back-traces carry rounding error at the state's scale
-        tols = [max(100.0 * cfg.rel_tol, 1e-4 * (1.0 + abs(seeds[r].x_q))) for r in ok]
+        tols = [max(TOUCH_TOL_FACTOR * cfg.rel_tol, 1e-4 * (1.0 + abs(seeds[r].x_q)))
+                for r in ok]
         rides = touching_trajectory([F.members[m] for m in members], [seeds[r] for r in ok],
                                     sys, cfg, touch_tol=tols)
         skipped.update((ok[q], e) for q, e in enumerate(rides.errors) if e is not None)

@@ -27,8 +27,8 @@ and beside other live threads.
 The admissible trajectories come back as columns (:class:`OracleSamples`),
 one row per trajectory in a fixed order, which keeps fixed-seed outputs
 byte-identical: the plain draws come first, in draw order, then the steered
-draws, grouped stably by ascending member.  The steered rows are put in that
-order after the last draw and before the integration.
+draws, grouped stably by ascending member: one permutation of the draws,
+which stay where they were drawn, deals the blocks and places their rows.
 
 So is the stage arithmetic, which keeps numpy's own summation orders: x' M y
 term by term in (i, j) order (einsum's for three rows or more), the steered
@@ -64,7 +64,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, RejectionStarvation, UnboundedSlab
-from .family import ParaboloidFamily, _rate_roots, mesh_points, xq_max_at
+from .family import ParaboloidFamily, _points, _rate_roots, mesh_points, xq_max_at
 from .model import IqcSystem, Paraboloid
 
 
@@ -341,13 +341,12 @@ def _worker_count() -> int:
     return 0 if multiprocessing.current_process().daemon else cpus
 
 
-def _row_blocks(start, stop, workers):
-    """Rows start..stop dealt in turn to blocks, row start + r to block r mod
-    k, one block per worker while each keeps ``_MIN_BLOCK_ROWS`` rows; one
-    block when that cannot be.  Row indices are ascending in each block."""
-    n = stop - start
-    k = max(1, min(workers, n // _MIN_BLOCK_ROWS))
-    return [np.arange(start + b, stop, k) for b in range(k)] if n else []
+def _row_blocks(rows, workers):
+    """``rows`` dealt in turn to blocks, ``rows[r]`` to block r mod k, one
+    block per worker while each keeps ``_MIN_BLOCK_ROWS`` rows; one block
+    when that cannot be."""
+    k = max(1, min(workers, len(rows) // _MIN_BLOCK_ROWS))
+    return [rows[b::k] for b in range(k)] if len(rows) else []
 
 
 _block_run = None       # a forked worker's copy of the parent's block function
@@ -414,7 +413,7 @@ def sample_admissible(sys: IqcSystem, P0: Paraboloid, cfg: OracleConfig,
     # fixed draw order: initial states, amplitudes, directions, noise, picks,
     # then the steered draws' noise levels and release rates
     X0, XQ0 = _draw_initial_states(P0, N, rng)
-    wcost = -float(np.min(np.linalg.eigvalsh(sys.Mw)))
+    wcost = -float(np.min(np.linalg.eigvalsh(sys.Mw))) if sys.m else 1.0     # m = 0: unused
     amp = cfg.w_scale * rng.uniform(0.0, 1.0, size=N) * _affordable_amplitude(
         sys, X0.T, XQ0, cfg.t_end, wcost)
     direction = rng.standard_normal((N, sys.m))
@@ -424,8 +423,8 @@ def sample_admissible(sys: IqcSystem, P0: Paraboloid, cfg: OracleConfig,
     raw_W = rng.standard_normal((N, cfg.segments, sys.m))
     raw_W = (persistence * direction[:, None, :]
              + np.sqrt(1.0 - persistence ** 2) * raw_W)
-    n_boundary = 0
-    member_of = switch_t = noise_lvl = release_u = span = None
+    n_boundary, member_of = 0, np.zeros(0, dtype=int)
+    switch_t = noise_lvl = release_u = span = None
     if family is not None and cfg.boundary_fraction > 0 and sys.m > 0:
         n_boundary = int(round(cfg.boundary_fraction * N))
         member_of = rng.integers(0, len(family.members), size=n_boundary)
@@ -449,13 +448,8 @@ def sample_admissible(sys: IqcSystem, P0: Paraboloid, cfg: OracleConfig,
         # continues; overdrafts are culled by the admissibility check
         release_u = cfg.w_scale * rng.uniform(0.3, 1.6, size=n_boundary)
         span = wcost * np.maximum(cfg.t_end - switch_t, 0.05 * cfg.t_end)
-        # group the steered rows stably by member, the output order; every
-        # row keeps its bits (columns never mix)
-        order = np.argsort(member_of, kind="stable")
-        for a in (X0, XQ0, raw_W):
-            a[:n_boundary] = a[order]
-        member_of, switch_t, noise_lvl, release_u, span = (
-            a[order] for a in (member_of, switch_t, noise_lvl, release_u, span))
+    # output row r holds draw order[r]: the plain draws, then the steered by member
+    order = np.concatenate([np.arange(n_boundary, N), np.argsort(member_of, kind="stable")])
 
     base = np.linspace(0.0, cfg.t_end, cfg.n_steps + 1)
     grid = np.unique(np.concatenate([base, seg_bounds, save_times]))
@@ -510,8 +504,8 @@ def sample_admissible(sys: IqcSystem, P0: Paraboloid, cfg: OracleConfig,
         return steered_w
 
     workers = _worker_count()
-    blocks = ([(plain, rows) for rows in _row_blocks(n_boundary, N, workers)]
-              + [(steered, rows) for rows in _row_blocks(0, n_boundary, workers)])
+    blocks = ([(plain, rows) for rows in _row_blocks(order[:N - n_boundary], workers)]
+              + [(steered, rows) for rows in _row_blocks(order[N - n_boundary:], workers)])
 
     def run(b):
         source, rows = blocks[b]
@@ -519,27 +513,25 @@ def sample_admissible(sys: IqcSystem, P0: Paraboloid, cfg: OracleConfig,
                                 lambda cols: source(rows[cols]), save_idx, inputs, terms)
 
     done = _map_blocks(run, len(blocks), workers)
-    # each block's kept columns go straight to their output columns: row r
-    # is output row (r - n_boundary) mod N, as the plain rows come first
-    admitted = np.zeros(N, dtype=bool)
+    admitted = np.zeros(N, dtype=bool)      # per draw
     for (_, rows), (*_, ok) in zip(blocks, done):
-        admitted[(rows - n_boundary) % N] = ok
-    out_col = np.cumsum(admitted) - 1
-    K = int(admitted.sum())
+        admitted[rows] = ok
+    kept = order[admitted[order]]           # the admitted draws, in output order
+    out_col = np.empty(N, dtype=int)        # each block's kept columns go straight there
+    out_col[kept] = np.arange(len(kept))
+    K = len(kept)
     x, xq, w = (np.empty((len(save_idx), K, *tail)) for tail in ((sys.n,), (), (sys.m,)))
     for (_, rows), (sX, sXQ, sW, ok) in zip(blocks, done):
-        at = out_col[(rows[ok] - n_boundary) % N]
+        at = out_col[rows[ok]]
         x[:, at], xq[:, at], w[:, at] = sX, sXQ, sW
     if N >= 1000 and K < 0.001 * N:
         raise RejectionStarvation(f"acceptance rate {K / N:.2e} below 0.1%")
     h = np.full(xq.shape, np.nan)
     if family is not None:
-        # the owner's value function, gathered from the stage table by each
-        # row's member; one sample time at a time bounds the temporaries
-        owner = np.zeros(N, dtype=int)      # plain rows first, owned by member 0
-        if n_boundary:
-            owner[N - n_boundary:] = member_of
-        owner = owner[admitted]
+        # the owner's value function (member 0 owns the plain draws), gathered
+        # from the stage table by each row's member; one sample time at a
+        # time bounds the temporaries
+        owner = np.concatenate([member_of, np.zeros(N - n_boundary, dtype=int)])[kept]
         for s, ti in enumerate(save_idx):
             E, f, g, ok = (a[:, ti].take(owner, axis=0) for a in (E_tab, f_tab, g_tab, defined))
             h[s] = family.stack.flow.value(E, f, g, x[s]) + xq[s]
@@ -569,16 +561,14 @@ class CoverageReport:
 def coverage(F: ParaboloidFamily, t: float, endpoints, cells_per_dim: int = 24,
              window=None) -> CoverageReport:
     """Fraction of slice cells with nonnegative budget headroom that contain
-    at least one endpoint.  Uncovered cells point at over-conservatism of the
-    family (or under-sampling) and are returned as the gap report.  An
-    explicit ``window`` is a finite (lo, hi) pair with hi > lo.
+    at least one endpoint, a row of ``endpoints`` (P, n).  Uncovered cells
+    point at over-conservatism of the family (or under-sampling) and are
+    returned as the gap report.  An explicit ``window`` is a finite (lo, hi)
+    pair with hi > lo.
     """
     if cells_per_dim < 1:
         raise ConfigError(f"coverage needs at least one cell per dimension, got {cells_per_dim}")
-    pts = np.asarray(endpoints, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    pts = pts[:, :F.seed.dim]
+    pts = _points(F, endpoints)
     if window is None:
         if len(pts) == 0:
             raise ConfigError("coverage needs endpoints or an explicit window")

@@ -15,6 +15,7 @@ import copy
 
 import numpy as np
 
+from .errors import ConfigError
 from .model import Paraboloid, make_system
 
 EX1_XQ_STABLE = 0.06
@@ -94,7 +95,7 @@ def preset_names():
 
 def load_preset(name: str):
     if name not in PRESETS:
-        raise KeyError(f"unknown preset {name!r}; available: {', '.join(preset_names())}")
+        raise ConfigError(f"unknown preset {name!r}; available: {', '.join(preset_names())}")
     spec = copy.deepcopy(PRESETS[name])      # the presets share nested values
     spec["system"] = spec["system"]()
     spec["seed"] = spec["seed"]()

@@ -7,6 +7,7 @@ import pytest
 import parareach as pr
 from parareach import cli
 from parareach.cli import main
+from parareach.errors import ConfigError
 from parareach.presets import load_preset
 
 
@@ -27,8 +28,15 @@ class TestExamples:
         sys5 = pr.system_from_json(payload["system"])
         assert (sys5.n, sys5.m, sys5.p) == (2, 2, 1)
 
-    def test_unknown_preset(self, capsys):
-        assert run(["examples", "--show", "nope"]) == 1
+    def test_unknown_preset(self, tmp_path, capsys):
+        with pytest.raises(ConfigError):
+            load_preset("nope")
+        for argv in (["examples", "--show", "nope"],
+                     ["reach", "--example", "nope", "--out", str(tmp_path)]):
+            assert run(argv) == 1
+            msg = json.loads(capsys.readouterr().err[len("error: "):])
+            assert msg["error"] == "ConfigError"
+            assert msg["message"].startswith("unknown preset 'nope'; available: ex1-escape")
 
     def test_loaded_presets_share_nothing(self):
         # the ex1 presets are built on one base dict
@@ -62,6 +70,14 @@ class TestPropagate:
                     "--out", str(out)]) == 2
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["escape_time"] == pytest.approx(2.4929, abs=1e-3)
+
+    def test_escape_at_the_horizon_exit_code(self, tmp_path):
+        # the escape bracket ends at the horizon: still an escape, and exit 2
+        out = tmp_path / "run"
+        assert run(["propagate", "--example", "ex1-escape", "--t-end", "2.4929012",
+                    "--out", str(out)]) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["t_end_reached"] < manifest["escape_time"] <= 2.4929012
 
     def test_missing_system_file(self, tmp_path, capsys):
         assert run(["propagate", "--system", str(tmp_path / "nope.json"),
@@ -304,6 +320,32 @@ class TestVerify:
         assert report["worst_margin"] < 1e-8
         assert (out / "endpoints.csv").exists()
         assert (out / "coverage.json").exists()
+
+    def test_violation_is_reported(self, tmp_path, monkeypatch):
+        def margins(F, t, xs, xqs):         # the first endpoint lies outside
+            return np.where(np.arange(len(xs)) == 0, 0.5, -1.0)
+        monkeypatch.setattr(cli, "membership_margins", margins)
+        out = tmp_path / "run"
+        assert run(["verify", "--example", "ex1-stable", "--n", "200", "--seed", "42",
+                    "--time", "0.91", "--members", "4", "--out", str(out)]) == 1
+        report = json.loads((out / "verify_report.json").read_text())
+        assert report["n_violations"] == 1 and report["worst_margin"] == 0.5
+        bad = report["violations"][0]
+        assert (bad["t"], bad["margin"]) == (0.91, 0.5)
+        first = (out / "endpoints.csv").read_text().splitlines()[1].split(",")
+        assert bad["x"] == [float(first[0])]
+
+    def test_system_without_disturbance(self, tmp_path):
+        # m = 0: no channel to steer or to push, only the drawn initial states
+        sys_path, out = tmp_path / "sys.json", tmp_path / "run"
+        sys_path.write_text(json.dumps({"A": [[-1.0, 0.0], [0.0, -1.0]], "B": [[], []],
+                                        "Bu": [[0.0], [0.0]], "M": np.eye(3).tolist(),
+                                        "u": "zero"}))
+        assert run(["verify", "--system", str(sys_path), "--e0", "[[1, 0], [0, 1]]",
+                    "--g0", "-1", "--n", "200", "--seed", "3", "--members", "4",
+                    "--out", str(out)]) == 0
+        report = json.loads((out / "verify_report.json").read_text())
+        assert report["n_admissible"] == 200 and report["n_violations"] == 0
 
     def test_no_admissible_draw_is_typed_error(self, tmp_path, capsys):
         assert run(["verify", "--example", "ex1-stable", "--n", "3",

@@ -306,6 +306,15 @@ class TestMembership:
         with pytest.raises(OutOfDomain):
             pr.membership_margins(ex1_family, 10.5, [[0.0]], [0.0])
 
+    @pytest.mark.parametrize("xs", [np.zeros(3), np.zeros((3, 2)), np.zeros((1, 3, 1))])
+    def test_points_must_be_rows(self, ex1_family, xs):
+        # one rule for every point query: rows (G, n), else DimensionMismatch
+        for query in (lambda: pr.reach_slice(ex1_family, 1.0, xs),
+                      lambda: pr.xq_max_at(ex1_family, 1.0, xs),
+                      lambda: pr.membership_margins(ex1_family, 1.0, xs, np.zeros(3))):
+            with pytest.raises(DimensionMismatch):
+                query()
+
     def test_batched_margins_match(self, ex1_family):
         rng = np.random.default_rng(3)
         xs = rng.uniform(-0.5, 0.5, size=(40, 1))
@@ -376,6 +385,17 @@ class TestAssumptions:
             times=[0.91, 1.62])
         assert not report.bounded_ok
         assert report.escaped_members[0][0] == 1.0
+
+    def test_escape_at_the_horizon_is_listed(self, ex1_system, ex1_escape_seed, ex1_cfg):
+        # the unscaled member's escape is bracketed up to the horizon itself
+        cfg = pr.IntegratorConfig(max_step=ex1_cfg.max_step, t_end=2.4929012)
+        fam = pr.build_family(ex1_escape_seed, ex1_system, 3e-5, 1, cfg, gammas=[1.0, 1.6])
+        escape = fam.stack.escape
+        assert escape[0] is not None and escape[1] is None
+        report = pr.check_assumptions(fam, cfg, probe_grid=np.linspace(-1.5, 1.5, 31)[:, None],
+                                      times=[0.91])
+        assert report.escaped_members == [(1.0, escape[0])]
+        assert not report.bounded_ok
 
     def test_synthetic_violation_detected(self, ex1_family, ex1_cfg, monkeypatch):
         # with no margin, every surface-band point of the real rides is rising

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson
 
 import parareach as pr
-from parareach.errors import ConfigError, RejectionStarvation
+from parareach.errors import ConfigError, DimensionMismatch, RejectionStarvation
 from parareach import oracle, riccati
 from parareach.oracle import _integrate_batch, _qform_batch, _steered_w, _system_terms
 from parareach.presets import load_preset
@@ -235,6 +235,11 @@ class TestCoverage:
                        ([-0.5], [np.nan])):
             with pytest.raises(ConfigError):
                 pr.coverage(ex1_small_family, 1.0, pts, window=window)
+
+    @pytest.mark.parametrize("pts", [np.zeros(5), np.zeros((5, 2))])
+    def test_endpoints_must_be_rows(self, ex1_small_family, pts):
+        with pytest.raises(DimensionMismatch):
+            pr.coverage(ex1_small_family, 1.0, pts, window=([-0.5], [0.5]))
 
     def test_report_json(self, ex1_small_family):
         rep = pr.coverage(ex1_small_family, 1.0, np.array([[0.05]]),

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import parareach as pr
 from parareach import riccati
-from parareach.errors import ConfigError, NonPositiveScale, OutOfDomain
+from parareach.errors import ConfigError, DimensionMismatch, NonPositiveScale, OutOfDomain
 from parareach.riccati import _VALUE_BLOCK, Flow
 
 from conftest import (ROOT_HI, ROOT_LO, f_rhs, g_quadrature_matrix, g_rhs,
@@ -95,6 +95,10 @@ class TestPropagate:
         assert tvp.escape_time is not None
         assert abs(tvp.escape_time - scalar_blowup_time(0.5)) <= 1e-4
         assert tvp.grid[-1] < tvp.escape_time
+
+    def test_seed_dimension_must_match(self, ex1_system, sec5_seed, ex1_cfg):
+        with pytest.raises(DimensionMismatch):
+            pr.propagate(sec5_seed, ex1_system, ex1_cfg)
 
     def test_zero_linear_part_stays_zero(self, ex1_stable_tvp):
         assert np.max(np.abs(ex1_stable_tvp.f_samples)) == 0.0

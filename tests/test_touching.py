@@ -241,6 +241,17 @@ class TestStackedRows:
         assert isinstance(backs[0], OutOfDomain) and str(backs[0]) == str(alone.value)
         assert isinstance(backs[1], pr.AugmentedState)
 
+    def test_non_finite_trace_stays_in_its_row(self, ex1_system, ex1_stable_seed, ex1_cfg):
+        # a state far outside the set traces back to a budget that is not finite
+        tvps = list(pr.propagate(ex1_stable_seed, ex1_system, ex1_cfg, gamma=[1.0, 1.5]).members)
+        backs = pr.trace_back_to_seed(tvps, ex1_system, ex1_cfg, [1.0, 1.0], [[0.1], [1e300]])
+        one = pr.trace_back_to_seed(tvps[0], ex1_system, ex1_cfg, 1.0, [0.1])
+        np.testing.assert_array_equal(backs[0].x, one.x)
+        assert backs[0].x_q == one.x_q
+        assert isinstance(backs[1], DimensionMismatch)
+        with pytest.raises(DimensionMismatch):
+            pr.trace_back_to_seed(tvps[1], ex1_system, ex1_cfg, 1.0, [1e300])
+
 
 class TestSystemCheck:
     def test_equal_copy_accepted(self, ex1_stable_tvp, ex1_cfg, ex1_stable_seed):
