@@ -413,7 +413,7 @@ def sample_admissible(sys: IqcSystem, P0: Paraboloid, cfg: OracleConfig,
     # fixed draw order: initial states, amplitudes, directions, noise, picks,
     # then the steered draws' noise levels and release rates
     X0, XQ0 = _draw_initial_states(P0, N, rng)
-    wcost = -float(np.min(np.linalg.eigvalsh(sys.Mw))) if sys.m else 1.0     # m = 0: unused
+    wcost = -float(np.min(np.linalg.eigvalsh(sys.Mw))) if sys.m else 1.0     # m = 0: no w-cost
     amp = cfg.w_scale * rng.uniform(0.0, 1.0, size=N) * _affordable_amplitude(
         sys, X0.T, XQ0, cfg.t_end, wcost)
     direction = rng.standard_normal((N, sys.m))
@@ -528,9 +528,8 @@ def sample_admissible(sys: IqcSystem, P0: Paraboloid, cfg: OracleConfig,
         raise RejectionStarvation(f"acceptance rate {K / N:.2e} below 0.1%")
     h = np.full(xq.shape, np.nan)
     if family is not None:
-        # the owner's value function (member 0 owns the plain draws), gathered
-        # from the stage table by each row's member; one sample time at a
-        # time bounds the temporaries
+        # each row's owner (member 0 for a plain draw) picks its value function
+        # from the stage table; one sample time at a time bounds the temporaries
         owner = np.concatenate([member_of, np.zeros(N - n_boundary, dtype=int)])[kept]
         for s, ti in enumerate(save_idx):
             E, f, g, ok = (a[:, ti].take(owner, axis=0) for a in (E_tab, f_tab, g_tab, defined))
