@@ -26,8 +26,8 @@ class SingularMw(ParareachError):
 
 
 class StepSizeUnderflow(ParareachError):
-    """A surface ride drifted off its paraboloid: the value function exceeded
-    the touch tolerance at a node."""
+    """A surface ride drifted off its paraboloid (the value function exceeded
+    the touch tolerance at a node), or a back-trace left the finite range."""
 
 
 class OutOfDomain(ParareachError):

@@ -200,7 +200,7 @@ class AugmentedState:
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float).reshape(-1)
         if not np.all(np.isfinite(x)) or not np.isfinite(self.x_q):
-            raise DimensionMismatch("augmented state must be finite")
+            raise ConfigError("augmented state must be finite")
         _freeze(x)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "x_q", float(self.x_q))

@@ -20,9 +20,20 @@ dealt to its blocks in turn, so every block gets every member in equal
 shares.  Before the fork the parent evaluates the input and the member
 parameters at every RK4 stage time, so the workers call no user code; they
 send back each block's admissible columns, which the parent writes into the
-output in place.  The oracle runs its blocks inline with one usable CPU,
-without ``os.fork``, in a daemonic process (which may not have children)
-and beside other live threads.
+output in place.  The input comes first; then one helper thread builds the
+member tables while the parent draws the initial states (numpy releases the
+GIL in both), and it is joined, on every path, before any other work: no
+user code runs beside it, and no thread of it is alive at the fork.  The
+oracle runs its blocks inline with one usable CPU, without ``os.fork``, in
+a daemonic process (which may not have children) and beside other live
+threads.
+
+A steered block holds its rows by descending ride count, the number of
+distinct stage times before the row's release (its switch time or its
+member's domain end), so at every stage time the rows still riding lead the
+block: the optimal disturbance and its stage tables are computed for that
+leading slice only (two columns at least while the block has two), and the
+released tail spends its budget on its own slice.
 
 The admissible trajectories come back as columns (:class:`OracleSamples`),
 one row per trajectory in a fixed order, which keeps fixed-seed outputs
@@ -47,9 +58,10 @@ the row-layout product is a gemv, which may round differently from its
 transpose, it runs on a contiguous row copy instead (:func:`_times`): a
 one-row batch, a product with one output column over an inner dimension of 2
 or more (B or Mxw with m = 1, say), and the input terms' products with a
-vector.  Columns never mix, so any subset of two rows or more gives the bits
-of the whole batch; a one-row block (gemv) need not.  So a block drops the
-rows it has rejected at every saved time, keeping at least two columns.
+vector.  Columns never mix, so any subset of two rows or more, in any
+order, gives the bits of the whole batch; a one-row block (gemv) need not.
+So a block drops the rows it has rejected at every saved time, keeping at
+least two columns.
 Reordering, fusing or regrouping a sum, or a per-member feedback table,
 changes the outputs.
 """
@@ -89,13 +101,16 @@ class OracleConfig:
     noise_rel: float = 0.05
 
     def __post_init__(self):
-        if min(self.n_trajectories, self.segments) < 1:
-            raise ConfigError("oracle counts must be positive")
+        counts = (self.n_trajectories, self.segments)
+        if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool)
+                   for c in counts) or min(counts) < 1:
+            raise ConfigError(f"oracle counts must be positive integers, got {counts}")
         if self.seed < 0:
             raise ConfigError(f"oracle seed must be nonnegative, got {self.seed}")
         finite = np.isfinite([self.t_end, self.w_scale, self.noise_rel]).all()
-        if not (finite and self.t_end > 0 and self.w_scale >= 0):
-            raise ConfigError("oracle horizon must be positive, amplitude nonnegative, all finite")
+        if not (finite and self.t_end > 0 and self.w_scale >= 0 and self.noise_rel >= 0):
+            raise ConfigError("oracle horizon must be positive, amplitude and noise "
+                              "nonnegative, all finite")
         if not (0.0 <= self.boundary_fraction <= 1.0):
             raise ConfigError("boundary_fraction must lie in [0, 1]")
 
@@ -341,12 +356,27 @@ def _worker_count() -> int:
     return 0 if multiprocessing.current_process().daemon else cpus
 
 
-def _row_blocks(rows, workers):
+def _row_blocks(rows, workers, key=None):
     """``rows`` dealt in turn to blocks, ``rows[r]`` to block r mod k, one
     block per worker while each keeps ``_MIN_BLOCK_ROWS`` rows; one block
-    when that cannot be."""
+    when that cannot be.  With a ``key`` per row, each block is sorted
+    stably by descending key."""
     k = max(1, min(workers, len(rows) // _MIN_BLOCK_ROWS))
-    return [rows[b::k] for b in range(k)] if len(rows) else []
+    blocks = [rows[b::k] for b in range(k)] if len(rows) else []
+    return blocks if key is None else [b[np.argsort(-key[b], kind="stable")] for b in blocks]
+
+
+def _ride_stages(stage_t, switch_t, defined, member_of):
+    """The rank of each stage time among the distinct ones, and per steered
+    draw the number of distinct stage times it rides: those before its
+    ``switch_t`` and within its member's interval of definition (a prefix:
+    ``defined``, the stage tables' mask, is t <= the member's domain end).
+    A draw rides at stage ti exactly when rank[ti] is below its count; past
+    it, the ride is released."""
+    times, first = np.unique(stage_t, return_index=True)
+    inside = np.count_nonzero(defined[:, first], axis=1)
+    ride = np.minimum(np.searchsorted(times, switch_t), inside[member_of])
+    return np.searchsorted(times, stage_t), ride
 
 
 _block_run = None       # a forked worker's copy of the parent's block function
@@ -407,12 +437,32 @@ def sample_admissible(sys: IqcSystem, P0: Paraboloid, cfg: OracleConfig,
     if np.any(save_times < 0) or np.any(save_times > cfg.t_end):
         raise ConfigError("sample times must lie within [0, t_end]")
 
+    base = np.linspace(0.0, cfg.t_end, cfg.n_steps + 1)
+    grid = np.unique(np.concatenate([base, seg_bounds, save_times]))
+    save_idx = np.searchsorted(grid, save_times)
+    seg_of_step = np.minimum(
+        np.searchsorted(seg_bounds, 0.5 * (grid[:-1] + grid[1:]), side="right") - 1,
+        cfg.segments - 1)
+
+    # the input at every RK4 stage time, nodes then midpoints, is evaluated
+    # here and the member parameters below: the blocks call no user code
+    stage_t = np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:])])
+    inputs = [_live(sys.u(t)) for t in stage_t]
+    terms = _system_terms(sys)
+
     N = cfg.n_trajectories
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
 
     # fixed draw order: initial states, amplitudes, directions, noise, picks,
-    # then the steered draws' noise levels and release rates
-    X0, XQ0 = _draw_initial_states(P0, N, rng)
+    # then the steered draws' noise levels and release rates.  A helper
+    # thread builds the stage tables while the initial states are drawn,
+    # and is joined before any other work
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(1) as helper:
+        tables = None if family is None else helper.submit(family.params_at_many, stage_t)
+        X0, XQ0 = _draw_initial_states(P0, N, rng)
+    if tables is not None:
+        E_tab, f_tab, g_tab, defined = tables.result()
     wcost = -float(np.min(np.linalg.eigvalsh(sys.Mw))) if sys.m else 1.0     # m = 0: no w-cost
     amp = cfg.w_scale * rng.uniform(0.0, 1.0, size=N) * _affordable_amplitude(
         sys, X0.T, XQ0, cfg.t_end, wcost)
@@ -424,7 +474,7 @@ def sample_admissible(sys: IqcSystem, P0: Paraboloid, cfg: OracleConfig,
     raw_W = (persistence * direction[:, None, :]
              + np.sqrt(1.0 - persistence ** 2) * raw_W)
     n_boundary, member_of = 0, np.zeros(0, dtype=int)
-    switch_t = noise_lvl = release_u = span = None
+    noise_lvl = release_u = span = rank = ride = None
     if family is not None and cfg.boundary_fraction > 0 and sys.m > 0:
         n_boundary = int(round(cfg.boundary_fraction * N))
         member_of = rng.integers(0, len(family.members), size=n_boundary)
@@ -448,23 +498,9 @@ def sample_admissible(sys: IqcSystem, P0: Paraboloid, cfg: OracleConfig,
         # continues; overdrafts are culled by the admissibility check
         release_u = cfg.w_scale * rng.uniform(0.3, 1.6, size=n_boundary)
         span = wcost * np.maximum(cfg.t_end - switch_t, 0.05 * cfg.t_end)
+        rank, ride = _ride_stages(stage_t, switch_t, defined, member_of)
     # output row r holds draw order[r]: the plain draws, then the steered by member
     order = np.concatenate([np.arange(n_boundary, N), np.argsort(member_of, kind="stable")])
-
-    base = np.linspace(0.0, cfg.t_end, cfg.n_steps + 1)
-    grid = np.unique(np.concatenate([base, seg_bounds, save_times]))
-    save_idx = np.searchsorted(grid, save_times)
-    seg_of_step = np.minimum(
-        np.searchsorted(seg_bounds, 0.5 * (grid[:-1] + grid[1:]), side="right") - 1,
-        cfg.segments - 1)
-
-    # the input and the member parameters at every RK4 stage time, nodes
-    # then midpoints, are evaluated here: the blocks call no user code
-    stage_t = np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:])])
-    inputs = [_live(sys.u(t)) for t in stage_t]
-    if family is not None:
-        E_tab, f_tab, g_tab, defined = family.params_at_many(stage_t)
-    terms = _system_terms(sys)
 
     # the disturbance sources of a block's live rows, in column layout; each
     # builds its own segment-major (S, m, rows) arrays, so no whole-batch
@@ -480,32 +516,33 @@ def sample_admissible(sys: IqcSystem, P0: Paraboloid, cfg: OracleConfig,
         return plain_w
 
     def steered(rows):
-        members, raw_b = member_of[rows], segment_major(rows)
+        # the rows come by descending ride count, so the riding rows lead
+        members, raw_b, later = member_of[rows], segment_major(rows), -ride[rows]
         noise = noise_lvl[rows] * raw_b
-        switch, release, budget_span = switch_t[rows], release_u[rows], span[rows]
+        release, budget_span = release_u[rows], span[rows]
         gathered = {}   # one stage table at a time: stages repeat in runs
 
         def steered_w(step, ti, t, X, XQ, u_t):
-            if ti not in gathered:
-                gathered.clear()
-                E, f, ok = E_tab[:, ti], f_tab[:, ti], defined[:, ti]
-                gathered[ti] = (E.transpose(1, 2, 0).take(members, axis=2),
-                                f.T.take(members, axis=1), ok.take(members))
-            E, f, ok = gathered[ti]
             seg = seg_of_step[step]
-            w = _steered_w(sys, E, f, X, u_t, noise[seg], terms)
-            # past its member's interval of definition a ride is released too
-            riding = (t < switch) & ok
-            if riding.all():
-                return w
+            r = int(np.searchsorted(later, -rank[ti]))     # rows riding at ti
+            if r:
+                k = max(r, min(2, len(rows)))   # two columns or more: a gemm
+                if ti not in gathered:
+                    gathered.clear()
+                    gathered[ti] = (E_tab[:, ti].transpose(1, 2, 0).take(members[:k], axis=2),
+                                    f_tab[:, ti].T.take(members[:k], axis=1))
+                w = _steered_w(sys, *gathered[ti], X[:, :k], u_t, noise[seg][:, :k], terms)
+                if r == len(rows):
+                    return w
             # release: spend the banked budget on the drawn direction pieces
-            spend = release * np.sqrt(np.maximum(XQ, 0.0) / budget_span)
-            return np.where(riding, w, spend * raw_b[seg])
+            spend = release[r:] * np.sqrt(np.maximum(XQ[r:], 0.0) / budget_span[r:])
+            pushed = spend * raw_b[seg][:, r:]
+            return np.concatenate([w[:, :r], pushed], axis=1) if r else pushed
         return steered_w
 
     workers = _worker_count()
     blocks = ([(plain, rows) for rows in _row_blocks(order[:N - n_boundary], workers)]
-              + [(steered, rows) for rows in _row_blocks(order[N - n_boundary:], workers)])
+              + [(steered, rows) for rows in _row_blocks(order[N - n_boundary:], workers, ride)])
 
     def run(b):
         source, rows = blocks[b]

@@ -222,7 +222,8 @@ def trace_back_to_seed(tvp, sys: IqcSystem, cfg: IntegratorConfig, t_at, x_at):
     surface up to rounding.  ``sys`` must be the system ``tvp`` was
     propagated with, else :class:`DimensionMismatch` is raised; ``cfg`` is
     not used, since the steps are the paraboloid's own.  A ``t_at`` outside
-    the paraboloid's domain raises :class:`OutOfDomain`.
+    the paraboloid's domain raises :class:`OutOfDomain`, and a trace whose
+    state leaves the finite range raises :class:`StepSizeUnderflow`.
 
     Stacked: with a sequence of members of one stack, ``t_at`` one time per
     row and ``x_at`` one state per row, all rows are stepped back together
@@ -258,11 +259,10 @@ def trace_back_to_seed(tvp, sys: IqcSystem, cfg: IntegratorConfig, t_at, x_at):
                          legs(t_at, times[:, 1:]), legs(Ea, E[:, 1:]), legs(fa, f[:, 1:]),
                          legs(t0 - t_at, back), x_at)
     xq = np.cumsum(np.column_stack([-flow.value(Ea, fa, ga, x_at), gains]), axis=1)[:, -1]
+    finite = np.isfinite(x[:, -1]).all(axis=1) & np.isfinite(xq)
     for r in np.nonzero([e is None for e in out])[0]:
-        try:
-            out[r] = AugmentedState(x[r, -1], xq[r])
-        except DimensionMismatch as e:      # not finite
-            out[r] = e
+        out[r] = (AugmentedState(x[r, -1], xq[r]) if finite[r] else StepSizeUnderflow(
+            f"back-trace from t={t_at[r]} left the finite range"))
     if not single:
         return out
     if not isinstance(out[0], AugmentedState):

@@ -111,6 +111,12 @@ class TestValueFunction:
         with pytest.raises(DimensionMismatch):
             pr.value_function(P, pr.AugmentedState([1.0], 0.0))
 
+    @pytest.mark.parametrize("x, x_q", [([np.nan], 0.0), ([0.0, np.inf], 0.0),
+                                        ([0.0], -np.inf)])
+    def test_non_finite_state_is_config_error(self, x, x_q):
+        with pytest.raises(ConfigError, match="augmented state must be finite"):
+            pr.AugmentedState(x, x_q)
+
     @given(xq=st.floats(-10, 10), delta=st.floats(-5, 5),
            x=st.floats(-3, 3))
     def test_affine_in_budget_with_unit_slope(self, xq, delta, x):

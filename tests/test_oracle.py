@@ -262,6 +262,19 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 pr.OracleConfig(n_trajectories=10, **bad)
 
+    @pytest.mark.parametrize("bad", [{"n_trajectories": 2.5}, {"n_trajectories": True},
+                                     {"segments": 2.5}, {"segments": np.float64(3.0)},
+                                     {"noise_rel": -1.0}])
+    def test_rejects_non_integer_counts_and_negative_noise(self, bad):
+        with pytest.raises(ConfigError):
+            pr.OracleConfig(**{"n_trajectories": 10, **bad})
+
+    def test_numpy_integer_counts(self, ex1_system, ex1_stable_seed):
+        cfg = pr.OracleConfig(n_trajectories=np.int64(10), segments=np.int32(2))
+        plain = pr.OracleConfig(n_trajectories=10, segments=2)
+        assert samples_digest(pr.sample_admissible(ex1_system, ex1_stable_seed, cfg)) == (
+            samples_digest(pr.sample_admissible(ex1_system, ex1_stable_seed, plain)))
+
     def test_sample_times_outside_horizon(self, ex1_system, ex1_stable_seed):
         cfg = pr.OracleConfig(n_trajectories=10, t_end=1.0)
         for bad in ([1.5], [-0.1]):
@@ -377,11 +390,12 @@ class TestStageKernels:
 
 
 class TestRowBlocks:
-    """Trajectories never mix in the RK4: the whole batch, and interleaved
-    blocks of two rows or more that drop their rejected rows at the saved
-    nodes, give the bits of the whole batch integrated to the end, for plain
-    and steered disturbances, with and without input.  This is what lets a
-    batch run in forked blocks."""
+    """Trajectories never mix in the RK4: the whole batch, the batch in
+    shuffled order, and interleaved blocks of two rows or more that drop
+    their rejected rows at the saved nodes, give the bits of the whole batch
+    integrated to the end, for plain and steered disturbances, with and
+    without input.  This is what lets a batch run in forked blocks, and a
+    steered block hold its rows in release order."""
 
     @settings(max_examples=60, deadline=None)
     @given(dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
@@ -424,7 +438,8 @@ class TestRowBlocks:
         *want, want_ok = reference_integrate_batch(sys_, X0, XQ0, grid, source(np.arange(rows)),
                                                    save_idx, inputs, terms)
         k = int(rng.integers(1, rows // 2 + 1))
-        for block in [np.arange(rows)] + [np.arange(b, rows, k) for b in range(k)]:
+        shuffled = rng.permutation(rows)            # a block in any row order
+        for block in [np.arange(rows), shuffled] + [np.arange(b, rows, k) for b in range(k)]:
             calls.clear()
             *got, ok = _integrate_batch(sys_, X0[:, block], XQ0[block], grid,
                                         lambda cols: source(block[cols]), save_idx, inputs,
@@ -512,6 +527,119 @@ class TestWorkers:
         thread.join(300)
         assert not thread.is_alive()
         assert not errors, errors
+
+
+class TableBuildFailure(Exception):
+    """Raised by the stage-table build on its helper thread."""
+
+
+class TestTableThread:
+    """The stage tables are built on a helper thread while the initial states
+    are drawn; it is joined on every path before the fork."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        # three usable CPUs and blocks of two rows, counting the forks
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(oracle, "_MIN_BLOCK_ROWS", 2)
+        real_fork, forks = os.fork, []
+
+        def fork():
+            forks.append(None)
+            return real_fork()
+        monkeypatch.setattr(os, "fork", fork)
+        return forks
+
+    @staticmethod
+    def sample(ex1_system, ex1_stable_seed, ex1_small_family):
+        cfg = pr.OracleConfig(n_trajectories=40, segments=2, seed=1, t_end=0.5)
+        return pr.sample_admissible(ex1_system, ex1_stable_seed, cfg, family=ex1_small_family)
+
+    def test_joined_before_the_fork(self, forks, monkeypatch, ex1_system, ex1_stable_seed,
+                                    ex1_small_family):
+        threads = threading.active_count()
+        counts = []
+
+        def worker_count():
+            counts.append(real_count())
+            return counts[-1]
+        real_count = oracle._worker_count
+        monkeypatch.setattr(oracle, "_worker_count", worker_count)
+        samples = self.sample(ex1_system, ex1_stable_seed, ex1_small_family)
+        assert len(samples) > 0 and counts == [3] and forks
+        assert threading.active_count() == threads
+        assert multiprocessing.active_children() == []
+
+    def test_failed_draws_join_the_helper(self, forks, monkeypatch, ex1_system,
+                                          ex1_stable_seed, ex1_small_family):
+        def starve(*args):
+            raise RejectionStarvation("injected")
+
+        threads = threading.active_count()
+        monkeypatch.setattr(oracle, "_draw_initial_states", starve)
+        with pytest.raises(RejectionStarvation, match="injected"):
+            self.sample(ex1_system, ex1_stable_seed, ex1_small_family)
+        assert threading.active_count() == threads and not forks
+
+    def test_table_error_reaches_caller(self, forks, monkeypatch, ex1_system,
+                                        ex1_stable_seed, ex1_small_family):
+        def fail(self, tq):
+            raise TableBuildFailure("injected")
+
+        threads = threading.active_count()
+        monkeypatch.setattr(pr.ParaboloidFamily, "params_at_many", fail)
+        with pytest.raises(TableBuildFailure, match="injected"):
+            self.sample(ex1_system, ex1_stable_seed, ex1_small_family)
+        assert threading.active_count() == threads and not forks
+
+
+class TestReleaseOrder:
+    """Each steered block holds its rows by descending ride count, so at
+    every stage time the rows still riding, those before their switch time
+    and within their member's interval of definition, lead the block."""
+
+    @pytest.fixture(autouse=True)
+    def blocks(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_worker_count", lambda: 3)
+        monkeypatch.setattr(oracle, "_MIN_BLOCK_ROWS", 2)
+        monkeypatch.setattr(oracle, "_map_blocks",      # inline: the spies see the blocks
+                            lambda run, n_blocks, workers: [run(b) for b in range(n_blocks)])
+
+    @staticmethod
+    def riding_lead(monkeypatch, pin):
+        seen = {}
+
+        def ride_stages(stage_t, switch_t, defined, member_of):
+            seen.update(stage_t=stage_t, switch_t=switch_t, defined=defined,
+                        member_of=member_of)
+            return real_stages(stage_t, switch_t, defined, member_of)
+
+        def row_blocks(rows, workers, key=None):
+            blocks = real_blocks(rows, workers, key)
+            if key is not None:
+                seen["blocks"] = blocks
+            return blocks
+        real_stages, real_blocks = oracle._ride_stages, oracle._row_blocks
+        monkeypatch.setattr(oracle, "_ride_stages", ride_stages)
+        monkeypatch.setattr(oracle, "_row_blocks", row_blocks)
+        pin()
+        assert len(seen["blocks"]) == 3
+        split = 0                   # block stages with riding and released rows
+        for rows in seen["blocks"]:
+            t, switch = seen["stage_t"], seen["switch_t"][rows]
+            defined = seen["defined"][seen["member_of"][rows]]
+            riding = (t[:, None] < switch) & defined.T           # (stages, rows)
+            lead = np.arange(len(rows)) < riding.sum(axis=1, keepdims=True)
+            assert np.array_equal(riding, lead)
+            split += np.count_nonzero(riding.any(axis=1) & ~riding.all(axis=1))
+        return split
+
+    def test_sec5_family(self, monkeypatch, sec5_system, sec5_seed, sec5_cfg):
+        assert self.riding_lead(monkeypatch, lambda: sec5_pin_samples(
+            sec5_system, sec5_seed, sec5_cfg)) > 0
+
+    def test_ex1_family_releases(self, monkeypatch, ex1_cfg):
+        assert self.riding_lead(monkeypatch, lambda: ex1_pin_samples(ex1_cfg)) > 0
 
 
 def samples_digest(samples):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import parareach as pr
-from parareach.errors import DimensionMismatch, NotOnBoundary, OutOfDomain
+from parareach.errors import DimensionMismatch, NotOnBoundary, OutOfDomain, StepSizeUnderflow
 
 from conftest import (boundary_state, energy_rate, paraboloid_rate, random_boundary_states,
                       random_iqc_system, reference_ride, reference_trace_back,
@@ -248,8 +248,8 @@ class TestStackedRows:
         one = pr.trace_back_to_seed(tvps[0], ex1_system, ex1_cfg, 1.0, [0.1])
         np.testing.assert_array_equal(backs[0].x, one.x)
         assert backs[0].x_q == one.x_q
-        assert isinstance(backs[1], DimensionMismatch)
-        with pytest.raises(DimensionMismatch):
+        assert isinstance(backs[1], StepSizeUnderflow)
+        with pytest.raises(StepSizeUnderflow):
             pr.trace_back_to_seed(tvps[1], ex1_system, ex1_cfg, 1.0, [1e300])
 
 
