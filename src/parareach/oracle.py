@@ -101,10 +101,11 @@ class OracleConfig:
     noise_rel: float = 0.05
 
     def __post_init__(self):
-        counts = (self.n_trajectories, self.segments)
-        if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool)
-                   for c in counts) or min(counts) < 1:
-            raise ConfigError(f"oracle counts must be positive integers, got {counts}")
+        ints = (self.n_trajectories, self.segments, self.seed)
+        if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in ints):
+            raise ConfigError(f"oracle counts and seed must be integers, got {ints}")
+        if min(self.n_trajectories, self.segments) < 1:
+            raise ConfigError("oracle counts must be positive")
         if self.seed < 0:
             raise ConfigError(f"oracle seed must be nonnegative, got {self.seed}")
         finite = np.isfinite([self.t_end, self.w_scale, self.noise_rel]).all()
@@ -534,7 +535,8 @@ def sample_admissible(sys: IqcSystem, P0: Paraboloid, cfg: OracleConfig,
                 w = _steered_w(sys, *gathered[ti], X[:, :k], u_t, noise[seg][:, :k], terms)
                 if r == len(rows):
                     return w
-            # release: spend the banked budget on the drawn direction pieces
+            # the released rows (past their switch time or their member's
+            # domain) spend the banked budget on the drawn direction pieces
             spend = release[r:] * np.sqrt(np.maximum(XQ[r:], 0.0) / budget_span[r:])
             pushed = spend * raw_b[seg][:, r:]
             return np.concatenate([w[:, :r], pushed], axis=1) if r else pushed

@@ -264,13 +264,14 @@ class TestConfig:
 
     @pytest.mark.parametrize("bad", [{"n_trajectories": 2.5}, {"n_trajectories": True},
                                      {"segments": 2.5}, {"segments": np.float64(3.0)},
-                                     {"noise_rel": -1.0}])
-    def test_rejects_non_integer_counts_and_negative_noise(self, bad):
+                                     {"seed": 2.5}, {"seed": True}, {"noise_rel": -1.0}])
+    def test_rejects_non_integers_and_negative_noise(self, bad):
         with pytest.raises(ConfigError):
             pr.OracleConfig(**{"n_trajectories": 10, **bad})
 
     def test_numpy_integer_counts(self, ex1_system, ex1_stable_seed):
-        cfg = pr.OracleConfig(n_trajectories=np.int64(10), segments=np.int32(2))
+        cfg = pr.OracleConfig(n_trajectories=np.int64(10), segments=np.int32(2),
+                              seed=np.uint8(0))
         plain = pr.OracleConfig(n_trajectories=10, segments=2)
         assert samples_digest(pr.sample_admissible(ex1_system, ex1_stable_seed, cfg)) == (
             samples_digest(pr.sample_admissible(ex1_system, ex1_stable_seed, plain)))
