@@ -45,7 +45,8 @@ def _seed_center(P0: Paraboloid):
     if np.any(lam <= 0.0):
         raise UnboundedSlab(
             f"seed quadratic coefficient not positive definite (eigenvalues {lam}); "
-            "the rim slab is unbounded: give the scalings, or a probe grid, explicitly")
+            "its footprint and rim slab are unbounded: give the scalings, or a probe "
+            "grid, explicitly; the oracle cannot draw initial states from it")
     c = V @ ((V.T @ P0.f) / lam)
     return lam, V, c, P0.g - float(c @ (P0.E @ c))
 

@@ -26,7 +26,7 @@ SYM_TOL = 1e-10      # relative symmetry tolerance before construction rejects
 PD_MARGIN = 1e-12    # strict margin for the negative-definiteness of M_w
 
 
-def _as_matrix(a, name, non_finite=DimensionMismatch):
+def _as_matrix(a, name):
     a = np.asarray(a, dtype=float)
     if a.ndim == 0:
         a = a.reshape(1, 1)
@@ -35,7 +35,7 @@ def _as_matrix(a, name, non_finite=DimensionMismatch):
     if a.ndim != 2:
         raise DimensionMismatch(f"{name} must be a matrix, got ndim={a.ndim}")
     if not np.all(np.isfinite(a)):
-        raise non_finite(f"{name} has non-finite entries")
+        raise ConfigError(f"{name} has non-finite entries")
     return a
 
 
@@ -95,19 +95,19 @@ def make_system(A, B, B_u, M, u=None) -> IqcSystem:
     ``degree``, its ``knots`` and ``taylor(a)``, the coefficients of
     u(a + s) in powers of s (see :mod:`parareach.signals`).
     """
-    A = _as_matrix(A, "A", ConfigError)
+    A = _as_matrix(A, "A")
     n = A.shape[0]
     if A.shape != (n, n):
         raise DimensionMismatch(f"A must be square, got {A.shape}")
-    B = _as_matrix(B, "B", ConfigError)
+    B = _as_matrix(B, "B")
     if B.shape[0] != n:
         raise DimensionMismatch(f"B must have {n} rows, got {B.shape}")
     m = B.shape[1]
-    B_u = _as_matrix(B_u, "B_u", ConfigError)
+    B_u = _as_matrix(B_u, "B_u")
     if B_u.shape[0] != n:
         raise DimensionMismatch(f"B_u must have {n} rows, got {B_u.shape}")
     p = B_u.shape[1]
-    M = _as_matrix(M, "M", ConfigError)
+    M = _as_matrix(M, "M")
     k = n + p + m
     if M.shape != (k, k):
         raise DimensionMismatch(f"M must be {k}x{k} for n={n}, p={p}, m={m}; got {M.shape}")
@@ -174,7 +174,7 @@ class Paraboloid:
         if f.shape[0] != E.shape[0]:
             raise DimensionMismatch(f"f has length {f.shape[0]}, expected {E.shape[0]}")
         if not np.all(np.isfinite(f)) or not np.isfinite(self.g):
-            raise DimensionMismatch("paraboloid parameters must be finite")
+            raise ConfigError("paraboloid parameters must be finite")
         _freeze(E, f)
         object.__setattr__(self, "E", E)
         object.__setattr__(self, "f", f)

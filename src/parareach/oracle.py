@@ -32,8 +32,8 @@ A steered block holds its rows by descending ride count, the number of
 distinct stage times before the row's release (its switch time or its
 member's domain end), so at every stage time the rows still riding lead the
 block: the optimal disturbance and its stage tables are computed for that
-leading slice only (two columns at least while the block has two), and the
-released tail spends its budget on its own slice.
+leading slice only, and the released tail spends its budget on its own
+slice.
 
 The admissible trajectories come back as columns (:class:`OracleSamples`),
 one row per trajectory in a fixed order, which keeps fixed-seed outputs
@@ -41,29 +41,15 @@ byte-identical: the plain draws come first, in draw order, then the steered
 draws, grouped stably by ascending member: one permutation of the draws,
 which stay where they were drawn, deals the blocks and places their rows.
 
-So is the stage arithmetic, which keeps numpy's own summation orders: x' M y
-term by term in (i, j) order (einsum's for three rows or more), the steered
-E x in two running sums over even and odd j (einsum's for n < 8), and the
-noise scale's norm as a running sum of squared coordinates (np.linalg.norm's
-for m < 8).  It broadcasts no short row or column but works coordinate by
-coordinate, and skips zero coefficients and all-zero inputs, which add only
-+-0 to sums that start at +0 (finite operands).
-
-The kernels hold a block's trajectories in column layout: states (n, N),
-disturbances (m, N), steered stage tables (n, n, N) and (n, N), so that each
-coordinate is one contiguous row.  Elementwise operations round alike in any
-layout, and an OpenBLAS gemm of the row-layout product X' A equals A' X bit
-for bit (the fixed-seed pins check it), so the products run as A' X.  Where
-the row-layout product is a gemv, which may round differently from its
-transpose, it runs on a contiguous row copy instead (:func:`_times`): a
-one-row batch, a product with one output column over an inner dimension of 2
-or more (B or Mxw with m = 1, say), and the input terms' products with a
-vector.  Columns never mix, so any subset of two rows or more, in any
-order, gives the bits of the whole batch; a one-row block (gemv) need not.
-So a block drops the rows it has rejected at every saved time, keeping at
-least two columns.
-Reordering, fusing or regrouping a sum, or a per-member feedback table,
-changes the outputs.
+The stage arithmetic has one rule: every per-trajectory quantity is a
+running sum, in index order, of elementwise products of coordinate rows,
+with zero coefficients skipped (a sum of no products is +0).  The kernels
+hold a block's trajectories in column layout, states (n, N), disturbances
+(m, N) and steered stage tables (n, n, N) and (n, N), so that each
+coordinate is one contiguous row.  Elementwise operations round each column
+alone, so a column's bits do not depend on its batch, its block or the BLAS
+build: a block may drop its rejected rows at every saved time, down to one.
+Reordering or regrouping a sum changes the outputs.
 """
 
 from __future__ import annotations
@@ -75,8 +61,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, RejectionStarvation, UnboundedSlab
-from .family import ParaboloidFamily, _points, _rate_roots, mesh_points, xq_max_at
+from .errors import ConfigError, RejectionStarvation
+from .family import (ParaboloidFamily, _points, _rate_roots, _seed_center, mesh_points,
+                     xq_max_at)
 from .model import IqcSystem, Paraboloid
 
 
@@ -140,18 +127,12 @@ class OracleSamples:
 
 
 def _seed_box(P0: Paraboloid):
-    """Bounding box of the seed footprint and the budget cap; needs a
-    positive definite quadratic coefficient."""
-    lam, V = np.linalg.eigh(P0.E)
-    if np.any(lam <= 0.0):
-        raise UnboundedSlab("seed footprint unbounded (E0 not positive definite); "
-                            "cannot rejection-sample initial states")
-    Einv = V @ np.diag(1.0 / lam) @ V.T
-    c = Einv @ P0.f
-    q_min = P0.g - float(c @ (P0.E @ c))
+    """Center, half-widths of the bounding box of the seed footprint, and the
+    budget cap; needs a positive definite quadratic coefficient."""
+    lam, V, c, q_min = _seed_center(P0)
     if q_min >= 0.0:
         raise RejectionStarvation("seed contains no states with nonnegative budget")
-    half = np.sqrt(-q_min * np.diag(Einv))
+    half = np.sqrt(-q_min * np.diag(V @ np.diag(1.0 / lam) @ V.T))
     return c, half, -q_min
 
 
@@ -161,7 +142,7 @@ def _draw_initial_states(P0: Paraboloid, n: int, rng):
     dim = P0.dim
     xs = np.empty((n, dim))
     xqs = np.empty(n)
-    e_terms = _terms(P0.E)
+    e_terms, f2_terms = _terms(P0.E), _terms(2.0 * P0.f)
     got, rounds, drawn = 0, 0, 0
     while got < n:
         block = max(2 * (n - got), 256)
@@ -172,8 +153,7 @@ def _draw_initial_states(P0: Paraboloid, n: int, rng):
             X[d] += c[d]
         xq = rng.uniform(0.0, cap, size=block)
         q = _bilinear(X, e_terms, X)
-        if P0.f.any():                          # a zero f adds +-0; only q <= 0 is read
-            q -= _times(2.0 * X, P0.f)
+        q -= _times(f2_terms, X)[0]
         q += P0.g
         ok = np.nonzero(q + xq <= 0.0)[0]
         take = ok[:n - got]
@@ -189,35 +169,56 @@ def _draw_initial_states(P0: Paraboloid, n: int, rng):
 
 
 def _terms(M):
-    """Nonzero coefficients of M as (i, j, m_ij), in (i, j) order."""
-    return [(i, j, m_ij) for i, row in enumerate(M.tolist())
-            for j, m_ij in enumerate(row) if m_ij]
+    """The nonzero coefficients of each row of M, [(j, m_ij), ...] in j
+    order; a vector is one row."""
+    return [[(j, m_ij) for j, m_ij in enumerate(row) if m_ij]
+            for row in np.atleast_2d(M).tolist()]
 
 
 def _system_terms(sys: IqcSystem):
-    """Nonzero terms of the state, disturbance and cross blocks of M."""
-    return _terms(sys.Mx), _terms(sys.Mw), _terms(sys.Mxw)
+    """The :func:`_terms` of each matrix the stage kernels take, by name: A
+    and B (the state rate), B', Mxw' and Mw^-1' (the steered disturbance),
+    and the blocks Mx, Mw and Mxw of the quadratic form."""
+    return {"A": _terms(sys.A), "B": _terms(sys.B), "B'": _terms(sys.B.T),
+            "Mxw'": _terms(sys.Mxw.T), "Mw_inv'": _terms(sys.Mw_inv.T),
+            "Mx": _terms(sys.Mx), "Mw": _terms(sys.Mw), "Mxw": _terms(sys.Mxw)}
 
 
-def _bilinear(X, terms, Y):
-    """Columnwise X[:, k] @ M @ Y[:, k] for column-layout X, Y from M's
-    nonzero ``terms``, summed term by term in (i, j) order."""
-    out, term = np.zeros(X.shape[1]), np.empty(X.shape[1])
-    for i, j, m_ij in terms:         # one buffer for the terms: no temporaries
-        np.multiply(X[i], m_ij, out=term)
-        term *= Y[j]
-        out += term
+def _sum(products, out):
+    """Write the running sum of ``products``, pairs of factors, into ``out``
+    in their order: the first product as it is, then each later one added;
+    +0 when there is none."""
+    first = True
+    for x, y in products:
+        if first:
+            np.multiply(x, y, out=out)
+            first = False
+        else:
+            out += x * y
+    if first:
+        out[...] = 0.0
     return out
 
 
-def _times(X, A):
-    """The row-layout product ``X.T @ A`` in column layout (transposed back;
-    1-D for a vector A), with its bits: a gemm there equals ``A.T @ X``, but
-    a gemv (one row, a vector, or one output column over an inner dimension
-    of 2 or more) may round otherwise, so it runs on a contiguous row copy."""
-    if X.shape[1] == 1 or A.ndim == 1 or (A.shape[1] == 1 and A.shape[0] > 1):
-        return (np.ascontiguousarray(X.T) @ A).T
-    return A.T @ X
+def _times(K, X):
+    """K X for column-layout X (k, N), from K's :func:`_terms`: row j is the
+    running sum over i of k_ji X[i]."""
+    out = np.empty((len(K), X.shape[1]))
+    for out_j, row in zip(out, K):
+        _sum(((k_ji, X[i]) for i, k_ji in row), out_j)
+    return out
+
+
+def _dot(X, Y):
+    """Columnwise sum over i of X[i] Y[i] for column-layout X and Y."""
+    return _sum(zip(X, Y), np.empty(X.shape[-1]))
+
+
+def _bilinear(X, M, Y):
+    """Columnwise x' M y for column-layout X, Y, from M's :func:`_terms`: the
+    running sum of (X[i] m_ij) Y[j] in (i, j) order."""
+    return _sum(((X[i] * m_ij, Y[j]) for i, row in enumerate(M) for j, m_ij in row),
+                np.empty(X.shape[1]))
 
 
 def _live(u_t):
@@ -228,14 +229,14 @@ def _live(u_t):
 def _qform_batch(sys: IqcSystem, X, u_t, W, terms=None):
     """Columnwise [x; u; w]' M [x; u; w] for column-layout X (n, N), W (m, N);
     ``u_t`` is None for a zero input, ``terms`` those of :func:`_system_terms`."""
-    mx, mw, mxw = terms or _system_terms(sys)
-    out = _bilinear(X, mx, X)
-    out += _bilinear(W, mw, W)
+    terms = terms or _system_terms(sys)
+    out = _bilinear(X, terms["Mx"], X)
+    out += _bilinear(W, terms["Mw"], W)
     if u_t is not None:
-        out += (_times(2.0 * X, sys.Mxu @ u_t) + float(u_t @ sys.Mu @ u_t)
-                + _times(2.0 * W, sys.Muw.T @ u_t))
-    if mxw:
-        out += 2.0 * _bilinear(X, mxw, W)
+        out += (_times(_terms(2.0 * (sys.Mxu @ u_t)), X)[0] + float(u_t @ sys.Mu @ u_t)
+                + _times(_terms(2.0 * (sys.Muw.T @ u_t)), W)[0])
+    if any(terms["Mxw"]):
+        out += 2.0 * _bilinear(X, terms["Mxw"], W)
     return out
 
 
@@ -243,27 +244,18 @@ def _steered_w(sys, E, f, X, u_t, noise, terms=None):
     """Optimal disturbance (m, N) of per-column parameters E (n, n, N),
     f (n, N) at X (n, N), plus relative noise (m, N); ``u_t`` and ``terms``
     as for :func:`_qform_batch`."""
+    terms = terms or _system_terms(sys)
     V = np.empty_like(X)
     for i in range(len(X)):
-        # even and odd j (module docstring), each from its first product
-        # plus 0.0: the bits of a sum started at +0, signed zero included
-        lanes = [E[i, j] * X[j] for j in range(min(len(X), 2))]
-        for lane in lanes:
-            lane += 0.0
-        for j in range(2, len(X)):
-            lanes[j % 2] += E[i, j] * X[j]
-        V[i] = (lanes[0] + lanes[1] if len(X) > 1 else lanes[0]) - f[i]
-    V = _times(V, sys.B)
-    if (terms or _system_terms(sys))[2]:
-        V += _times(X, sys.Mxw)
+        V[i] = _dot(E[i], X) - f[i]
+    V = _times(terms["B'"], V)
+    if any(terms["Mxw"]):
+        V += _times(terms["Mxw'"], X)
     if u_t is not None:
-        for j, c in enumerate(u_t @ sys.Muw):
-            V[j] += c
-    w = -_times(V, sys.Mw_inv)
-    sq = np.zeros(w.shape[1])               # the norm in numpy's order (m < 8)
-    for w_j in w:
-        sq += w_j * w_j
-    scale = np.maximum(np.sqrt(sq), 1e-3)
+        for V_j, c in zip(V, u_t @ sys.Muw):
+            V_j += c
+    w = -_times(terms["Mw_inv'"], V)
+    scale = np.maximum(np.sqrt(_dot(w, w)), 1e-3)
     for w_j, noise_j in zip(w, noise):
         w_j += scale * noise_j
     return w
@@ -278,10 +270,9 @@ def _integrate_batch(sys: IqcSystem, X0, XQ0, grid, source, save_idx, inputs, te
     (S, K, n), budgets (S, K) and disturbances (S, K, m) at the ``save_idx``
     nodes of the K columns whose budget stays nonnegative, and that mask (N,).
 
-    At each saved node the batch drops the columns it has rejected, keeping
-    at least two (a one-column product is a gemv), and it stops when none is
-    left.  Columns never mix: each keeps the bits it has in any batch of two
-    or more."""
+    At each saved node the batch drops the columns it has rejected, and it
+    stops when none is left.  Columns never mix: each keeps its bits in any
+    batch."""
     X, XQ = X0.copy(), XQ0.copy()
     N = X.shape[1]
     cols = np.arange(N)             # the column of X0 that each column of X holds
@@ -291,15 +282,14 @@ def _integrate_batch(sys: IqcSystem, X0, XQ0, grid, source, save_idx, inputs, te
     saved_XQ = np.empty((len(save_idx), N))
     saved_W = np.empty((len(save_idx), N, sys.m))
     save_ptr = {int(i): k for k, i in enumerate(save_idx)}
-    A_T, B_T, Bu_T = (np.ascontiguousarray(a.T) for a in (sys.A, sys.B, sys.Bu))
     mid = len(grid)                 # stage-time index of the first midpoint
 
     def rhs(step, ti, t, X, XQ):
         u_t = inputs[ti]
         W = w_of(step, ti, t, X, XQ, u_t)
-        dX = _times(X, A_T) + _times(W, B_T)
+        dX = _times(terms["A"], X) + _times(terms["B"], W)
         if u_t is not None:
-            for dX_i, c in zip(dX, u_t @ Bu_T):
+            for dX_i, c in zip(dX, sys.Bu @ u_t):
                 dX_i += c
         return dX, _qform_batch(sys, X, u_t, W, terms)
 
@@ -323,8 +313,6 @@ def _integrate_batch(sys: IqcSystem, X0, XQ0, grid, source, save_idx, inputs, te
         keep = np.flatnonzero(admissible)
         if not len(keep):
             break
-        if len(keep) == 1 < len(cols):  # two columns, not a gemv: add a rejected one
-            keep = np.array([0, keep[0] or 1])
         if len(keep) < len(cols) and i + 1 < len(grid):
             X, XQ, admissible, cols = X[:, keep], XQ[keep], admissible[keep], cols[keep]
             w_of = source(cols)
@@ -340,8 +328,6 @@ def _integrate_batch(sys: IqcSystem, X0, XQ0, grid, source, save_idx, inputs, te
 # block (sec5 at 8000 draws, medians of 10: 0.82 and 0.71 s in two sets
 # against 0.78 and 0.79 s unsplit) and loses below (6000 draws: 0.65 s
 # against 0.60 s); measured before blocks dropped their rejected rows.
-# At least 2, as a compacted block keeps 2 columns: a one-column block
-# multiplies by gemv, which rounds differently.
 _MIN_BLOCK_ROWS = 2000
 
 
@@ -527,19 +513,18 @@ def sample_admissible(sys: IqcSystem, P0: Paraboloid, cfg: OracleConfig,
             seg = seg_of_step[step]
             r = int(np.searchsorted(later, -rank[ti]))     # rows riding at ti
             if r:
-                k = max(r, min(2, len(rows)))   # two columns or more: a gemm
                 if ti not in gathered:
                     gathered.clear()
-                    gathered[ti] = (E_tab[:, ti].transpose(1, 2, 0).take(members[:k], axis=2),
-                                    f_tab[:, ti].T.take(members[:k], axis=1))
-                w = _steered_w(sys, *gathered[ti], X[:, :k], u_t, noise[seg][:, :k], terms)
+                    gathered[ti] = (E_tab[:, ti].transpose(1, 2, 0).take(members[:r], axis=2),
+                                    f_tab[:, ti].T.take(members[:r], axis=1))
+                w = _steered_w(sys, *gathered[ti], X[:, :r], u_t, noise[seg][:, :r], terms)
                 if r == len(rows):
                     return w
             # the released rows (past their switch time or their member's
             # domain) spend the banked budget on the drawn direction pieces
             spend = release[r:] * np.sqrt(np.maximum(XQ[r:], 0.0) / budget_span[r:])
             pushed = spend * raw_b[seg][:, r:]
-            return np.concatenate([w[:, :r], pushed], axis=1) if r else pushed
+            return np.concatenate([w, pushed], axis=1) if r else pushed
         return steered_w
 
     workers = _worker_count()

@@ -552,15 +552,14 @@ def reference_integrate_batch(sys_, X0, XQ0, grid, w_of, save_idx, inputs, terms
     saved_XQ = np.empty((len(save_idx), N))
     saved_W = np.empty((len(save_idx), N, sys_.m))
     save_ptr = {int(i): k for k, i in enumerate(save_idx)}
-    A_T, B_T, Bu_T = (np.ascontiguousarray(a.T) for a in (sys_.A, sys_.B, sys_.Bu))
     mid = len(grid)                 # stage-time index of the first midpoint
 
     def rhs(step, ti, t, X, XQ):
         u_t = inputs[ti]
         W = w_of(step, ti, t, X, XQ, u_t)
-        dX = _times(X, A_T) + _times(W, B_T)
+        dX = _times(terms["A"], X) + _times(terms["B"], W)
         if u_t is not None:
-            for dX_i, c in zip(dX, u_t @ Bu_T):
+            for dX_i, c in zip(dX, sys_.Bu @ u_t):
                 dX_i += c
         return dX, _qform_batch(sys_, X, u_t, W, terms)
 

@@ -184,9 +184,11 @@ class TestParaboloid:
         P = pr.Paraboloid(np.diag([1.0, -4.0]), np.zeros(2), 0.0)
         assert P.E[1, 1] == -4.0
 
-    def test_nonfinite_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            pr.Paraboloid([[np.inf]], [0.0], 0.0)
+    @pytest.mark.parametrize("E, f, g", [([[np.inf]], [0.0], 0.0), ([[1.0]], [np.nan], 0.0),
+                                         ([[1.0]], [0.0], -np.inf)], ids=["E", "f", "g"])
+    def test_nonfinite_rejected(self, E, f, g):
+        with pytest.raises(ConfigError):
+            pr.Paraboloid(E, f, g)
 
 
 class TestSystemJson:

@@ -3,11 +3,12 @@ import multiprocessing
 import os
 import threading
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson
 
@@ -156,6 +157,30 @@ class TestSoundness:
                                             samples.x_q[k])
             assert margins.max() <= 1e-8
 
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), driven=st.booleans())
+    def test_random_systems(self, seed, driven):
+        # a random positive definite seed whose center value is -1; every
+        # admissible endpoint lies in the intersection at every saved time
+        # inside its domain.  A starved sampler skips the example.
+        rng = np.random.default_rng(seed)
+        sys_ = random_iqc_system(rng, sampled_input=driven)
+        L = rng.standard_normal((sys_.n, sys_.n))
+        E0, f0 = L @ L.T + 0.1 * np.eye(sys_.n), rng.standard_normal(sys_.n)
+        c = np.linalg.solve(E0, f0)
+        P0 = pr.Paraboloid(E0, f0, float(c @ E0 @ c) - 1.0)
+        icfg = pr.IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12, max_step=0.01, t_end=1.0)
+        fam = pr.build_family(P0, sys_, 1e-3, 8, icfg)
+        cfg = pr.OracleConfig(n_trajectories=1000, seed=seed % 2**31, t_end=1.0)
+        try:
+            samples = pr.sample_admissible(sys_, P0, cfg, family=fam)
+        except RejectionStarvation:
+            event("RejectionStarvation")
+            return
+        for k in np.flatnonzero(samples.times <= fam.t_max):
+            xq, xq_max = samples.x_q[k], pr.xq_max_at(fam, samples.times[k], samples.x[k])
+            assert np.all(xq - xq_max <= 1e-8 * (1.0 + np.abs(xq) + np.abs(xq_max)))
+
     def test_owner_diagnostic_nonpositive(self, ex1_system, ex1_stable_seed,
                                           ex1_small_family):
         cfg = pr.OracleConfig(n_trajectories=200, segments=4, w_scale=0.5,
@@ -284,21 +309,13 @@ class TestConfig:
 
 
 def quadratic_reference(X, M, Y):
-    """Rowwise X[k] @ M @ Y[k] in einsum's order, which for three rows or
-    more is the (i, j) order the kernels keep at every batch size.  For one
-    or two rows einsum sums each row i apart, so those are summed term by
-    term in (i, j) order, as the row-layout kernels did."""
-    if len(X) >= 3:
-        return np.einsum("ki,ij,kj->k", X, M, Y)
-    out = np.zeros(len(X))
-    for (i, j), m_ij in np.ndenumerate(M):
-        out += X[:, i] * m_ij * Y[:, j]
-    return out
+    """Rowwise X[k] @ M @ Y[k], as one einsum."""
+    return np.einsum("ki,ij,kj->k", X, M, Y)
 
 
 def qform_reference(sys_, X, u_t, W):
     """The stage quadratic form on row-layout batches, written with einsum:
-    the specification of the bits of ``_qform_batch``."""
+    the reference for ``_qform_batch``."""
     out = quadratic_reference(X, sys_.Mx, X)
     out += quadratic_reference(W, sys_.Mw, W)
     if sys_.p:
@@ -311,7 +328,7 @@ def qform_reference(sys_, X, u_t, W):
 
 def steered_w_reference(sys_, E, f, X, u_t, noise):
     """The steered disturbance on row-layout batches, written with einsum:
-    the specification of the bits of ``_steered_w``."""
+    the reference for ``_steered_w``."""
     V = np.einsum("kij,kj->ki", E, X) - f
     V = V @ sys_.B + X @ sys_.Mxw
     if sys_.p:
@@ -322,12 +339,14 @@ def steered_w_reference(sys_, E, f, X, u_t, noise):
 
 
 class TestStageKernels:
-    """The column-layout RK4 stage kernels equal the row-layout reference
-    forms bit for bit, on transposed views and on contiguous copies.  A
-    one-row batch, a product with one output column and a product with a
-    vector are gemv in the row layout and run on a row copy.  The kernels
-    skip zero coefficients, and take an all-zero input as None and skip its
-    terms; the reference forms compute all of them."""
+    """The column-layout RK4 stage kernels round each column alone: the
+    whole batch, the batch in shuffled order and each column on its own give
+    the same bits.  They agree with the row-layout einsum reference forms to
+    within c * eps times the same form on the operands' absolute values,
+    c = 4 (n + p + m)^2: each of the two sums at most (n + p + m)^2 + 3
+    rounded products and additions per entry.  The kernels skip zero
+    coefficients, and take an all-zero input as None and skip its terms;
+    the reference forms compute all of them."""
 
     @settings(max_examples=80, deadline=None)
     @given(dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
@@ -336,10 +355,8 @@ class TestStageKernels:
            preset=st.none())
     @example(dims=(2, 2, 1), rows=7, zero_mxw=True, zeros=False, zero_u=False,
              contiguous=True, seed=0, preset=None)
-    # a one-row batch, whose row copy OpenBLAS on x86-64 rounds like the
-    # transposed product (other BLAS builds need not); then two that fail
-    # without their row copy: one output column (n > 1, m = 1), and the
-    # input terms' products with a vector
+    # a one-row batch, a product with one output column (n > 1, m = 1), and
+    # the input terms' products with a vector
     @example(dims=(3, 3, 3), rows=1, zero_mxw=False, zeros=False, zero_u=False,
              contiguous=True, seed=1, preset=None)
     @example(dims=(2, 1, 1), rows=3, zero_mxw=False, zeros=False, zero_u=False,
@@ -384,23 +401,44 @@ class TestStageKernels:
         X, W, E, f, noise = batch(n), batch(m), batch(n, n), batch(n), batch(m)
         u_t = np.zeros(p) if zero_u else rng.standard_normal(p)
         u_k = None if zero_u else u_t
-        assert np.array_equal(_qform_batch(sys_, col(X), u_k, col(W)),
-                              qform_reference(sys_, X, u_t, W))
-        assert np.array_equal(_steered_w(sys_, col(E), col(f), col(X), u_k, col(noise)),
-                              steered_w_reference(sys_, E, f, X, u_t, noise).T)
+
+        def qform(sel):
+            return _qform_batch(sys_, col(X)[..., sel], u_k, col(W)[..., sel])
+
+        def steered(sel):
+            return _steered_w(sys_, col(E)[..., sel], col(f)[..., sel], col(X)[..., sel], u_k,
+                              col(noise)[..., sel])
+
+        shuffled = rng.permutation(rows)
+        for kernel in (qform, steered):
+            whole = kernel(slice(None))
+            assert np.array_equal(kernel(shuffled), whole[..., shuffled])
+            for k in range(rows):
+                assert np.array_equal(kernel([k]), whole[..., [k]])
+
+        c_eps = 4 * (n + p + m) ** 2 * np.finfo(float).eps
+        mag = SimpleNamespace(p=p, **{k: np.abs(getattr(sys_, k)) for k in (
+            "B", "Mx", "Mxu", "Mxw", "Mu", "Muw", "Mw", "Mw_inv")})
+        bound = c_eps * qform_reference(mag, np.abs(X), np.abs(u_t), np.abs(W))
+        assert np.all(np.abs(qform(slice(None)) - qform_reference(sys_, X, u_t, W)) <= bound)
+        w_mag = ((np.einsum("kij,kj->ki", np.abs(E), np.abs(X)) + np.abs(f)) @ mag.B
+                 + np.abs(X) @ mag.Mxw + np.abs(u_t) @ mag.Muw) @ mag.Mw_inv
+        bound = c_eps * (w_mag + np.abs(noise) * np.linalg.norm(w_mag, axis=1, keepdims=True))
+        assert np.all(np.abs(steered(slice(None)).T - steered_w_reference(sys_, E, f, X, u_t, noise))
+                      <= bound)
 
 
 class TestRowBlocks:
     """Trajectories never mix in the RK4: the whole batch, the batch in
-    shuffled order, and interleaved blocks of two rows or more that drop
-    their rejected rows at the saved nodes, give the bits of the whole batch
-    integrated to the end, for plain and steered disturbances, with and
-    without input.  This is what lets a batch run in forked blocks, and a
-    steered block hold its rows in release order."""
+    shuffled order, and interleaved blocks of any size, one row included,
+    that drop their rejected rows at the saved nodes, give the bits of the
+    whole batch integrated to the end, for plain and steered disturbances,
+    with and without input.  This is what lets a batch run in forked blocks,
+    and a steered block hold its rows in release order."""
 
     @settings(max_examples=60, deadline=None)
     @given(dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
-           rows=st.integers(2, 300), steered=st.booleans(), driven=st.booleans(),
+           rows=st.integers(1, 300), steered=st.booleans(), driven=st.booleans(),
            budgets=st.sampled_from(["mixed", "one live", "none live"]),
            seed=st.integers(0, 2**32 - 1))
     def test_blocks_match_whole_batch(self, dims, rows, steered, driven, budgets, seed):
@@ -438,7 +476,7 @@ class TestRowBlocks:
 
         *want, want_ok = reference_integrate_batch(sys_, X0, XQ0, grid, source(np.arange(rows)),
                                                    save_idx, inputs, terms)
-        k = int(rng.integers(1, rows // 2 + 1))
+        k = int(rng.integers(1, rows + 1))
         shuffled = rng.permutation(rows)            # a block in any row order
         for block in [np.arange(rows), shuffled] + [np.arange(b, rows, k) for b in range(k)]:
             calls.clear()
@@ -685,8 +723,8 @@ def driven_pin_samples(driven_system, driven_seed):
 
 class TestFixedSeedPins:
     """Fixed-seed samples pinned by length and a sha256 of their columns, as
-    the einsum-form oracle produced them on x86-64 (numpy 2.4, OpenBLAS),
-    with the family's exponentials from parareach._expm and the driven
+    the oracle's coordinate-row stage kernels produced them on x86-64 (numpy
+    2.4), with the family's exponentials from parareach._expm and the driven
     input's spline from parareach.signals.  Any change to the stage
     arithmetic, the draw order, the row order, the exponentials or the
     spline changes the digest."""
@@ -712,13 +750,13 @@ class TestFixedSeedPins:
         samples = driven_pin_samples(driven_system, driven_seed)
         assert len(samples) == 2136
         assert samples_digest(samples) == (
-            "cd74cc589f3005a572b5ad170fa1aa7c04cfdc37cb640bd4250e5d638e0b88d0")
+            "406a7f7045f840ecb0622407af834a4b63acc139058a334b9ab641521bd2cd12")
 
 
 class TestTinyBatchPins:
     """Batches of one, two and three draws on the driven system, pinned as
-    the row-layout oracle produced them: each has a one-row plain block,
-    whose BLAS products are gemv and run on a row copy, and a live input."""
+    the oracle produced them inline: each has a one-row plain block and a
+    live input."""
 
     @pytest.fixture(autouse=True)
     def blocks(self, monkeypatch):
@@ -731,9 +769,9 @@ class TestTinyBatchPins:
         return pr.build_family(driven_seed, driven_system, 5e-4, 6, icfg)
 
     @pytest.mark.parametrize("draws, length, digest", [
-        (1, 1, "9f881949a950b94d5d6b1c1fe280b8ee8b37512912beace9ef42a0d947685e18"),
+        (1, 1, "5acc7d027a89b0cc8ef19f54739f4f84491825c585e2d46b2e22bce03f5ba2e4"),
         (2, 1, "88a91b6275362afe9b0e7c6b5c9da542a2e801e8a5f10b8b1f2cb4fb9eef447e"),
-        (3, 2, "6196f7e393663a8748d0c9e103f495a9e45c7c781e23056fc25150e1154a0b70"),
+        (3, 2, "4edadd34014d8c77c236b2bcc5c5b16d2e3360fa2263a4b71d6b802b91c48fc8"),
     ])
     def test_driven_family(self, driven_system, driven_seed, driven_family, draws, length,
                            digest):
@@ -742,6 +780,16 @@ class TestTinyBatchPins:
                                        sample_times=[0.7, 1.3])
         assert len(samples) == length
         assert samples_digest(samples) == digest
+
+
+class TestTinyBatchPinsForked(TestTinyBatchPins):
+    """The same pins from three forked workers with blocks of one row: the
+    2- and 3-draw batches run in one-row blocks."""
+
+    @pytest.fixture(autouse=True)
+    def blocks(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_worker_count", lambda: 3)
+        monkeypatch.setattr(oracle, "_MIN_BLOCK_ROWS", 1)
 
 
 # Bound on the column differences between the two engines' pinned samples,
@@ -797,7 +845,7 @@ class TestScipyEnginePins:
             with_scipy_spline(driven_system), driven_seed))
         assert len(theirs) == 2136
         assert samples_digest(theirs) == (
-            "bbf89b963548dc5f15ece1070bf774e5d7cf59338a29f54ed139ab70867d0b15")
+            "7dc5fc25d2925716b80ee9e521cec87463a4274378e4b8ad5ab672d52563bef5")
         self.assert_close(driven_pin_samples(driven_system, driven_seed), theirs)
 
 
