@@ -101,9 +101,10 @@ class TestSampling:
 
 
 class TestSeedSampler:
-    """The seed sampler builds its candidates in column layout and skips a
-    zero f: it returns the row-layout reference's draws bit for bit and
-    leaves the generator in the reference's state, or raises as it does."""
+    """The seed sampler builds its candidates in column layout, where a zero
+    f has no terms: it returns the row-layout reference's draws bit for bit
+    and leaves the generator in the reference's state, or raises as it
+    does."""
 
     @settings(max_examples=60, deadline=None)
     @given(dim=st.integers(1, 3), n=st.integers(1, 400), zero_f=st.booleans(),
