@@ -426,8 +426,8 @@ class TestStageKernels:
         w_mag = ((np.einsum("kij,kj->ki", np.abs(E), np.abs(X)) + np.abs(f)) @ mag.B
                  + np.abs(X) @ mag.Mxw + np.abs(u_t) @ mag.Muw) @ mag.Mw_inv
         bound = c_eps * (w_mag + np.abs(noise) * np.linalg.norm(w_mag, axis=1, keepdims=True))
-        assert np.all(np.abs(steered(slice(None)).T - steered_w_reference(sys_, E, f, X, u_t, noise))
-                      <= bound)
+        w = steered(slice(None)).T
+        assert np.all(np.abs(w - steered_w_reference(sys_, E, f, X, u_t, noise)) <= bound)
 
 
 class TestRowBlocks:
