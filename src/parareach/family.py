@@ -38,9 +38,9 @@ def _sphere_directions(n: int, count: int, seed: int = 20_170_824) -> np.ndarray
 
 
 def _seed_center(P0: Paraboloid):
-    """Eigenpairs (lam, V) of E0, the center c of the seed and the least
-    value q_min of its x-part there; :class:`UnboundedSlab` unless E0 is
-    positive definite."""
+    """Eigenpairs (lam, V) of E0, the center c of the seed, the least value
+    q_min of its x-part there and the whitening map E0^{-1/2};
+    :class:`UnboundedSlab` unless E0 is positive definite."""
     lam, V = np.linalg.eigh(P0.E)
     if np.any(lam <= 0.0):
         raise UnboundedSlab(
@@ -48,18 +48,18 @@ def _seed_center(P0: Paraboloid):
             "its footprint and rim slab are unbounded: give the scalings, or a probe "
             "grid, explicitly; the oracle cannot draw initial states from it")
     c = V @ ((V.T @ P0.f) / lam)
-    return lam, V, c, P0.g - float(c @ (P0.E @ c))
+    root = V @ np.diag(1.0 / np.sqrt(lam)) @ V.T
+    return lam, V, c, P0.g - float(c @ (P0.E @ c)), root
 
 
 def _slab_points(P0: Paraboloid, eps_q: float, density: int, n_radial: int) -> np.ndarray:
     """States x (N, n) with the seed's x-part value in [0, eps_q], on shells
     through the whitening map of E0 (else :class:`UnboundedSlab`)."""
-    lam, V, c, q_min = _seed_center(P0)
+    _, _, c, q_min, root = _seed_center(P0)
     rho_lo = max(0.0, -q_min)
     rho_hi = -q_min + eps_q
     if rho_hi <= 0.0:
         return np.empty((0, P0.dim))
-    root = V @ np.diag(1.0 / np.sqrt(lam)) @ V.T  # E0^{-1/2}
     dirs = _sphere_directions(P0.dim, density)
     radii = np.linspace(rho_lo, rho_hi, n_radial)
     radii = radii[radii > 0.0] if rho_lo == 0.0 else radii
@@ -121,6 +121,8 @@ def gamma_bar(P0: Paraboloid, sys: IqcSystem, eps_q: float,
     if P0.dim != sys.n:
         raise DimensionMismatch(f"seed dim {P0.dim} != system dim {sys.n}")
     _check_eps_q(eps_q)
+    if sampler_density < 1:
+        raise ConfigError(f"sampler_density must be >= 1, got {sampler_density}")
     roots = _rate_roots(P0, _slab_points(P0, eps_q, sampler_density, 3), sys)
     return float(np.max(roots, initial=1.0))
 
@@ -380,6 +382,8 @@ def check_assumptions(F: ParaboloidFamily, cfg: IntegratorConfig,
     The default ``times`` are five from T/5 to min(T, t_max), or from
     t_max/5 to t_max when every member escapes before T/5.
     """
+    if max_rim_points < 1:
+        raise ConfigError(f"max_rim_points must be >= 1, got {max_rim_points}")
     sys = F.system
     escaped = [(float(g), e) for g, e in zip(F.gammas, F.stack.escape) if e is not None]
     bounded_ok = (not escaped) and F.K_bound <= cfg.escape_norm
@@ -453,7 +457,7 @@ def check_assumptions(F: ParaboloidFamily, cfg: IntegratorConfig,
 def _default_probe_grid(F: ParaboloidFamily):
     """Axis-aligned grid of 41 points per axis covering the seed footprint,
     inflated threefold."""
-    lam, V, c, q_min = _seed_center(F.seed)
+    lam, V, c, q_min, _ = _seed_center(F.seed)
     rho = max(-q_min, F.eps_q)
     half = 3.0 * np.sqrt(rho * np.sum(V ** 2 / lam, axis=1))
     return mesh_points([np.linspace(c[d] - half[d], c[d] + half[d], 41)

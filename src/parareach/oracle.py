@@ -9,10 +9,11 @@ how much of a computed slice the samples actually visit.
 Half of the samples can be steered by the surface-riding disturbance of a
 randomly chosen family member (plus noise): extremal trajectories hug the
 boundary, which uniform disturbances almost never reach.  A ride is released
-into a plain push at a drawn time, or earlier where its member escapes.  All
-randomness is drawn up front from one generator in a fixed order, so a fixed
-seed reproduces trajectories byte for byte regardless of how the integration
-work is later distributed.
+into a plain push at a drawn time, or earlier where its member escapes.  The
+initial states are drawn uniformly from the solid seed set by one map from
+the unit ball, without rejection.  All randomness is drawn up front from one
+generator in a fixed order, so a fixed seed reproduces trajectories byte for
+byte regardless of how the integration work is later distributed.
 
 That work is distributed over forked worker processes, one per usable CPU
 (``os.sched_getaffinity``).  The rows of each source, plain and steered, are
@@ -20,13 +21,9 @@ dealt to its blocks in turn, so every block gets every member in equal
 shares.  Before the fork the parent evaluates the input and the member
 parameters at every RK4 stage time, so the workers call no user code; they
 send back each block's admissible columns, which the parent writes into the
-output in place.  The input comes first; then one helper thread builds the
-member tables while the parent draws the initial states (numpy releases the
-GIL in both), and it is joined, on every path, before any other work: no
-user code runs beside it, and no thread of it is alive at the fork.  The
-oracle runs its blocks inline with one usable CPU, without ``os.fork``, in
-a daemonic process (which may not have children) and beside other live
-threads.
+output in place.  The oracle runs its blocks inline with one usable CPU,
+without ``os.fork``, in a daemonic process (which may not have children)
+and beside other live threads.
 
 A steered block holds its rows by descending ride count, the number of
 distinct stage times before the row's release (its switch time or its
@@ -126,46 +123,23 @@ class OracleSamples:
         return self.x.shape[1]
 
 
-def _seed_box(P0: Paraboloid):
-    """Center, half-widths of the bounding box of the seed footprint, and the
-    budget cap; needs a positive definite quadratic coefficient."""
-    lam, V, c, q_min = _seed_center(P0)
+def _draw_initial_states(P0: Paraboloid, n: int, rng):
+    """Uniform draws (n, dim) and (n,) from the solid seed set
+    {(x, x_q): x_q >= 0, q(x) + x_q <= 0}, needing a positive definite
+    quadratic coefficient.  Its slice at x_q is the ellipsoid
+    (x - c)' E0 (x - c) <= cap - x_q of volume proportional to
+    (cap - x_q)^(dim/2), so s = x_q / cap is Beta(1, dim/2 + 1), drawn by
+    inversion, and x is uniform in the slice: a uniform point of the unit
+    ball, scaled and mapped through E0^{-1/2}."""
+    _, _, c, q_min, root = _seed_center(P0)
     if q_min >= 0.0:
         raise RejectionStarvation("seed contains no states with nonnegative budget")
-    half = np.sqrt(-q_min * np.diag(V @ np.diag(1.0 / lam) @ V.T))
-    return c, half, -q_min
-
-
-def _draw_initial_states(P0: Paraboloid, n: int, rng):
-    """Uniform draws (n, dim) from the solid seed set by blockwise rejection."""
-    c, half, cap = _seed_box(P0)
-    dim = P0.dim
-    xs = np.empty((n, dim))
-    xqs = np.empty(n)
-    e_terms, f2_terms = _terms(P0.E), _terms(2.0 * P0.f)
-    got, rounds, drawn = 0, 0, 0
-    while got < n:
-        block = max(2 * (n - got), 256)
-        u = rng.uniform(-1.0, 1.0, size=(block, dim))
-        X = np.empty((dim, block))              # c + half * u in column layout
-        for d in range(dim):
-            np.multiply(u[:, d], half[d], out=X[d])
-            X[d] += c[d]
-        xq = rng.uniform(0.0, cap, size=block)
-        q = _bilinear(X, e_terms, X)
-        q -= _times(f2_terms, X)[0]
-        q += P0.g
-        ok = np.nonzero(q + xq <= 0.0)[0]
-        take = ok[:n - got]
-        xs[got:got + len(take)] = X[:, take].T
-        xqs[got:got + len(take)] = xq[take]
-        got += len(take)
-        drawn += block
-        rounds += 1
-        if rounds > 64 and got < 0.001 * drawn:
-            raise RejectionStarvation(
-                f"initial-state sampling starved: {got} accepted of {drawn} draws")
-    return xs, xqs
+    cap, dim = -q_min, P0.dim
+    s = 1.0 - rng.uniform(size=n) ** (2.0 / (dim + 2))
+    d = rng.standard_normal((n, dim))
+    r = rng.uniform(size=n) ** (1.0 / dim) * np.sqrt(cap * (1.0 - s))
+    d *= (r / np.linalg.norm(d, axis=1))[:, None]
+    return c + d @ root.T, cap * s
 
 
 def _terms(M):
@@ -441,15 +415,10 @@ def sample_admissible(sys: IqcSystem, P0: Paraboloid, cfg: OracleConfig,
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
 
     # fixed draw order: initial states, amplitudes, directions, noise, picks,
-    # then the steered draws' noise levels and release rates.  A helper
-    # thread builds the stage tables while the initial states are drawn,
-    # and is joined before any other work
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(1) as helper:
-        tables = None if family is None else helper.submit(family.params_at_many, stage_t)
-        X0, XQ0 = _draw_initial_states(P0, N, rng)
-    if tables is not None:
-        E_tab, f_tab, g_tab, defined = tables.result()
+    # then the steered draws' noise levels and release rates
+    X0, XQ0 = _draw_initial_states(P0, N, rng)
+    if family is not None:
+        E_tab, f_tab, g_tab, defined = family.params_at_many(stage_t)
     wcost = -float(np.min(np.linalg.eigvalsh(sys.Mw))) if sys.m else 1.0     # m = 0: no w-cost
     amp = cfg.w_scale * rng.uniform(0.0, 1.0, size=N) * _affordable_amplitude(
         sys, X0.T, XQ0, cfg.t_end, wcost)

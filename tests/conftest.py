@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 import parareach as pr
-from parareach.errors import RejectionStarvation
 from parareach.family import _slab_points
-from parareach.oracle import _bilinear, _qform_batch, _seed_box, _terms, _times
+from parareach.oracle import _qform_batch, _times
 from parareach.presets import load_preset
 
 ROOT_LO = 2.0 - np.sqrt(2.0)
@@ -585,30 +584,3 @@ def reference_integrate_batch(sys_, X0, XQ0, grid, w_of, save_idx, inputs, terms
             save(save_ptr[i + 1], i, i + 1, t1, X, XQ)
     return saved_X, saved_XQ, saved_W, admissible
 
-
-def reference_draw_initial_states(P0, n, rng):
-    """Uniform draws from the solid seed set by blockwise rejection."""
-    c, half, cap = _seed_box(P0)
-    dim = P0.dim
-    xs = np.empty((n, dim))
-    xqs = np.empty(n)
-    e_terms = _terms(P0.E)
-    got, rounds, drawn = 0, 0, 0
-    while got < n:
-        block = max(2 * (n - got), 256)
-        x = rng.uniform(-1.0, 1.0, size=(block, dim))
-        for d in range(dim):                    # c + half * x, column by column
-            x[:, d] = c[d] + half[d] * x[:, d]
-        xq = rng.uniform(0.0, cap, size=block)
-        q = _bilinear(x.T, e_terms, x.T) - 2.0 * x @ P0.f + P0.g
-        ok = np.nonzero(q + xq <= 0.0)[0]
-        take = ok[:n - got]
-        xs[got:got + len(take)] = x[take]
-        xqs[got:got + len(take)] = xq[take]
-        got += len(take)
-        drawn += block
-        rounds += 1
-        if rounds > 64 and got < 0.001 * drawn:
-            raise RejectionStarvation(
-                f"initial-state sampling starved: {got} accepted of {drawn} draws")
-    return xs, xqs

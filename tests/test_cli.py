@@ -467,10 +467,10 @@ class TestByteIdentity:
             "manifest.json": "72703f87a672a4a44653090d6c24318957168bb11526ab2b6d0ed30d11435072",
             "tvp.csv": "05be1bbf39c3d15f1f6e2e14dd42106da7d85754a040a1648d6a1d11c921ce22"}),
         (["verify", "--example", "ex1-family", "--seed", "3"], 0, {
-            "coverage.json": "9c3aa630a52731297c27b593e4a65dc9a3e3e8afc26ecfb41515f8eef8817c43",
-            "endpoints.csv": "dd3c490e9f17b23fb6214bf826faa024acb62d577aceedd134574824fa7abed5",
+            "coverage.json": "bd0331c5d59f0fcf171741452f2390970fa5a0eeb9115b1265ad16ba4c8bbf87",
+            "endpoints.csv": "f0b32345284882fda1a7065983c5aa0dd1973a6e1ca1c076fe1ea24d5beab537",
             "verify_report.json":
-                "5b456b636dc38ee3b025278fa082bffd71c3e8ec133fb8cb4881377987f464a0"}),
+                "857caf91b33cc316b359004a3bdc1318b57cd59808573db7714749602dc0a341"}),
         (["reach", "--example", "ex1-stable"], 0, {
             "family_manifest.json":
                 "36fb5c7d104a199cfdc074a7cf261381213e8363c376665bc64bbe2bcd1e6274",
@@ -482,10 +482,10 @@ class TestByteIdentity:
                 "5b440713d29c16746b6e5956647b5b5737ec070649f5e8f416a06624729ba665",
             "tube.csv": "6b1d2c2405906fe060aac4338d93da5e1bdbb399742e6ce4de2f84ef73bb448b"}),
         (["verify", "--example", "sec5", "--n", "2000", "--seed", "42"], 0, {
-            "coverage.json": "293a50883338a2c7c1509895d118c6e6887b5729ec06a7951462d3e623c85f30",
-            "endpoints.csv": "356eb91d122fee915e21db0c5840050951a894929f006e74d826291a1989695f",
+            "coverage.json": "c3eff92e24535b288f47d81d9697a74f4cccebb1c57bd53adb276b7506bb6e64",
+            "endpoints.csv": "66f5b1df05ee80daf83ff5345f92c1fe401510e62de5749f0988f47a9a2c4a5f",
             "verify_report.json":
-                "09be0d534f7de69f432e8fef5a3f6c831b72864ef4ffcd9887e2b40b507d8a23"}),
+                "3418adf3c28e8bb8ce14bf04dffa4e89d5e7ff6be49a43819cccb44ec8575b9f"}),
     ])
     def test_preset_run(self, tmp_path, argv, code, digests):
         assert run(argv + ["--out", str(tmp_path)]) == code

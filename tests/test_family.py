@@ -99,6 +99,15 @@ class TestGammaBar:
         with pytest.raises(ConfigError):
             pr.build_family(ex1_stable_seed, ex1_system, eps_q, 1, ex1_cfg, gammas=[1.0])
 
+    @pytest.mark.parametrize("density", [0, -1])
+    def test_sampler_density_below_one(self, sec5_system, sec5_seed, sec5_cfg, density):
+        # density 0 once sampled no rim state and gave 1.0: a one-member family
+        with pytest.raises(ConfigError):
+            pr.gamma_bar(sec5_seed, sec5_system, 1.5e-5, sampler_density=density)
+        with pytest.raises(ConfigError):
+            pr.build_family(sec5_seed, sec5_system, 1.5e-5, 4, sec5_cfg,
+                            sampler_density=density)
+
     def test_seed_dimension_must_match(self, sec5_system):
         with pytest.raises(DimensionMismatch):
             pr.gamma_bar(pr.Paraboloid([[1.0]], [0.0], -0.05), sec5_system, 5e-5)
@@ -589,6 +598,14 @@ class TestAssumptions:
                                       probe_grid=cli_grid("sec5"), max_rim_points=6)
         assert report.n_boundary_points == 66
         assert report.violations == []
+
+    @pytest.mark.parametrize("max_rim_points", [0, -2])
+    def test_max_rim_points_below_one(self, ex1_family, ex1_cfg, max_rim_points):
+        # 0 once divided by zero, and -2 trimmed the rim points silently
+        with pytest.raises(ConfigError):
+            pr.check_assumptions(ex1_family, ex1_cfg, times=[0.91],
+                                 probe_grid=np.linspace(-1.5, 1.5, 31)[:, None],
+                                 max_rim_points=max_rim_points)
 
     def test_default_probe_grid_needs_definite_seed(self, ex1_system):
         seed = pr.Paraboloid([[-1.0]], [0.0], -0.05)

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.stats
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson
@@ -18,8 +19,8 @@ from parareach import oracle, riccati
 from parareach.oracle import _integrate_batch, _qform_batch, _steered_w, _system_terms
 from parareach.presets import load_preset
 
-from conftest import (energy_rate, random_iqc_system, reference_draw_initial_states,
-                      reference_integrate_batch, with_scipy_spline)
+from conftest import (energy_rate, random_iqc_system, reference_integrate_batch,
+                      with_scipy_spline)
 
 
 @pytest.fixture(scope="module")
@@ -100,29 +101,50 @@ class TestSampling:
             assert X0.x_q >= 0.0
 
 
+def random_seed_paraboloid(rng, dim, zero_f=False, g_sign=-1.0):
+    """A random positive definite seed, its center and its budget cap
+    c' E0 c - g, computed without the oracle's eigendecomposition."""
+    L = rng.standard_normal((dim, dim))
+    E = L @ L.T + 0.1 * np.eye(dim)
+    f = np.zeros(dim) if zero_f else rng.standard_normal(dim)
+    P0 = pr.Paraboloid(E, f, g_sign * rng.uniform(0.01, 2.0))
+    c = np.linalg.solve(E, f)
+    return P0, c, float(c @ E @ c) - P0.g
+
+
 class TestSeedSampler:
-    """The seed sampler builds its candidates in column layout, where a zero
-    f has no terms: it returns the row-layout reference's draws bit for bit
-    and leaves the generator in the reference's state, or raises as it
-    does."""
+    """Initial states are uniform in the solid seed set
+    {(x, x_q): x_q >= 0, q(x) + x_q <= 0}: x_q / cap is Beta(1, dim/2 + 1),
+    and the whitened radius of x in its slice, to the power dim, is
+    uniform."""
 
     @settings(max_examples=60, deadline=None)
     @given(dim=st.integers(1, 3), n=st.integers(1, 400), zero_f=st.booleans(),
            g_sign=st.sampled_from([-1.0, 1.0]), seed=st.integers(0, 2**32 - 1))
-    def test_matches_row_layout_reference(self, dim, n, zero_f, g_sign, seed):
+    def test_draws_lie_in_the_seed(self, dim, n, zero_f, g_sign, seed):
         rng = np.random.default_rng(seed)
-        L = rng.standard_normal((dim, dim))
-        f = np.zeros(dim) if zero_f else rng.standard_normal(dim)
-        P0 = pr.Paraboloid(L @ L.T + 0.1 * np.eye(dim), f, g_sign * rng.uniform(0.01, 2.0))
-        results = []
-        for draw in (oracle._draw_initial_states, reference_draw_initial_states):
-            gen = np.random.default_rng(seed)
-            try:
-                out = tuple(a.tobytes() for a in draw(P0, n, gen))
-            except RejectionStarvation as e:    # no state with a nonnegative budget
-                out = str(e)
-            results.append((out, gen.bit_generator.state))
-        assert results[0] == results[1]
+        P0, c, cap = random_seed_paraboloid(rng, dim, zero_f, g_sign)
+        tol = 1e-9 * (abs(P0.g) + float(c @ P0.E @ c))  # the sign of cap is known to here
+        try:
+            x, xq = oracle._draw_initial_states(P0, n, rng)
+        except RejectionStarvation:     # no state with a nonnegative budget
+            assert cap <= tol
+            return
+        assert cap >= -tol and x.shape == (n, dim) and xq.shape == (n,)
+        q = np.einsum("ni,ij,nj->n", x, P0.E, x) - 2.0 * x @ P0.f + P0.g
+        assert np.all((xq >= 0.0) & (xq <= cap))
+        assert np.all(q + xq <= 1e-12 * (1.0 + cap + np.abs(q)))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_law(self, dim):
+        rng = np.random.default_rng(dim)
+        P0, c, cap = random_seed_paraboloid(rng, dim)
+        x, xq = oracle._draw_initial_states(P0, 20_000, rng)
+        s = xq / cap
+        assert scipy.stats.kstest(s, scipy.stats.beta(1.0, dim / 2 + 1.0).cdf).pvalue > 1e-3
+        d = x - c
+        radius = (np.einsum("ni,ij,nj->n", d, P0.E, d) / (cap - xq)) ** (dim / 2)
+        assert scipy.stats.kstest(radius, "uniform").pvalue > 1e-3
 
 
 class TestEnergyBookkeeping:
@@ -220,7 +242,7 @@ class TestEscapedMember:
             samples = pr.sample_admissible(ex1_system, ex1_escape_seed, cfg,
                                            family=fam, sample_times=[0.91, 1.62])
         assert np.all(np.isfinite(samples.x)) and np.all(samples.x_q >= 0.0)
-        assert len(samples) == 1137
+        assert len(samples) == 1124
 
 
 class TestCoverage:
@@ -496,6 +518,10 @@ class BlockFailure(Exception):
     """Raised inside a forked block."""
 
 
+class TableBuildFailure(Exception):
+    """Raised by the stage-table build."""
+
+
 def run_in_daemon(fn):
     """fn() in a forked daemonic process, as a pool worker is; returns its
     result, or fails with the child's error."""
@@ -524,9 +550,21 @@ class TestWorkers:
     @pytest.fixture
     def forkable(self, monkeypatch):
         # three usable CPUs and blocks of two rows: only the inline cases
-        # keep a run from forking
+        # keep a run from forking; returns the forks, counted
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         monkeypatch.setattr(oracle, "_MIN_BLOCK_ROWS", 2)
+        real_fork, forks = os.fork, []
+
+        def fork():
+            forks.append(None)
+            return real_fork()
+        monkeypatch.setattr(os, "fork", fork)
+        return forks
+
+    @staticmethod
+    def sample(ex1_system, ex1_stable_seed, ex1_small_family):
+        cfg = pr.OracleConfig(n_trajectories=40, segments=2, seed=1, t_end=0.5)
+        return pr.sample_admissible(ex1_system, ex1_stable_seed, cfg, family=ex1_small_family)
 
     def test_block_exception_reaches_caller(self, forkable, monkeypatch, ex1_system,
                                             ex1_stable_seed, ex1_small_family):
@@ -535,10 +573,29 @@ class TestWorkers:
 
         monkeypatch.setattr(oracle, "_steered_w", fail)
         assert oracle._worker_count() == 3
-        cfg = pr.OracleConfig(n_trajectories=40, segments=2, seed=1, t_end=0.5)
         with pytest.raises(BlockFailure):
-            pr.sample_admissible(ex1_system, ex1_stable_seed, cfg, family=ex1_small_family)
-        assert multiprocessing.active_children() == []
+            self.sample(ex1_system, ex1_stable_seed, ex1_small_family)
+        assert forkable and multiprocessing.active_children() == []
+
+    def test_draw_error_reaches_caller(self, forkable, monkeypatch, ex1_system,
+                                       ex1_stable_seed, ex1_small_family):
+        def starve(*args):
+            raise RejectionStarvation("injected")
+
+        monkeypatch.setattr(oracle, "_draw_initial_states", starve)
+        with pytest.raises(RejectionStarvation, match="injected"):
+            self.sample(ex1_system, ex1_stable_seed, ex1_small_family)
+        assert not forkable
+
+    def test_table_error_reaches_caller(self, forkable, monkeypatch, ex1_system,
+                                        ex1_stable_seed, ex1_small_family):
+        def fail(self, tq):
+            raise TableBuildFailure("injected")
+
+        monkeypatch.setattr(pr.ParaboloidFamily, "params_at_many", fail)
+        with pytest.raises(TableBuildFailure, match="injected"):
+            self.sample(ex1_system, ex1_stable_seed, ex1_small_family)
+        assert not forkable
 
     def test_daemonic_worker_runs_inline(self, forkable, driven_system, driven_seed):
         def pin():
@@ -568,70 +625,6 @@ class TestWorkers:
         thread.join(300)
         assert not thread.is_alive()
         assert not errors, errors
-
-
-class TableBuildFailure(Exception):
-    """Raised by the stage-table build on its helper thread."""
-
-
-class TestTableThread:
-    """The stage tables are built on a helper thread while the initial states
-    are drawn; it is joined on every path before the fork."""
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        # three usable CPUs and blocks of two rows, counting the forks
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        monkeypatch.setattr(oracle, "_MIN_BLOCK_ROWS", 2)
-        real_fork, forks = os.fork, []
-
-        def fork():
-            forks.append(None)
-            return real_fork()
-        monkeypatch.setattr(os, "fork", fork)
-        return forks
-
-    @staticmethod
-    def sample(ex1_system, ex1_stable_seed, ex1_small_family):
-        cfg = pr.OracleConfig(n_trajectories=40, segments=2, seed=1, t_end=0.5)
-        return pr.sample_admissible(ex1_system, ex1_stable_seed, cfg, family=ex1_small_family)
-
-    def test_joined_before_the_fork(self, forks, monkeypatch, ex1_system, ex1_stable_seed,
-                                    ex1_small_family):
-        threads = threading.active_count()
-        counts = []
-
-        def worker_count():
-            counts.append(real_count())
-            return counts[-1]
-        real_count = oracle._worker_count
-        monkeypatch.setattr(oracle, "_worker_count", worker_count)
-        samples = self.sample(ex1_system, ex1_stable_seed, ex1_small_family)
-        assert len(samples) > 0 and counts == [3] and forks
-        assert threading.active_count() == threads
-        assert multiprocessing.active_children() == []
-
-    def test_failed_draws_join_the_helper(self, forks, monkeypatch, ex1_system,
-                                          ex1_stable_seed, ex1_small_family):
-        def starve(*args):
-            raise RejectionStarvation("injected")
-
-        threads = threading.active_count()
-        monkeypatch.setattr(oracle, "_draw_initial_states", starve)
-        with pytest.raises(RejectionStarvation, match="injected"):
-            self.sample(ex1_system, ex1_stable_seed, ex1_small_family)
-        assert threading.active_count() == threads and not forks
-
-    def test_table_error_reaches_caller(self, forks, monkeypatch, ex1_system,
-                                        ex1_stable_seed, ex1_small_family):
-        def fail(self, tq):
-            raise TableBuildFailure("injected")
-
-        threads = threading.active_count()
-        monkeypatch.setattr(pr.ParaboloidFamily, "params_at_many", fail)
-        with pytest.raises(TableBuildFailure, match="injected"):
-            self.sample(ex1_system, ex1_stable_seed, ex1_small_family)
-        assert threading.active_count() == threads and not forks
 
 
 class TestReleaseOrder:
@@ -738,21 +731,21 @@ class TestFixedSeedPins:
 
     def test_sec5_family(self, sec5_system, sec5_seed, sec5_cfg):
         samples = sec5_pin_samples(sec5_system, sec5_seed, sec5_cfg)
-        assert len(samples) == 1104
+        assert len(samples) == 1144
         assert samples_digest(samples) == (
-            "624bdd9adab684bad42060d2df9a68e89e1b3f60053c03c5c66a2143c5e589c5")
+            "79e3ba876bfb684fe1491d4b5187d1c1c0bedd744be5ec26a13e2b9ea871c631")
 
     def test_ex1_family_releases(self, ex1_cfg):
         samples = ex1_pin_samples(ex1_cfg)
-        assert len(samples) == 1137
+        assert len(samples) == 1124
         assert samples_digest(samples) == (
-            "37b7459bb94cbb4692d0a7b30e9c61453ffdc742eb55f834c054049527a2c925")
+            "68da680460a49f312dda05bea3d5552cd69a68e6b8ea90a333cf42bfc38045e3")
 
     def test_driven_family(self, driven_system, driven_seed):
         samples = driven_pin_samples(driven_system, driven_seed)
-        assert len(samples) == 2136
+        assert len(samples) == 2117
         assert samples_digest(samples) == (
-            "406a7f7045f840ecb0622407af834a4b63acc139058a334b9ab641521bd2cd12")
+            "fc9c3895d080b6fd62af0c79e0c7ffcc56af1b59730e1fb208c7b5417ed5dd5d")
 
 
 class TestTinyBatchPins:
@@ -771,10 +764,10 @@ class TestTinyBatchPins:
         return pr.build_family(driven_seed, driven_system, 5e-4, 6, icfg)
 
     @pytest.mark.parametrize("draws, length, digest", [
-        (1, 1, "5acc7d027a89b0cc8ef19f54739f4f84491825c585e2d46b2e22bce03f5ba2e4"),
-        (2, 1, "88a91b6275362afe9b0e7c6b5c9da542a2e801e8a5f10b8b1f2cb4fb9eef447e"),
-        (3, 2, "4edadd34014d8c77c236b2bcc5c5b16d2e3360fa2263a4b71d6b802b91c48fc8"),
-    ])
+        (1, 1, "720909201f9a49c11944f3213b46d3fb06397e0dd25674352e1f0092ddb408a7"),
+        (2, 2, "140ac7388e815901f8627b2c4c62aa8a15f52ac24e8ea43f1429c12ba284225e"),
+        (3, 2, "193f7ca081c0f5c41a780f99384c0654b1f98449074a76dcc77ad3064f084dc5"),
+    ], ids=["1-draw", "2-draws", "3-draws"])
     def test_driven_family(self, driven_system, driven_seed, driven_family, draws, length,
                            digest):
         cfg = pr.OracleConfig(n_trajectories=draws, seed=7, t_end=2.0)
@@ -795,7 +788,7 @@ class TestTinyBatchPinsForked(TestTinyBatchPins):
 
 
 # Bound on the column differences between the two engines' pinned samples,
-# relative to 1 + |value|; the largest seen is 3.0e-12 (sec5, w).
+# relative to 1 + |value|; the largest seen is 1.5e-12 (sec5, w).
 ENGINE_RTOL = 1e-10
 
 
@@ -830,24 +823,24 @@ class TestScipyEnginePins:
             return sec5_pin_samples(sec5_system, sec5_seed, sec5_cfg)
 
         theirs = self.under_scipy_expm(monkeypatch, run)
-        assert len(theirs) == 1104
+        assert len(theirs) == 1144
         assert samples_digest(theirs) == (
-            "9ea20364fbec7bb1eed5ebbf86c52a4680500fd16165ad1ec8dfb966198e5610")
+            "dcddf878569996a066ed738fec725927f5aef7132f9c3ccba0e83f4724c774e7")
         self.assert_close(run(), theirs)
 
     def test_ex1_family_releases(self, monkeypatch, ex1_cfg):
         theirs = self.under_scipy_expm(monkeypatch, lambda: ex1_pin_samples(ex1_cfg))
-        assert len(theirs) == 1137
+        assert len(theirs) == 1124
         assert samples_digest(theirs) == (
-            "b65756aebdb939e7761eb8f6e2a5f8271ec021f3d0ff941bb27b4d24e50a0a5a")
+            "0099aae93b1804c148f8ddcdaf8c1a1c285605e9b5eb9a3ecdbeef608d8e91c9")
         self.assert_close(ex1_pin_samples(ex1_cfg), theirs)
 
     def test_driven_family(self, monkeypatch, driven_system, driven_seed):
         theirs = self.under_scipy_expm(monkeypatch, lambda: driven_pin_samples(
             with_scipy_spline(driven_system), driven_seed))
-        assert len(theirs) == 2136
+        assert len(theirs) == 2117
         assert samples_digest(theirs) == (
-            "7dc5fc25d2925716b80ee9e521cec87463a4274378e4b8ad5ab672d52563bef5")
+            "340cd5e445c261bd82853d354cc114b067ae6d5d7676984f6a6f9e45116f1223")
         self.assert_close(driven_pin_samples(driven_system, driven_seed), theirs)
 
 
