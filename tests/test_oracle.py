@@ -115,8 +115,8 @@ def random_seed_paraboloid(rng, dim, zero_f=False, g_sign=-1.0):
 class TestSeedSampler:
     """Initial states are uniform in the solid seed set
     {(x, x_q): x_q >= 0, q(x) + x_q <= 0}: x_q / cap is Beta(1, dim/2 + 1),
-    and the whitened radius of x in its slice, to the power dim, is
-    uniform."""
+    and the whitened radius of x over that of its slice, to the power dim,
+    is U(0, 1)."""
 
     @settings(max_examples=60, deadline=None)
     @given(dim=st.integers(1, 3), n=st.integers(1, 400), zero_f=st.booleans(),
@@ -124,7 +124,7 @@ class TestSeedSampler:
     def test_draws_lie_in_the_seed(self, dim, n, zero_f, g_sign, seed):
         rng = np.random.default_rng(seed)
         P0, c, cap = random_seed_paraboloid(rng, dim, zero_f, g_sign)
-        tol = 1e-9 * (abs(P0.g) + float(c @ P0.E @ c))  # the sign of cap is known to here
+        tol = 1e-9 * (abs(P0.g) + float(c @ P0.E @ c))  # cap's rounding: either sign within
         try:
             x, xq = oracle._draw_initial_states(P0, n, rng)
         except RejectionStarvation:     # no state with a nonnegative budget
