@@ -38,14 +38,23 @@ byte-identical: the plain draws come first, in draw order, then the steered
 draws, grouped stably by ascending member: one permutation of the draws,
 which stay where they were drawn, deals the blocks and places their rows.
 
-The stage arithmetic has one rule: every per-trajectory quantity is a
+At an RK4 stage time with input u, the state rate and the budget rate of
+v = [x; w; 1] are a linear map R and a quadratic form Q (:func:`_stage_forms`).
+A plain row holds w over each step, so its step is one map of z = [x; w; 1],
+x <- Phi z, with the budget gain z'Gz, both composed from the four stages'
+forms before the fork (:func:`_step_maps`).  A steered row's noise scale is
+not linear in x, so its steps keep their four stages; its optimal
+disturbance is w* = K x + k, from feedback tables built before the fork per
+member and stage time (:func:`_feedback`).
+
+The step arithmetic has one rule: every per-trajectory quantity is a
 running sum, in index order, of elementwise products of coordinate rows,
-with zero coefficients skipped (a sum of no products is +0).  The kernels
-hold a block's trajectories in column layout, states (n, N), disturbances
-(m, N) and steered stage tables (n, n, N) and (n, N), so that each
-coordinate is one contiguous row.  Elementwise operations round each column
-alone, so a column's bits do not depend on its batch, its block or the BLAS
-build: a block may drop its rejected rows at every saved time, down to one.
+with zero coefficients skipped (a sum of no products is +0).  A block holds
+its trajectories in column layout, states (n, N), disturbances (m, N) and
+gathered feedback tables (m, n, N) and (m, N), so that each coordinate is
+one contiguous row.  Elementwise operations round each column alone, so a
+column's bits do not depend on its batch, its block or the BLAS build: a
+block may drop its rejected rows at every saved time, down to one.
 Reordering or regrouping a sum changes the outputs.
 """
 
@@ -142,20 +151,19 @@ def _draw_initial_states(P0: Paraboloid, n: int, rng):
     return c + d @ root.T, cap * s
 
 
-def _terms(M):
-    """The nonzero coefficients of each row of M, [(j, m_ij), ...] in j
-    order; a vector is one row."""
-    return [[(j, m_ij) for j, m_ij in enumerate(row) if m_ij]
-            for row in np.atleast_2d(M).tolist()]
-
-
-def _system_terms(sys: IqcSystem):
-    """The :func:`_terms` of each matrix the stage kernels take, by name: A
-    and B (the state rate), B', Mxw' and Mw^-1' (the steered disturbance),
-    and the blocks Mx, Mw and Mxw of the quadratic form."""
-    return {"A": _terms(sys.A), "B": _terms(sys.B), "B'": _terms(sys.B.T),
-            "Mxw'": _terms(sys.Mxw.T), "Mw_inv'": _terms(sys.Mw_inv.T),
-            "Mx": _terms(sys.Mx), "Mw": _terms(sys.Mw), "Mxw": _terms(sys.Mxw)}
+def _form_terms(R, Q):
+    """Per pair of the stacks R (S, k, d) and Q (S, d, d), the nonzero
+    coefficients of R's rows, [[(j, r_ij), ...] per row i] in j order, and
+    the nonzero terms [(a, b, q_ab), ...] of z'Qz over a >= b in (a, b)
+    order, with q_ab = Q_ab + Q_ba off the diagonal.  Pairs with equal bytes
+    share one entry (with a constant input, every stage time's do)."""
+    C = np.tril(Q + Q.transpose(0, 2, 1), -1) + Q * np.eye(Q.shape[-1])
+    keys, terms = [R_s.tobytes() + C_s.tobytes() for R_s, C_s in zip(R, C)], {}
+    for key, R_s, C_s in zip(keys, R, C):
+        terms[key] = terms.get(key) or (
+            [[(j, r) for j, r in enumerate(row) if r] for row in R_s.tolist()],
+            [(a, b, c) for a, row in enumerate(C_s.tolist()) for b, c in enumerate(row) if c])
+    return [terms[key] for key in keys]
 
 
 def _sum(products, out):
@@ -174,75 +182,124 @@ def _sum(products, out):
     return out
 
 
-def _times(K, X):
-    """K X for column-layout X (k, N), from K's :func:`_terms`: row j is the
-    running sum over i of k_ji X[i]."""
-    out = np.empty((len(K), X.shape[1]))
+def _times(K, Z):
+    """K z for coordinate rows Z (a list whose first entry is a row of N
+    columns; any entry may be a scalar), from K's row coefficients
+    (:func:`_form_terms`): row j is the running sum over i of Z[i] k_ji."""
+    out = np.empty((len(K), len(Z[0])))
     for out_j, row in zip(out, K):
-        _sum(((k_ji, X[i]) for i, k_ji in row), out_j)
+        _sum(((Z[i], k_ji) for i, k_ji in row), out_j)
     return out
 
 
-def _dot(X, Y):
-    """Columnwise sum over i of X[i] Y[i] for column-layout X and Y."""
-    return _sum(zip(X, Y), np.empty(X.shape[-1]))
+def _quad(terms, Z):
+    """Columnwise z'Qz for coordinate rows Z as for :func:`_times`, from Q's
+    terms (:func:`_form_terms`): the running sum of (Z[a] q_ab) Z[b]."""
+    return _sum(((Z[a] * c, Z[b]) for a, b, c in terms), np.empty(len(Z[0])))
 
 
-def _bilinear(X, M, Y):
-    """Columnwise x' M y for column-layout X, Y, from M's :func:`_terms`: the
-    running sum of (X[i] m_ij) Y[j] in (i, j) order."""
-    return _sum(((X[i] * m_ij, Y[j]) for i, row in enumerate(M) for j, m_ij in row),
-                np.empty(X.shape[1]))
+def _stage_forms(sys: IqcSystem, U):
+    """Per stage time, with the input u a row of ``U``: the state rate
+    R = [A, Bu, B] T = [A, B, Bu u] (n, d) and the budget rate's form
+    Q = T'MT (d, d) of v = [x; w; 1], d = n + m + 1, where T v = [x; u; w]."""
+    n, m, p = sys.n, sys.m, sys.p
+    T = np.zeros((len(U), n + p + m, n + m + 1))
+    T[:, :n, :n], T[:, n:n + p, -1], T[:, n + p:, n:n + m] = np.eye(n), U, np.eye(m)
+    return np.hstack([sys.A, sys.Bu, sys.B]) @ T, T.transpose(0, 2, 1) @ sys.M @ T
 
 
-def _live(u_t):
-    """The input as the stage kernels take it: None where it is all zero."""
-    return u_t if u_t.any() else None
+def _step_maps(R, Q, grid):
+    """Per step of ``grid``, the classical RK4 step of a row that holds w
+    over it as one map of z = [x; w; 1], composed in one pass over all steps
+    from the :func:`_stage_forms` R, Q of the stage times (nodes, then
+    midpoints): the state Phi z after the step and the budget gain z'Gz.
+    Stage s sees v = P_s z, with P_1 = I and P_2, P_3, P_4 adding h/2, h/2, h
+    times the rate K_s = R_s P_s of stage 1, 2, 3 to the state rows [I 0 0]:
+    Phi = [I 0 0] + h/6 (K_1 + 2 K_2 + 2 K_3 + K_4) and
+    G = h/6 sum_s c_s P_s' Q_s P_s, c = (1, 2, 2, 1)."""
+    S, (n, d) = len(grid) - 1, R.shape[1:]
+    h = np.diff(grid)[:, None, None]
+    at = (slice(0, S), slice(S + 1, None), slice(S + 1, None), slice(1, S + 1))
+    P, dPhi, G = np.broadcast_to(np.eye(d), (S, d, d)), 0.0, 0.0
+    for s, (c, frac) in enumerate(zip((1, 2, 2, 1), (0.5, 0.5, 1.0, 0.0))):
+        K = R[at[s]] @ P
+        dPhi = dPhi + c * K
+        G = G + c * (P.transpose(0, 2, 1) @ Q[at[s]] @ P)
+        P = np.concatenate([np.eye(n, d) + frac * h * K, P[:, n:]], axis=1)
+    return np.eye(n, d) + h / 6.0 * dPhi, h / 6.0 * G
 
 
-def _qform_batch(sys: IqcSystem, X, u_t, W, terms=None):
-    """Columnwise [x; u; w]' M [x; u; w] for column-layout X (n, N), W (m, N);
-    ``u_t`` is None for a zero input, ``terms`` those of :func:`_system_terms`."""
-    terms = terms or _system_terms(sys)
-    out = _bilinear(X, terms["Mx"], X)
-    out += _bilinear(W, terms["Mw"], W)
-    if u_t is not None:
-        out += (_times(_terms(2.0 * (sys.Mxu @ u_t)), X)[0] + float(u_t @ sys.Mu @ u_t)
-                + _times(_terms(2.0 * (sys.Muw.T @ u_t)), W)[0])
-    if any(terms["Mxw"]):
-        out += 2.0 * _bilinear(X, terms["Mxw"], W)
-    return out
+def _feedback(sys: IqcSystem, E, f, U):
+    """The optimal disturbance w* = K x + k as feedback tables, member last:
+    from the parameters E (M, T, n, n) and f (M, T, n) of M members at T
+    stage times with inputs U (T, p), K = -Mw^-1'(B'E + Mxw') (T, m, n, M)
+    and k = Mw^-1'(B'f - Muw'u) (T, m, M), each written once."""
+    (M, T, n), Mi = f.shape, sys.Mw_inv.T
+    K = np.einsum("ji,stic->tjcs", -(Mi @ sys.B.T), E, out=np.empty((T, sys.m, n, M)))
+    K -= (Mi @ sys.Mxw.T)[:, :, None]
+    k = np.einsum("ji,sti->tjs", Mi @ sys.B.T, f, out=np.empty((T, sys.m, M)))
+    k -= (U @ (Mi @ sys.Muw.T).T)[:, :, None]
+    return K, k
 
 
-def _steered_w(sys, E, f, X, u_t, noise, terms=None):
-    """Optimal disturbance (m, N) of per-column parameters E (n, n, N),
-    f (n, N) at X (n, N), plus relative noise (m, N); ``u_t`` and ``terms``
-    as for :func:`_qform_batch`."""
-    terms = terms or _system_terms(sys)
-    V = np.empty_like(X)
-    for i in range(len(X)):
-        V[i] = _dot(E[i], X) - f[i]
-    V = _times(terms["B'"], V)
-    if any(terms["Mxw"]):
-        V += _times(terms["Mxw'"], X)
-    if u_t is not None:
-        for V_j, c in zip(V, u_t @ sys.Muw):
-            V_j += c
-    w = -_times(terms["Mw_inv'"], V)
-    scale = np.maximum(np.sqrt(_dot(w, w)), 1e-3)
+def _steered_w(K, k, X, noise):
+    """Optimal disturbance w* = K x + k (m, N) of per-column feedback tables
+    K (m, n, N), k (m, N) at X (n, N), plus max(|w*|, 1e-3) times the
+    relative noise (m, N)."""
+    w = np.empty(k.shape)
+    for w_j, K_j, k_j in zip(w, K, k):
+        _sum(zip(K_j, X), w_j)
+        w_j += k_j
+    scale = np.maximum(np.sqrt(_sum(zip(w, w), np.empty(w.shape[1]))), 1e-3)
     for w_j, noise_j in zip(w, noise):
         w_j += scale * noise_j
     return w
 
 
-def _integrate_batch(sys: IqcSystem, X0, XQ0, grid, source, save_idx, inputs, terms):
+def _map_step(Phi, G):
+    """The step of :func:`_integrate_batch` for rows that hold w over each
+    step, from the maps of :func:`_step_maps`: X <- Phi z, XQ += z'Gz,
+    z = [x; w; 1]."""
+    maps = _form_terms(Phi, G)
+
+    def step(i, X, XQ, w_of):
+        phi, quad = maps[i]
+        z = [*X, *w_of(i, i, X, XQ), 1.0]
+        return _times(phi, z), XQ + _quad(quad, z)
+    return step
+
+
+def _rk4_step(grid, R, Q):
+    """The step of :func:`_integrate_batch` for rows whose w depends on
+    their state: classical RK4, stage by stage, from the :func:`_stage_forms`
+    of the stage times (the nodes of ``grid``, then its midpoints)."""
+    forms = _form_terms(R, Q)
+    mid = len(grid)                 # stage-time index of the first midpoint
+
+    def rhs(w_of, i, ti, X, XQ):
+        rate, quad = forms[ti]
+        v = [*X, *w_of(i, ti, X, XQ), 1.0]
+        return _times(rate, v), _quad(quad, v)
+
+    def step(i, X, XQ, w_of):
+        h = grid[i + 1] - grid[i]
+        k1x, k1q = rhs(w_of, i, i, X, XQ)
+        k2x, k2q = rhs(w_of, i, mid + i, X + 0.5 * h * k1x, XQ + 0.5 * h * k1q)
+        k3x, k3q = rhs(w_of, i, mid + i, X + 0.5 * h * k2x, XQ + 0.5 * h * k2q)
+        k4x, k4q = rhs(w_of, i, i + 1, X + h * k3x, XQ + h * k3q)
+        return (X + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x),
+                XQ + (h / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q))
+    return step
+
+
+def _integrate_batch(sys: IqcSystem, X0, XQ0, grid, source, save_idx, step):
     """Fixed-step RK4 over ``grid`` from column-layout states X0 (n, N).
-    Stage times are indexed ``ti`` over the nodes of ``grid``, then its
-    midpoints; ``inputs[ti]`` is the input there (None where zero).
-    ``source(cols)`` gives the disturbance w_of(step, ti, t, X, XQ, u_t)
-    (m, len(cols)) of the columns ``cols`` of X0.  Returns the states
-    (S, K, n), budgets (S, K) and disturbances (S, K, m) at the ``save_idx``
-    nodes of the K columns whose budget stays nonnegative, and that mask (N,).
+    ``source(cols)`` gives the disturbance w_of(i, ti, X, XQ) (m, len(cols))
+    of the columns ``cols`` of X0 in step i at stage time ti, and
+    ``step(i, X, XQ, w_of)`` the states and budgets after step i
+    (:func:`_map_step` or :func:`_rk4_step`).  Returns the states (S, K, n),
+    budgets (S, K) and disturbances (S, K, m) at the ``save_idx`` nodes of
+    the K columns whose budget stays nonnegative, and that mask (N,).
 
     At each saved node the batch drops the columns it has rejected, and it
     stops when none is left.  Columns never mix: each keeps its bits in any
@@ -256,34 +313,15 @@ def _integrate_batch(sys: IqcSystem, X0, XQ0, grid, source, save_idx, inputs, te
     saved_XQ = np.empty((len(save_idx), N))
     saved_W = np.empty((len(save_idx), N, sys.m))
     save_ptr = {int(i): k for k, i in enumerate(save_idx)}
-    mid = len(grid)                 # stage-time index of the first midpoint
-
-    def rhs(step, ti, t, X, XQ):
-        u_t = inputs[ti]
-        W = w_of(step, ti, t, X, XQ, u_t)
-        dX = _times(terms["A"], X) + _times(terms["B"], W)
-        if u_t is not None:
-            for dX_i, c in zip(dX, sys.Bu @ u_t):
-                dX_i += c
-        return dX, _qform_batch(sys, X, u_t, W, terms)
-
     for i in range(len(grid)):
         if i:                       # the step from node i - 1 to node i
-            t0, t1 = grid[i - 1], grid[i]
-            h = t1 - t0
-            tm = 0.5 * (t0 + t1)
-            k1x, k1q = rhs(i - 1, i - 1, t0, X, XQ)
-            k2x, k2q = rhs(i - 1, mid + i - 1, tm, X + 0.5 * h * k1x, XQ + 0.5 * h * k1q)
-            k3x, k3q = rhs(i - 1, mid + i - 1, tm, X + 0.5 * h * k2x, XQ + 0.5 * h * k2q)
-            k4x, k4q = rhs(i - 1, i, t1, X + h * k3x, XQ + h * k3q)
-            X = X + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-            XQ = XQ + (h / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
+            X, XQ = step(i - 1, X, XQ, w_of)
             admissible &= XQ >= 0.0
         if i not in save_ptr:
             continue
         k = save_ptr[i]
         saved_X[k, cols], saved_XQ[k, cols] = X.T, XQ
-        saved_W[k, cols] = w_of(max(i - 1, 0), i, grid[i], X, XQ, inputs[i]).T
+        saved_W[k, cols] = w_of(max(i - 1, 0), i, X, XQ).T
         keep = np.flatnonzero(admissible)
         if not len(keep):
             break
@@ -296,12 +334,11 @@ def _integrate_batch(sys: IqcSystem, X0, XQ0, grid, source, save_idx, inputs, te
     return saved_X[:, keep], saved_XQ[:, keep], saved_W[:, keep], ok
 
 
-# Fewest rows in a block of a split batch.  Each block pays the whole batch's
-# fixed per-stage cost (about 0.13 s of CPU for a steered sec5 block, 0.05 s
-# for a plain one), so on 2 cores splitting breaks even at about 2000 rows a
-# block (sec5 at 8000 draws, medians of 10: 0.82 and 0.71 s in two sets
-# against 0.78 and 0.79 s unsplit) and loses below (6000 draws: 0.65 s
-# against 0.60 s); measured before blocks dropped their rejected rows.
+# Fewest rows in a block of a split batch.  Each block pays a fixed cost
+# per step (about 0.07 s of CPU for a steered sec5 block, 0.01 s for a plain
+# one), and on 2 cores splitting breaks even at about 2000 rows a block (sec5,
+# forked, medians of 9: 0.38 s split and unsplit at 8000 draws, 0.41 against
+# 0.38 s at 4000 draws, 0.48 against 0.58 s at 20000 draws).
 _MIN_BLOCK_ROWS = 2000
 
 
@@ -366,15 +403,14 @@ def _map_blocks(run, n_blocks, workers):
         return list(pool.map(_call, range(n_blocks)))
 
 
-def _affordable_amplitude(sys, X0, XQ0, t_end, wcost):
+def _affordable_amplitude(sys, quad, X0, XQ0, t_end, wcost):
     """Disturbance scale a trajectory could sustain: balance the w-cost
     ``wcost`` (the largest eigenvalue of -Mw) in the energy-rate form against
-    the drawn budget plus the initial harvest rate over the horizon, per
+    the drawn budget plus the initial harvest rate, the budget rate at w = 0
+    (``quad``, the terms of its form at t = 0), over the horizon, per
     column of X0 (n, N).  Only sets the sampling scale; admissibility is
     decided by the integration."""
-    u0 = sys.u(0.0)
-    Z = np.zeros((sys.m, X0.shape[1]))
-    harvest = _qform_batch(sys, X0, _live(u0), Z)
+    harvest = _quad(quad, [*X0, *np.zeros((sys.m, X0.shape[1])), 1.0])
     budget = XQ0 + np.maximum(harvest, 0.0) * t_end
     return np.sqrt(np.maximum(budget, 0.0) / (wcost * t_end)) + 1e-6
 
@@ -408,8 +444,9 @@ def sample_admissible(sys: IqcSystem, P0: Paraboloid, cfg: OracleConfig,
     # the input at every RK4 stage time, nodes then midpoints, is evaluated
     # here and the member parameters below: the blocks call no user code
     stage_t = np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:])])
-    inputs = [_live(sys.u(t)) for t in stage_t]
-    terms = _system_terms(sys)
+    U = np.array([sys.u(t) for t in stage_t], dtype=float).reshape(len(stage_t), sys.p)
+    R, Q = _stage_forms(sys, U)
+    map_step, rk4_step = _map_step(*_step_maps(R, Q, grid)), _rk4_step(grid, R, Q)
 
     N = cfg.n_trajectories
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
@@ -421,7 +458,7 @@ def sample_admissible(sys: IqcSystem, P0: Paraboloid, cfg: OracleConfig,
         E_tab, f_tab, g_tab, defined = family.params_at_many(stage_t)
     wcost = -float(np.min(np.linalg.eigvalsh(sys.Mw))) if sys.m else 1.0     # m = 0: no w-cost
     amp = cfg.w_scale * rng.uniform(0.0, 1.0, size=N) * _affordable_amplitude(
-        sys, X0.T, XQ0, cfg.t_end, wcost)
+        sys, _form_terms(R[:1], Q[:1])[0][1], X0.T, XQ0, cfg.t_end, wcost)
     direction = rng.standard_normal((N, sys.m))
     norms = np.linalg.norm(direction, axis=1, keepdims=True)
     direction /= np.maximum(norms, 1e-12)
@@ -455,6 +492,9 @@ def sample_admissible(sys: IqcSystem, P0: Paraboloid, cfg: OracleConfig,
         release_u = cfg.w_scale * rng.uniform(0.3, 1.6, size=n_boundary)
         span = wcost * np.maximum(cfg.t_end - switch_t, 0.05 * cfg.t_end)
         rank, ride = _ride_stages(stage_t, switch_t, defined, member_of)
+        K_tab, k_tab = _feedback(sys, E_tab, f_tab, U)
+    if family is not None:      # from here on, h reads the saved nodes only
+        E_tab, f_tab, g_tab, defined = (a[:, save_idx] for a in (E_tab, f_tab, g_tab, defined))
     # output row r holds draw order[r]: the plain draws, then the steered by member
     order = np.concatenate([np.arange(n_boundary, N), np.argsort(member_of, kind="stable")])
 
@@ -467,7 +507,7 @@ def sample_admissible(sys: IqcSystem, P0: Paraboloid, cfg: OracleConfig,
     def plain(rows):
         W_plain = amp[rows] * segment_major(rows)
 
-        def plain_w(step, ti, t, X, XQ, u_t):
+        def plain_w(step, ti, X, XQ):
             return W_plain[seg_of_step[step]]
         return plain_w
 
@@ -478,15 +518,15 @@ def sample_admissible(sys: IqcSystem, P0: Paraboloid, cfg: OracleConfig,
         release, budget_span = release_u[rows], span[rows]
         gathered = {}   # one stage table at a time: stages repeat in runs
 
-        def steered_w(step, ti, t, X, XQ, u_t):
+        def steered_w(step, ti, X, XQ):
             seg = seg_of_step[step]
             r = int(np.searchsorted(later, -rank[ti]))     # rows riding at ti
             if r:
                 if ti not in gathered:
                     gathered.clear()
-                    gathered[ti] = (E_tab[:, ti].transpose(1, 2, 0).take(members[:r], axis=2),
-                                    f_tab[:, ti].T.take(members[:r], axis=1))
-                w = _steered_w(sys, *gathered[ti], X[:, :r], u_t, noise[seg][:, :r], terms)
+                    gathered[ti] = (K_tab[ti].take(members[:r], axis=2),
+                                    k_tab[ti].take(members[:r], axis=1))
+                w = _steered_w(*gathered[ti], X[:, :r], noise[seg][:, :r])
                 if r == len(rows):
                     return w
             # the released rows (past their switch time or their member's
@@ -497,24 +537,26 @@ def sample_admissible(sys: IqcSystem, P0: Paraboloid, cfg: OracleConfig,
         return steered_w
 
     workers = _worker_count()
-    blocks = ([(plain, rows) for rows in _row_blocks(order[:N - n_boundary], workers)]
-              + [(steered, rows) for rows in _row_blocks(order[N - n_boundary:], workers, ride)])
+    blocks = ([(plain, map_step, rows)
+               for rows in _row_blocks(order[:N - n_boundary], workers)]
+              + [(steered, rk4_step, rows)
+                 for rows in _row_blocks(order[N - n_boundary:], workers, ride)])
 
     def run(b):
-        source, rows = blocks[b]
+        source, step, rows = blocks[b]
         return _integrate_batch(sys, X0[rows].T, XQ0[rows], grid,
-                                lambda cols: source(rows[cols]), save_idx, inputs, terms)
+                                lambda cols: source(rows[cols]), save_idx, step)
 
     done = _map_blocks(run, len(blocks), workers)
     admitted = np.zeros(N, dtype=bool)      # per draw
-    for (_, rows), (*_, ok) in zip(blocks, done):
+    for (*_, rows), (*_, ok) in zip(blocks, done):
         admitted[rows] = ok
     kept = order[admitted[order]]           # the admitted draws, in output order
     out_col = np.empty(N, dtype=int)        # each block's kept columns go straight there
     out_col[kept] = np.arange(len(kept))
     K = len(kept)
     x, xq, w = (np.empty((len(save_idx), K, *tail)) for tail in ((sys.n,), (), (sys.m,)))
-    for (_, rows), (sX, sXQ, sW, ok) in zip(blocks, done):
+    for (*_, rows), (sX, sXQ, sW, ok) in zip(blocks, done):
         at = out_col[rows[ok]]
         x[:, at], xq[:, at], w[:, at] = sX, sXQ, sW
     if N >= 1000 and K < 0.001 * N:
@@ -524,8 +566,8 @@ def sample_admissible(sys: IqcSystem, P0: Paraboloid, cfg: OracleConfig,
         # each row's owner (member 0 for a plain draw) picks its value function
         # from the stage table; one sample time at a time bounds the temporaries
         owner = np.concatenate([member_of, np.zeros(N - n_boundary, dtype=int)])[kept]
-        for s, ti in enumerate(save_idx):
-            E, f, g, ok = (a[:, ti].take(owner, axis=0) for a in (E_tab, f_tab, g_tab, defined))
+        for s in range(len(save_idx)):
+            E, f, g, ok = (a[:, s].take(owner, axis=0) for a in (E_tab, f_tab, g_tab, defined))
             h[s] = family.stack.flow.value(E, f, g, x[s]) + xq[s]
             h[s, ~ok] = np.nan
     return OracleSamples(save_times, x, xq, w, h)
@@ -558,8 +600,10 @@ def coverage(F: ParaboloidFamily, t: float, endpoints, cells_per_dim: int = 24,
     returned as the gap report.  An explicit ``window`` is a finite (lo, hi)
     pair with hi > lo.
     """
-    if cells_per_dim < 1:
-        raise ConfigError(f"coverage needs at least one cell per dimension, got {cells_per_dim}")
+    if (isinstance(cells_per_dim, bool) or not isinstance(cells_per_dim, (int, np.integer))
+            or cells_per_dim < 1):
+        raise ConfigError(f"coverage needs a whole number of cells per dimension, at least 1, "
+                          f"got {cells_per_dim!r}")
     pts = _points(F, endpoints)
     if window is None:
         if len(pts) == 0:

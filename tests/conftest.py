@@ -10,7 +10,6 @@ import pytest
 
 import parareach as pr
 from parareach.family import _slab_points
-from parareach.oracle import _qform_batch, _times
 from parareach.presets import load_preset
 
 ROOT_LO = 2.0 - np.sqrt(2.0)
@@ -418,12 +417,14 @@ def random_boundary_states(P0, n, rng):
 
 
 def random_iqc_system(rng, n=None, m=None, p=None, sampled_input=False):
-    """Random well-posed system (w-block strictly negative definite); with
-    ``sampled_input``, driven by a cubic spline through 4 to 8 random samples
-    on [0, 1.5], so the engine steps several input pieces."""
-    n = n or int(rng.integers(1, 4))
-    m = m or int(rng.integers(1, 4))
-    p = p or int(rng.integers(1, 4))
+    """Random well-posed system (w-block strictly negative definite), with
+    dense blocks of M; unset dimensions are drawn from 1 to 3, and ``m = 0``
+    gives a plant without a disturbance channel.  With ``sampled_input``,
+    driven by a cubic spline through 4 to 8 random samples on [0, 1.5], so
+    the engine steps several input pieces."""
+    n = int(rng.integers(1, 4)) if n is None else n
+    m = int(rng.integers(1, 4)) if m is None else m
+    p = int(rng.integers(1, 4)) if p is None else p
     A = rng.standard_normal((n, n))
     B = rng.standard_normal((n, m))
     Bu = rng.standard_normal((n, p))
@@ -535,15 +536,18 @@ def reference_band_times(rides, eps_q):
     return [np.sort(np.concatenate([end[r == q], ts[q][band[q]]])) for q in range(R)]
 
 
-# -- the oracle's RK4 without dropping rejected rows, and its seed sampler on
-# row-layout candidates: the tests' references for parareach.oracle ----------
+# -- the oracle's RK4 without dropping rejected rows: the tests' reference
+# for parareach.oracle -------------------------------------------------------
 
-def reference_integrate_batch(sys_, X0, XQ0, grid, w_of, save_idx, inputs, terms):
+def reference_integrate_batch(sys_, X0, XQ0, grid, w_of, save_idx, U, step=None):
     """Fixed-step RK4 over ``grid`` from column-layout states X0 (n, N), every
     column integrated to the end: states (S, N, n), budgets (S, N) and
     disturbances (S, N, m) at the ``save_idx`` nodes, and the mask (N,) of the
-    columns whose budget stays nonnegative.  ``w_of(step, ti, t, X, XQ, u_t)``
-    supplies the disturbance of all N columns."""
+    columns whose budget stays nonnegative.  ``w_of(i, ti, X, XQ)`` supplies
+    the disturbance of all N columns in step i at stage time ti (the nodes
+    of ``grid``, then its midpoints), where the input is ``U[ti]``.  Each step
+    is ``step(i, X, XQ, w_of)`` if given, else the classical RK4, stage by
+    stage, in numpy's matrix products and einsum."""
     X, XQ = X0.copy(), XQ0.copy()
     N = X.shape[1]
     admissible = XQ >= 0.0
@@ -553,34 +557,30 @@ def reference_integrate_batch(sys_, X0, XQ0, grid, w_of, save_idx, inputs, terms
     save_ptr = {int(i): k for k, i in enumerate(save_idx)}
     mid = len(grid)                 # stage-time index of the first midpoint
 
-    def rhs(step, ti, t, X, XQ):
-        u_t = inputs[ti]
-        W = w_of(step, ti, t, X, XQ, u_t)
-        dX = _times(terms["A"], X) + _times(terms["B"], W)
-        if u_t is not None:
-            for dX_i, c in zip(dX, sys_.Bu @ u_t):
-                dX_i += c
-        return dX, _qform_batch(sys_, X, u_t, W, terms)
+    def rhs(i, ti, X, XQ):
+        W, u = w_of(i, ti, X, XQ), U[ti]
+        v = np.concatenate([X, np.repeat(u[:, None], N, axis=1), W])   # [x; u; w]
+        return (sys_.A @ X + sys_.B @ W + (sys_.Bu @ u)[:, None],
+                np.einsum("ik,ij,jk->k", v, sys_.M, v))
 
-    def save(k, step, ti, t, X, XQ):
+    def rk4(i, X, XQ, w_of):
+        h = grid[i + 1] - grid[i]
+        k1x, k1q = rhs(i, i, X, XQ)
+        k2x, k2q = rhs(i, mid + i, X + 0.5 * h * k1x, XQ + 0.5 * h * k1q)
+        k3x, k3q = rhs(i, mid + i, X + 0.5 * h * k2x, XQ + 0.5 * h * k2q)
+        k4x, k4q = rhs(i, i + 1, X + h * k3x, XQ + h * k3q)
+        return (X + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x),
+                XQ + (h / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q))
+
+    def save(k, i, ti, X, XQ):
         saved_X[k].T[...], saved_XQ[k] = X, XQ
-        saved_W[k].T[...] = w_of(step, ti, t, X, XQ, inputs[ti])
+        saved_W[k].T[...] = w_of(i, ti, X, XQ)
 
     if 0 in save_ptr:
-        save(save_ptr[0], 0, 0, grid[0], X, XQ)
-
+        save(save_ptr[0], 0, 0, X, XQ)
     for i in range(len(grid) - 1):
-        t0, t1 = grid[i], grid[i + 1]
-        h = t1 - t0
-        tm = 0.5 * (t0 + t1)
-        k1x, k1q = rhs(i, i, t0, X, XQ)
-        k2x, k2q = rhs(i, mid + i, tm, X + 0.5 * h * k1x, XQ + 0.5 * h * k1q)
-        k3x, k3q = rhs(i, mid + i, tm, X + 0.5 * h * k2x, XQ + 0.5 * h * k2q)
-        k4x, k4q = rhs(i, i + 1, t1, X + h * k3x, XQ + h * k3q)
-        X = X + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        XQ = XQ + (h / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
+        X, XQ = (step or rk4)(i, X, XQ, w_of)
         admissible &= XQ >= 0.0
         if i + 1 in save_ptr:
-            save(save_ptr[i + 1], i, i + 1, t1, X, XQ)
+            save(save_ptr[i + 1], i, i + 1, X, XQ)
     return saved_X, saved_XQ, saved_W, admissible
-

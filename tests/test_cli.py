@@ -467,8 +467,8 @@ class TestByteIdentity:
             "manifest.json": "72703f87a672a4a44653090d6c24318957168bb11526ab2b6d0ed30d11435072",
             "tvp.csv": "05be1bbf39c3d15f1f6e2e14dd42106da7d85754a040a1648d6a1d11c921ce22"}),
         (["verify", "--example", "ex1-family", "--seed", "3"], 0, {
-            "coverage.json": "bd0331c5d59f0fcf171741452f2390970fa5a0eeb9115b1265ad16ba4c8bbf87",
-            "endpoints.csv": "f0b32345284882fda1a7065983c5aa0dd1973a6e1ca1c076fe1ea24d5beab537",
+            "coverage.json": "da7618c91e147a93263bf068d3ba2956be9bfc1ae75b2ddefdc9ce3511bd2950",
+            "endpoints.csv": "f961cbd395607cbbf27f69e495b63b275bfbb098987fda4592d11417f0c4bd3d",
             "verify_report.json":
                 "857caf91b33cc316b359004a3bdc1318b57cd59808573db7714749602dc0a341"}),
         (["reach", "--example", "ex1-stable"], 0, {
@@ -482,8 +482,8 @@ class TestByteIdentity:
                 "5b440713d29c16746b6e5956647b5b5737ec070649f5e8f416a06624729ba665",
             "tube.csv": "6b1d2c2405906fe060aac4338d93da5e1bdbb399742e6ce4de2f84ef73bb448b"}),
         (["verify", "--example", "sec5", "--n", "2000", "--seed", "42"], 0, {
-            "coverage.json": "c3eff92e24535b288f47d81d9697a74f4cccebb1c57bd53adb276b7506bb6e64",
-            "endpoints.csv": "66f5b1df05ee80daf83ff5345f92c1fe401510e62de5749f0988f47a9a2c4a5f",
+            "coverage.json": "53ce2f8726f7e821b714fc14baa4ed3d524039458398fd8ba677fb4624106672",
+            "endpoints.csv": "b0b5a557bfb9766aeb80aaece6f0d2a213f8a2e0b12ef9eba67159b644cba0eb",
             "verify_report.json":
                 "3418adf3c28e8bb8ce14bf04dffa4e89d5e7ff6be49a43819cccb44ec8575b9f"}),
     ])
