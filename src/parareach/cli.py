@@ -22,7 +22,7 @@ from . import __version__
 from .errors import ConfigError, ParareachError, RejectionStarvation
 from .family import (build_family, check_assumptions, membership_margins,
                      mesh_points, reach_slice)
-from .model import IqcSystem, Paraboloid, system_from_json
+from .model import IqcSystem, Paraboloid, _count, _quantity, _within, system_from_json
 from .oracle import OracleConfig, coverage, sample_admissible
 from .presets import load_preset, preset_names
 from .riccati import IntegratorConfig, propagate
@@ -64,14 +64,6 @@ def _parse_json_flag(text, what, convert):
         raise ConfigError(f"could not parse {what}: {e}") from e
 
 
-def _finite(flag, value):
-    """``value`` as a float array; a ConfigError unless every entry is finite."""
-    a = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise ConfigError(f"{flag} must be finite, got {value}")
-    return a
-
-
 def _with_flags(base: dict, **flags) -> dict:
     """``base`` with the flags set on the command line put over it."""
     return {**base, **{name: v for name, v in flags.items() if v is not None}}
@@ -93,12 +85,12 @@ def _build_config(args) -> RunConfig:
     else:
         raise ConfigError("one of --example or --system is required")
     def seed_flag(text, flag):          # a JSON array of finite numbers
-        return _parse_json_flag(text, flag, partial(_finite, flag))
+        return _parse_json_flag(text, flag, partial(_quantity, name=flag))
 
     seed_par = Paraboloid(      # the seed flags over the preset's or 0
         seed.E if args.e0 is None else seed_flag(args.e0, "--e0"),
         seed.f if args.f0 is None else seed_flag(args.f0, "--f0"),
-        seed.g if args.g0 is None else float(_finite("--g0", args.g0)))
+        seed.g if args.g0 is None else float(_quantity(args.g0, "--g0")))
 
     def pick(flag, key, fallback):
         return flag if flag is not None else preset.get(key, fallback)
@@ -117,39 +109,34 @@ def _build_config(args) -> RunConfig:
             t_end=t_end)
 
     times = [float(t) for t in (args.time or preset.get("times", [t_end]))]
-    if args.command != "propagate" and not all(0.0 <= t <= t_end for t in times):
-        raise ConfigError(f"times must lie in [0, t_end = {t_end:g}], got {times}")
+    if args.command != "propagate":
+        _within(times, t_end, "times")
     if args.gammas:
         try:
             gammas = [float(g) for g in args.gammas.split(",") if g.strip()]
         except ValueError as e:
             raise ConfigError(f"--gammas must be numbers, got {args.gammas}") from e
-        _finite("--gammas", gammas)
+        _quantity(gammas, "--gammas")
     else:               # an explicit member count drops the preset's scalings
         gammas = None if args.members is not None else preset.get("gammas")
 
     window = preset.get("grid_window", ([-2.0] * system.n, [2.0] * system.n))
     if args.window is not None:
-        half = args.window
-        if not (np.isfinite(half) and half > 0):
-            raise ConfigError(f"--window must be positive and finite, got {half}")
+        half = float(_quantity(args.window, "--window", "positive"))
         window = ([-half] * system.n, [half] * system.n)
 
-    grid_points = int(pick(args.grid_points, "grid_points", 61))
-    for flag, value in (("--cells", args.cells), ("--grid-points", grid_points)):
-        if value < 1:
-            raise ConfigError(f"{flag} must be at least 1, got {value}")
-    eps_q = float(pick(args.eps_q, "eps_q", 1e-3 * max(abs(seed_par.g), 1e-6)))
-    if not (np.isfinite(eps_q) and eps_q > 0):
-        raise ConfigError(f"--eps-q must be positive and finite, got {eps_q}")
+    grid_points = _count(pick(args.grid_points, "grid_points", 61), "--grid-points")
+    cells = _count(args.cells, "--cells")
+    eps_q = float(_quantity(pick(args.eps_q, "eps_q", 1e-3 * max(abs(seed_par.g), 1e-6)),
+                            "--eps-q", "positive"))
 
     return RunConfig(
         system=system, seed_paraboloid=seed_par, times=times, eps_q=eps_q,
-        n_members=int(pick(args.members, "n_members", 16)), gammas=gammas,
+        n_members=pick(args.members, "n_members", 16), gammas=gammas,
         gamma_spacing=pick(args.gamma_spacing, "gamma_spacing", None),
         sampler_density=preset.get("sampler_density"),
         grid_window=window, grid_points=grid_points,
-        integrator=integrator, oracle=oracle, cells_per_dim=int(args.cells),
+        integrator=integrator, oracle=oracle, cells_per_dim=cells,
         out_dir=Path(args.out), fmt=args.format, preset_name=args.example)
 
 

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, OutOfDomain, UnboundedSlab
-from .model import AugmentedState, IqcSystem, Paraboloid
+from .model import AugmentedState, IqcSystem, Paraboloid, _count, _quantity, _shaped
 from .riccati import DOMAIN_TOL, IntegratorConfig, ParaboloidStack, domain_end, propagate
 from .touching import TOUCH_TOL_FACTOR, touching_trajectory, trace_back_to_seed
 
@@ -108,11 +108,6 @@ def _rate_roots(P0: Paraboloid, X: np.ndarray, sys: IqcSystem) -> np.ndarray:
     return np.where(root >= 1.0, root, 1.0)
 
 
-def _check_eps_q(eps_q):
-    if not (np.isfinite(eps_q) and eps_q > 0):
-        raise ConfigError(f"eps_q must be positive and finite, got {eps_q}")
-
-
 def gamma_bar(P0: Paraboloid, sys: IqcSystem, eps_q: float,
               sampler_density: int = 64) -> float:
     """Largest scaling with nonnegative initial budget rate over the sampled
@@ -120,10 +115,9 @@ def gamma_bar(P0: Paraboloid, sys: IqcSystem, eps_q: float,
     rate does not depend on the scaling (a >= -1e-300) are left out."""
     if P0.dim != sys.n:
         raise DimensionMismatch(f"seed dim {P0.dim} != system dim {sys.n}")
-    _check_eps_q(eps_q)
-    if sampler_density < 1:
-        raise ConfigError(f"sampler_density must be >= 1, got {sampler_density}")
-    roots = _rate_roots(P0, _slab_points(P0, eps_q, sampler_density, 3), sys)
+    _quantity(eps_q, "eps_q", "positive")
+    density = _count(sampler_density, "sampler_density")
+    roots = _rate_roots(P0, _slab_points(P0, eps_q, density, 3), sys)
     return float(np.max(roots, initial=1.0))
 
 
@@ -191,24 +185,20 @@ def build_family(P0: Paraboloid, sys: IqcSystem, eps_q: float, n_members: int,
     always included.  Explicit ``gammas`` bypass the bound computation.
     Members that escape before the horizon keep their truncated domains.
     """
-    _check_eps_q(eps_q)
+    _quantity(eps_q, "eps_q", "positive")
+    n_members = _count(n_members, "n_members")
+    if spacing not in ("uniform", "log"):
+        raise ConfigError(f"unknown gamma spacing {spacing!r}")
     gbar = None
     if gammas is None:
-        if n_members < 1:
-            raise ConfigError(f"n_members must be >= 1, got {n_members}")
         gbar = gamma_bar(P0, sys, eps_q, sampler_density=sampler_density)
         if n_members == 1 or gbar <= 1.0:
             gs = np.array([1.0])
-        elif spacing == "log":
-            gs = np.geomspace(1.0, gbar, n_members)
-        elif spacing == "uniform":
-            gs = np.linspace(1.0, gbar, n_members)
         else:
-            raise ConfigError(f"unknown gamma spacing {spacing!r}")
+            gs = (np.geomspace if spacing == "log" else np.linspace)(1.0, gbar, n_members)
     else:
-        gs = np.asarray(sorted(float(g) for g in gammas), dtype=float)
-        if len(gs) == 0 or not np.all(np.isfinite(gs) & (gs > 0)):
-            raise ConfigError("explicit gammas must be positive, finite and nonempty")
+        gs = _quantity(gammas, "explicit gammas", "positive")
+        _count(gs.size, "number of explicit gammas")
     gs = np.unique(gs)
 
     stack = propagate(P0, sys, cfg, gamma=gs)
@@ -239,17 +229,9 @@ class ReachSlice:
         return self.gammas[self.member_argmin]
 
 
-def _points(F: ParaboloidFamily, xs) -> np.ndarray:
-    """The point rows (G, n) of every query on F, else DimensionMismatch."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != F.seed.dim:
-        raise DimensionMismatch(f"points must be rows (G, {F.seed.dim}), got {xs.shape}")
-    return xs
-
-
 def _member_values(F: ParaboloidFamily, t: float, xs) -> np.ndarray:
     """Member values -(x'Ex - 2f'x + g) at t of points xs, (M, G); +inf where not defined."""
-    xs = _points(F, xs)
+    xs = _shaped(xs, ("G", F.seed.dim), "points")
     E, f, g, defined = F.params_at_many([t])
     if not defined.any():
         raise OutOfDomain(f"t={t} beyond the family's interval of definition "
@@ -275,8 +257,10 @@ def xq_max_at(F: ParaboloidFamily, t: float, xs) -> np.ndarray:
 
 def membership_margins(F: ParaboloidFamily, t: float, xs, xqs) -> np.ndarray:
     """Batched intersection margins x_q_k - xq_max(x_k): the intersection
-    holds a state whose margin is <= 0 and whose budget is nonnegative."""
-    return np.asarray(xqs, dtype=float) - xq_max_at(F, t, xs)
+    holds a state whose margin is <= 0 and whose budget is nonnegative.
+    ``xqs`` holds one budget per point."""
+    xs = _shaped(xs, ("G", F.seed.dim), "points")
+    return _shaped(xqs, (len(xs),), "budgets") - xq_max_at(F, t, xs)
 
 
 # -- assumption diagnostics ---------------------------------------------------
@@ -382,8 +366,7 @@ def check_assumptions(F: ParaboloidFamily, cfg: IntegratorConfig,
     The default ``times`` are five from T/5 to min(T, t_max), or from
     t_max/5 to t_max when every member escapes before T/5.
     """
-    if max_rim_points < 1:
-        raise ConfigError(f"max_rim_points must be >= 1, got {max_rim_points}")
+    max_rim_points = _count(max_rim_points, "max_rim_points")
     sys = F.system
     escaped = [(float(g), e) for g, e in zip(F.gammas, F.stack.escape) if e is not None]
     bounded_ok = (not escaped) and F.K_bound <= cfg.escape_norm

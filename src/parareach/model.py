@@ -26,6 +26,62 @@ SYM_TOL = 1e-10      # relative symmetry tolerance before construction rejects
 PD_MARGIN = 1e-12    # strict margin for the negative-definiteness of M_w
 
 
+# The four input rules, each checked here only: a count, a quantity, a shape
+# (one entry per row) and a time within a horizon.
+def _count(value, name, least=1):
+    """``value`` as an int: an int or numpy integer, not a bool, at least
+    ``least``; else ConfigError."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < least):
+        raise ConfigError(f"{name} must be a whole number of at least {least}, "
+                          f"got {value!r}")
+    return int(value)
+
+
+def _quantity(value, name, sign=None, inf=False):
+    """``value``, a number or an array, as floats, else ConfigError: of an
+    integer or float dtype (not a bool, not a string), no NaN, no infinite
+    entry unless ``inf``, and with ``sign`` "positive" or "nonnegative"
+    every entry above or at least 0."""
+    a = np.asarray(value)
+    if a.dtype.kind not in "iuf":
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    a = a.astype(float, copy=False)
+    ok = ~np.isnan(a) if inf else np.isfinite(a)
+    if sign is not None:
+        ok &= (a > 0.0) if sign == "positive" else (a >= 0.0)
+    if not ok.all():
+        if a.ndim > 1 and sign is None:        # a matrix is named, not printed
+            raise ConfigError(f"{name} has non-finite entries")
+        rule = " and ".join(filter(None, (sign, None if inf else "finite")))
+        raise ConfigError(f"{name} must be {rule}, got {value}")
+    return a
+
+
+def _shaped(value, shape, name):
+    """``value`` as a float array of ``shape``, else DimensionMismatch; a
+    str in ``shape`` (like "G") stands for any length.  So points are rows
+    (G, n), and a stack of R rows takes one budget, start, time or state
+    per row."""
+    try:
+        a = np.asarray(value, dtype=float)
+    except ValueError as e:                     # rows of different lengths
+        raise DimensionMismatch(f"{name}: {e}") from e
+    if a.ndim != len(shape) or any(s != d for s, d in zip(shape, a.shape)
+                                   if not isinstance(s, str)):
+        shown = str(tuple(shape)).replace("'", "")
+        raise DimensionMismatch(f"{name} must have shape {shown}, got {a.shape}")
+    return a
+
+
+def _within(values, end, name):
+    """``values`` as floats, each in [0, end] (so none is NaN), else ConfigError."""
+    a = np.asarray(values, dtype=float)
+    if not np.all((a >= 0.0) & (a <= end)):
+        raise ConfigError(f"{name} must lie in [0, {end:g}], got {values}")
+    return a
+
+
 def _as_matrix(a, name):
     a = np.asarray(a, dtype=float)
     if a.ndim == 0:
@@ -34,9 +90,7 @@ def _as_matrix(a, name):
         a = a.reshape(len(a), 1) if len(a) else a.reshape(0, 0)
     if a.ndim != 2:
         raise DimensionMismatch(f"{name} must be a matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
-        raise ConfigError(f"{name} has non-finite entries")
-    return a
+    return _quantity(a, name)
 
 
 def _symmetrize(a, name):
@@ -96,22 +150,12 @@ def make_system(A, B, B_u, M, u=None) -> IqcSystem:
     u(a + s) in powers of s (see :mod:`parareach.signals`).
     """
     A = _as_matrix(A, "A")
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise DimensionMismatch(f"A must be square, got {A.shape}")
-    B = _as_matrix(B, "B")
-    if B.shape[0] != n:
-        raise DimensionMismatch(f"B must have {n} rows, got {B.shape}")
-    m = B.shape[1]
-    B_u = _as_matrix(B_u, "B_u")
-    if B_u.shape[0] != n:
-        raise DimensionMismatch(f"B_u must have {n} rows, got {B_u.shape}")
-    p = B_u.shape[1]
-    M = _as_matrix(M, "M")
-    k = n + p + m
-    if M.shape != (k, k):
-        raise DimensionMismatch(f"M must be {k}x{k} for n={n}, p={p}, m={m}; got {M.shape}")
-    M = _symmetrize(M, "M")
+    n = len(A)
+    A = _shaped(A, (n, n), "A")
+    B = _shaped(_as_matrix(B, "B"), (n, "m"), "B")
+    B_u = _shaped(_as_matrix(B_u, "B_u"), (n, "p"), "B_u")
+    m, p = B.shape[1], B_u.shape[1]
+    M = _symmetrize(_shaped(_as_matrix(M, "M"), (n + p + m,) * 2, "M"), "M")
 
     Mx = M[:n, :n]
     Mxu = M[:n, n:n + p]
@@ -167,18 +211,12 @@ class Paraboloid:
 
     def __post_init__(self):
         E = _as_matrix(self.E, "E")
-        if E.shape[0] != E.shape[1]:
-            raise DimensionMismatch(f"E must be square, got {E.shape}")
-        E = _symmetrize(E, "E")
-        f = np.asarray(self.f, dtype=float).reshape(-1)
-        if f.shape[0] != E.shape[0]:
-            raise DimensionMismatch(f"f has length {f.shape[0]}, expected {E.shape[0]}")
-        if not np.all(np.isfinite(f)) or not np.isfinite(self.g):
-            raise ConfigError("paraboloid parameters must be finite")
+        E = _symmetrize(_shaped(E, (len(E),) * 2, "E"), "E")
+        f = _shaped(_quantity(np.reshape(self.f, -1), "f"), (len(E),), "f")
         _freeze(E, f)
         object.__setattr__(self, "E", E)
         object.__setattr__(self, "f", f)
-        object.__setattr__(self, "g", float(self.g))
+        object.__setattr__(self, "g", float(_quantity(self.g, "g")))
 
     @property
     def dim(self) -> int:
@@ -198,12 +236,10 @@ class AugmentedState:
     x_q: float
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(x)) or not np.isfinite(self.x_q):
-            raise ConfigError("augmented state must be finite")
+        x = _quantity(np.reshape(self.x, -1), "augmented state")
         _freeze(x)
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "x_q", float(self.x_q))
+        object.__setattr__(self, "x_q", float(_quantity(self.x_q, "augmented state")))
 
 
 def value_function(P: Paraboloid, X: AugmentedState) -> float:

@@ -67,10 +67,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, RejectionStarvation
-from .family import (ParaboloidFamily, _points, _rate_roots, _seed_center, mesh_points,
-                     xq_max_at)
-from .model import IqcSystem, Paraboloid
+from .errors import RejectionStarvation
+from .family import ParaboloidFamily, _rate_roots, _seed_center, mesh_points, xq_max_at
+from .model import IqcSystem, Paraboloid, _count, _quantity, _shaped, _within
 
 
 @dataclass(frozen=True)
@@ -82,7 +81,9 @@ class OracleConfig:
     across systems of very different state scales.  Plain draws combine a
     per-trajectory persistent direction with per-segment noise; persistent
     pushes are what reach the far lobes of the set, and the admissibility
-    rejection is the arbiter of how hard a push the budget allows.
+    rejection is the arbiter of how hard a push the budget allows.  The
+    counts are whole, ``t_end`` is positive and the two scales nonnegative,
+    all finite (the input rules of the README's "Library entry points").
     """
 
     n_trajectories: int
@@ -94,19 +95,13 @@ class OracleConfig:
     noise_rel: float = 0.05
 
     def __post_init__(self):
-        ints = (self.n_trajectories, self.segments, self.seed)
-        if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in ints):
-            raise ConfigError(f"oracle counts and seed must be integers, got {ints}")
-        if min(self.n_trajectories, self.segments) < 1:
-            raise ConfigError("oracle counts must be positive")
-        if self.seed < 0:
-            raise ConfigError(f"oracle seed must be nonnegative, got {self.seed}")
-        finite = np.isfinite([self.t_end, self.w_scale, self.noise_rel]).all()
-        if not (finite and self.t_end > 0 and self.w_scale >= 0 and self.noise_rel >= 0):
-            raise ConfigError("oracle horizon must be positive, amplitude and noise "
-                              "nonnegative, all finite")
-        if not (0.0 <= self.boundary_fraction <= 1.0):
-            raise ConfigError("boundary_fraction must lie in [0, 1]")
+        for name, least in (("n_trajectories", 1), ("segments", 1), ("seed", 0)):
+            _count(getattr(self, name), f"OracleConfig.{name}", least)
+        for field, sign in (("t_end", "positive"), ("w_scale", "nonnegative"),
+                            ("noise_rel", "nonnegative"), ("boundary_fraction", None)):
+            name = f"OracleConfig.{field}"              # a number, not an array
+            _shaped(_quantity(getattr(self, field), name, sign), (), name)
+        _within(self.boundary_fraction, 1.0, "OracleConfig.boundary_fraction")
 
     @property
     def n_steps(self) -> int:
@@ -426,13 +421,10 @@ def sample_admissible(sys: IqcSystem, P0: Paraboloid, cfg: OracleConfig,
     by the optimal disturbance of a randomly chosen member plus relative
     noise.  ``sample_times`` join the segment bounds as the sample times.
     """
-    if sample_times is None:
-        sample_times = []
     seg_bounds = np.linspace(0.0, cfg.t_end, cfg.segments + 1)
     save_times = np.unique(np.concatenate([
-        seg_bounds, np.asarray(list(sample_times), dtype=float)]))
-    if np.any(save_times < 0) or np.any(save_times > cfg.t_end):
-        raise ConfigError("sample times must lie within [0, t_end]")
+        seg_bounds, _within([] if sample_times is None else list(sample_times), cfg.t_end,
+                            "sample times")]))
 
     base = np.linspace(0.0, cfg.t_end, cfg.n_steps + 1)
     grid = np.unique(np.concatenate([base, seg_bounds, save_times]))
@@ -597,26 +589,21 @@ def coverage(F: ParaboloidFamily, t: float, endpoints, cells_per_dim: int = 24,
     """Fraction of slice cells with nonnegative budget headroom that contain
     at least one endpoint, a row of ``endpoints`` (P, n).  Uncovered cells
     point at over-conservatism of the family (or under-sampling) and are
-    returned as the gap report.  An explicit ``window`` is a finite (lo, hi)
-    pair with hi > lo.
+    returned as the gap report.  An explicit ``window`` is a (lo, hi) pair,
+    shape (2, n), whose width hi - lo is positive and finite.
     """
-    if (isinstance(cells_per_dim, bool) or not isinstance(cells_per_dim, (int, np.integer))
-            or cells_per_dim < 1):
-        raise ConfigError(f"coverage needs a whole number of cells per dimension, at least 1, "
-                          f"got {cells_per_dim!r}")
-    pts = _points(F, endpoints)
+    cells_per_dim = _count(cells_per_dim, "cells_per_dim")
+    dim = F.seed.dim
+    pts = _shaped(endpoints, ("P", dim), "endpoints")
     if window is None:
-        if len(pts) == 0:
-            raise ConfigError("coverage needs endpoints or an explicit window")
+        _count(len(pts), "number of endpoints (no window given)")
         lo = pts.min(axis=0)
         hi = pts.max(axis=0)
         pad = 0.05 * np.maximum(hi - lo, 1e-9)
         lo, hi = lo - pad, hi + pad
     else:
-        lo, hi = (np.asarray(w, dtype=float) for w in window)
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all() and np.all(hi > lo)):
-            raise ConfigError("coverage window must be finite, with hi > lo")
-    dim = F.seed.dim
+        lo, hi = _shaped(window, (2, dim), "coverage window")
+        _quantity(hi - lo, "coverage window width", "positive")
     width = (hi - lo) / cells_per_dim
     centers = mesh_points([lo[d] + width[d] * (np.arange(cells_per_dim) + 0.5)
                            for d in range(dim)])

@@ -44,7 +44,7 @@ import numpy as np
 from ._expm import expm
 from .errors import (ConfigError, DimensionMismatch, NonPositiveScale, OutOfDomain,
                      SingularMw)
-from .model import IqcSystem, Paraboloid
+from .model import IqcSystem, Paraboloid, _quantity, _shaped
 
 ESCAPE_BRACKET_RTOL = 1e-6  # relative width of the blow-up time bracket
 DOMAIN_TOL = 1e-12          # slack of a domain [0, t_end]: absolute at 0, relative at t_end
@@ -60,7 +60,8 @@ class IntegratorConfig:
     of E before propagation stops, and ``t_end`` the horizon.  The engine is
     exact up to the matrix exponential, so ``rel_tol`` only sets the default
     touch tolerance of surface rides (``TOUCH_TOL_FACTOR * rel_tol``), and
-    ``abs_tol`` is accepted but unused.
+    ``abs_tol`` is accepted but unused.  Each field is a positive, finite
+    quantity (the input rules of the README's "Library entry points").
     """
 
     rel_tol: float = 1e-9
@@ -70,10 +71,9 @@ class IntegratorConfig:
     t_end: float = 1.0
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "max_step", "escape_norm", "t_end"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v <= 0:
-                raise ConfigError(f"IntegratorConfig.{name} must be positive, got {v}")
+        for field in ("rel_tol", "abs_tol", "max_step", "escape_norm", "t_end"):
+            name = f"IntegratorConfig.{field}"          # a number, not an array
+            _shaped(_quantity(getattr(self, field), name, "positive"), (), name)
         if self.rel_tol < 1e-13 or self.abs_tol < 1e-13:
             raise ConfigError("tolerances below 1e-13 are not resolvable in float64")
 

@@ -96,6 +96,7 @@ class SampledSignal:
     degree = 3
 
     def __init__(self, times, values):
+        from .model import _count, _quantity        # model imports this module
         times = np.asarray(times, dtype=float)
         values = np.asarray(values, dtype=float)
         if values.ndim == 1:
@@ -104,12 +105,10 @@ class SampledSignal:
             raise DimensionMismatch(
                 f"signal samples misshaped: times {times.shape}, values {values.shape}"
             )
-        if times.shape[0] < 2:
-            raise ConfigError("sampled signal needs at least two samples")
-        if not (np.isfinite(times).all() and np.isfinite(values).all()):
-            raise ConfigError("signal sample times and values must be finite")
-        if np.any(np.diff(times) <= 0):
-            raise ConfigError("signal sample times must be strictly increasing")
+        _count(len(times), "number of signal samples", 2)
+        _quantity(values, "sampled signal")
+        _quantity(np.diff(_quantity(times, "signal sample times")),
+                  "signal sample time steps", "positive")
         self.times = times
         self.values = values
         self.dim = values.shape[1]

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, NotOnBoundary, OutOfDomain, StepSizeUnderflow
-from .model import AugmentedState, IqcSystem, Paraboloid
+from .model import AugmentedState, IqcSystem, Paraboloid, _quantity, _shaped
 from .riccati import IntegratorConfig, TimeVaryingParaboloid
 
 TOUCH_TOL_FACTOR = 100.0  # touch_tol = factor * rel_tol unless given
@@ -174,29 +174,30 @@ def touching_trajectory(tvp, X0, sys: IqcSystem, cfg: IntegratorConfig,
     :class:`DimensionMismatch` is raised.  A start with |h| above
     ``touch_tol`` raises :class:`NotOnBoundary`; if |h| exceeds it at a
     later node, the ride raises :class:`StepSizeUnderflow` rather than
-    projecting back.  Returns an :class:`AugmentedTrajectory`.
+    projecting back.  ``touch_tol`` is nonnegative, and ``np.inf`` turns
+    the check off.  Returns an :class:`AugmentedTrajectory`.
 
     Stacked: with a sequence of members of one stack (a family's, repeats
-    allowed), one start each, and ``touch_tol`` a number or one per row, all
-    rides are stepped together and a :class:`Rides` is returned, whose
-    ``errors`` hold what a single ride would have raised.
+    allowed), one start each, and ``touch_tol`` a number or one per row
+    (else :class:`DimensionMismatch`), all rides are stepped together and a
+    :class:`Rides` is returned, whose ``errors`` hold what a single ride
+    would have raised.
     """
     single = isinstance(tvp, TimeVaryingParaboloid)
     tvps, X0 = ([tvp], [X0]) if single else (list(tvp), list(X0))
     flow = _flow_of(tvps, sys)
-    for X in X0:
-        if X.x.shape[0] != flow.n:
-            raise DimensionMismatch(f"state dim {X.x.shape[0]} != paraboloid dim {flow.n}")
-    if touch_tol is None:
-        touch_tol = TOUCH_TOL_FACTOR * cfg.rel_tol
-    tols = np.broadcast_to(np.asarray(touch_tol, dtype=float), (len(tvps),))
+    R = len(tvps)
+    x0 = _shaped([X.x for X in X0], (R, flow.n), "ride starts")
+    tols = _quantity(TOUCH_TOL_FACTOR * cfg.rel_tol if touch_tol is None else touch_tol,
+                     "touch_tol", "nonnegative", inf=True)
+    tols = np.broadcast_to(tols, (R,)) if tols.ndim == 0 else _shaped(tols, (R,), "touch_tol")
 
     times, steps, E, f, g, last = _node_tables(tvps, [min(cfg.t_end, m.t_end) for m in tvps])
     x, gains, etas = _sweep(flow, flow.piece_of(times[:, :-1]), times[:, :-1], E[:, :-1],
-                            f[:, :-1], steps, [X.x for X in X0])
+                            f[:, :-1], steps, x0)
     xq = np.cumsum(np.column_stack([[X.x_q for X in X0], gains]), axis=1)
     h = flow.value(E, f, g, x) + xq
-    errors = [None] * len(tvps)
+    errors = [None] * R
     for r in np.nonzero(np.any(np.abs(h) > tols[:, None], axis=1))[0]:
         k = np.nonzero(np.abs(h[r]) > tols[r])[0][0]
         if k == 0:
@@ -226,24 +227,26 @@ def trace_back_to_seed(tvp, sys: IqcSystem, cfg: IntegratorConfig, t_at, x_at):
     state leaves the finite range raises :class:`StepSizeUnderflow`.
 
     Stacked: with a sequence of members of one stack, ``t_at`` one time per
-    row and ``x_at`` one state per row, all rows are stepped back together
+    row and ``x_at`` one state per row (else :class:`DimensionMismatch`),
+    all rows are stepped back together
     (each joins at the node before its start), and a list is returned
     holding per row the :class:`AugmentedState`, or the error a single
     back-trace would have raised.
     """
     single = isinstance(tvp, TimeVaryingParaboloid)
-    tvps = [tvp] if single else list(tvp)
+    tvps, t_at, x_at = ([tvp], [t_at], [x_at]) if single else (list(tvp), t_at, x_at)
     flow = _flow_of(tvps, sys)
     R, n = len(tvps), flow.n
-    t_at = np.array(t_at, dtype=float).reshape(R)
-    x_at = np.array(x_at, dtype=float).reshape(R, n)
+    t_at = _shaped(t_at, (R,), "back-trace times")
+    x_at = _shaped(x_at, (R, n), "back-trace states")
     out = [None] * R
     for r, m in enumerate(tvps):
         try:
             m._check_domain(t_at[r])
         except OutOfDomain as e:
-            out[r], t_at[r] = e, 0.0        # the row is stepped from 0, then dropped
-    t_at = np.maximum(t_at, 0.0)
+            out[r] = e
+    # a row out of its domain is stepped from 0, then dropped
+    t_at = np.where([e is None for e in out], np.maximum(t_at, 0.0), 0.0)
 
     times, steps, E, f, g, last = _node_tables(tvps, [m.t_end for m in tvps])
     rows, end = np.arange(R), times[np.arange(R), last]

@@ -251,6 +251,8 @@ class TestIntegerFlags:
         ["reach", "--example", "sec5", "--g0", "nan"],
         ["reach", "--example", "sec5", "--e0", "[[NaN, 0], [0, 1]]"],
         ["verify", "--example", "sec5", "--f0", "[Infinity, 0]"],
+        ["reach", "--example", "sec5", "--f0", "[true, false]"],
+        ["reach", "--example", "sec5", "--e0", "true"],
     ])
     def test_config_error_before_any_work(self, argv, tmp_path, capsys, monkeypatch):
         def build_family(*args, **kwargs):

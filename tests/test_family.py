@@ -99,7 +99,7 @@ class TestGammaBar:
         with pytest.raises(ConfigError):
             pr.build_family(ex1_stable_seed, ex1_system, eps_q, 1, ex1_cfg, gammas=[1.0])
 
-    @pytest.mark.parametrize("density", [0, -1])
+    @pytest.mark.parametrize("density", [0, -1, 2.5, True])
     def test_sampler_density_below_one(self, sec5_system, sec5_seed, sec5_cfg, density):
         # density 0 once sampled no rim state and gave 1.0: a one-member family
         with pytest.raises(ConfigError):
@@ -210,6 +210,18 @@ class TestBuildFamily:
                 pr.build_family(ex1_stable_seed, ex1_system, 6e-5, cfg=ex1_cfg,
                                 **kwargs)
 
+    @pytest.mark.parametrize("n_members", [2.5, True, np.float64(4.0)])
+    def test_member_count_is_whole(self, ex1_system, ex1_stable_seed, ex1_cfg, n_members):
+        # 2.5 ended in a TypeError, and True was taken as one member
+        with pytest.raises(ConfigError):
+            pr.build_family(ex1_stable_seed, ex1_system, 6e-5, n_members, ex1_cfg)
+
+    def test_spacing_checked_with_gammas(self, ex1_system, ex1_stable_seed, ex1_cfg):
+        # explicit gammas once skipped the spacing check
+        with pytest.raises(ConfigError):
+            pr.build_family(ex1_stable_seed, ex1_system, 6e-5, 2, ex1_cfg,
+                            gammas=[1.0, 2.0], spacing="logg")
+
     def test_k_bound_is_max_norm(self, ex1_family):
         direct = max(np.max(np.abs(m.E_samples)) for m in ex1_family.members)
         assert ex1_family.K_bound == pytest.approx(direct)
@@ -315,7 +327,8 @@ class TestMembership:
         with pytest.raises(OutOfDomain):
             pr.membership_margins(ex1_family, 10.5, [[0.0]], [0.0])
 
-    @pytest.mark.parametrize("xs", [np.zeros(3), np.zeros((3, 2)), np.zeros((1, 3, 1))])
+    @pytest.mark.parametrize("xs", [np.zeros(3), np.zeros((3, 2)), np.zeros((1, 3, 1)),
+                                    [[0.0], [0.0, 0.0], [0.0]]])
     def test_points_must_be_rows(self, ex1_family, xs):
         # one rule for every point query: rows (G, n), else DimensionMismatch
         for query in (lambda: pr.reach_slice(ex1_family, 1.0, xs),
@@ -323,6 +336,13 @@ class TestMembership:
                       lambda: pr.membership_margins(ex1_family, 1.0, xs, np.zeros(3))):
             with pytest.raises(DimensionMismatch):
                 query()
+
+    @pytest.mark.parametrize("xqs", [np.zeros(1), np.zeros(4), np.zeros((3, 1)), 0.0])
+    def test_one_budget_per_point(self, ex1_family, xqs):
+        # one budget for three points was applied to each of them, and
+        # four ended in a numpy ValueError
+        with pytest.raises(DimensionMismatch):
+            pr.membership_margins(ex1_family, 1.0, np.zeros((3, 1)), xqs)
 
     def test_batched_margins_match(self, ex1_family):
         rng = np.random.default_rng(3)
@@ -599,7 +619,7 @@ class TestAssumptions:
         assert report.n_boundary_points == 66
         assert report.violations == []
 
-    @pytest.mark.parametrize("max_rim_points", [0, -2])
+    @pytest.mark.parametrize("max_rim_points", [0, -2, 2.5, True])
     def test_max_rim_points_below_one(self, ex1_family, ex1_cfg, max_rim_points):
         # 0 once divided by zero, and -2 trimmed the rim points silently
         with pytest.raises(ConfigError):

@@ -285,11 +285,20 @@ class TestCoverage:
             with pytest.raises(ConfigError):
                 pr.coverage(ex1_small_family, 1.0, pts, window=window)
 
-    @pytest.mark.parametrize("cells", [3.0, 2.5, np.float64(4.0), True, False, "3"])
+    @pytest.mark.parametrize("cells", [3.0, 2.5, np.float64(4.0), True, False, "3", np.nan, -1])
     def test_cells_must_be_integers(self, ex1_small_family, cells):
         with pytest.raises(ConfigError):
             pr.coverage(ex1_small_family, 1.0, np.array([[0.05]]), cells_per_dim=cells,
                         window=([-0.5], [0.5]))
+
+    @pytest.mark.parametrize("window", [([-0.5, -0.5], [0.5, 0.5]), ([], []), (-0.5, 0.5),
+                                        ([-0.5], [0.5], [1.5])],
+                             ids=["too-long", "too-short", "scalars", "three-rows"])
+    def test_window_is_one_pair_of_rows(self, ex1_small_family, window):
+        # a (lo, hi) pair of shape (2, n): a longer one lost its extra axes
+        # silently, a shorter one ended in an IndexError
+        with pytest.raises(DimensionMismatch):
+            pr.coverage(ex1_small_family, 1.0, np.array([[0.05]]), window=window)
 
     @pytest.mark.parametrize("pts", [np.zeros(5), np.zeros((5, 2))])
     def test_endpoints_must_be_rows(self, ex1_small_family, pts):
@@ -319,7 +328,10 @@ class TestConfig:
 
     @pytest.mark.parametrize("bad", [{"n_trajectories": 2.5}, {"n_trajectories": True},
                                      {"segments": 2.5}, {"segments": np.float64(3.0)},
-                                     {"seed": 2.5}, {"seed": True}, {"noise_rel": -1.0}])
+                                     {"seed": 2.5}, {"seed": True}, {"noise_rel": -1.0},
+                                     {"t_end": True}, {"w_scale": True}, {"noise_rel": np.nan},
+                                     {"boundary_fraction": np.nan}, {"segments": -1},
+                                     {"boundary_fraction": True}])
     def test_rejects_non_integers_and_negative_noise(self, bad):
         with pytest.raises(ConfigError):
             pr.OracleConfig(**{"n_trajectories": 10, **bad})
@@ -330,6 +342,19 @@ class TestConfig:
         plain = pr.OracleConfig(n_trajectories=10, segments=2)
         assert samples_digest(pr.sample_admissible(ex1_system, ex1_stable_seed, cfg)) == (
             samples_digest(pr.sample_admissible(ex1_system, ex1_stable_seed, plain)))
+
+    @pytest.mark.parametrize("bad", [{"t_end": [1.0, 2.0]}, {"w_scale": [1.0]},
+                                     {"boundary_fraction": [0.5]}])
+    def test_fields_are_numbers(self, bad):
+        # an array passed construction and failed in the sampler
+        with pytest.raises(DimensionMismatch):
+            pr.OracleConfig(**{"n_trajectories": 10, **bad})
+
+    def test_nan_sample_time(self, ex1_system, ex1_stable_seed):
+        # NaN passed both bounds and was sampled nowhere: 0 of 50 draws, no error
+        cfg = pr.OracleConfig(n_trajectories=50, t_end=1.0)
+        with pytest.raises(ConfigError):
+            pr.sample_admissible(ex1_system, ex1_stable_seed, cfg, sample_times=[0.5, np.nan])
 
     def test_sample_times_outside_horizon(self, ex1_system, ex1_stable_seed):
         cfg = pr.OracleConfig(n_trajectories=10, t_end=1.0)

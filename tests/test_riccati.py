@@ -434,6 +434,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             pr.IntegratorConfig(t_end=0.0)
 
+    @pytest.mark.parametrize("bad", [{"max_step": True}, {"t_end": True}, {"rel_tol": np.nan},
+                                     {"escape_norm": np.inf}, {"abs_tol": -1.0},
+                                     {"max_step": "0.1"}])
+    def test_fields_are_positive_finite_numbers(self, bad):
+        # True was taken as 1, and a string passed to the engine
+        with pytest.raises(ConfigError):
+            pr.IntegratorConfig(**bad)
+
+    @pytest.mark.parametrize("bad", [{"max_step": [0.1, 0.2]}, {"t_end": [1.0]}])
+    def test_fields_are_numbers(self, bad):
+        # an array passed construction and failed in the engine
+        with pytest.raises(DimensionMismatch):
+            pr.IntegratorConfig(**bad)
+
     def test_rejects_unresolvable_tolerance(self):
         with pytest.raises(ConfigError):
             pr.IntegratorConfig(rel_tol=1e-14)

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import parareach as pr
-from parareach.errors import DimensionMismatch, NotOnBoundary, OutOfDomain, StepSizeUnderflow
+from parareach.errors import (ConfigError, DimensionMismatch, NotOnBoundary, OutOfDomain,
+                              StepSizeUnderflow)
 
 from conftest import (boundary_state, energy_rate, paraboloid_rate, random_boundary_states,
                       random_iqc_system, reference_ride, reference_trace_back,
@@ -136,6 +137,25 @@ class TestTouchingTrajectory:
             assert h_worst <= 1e-6
 
 
+class TestTouchTolerance:
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, True])
+    def test_must_be_nonnegative(self, ex1_system, ex1_stable_tvp, ex1_cfg,
+                                 ex1_stable_seed, tol):
+        # NaN let a start far off the surface ride, and -1 refused one on it
+        X0 = boundary_state(ex1_stable_seed, [1.0], 0.0)
+        with pytest.raises(ConfigError):
+            pr.touching_trajectory(ex1_stable_tvp, X0, ex1_system, ex1_cfg, touch_tol=tol)
+
+    def test_inf_turns_the_check_off(self, ex1_system, ex1_stable_tvp, ex1_cfg,
+                                     ex1_stable_seed):
+        off = pr.AugmentedState([0.0], -ex1_stable_seed.g - 0.01)
+        with pytest.raises(NotOnBoundary):
+            pr.touching_trajectory(ex1_stable_tvp, off, ex1_system, ex1_cfg)
+        traj = pr.touching_trajectory(ex1_stable_tvp, off, ex1_system, ex1_cfg,
+                                      touch_tol=np.inf)
+        assert abs(traj.h_samples[0]) > 1e-3
+
+
 class TestBacktrace:
     def test_round_trip(self, ex1_system, ex1_stable_tvp, ex1_cfg,
                         ex1_stable_seed):
@@ -240,6 +260,24 @@ class TestStackedRows:
             pr.trace_back_to_seed(tvps[0], ex1_system, ex1_cfg, 5.0, [0.1])
         assert isinstance(backs[0], OutOfDomain) and str(backs[0]) == str(alone.value)
         assert isinstance(backs[1], pr.AugmentedState)
+
+    @pytest.mark.parametrize("call", ["tolerances", "starts", "times", "states"])
+    def test_one_entry_per_row(self, ex1_system, ex1_stable_seed, ex1_cfg, call):
+        # two entries for three rows ended in a numpy ValueError
+        tvps = list(pr.propagate(ex1_stable_seed, ex1_system, ex1_cfg,
+                                 gamma=[1.0, 1.5, 2.0]).members)
+        X0 = pr.AugmentedState([0.0], -ex1_stable_seed.g)
+        calls = {
+            "tolerances": lambda: pr.touching_trajectory(tvps, [X0] * 3, ex1_system, ex1_cfg,
+                                                         touch_tol=[1.0, 1.0]),
+            "starts": lambda: pr.touching_trajectory(tvps, [X0] * 2, ex1_system, ex1_cfg),
+            "times": lambda: pr.trace_back_to_seed(tvps, ex1_system, ex1_cfg, [1.0] * 2,
+                                                   [[0.1]] * 3),
+            "states": lambda: pr.trace_back_to_seed(tvps, ex1_system, ex1_cfg, [1.0] * 3,
+                                                    [[0.1]] * 2),
+        }
+        with pytest.raises(DimensionMismatch):
+            calls[call]()
 
     def test_non_finite_trace_stays_in_its_row(self, ex1_system, ex1_stable_seed, ex1_cfg):
         # a state far outside the set traces back to a budget that is not finite
