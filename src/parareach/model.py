@@ -59,14 +59,19 @@ def _quantity(value, name, sign=None, inf=False):
 
 
 def _shaped(value, shape, name):
-    """``value`` as a float array of ``shape``, else DimensionMismatch; a
-    str in ``shape`` (like "G") stands for any length.  So points are rows
+    """``value`` as a float array of ``shape``, else DimensionMismatch (and
+    ConfigError for an entry that is not a number); a str in ``shape`` (like
+    "G") stands for any length.  So points are rows
     (G, n), and a stack of R rows takes one budget, start, time or state
     per row."""
     try:
         a = np.asarray(value, dtype=float)
-    except ValueError as e:                     # rows of different lengths
-        raise DimensionMismatch(f"{name}: {e}") from e
+    except ValueError as e:
+        try:
+            np.asarray(value)
+        except ValueError:                      # rows of different lengths
+            raise DimensionMismatch(f"{name}: {e}") from e
+        raise ConfigError(f"{name} must be a number, got {value!r}") from e
     if a.ndim != len(shape) or any(s != d for s, d in zip(shape, a.shape)
                                    if not isinstance(s, str)):
         shown = str(tuple(shape)).replace("'", "")

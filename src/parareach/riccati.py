@@ -421,8 +421,8 @@ def propagate(P0: Paraboloid, sys: IqcSystem, cfg: IntegratorConfig, gamma=1.0):
     """
     if P0.dim != sys.n:
         raise DimensionMismatch(f"seed dim {P0.dim} != system dim {sys.n}")
-    gs = np.asarray(gamma, dtype=float)
-    if gs.ndim > 1 or gs.size == 0 or not np.all(np.isfinite(gs) & (gs > 0.0)):
+    gs = _quantity(gamma, "seed scalings")
+    if gs.ndim > 1 or gs.size == 0 or not np.all(gs > 0.0):
         raise NonPositiveScale(f"seed scalings must be positive, got {gamma}")
     flow = Flow(sys, cfg.t_end, cfg.max_step)
     M, K, gm = gs.size, len(flow.grid), gs.flatten()

@@ -29,9 +29,8 @@ class ZeroSignal:
     knots = np.empty(0)
 
     def __init__(self, dim: int):
-        if dim < 0:
-            raise DimensionMismatch("signal dimension must be nonnegative")
-        self.dim = int(dim)
+        from .model import _count                   # model imports this module
+        self.dim = _count(dim, "signal dimension", 0)
         self._value = np.zeros(self.dim)
         self._value.flags.writeable = False
 

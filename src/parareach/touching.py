@@ -14,11 +14,14 @@ budget gains Van Loan's exact integral of the energy rate.
 
 Both come in stacks of rows, each a member of one
 :class:`parareach.riccati.ParaboloidStack`; a single ride or back-trace is a
-one-row stack.  All rows step with the same Phi at a node, so one batched
-product per node moves them all.  A ride's row is its member's stack row,
-cut at the member's last node or the horizon and padded past it as the
-stack pads it; a back-trace's row joins the backward sweep at the node
-before its start.  A failed row keeps its error, and the other rows finish.
+one-row stack.  A ride is affine in its start, so the steps of all rows are
+composed into ride maps by one log-depth scan, about 2 log2(steps) batched
+products, and the maps move every start to all its nodes at once.  A ride's
+row is its member's stack row, cut at the member's last node or the horizon
+and padded past it as the stack pads it; a back-trace's row steps to the
+node before its start, then back node by node to 0, and is padded after
+that.  A row's states do not depend on the other rows or on the padding.
+A failed row keeps its error, and the other rows finish.
 """
 
 from __future__ import annotations
@@ -147,17 +150,54 @@ def _node_tables(tvps, ends):
     return times, steps, E, f, g, last
 
 
+def _scan(M):
+    """Maps M (R, S, m, m) replaced by their prefix products M_i ... M_0, by
+    a work-efficient scan (Blelloch, CMU-CS-90-190, 1990) over aligned
+    power-of-two blocks: about 2 log2(S) batched products.  The up-sweep
+    leaves at i the product of the block that ends there, as long as the
+    lowest set bit of i + 1; the down-sweep multiplies it onto the prefix
+    before the block.  So the prefix at i is the blocks of the binary digits
+    of i + 1, from the largest, grouped the same way whatever S is."""
+    S, d = M.shape[1], 1
+    while 2 * d <= S:
+        M[:, 2 * d - 1::2 * d] = M[:, 2 * d - 1::2 * d] @ M[:, d - 1:S - d:2 * d]
+        d *= 2
+    while d > 1:
+        d //= 2
+        M[:, 3 * d - 1::2 * d] = M[:, 3 * d - 1::2 * d] @ M[:, 2 * d - 1:S - d:2 * d]
+    return M
+
+
+def _ride_maps(A, c, dt):
+    """Each row's ride maps, from its steps (A, c) of lengths dt (R, S) as
+    homogeneous maps M = [[A, c], [0, 1]]: ``maps[r, i]`` (R, S, n + 1,
+    n + 1) is M_i ... M_0 of row r, and ``reach[r, i]`` (R, S + 1) counts its
+    steps up to the last of nonzero length before node i, so node i is
+    reached by ``maps[r, reach[r, i] - 1]``, or by none where that is 0.  So
+    a step of length 0 leaves a ride exactly where it is.  Such steps pad a
+    row after its last real step; their maps are the identity, but the scan
+    groups them with the real steps otherwise than the real steps alone."""
+    R, S, n = c.shape
+    M = np.zeros((R * S, n + 1, n + 1))
+    M[:, :n, :n] = A.reshape(-1, n, n)
+    M[:, :n, n] = c.reshape(-1, n)
+    M[:, n, n] = 1.0
+    reach = np.maximum.accumulate(np.where(dt != 0, np.arange(1, S + 1), 0), axis=1)
+    return _scan(M.reshape(R, S, n + 1, n + 1)), np.column_stack([np.zeros(R, int), reach])
+
+
 def _sweep(flow, j, t, E, f, dt, x0):
     """Rides of R rows over S steps each, step i of row r anchored at time
-    t[r, i] to (E, f)[r, i], by dt[r, i] within piece j[r, i], from x0 (R, n),
-    with one batched product per step for all rows: the states (R, S + 1, n),
-    the budget gain of each step (R, S), and the ride states the steps start
-    from (R, S, 2k)."""
+    t[r, i] to (E, f)[r, i], by dt[r, i] within piece j[r, i], from x0 (R, n):
+    the states (R, S + 1, n), the budget gain of each step (R, S), and the
+    ride states the steps start from (R, S, 2k).  The steps are composed
+    into each row's ride maps (:func:`_ride_maps`), which move the start to
+    every node at once."""
     A, c, W = flow.ride(j, t, E, f, dt)
-    x = np.empty((len(x0), A.shape[1] + 1, flow.n))
-    x[:, 0] = x0
-    for i in range(A.shape[1]):
-        x[:, i + 1] = (A[:, i] @ x[:, i, :, None])[..., 0] + c[:, i]
+    maps, reach = _ride_maps(A, c, dt)
+    z0 = np.column_stack([x0, np.ones(len(x0))])[:, None, :, None]       # [x0; 1]
+    x = np.concatenate([x0[:, None], (maps[..., :-1, :] @ z0)[..., 0]],
+                       axis=1)[np.arange(len(x0))[:, None], reach]
     etas = flow.anchor(j, t, x[:, :-1], E, f)
     return x, np.einsum("...i,...ij,...j->...", etas, W, etas), etas
 
@@ -253,14 +293,20 @@ def trace_back_to_seed(tvp, sys: IqcSystem, cfg: IntegratorConfig, t_at, x_at):
     Ea, fa, ga = (a[:, 0] for a in flow.dense_output(E, f, g, end, t_at[:, None]))
     start = np.where(t_at < end, np.searchsorted(flow.grid, t_at, side="right") - 1, last)
     t0 = times[rows, start]
-    back = np.where(np.arange(times.shape[1] - 1) < start[:, None], -steps, 0.0)
+    # the leg to the node before t_at, then the steps back from node k + 1 to
+    # k, k = start - 1 .. 0, then steps of 0 up to the longest row's length
+    K = times.shape[1]
+    k = start[:, None] - 1 - np.arange(K - 1)
+    at = np.maximum(k, 0) + K * rows[:, None]       # node k in the rows laid end to end
 
-    def legs(first, nodes):             # the leg to the node before t_at, then back to 0
-        return np.concatenate([first[:, None], nodes[:, ::-1]], axis=1)
+    def legs(first, nodes, shift=1):                # nodes (R, K, ...) at node k + shift
+        at_k = np.take(nodes.reshape((-1,) + nodes.shape[2:]), at + shift, axis=0)
+        return np.concatenate([first[:, None], at_k], axis=1)
 
-    x, gains, _ = _sweep(flow, legs(flow.piece_of(t0), flow.piece_of(times[:, :-1])),
-                         legs(t_at, times[:, 1:]), legs(Ea, E[:, 1:]), legs(fa, f[:, 1:]),
-                         legs(t0 - t_at, back), x_at)
+    back = np.where(k >= 0, -np.take(steps, at - rows[:, None]), 0.0)
+    x, gains, _ = _sweep(flow, legs(flow.piece_of(t0), flow.piece_of(times), 0),
+                         legs(t_at, times), legs(Ea, E), legs(fa, f),
+                         np.column_stack([t0 - t_at, back]), x_at)
     xq = np.cumsum(np.column_stack([-flow.value(Ea, fa, ga, x_at), gains]), axis=1)[:, -1]
     finite = np.isfinite(x[:, -1]).all(axis=1) & np.isfinite(xq)
     for r in np.nonzero([e is None for e in out])[0]:

@@ -337,6 +337,15 @@ class TestMembership:
             with pytest.raises(DimensionMismatch):
                 query()
 
+    @pytest.mark.parametrize("xs", [[["a"]], [[0.0], ["a"]]])
+    def test_points_must_be_numbers(self, ex1_family, xs):
+        # a non-numeric entry was reported as ragged rows (DimensionMismatch)
+        for query in (lambda: pr.reach_slice(ex1_family, 1.0, xs),
+                      lambda: pr.xq_max_at(ex1_family, 1.0, xs),
+                      lambda: pr.membership_margins(ex1_family, 1.0, xs, np.zeros(len(xs)))):
+            with pytest.raises(ConfigError):
+                query()
+
     @pytest.mark.parametrize("xqs", [np.zeros(1), np.zeros(4), np.zeros((3, 1)), 0.0])
     def test_one_budget_per_point(self, ex1_family, xqs):
         # one budget for three points was applied to each of them, and

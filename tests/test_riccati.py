@@ -354,9 +354,15 @@ class TestStack:
         assert escapes[0] is not None and escapes[1:] == [None] * 3
 
     def test_rejects_nonpositive_scaling(self, ex1_system, ex1_stable_seed, ex1_cfg):
-        for gamma in (0.0, [1.0, -2.0], [], np.nan):
+        for gamma in (0.0, [1.0, -2.0], []):
             with pytest.raises(NonPositiveScale):
                 pr.propagate(ex1_stable_seed, ex1_system, ex1_cfg, gamma=gamma)
+
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, [1.0, np.inf]])
+    def test_rejects_non_finite_scaling(self, ex1_system, ex1_stable_seed, ex1_cfg, gamma):
+        # a finiteness fault, not a sign error
+        with pytest.raises(ConfigError):
+            pr.propagate(ex1_stable_seed, ex1_system, ex1_cfg, gamma=gamma)
 
 
 class TestBlowUpTest:

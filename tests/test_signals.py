@@ -83,6 +83,13 @@ def test_rejects_non_finite_samples(times, values):
         pr.SampledSignal(times, values)
 
 
+@pytest.mark.parametrize("dim", [2.5, True, -1, np.float64(2.0)])
+def test_zero_signal_dimension_is_a_count(dim):
+    # 2.5 was cut to 2, True taken as 1, and -1 was a DimensionMismatch
+    with pytest.raises(pr.ConfigError):
+        pr.ZeroSignal(dim)
+
+
 def test_library_imports_no_scipy():
     # the package, its CLI, a sampled input and one propagation
     code = """

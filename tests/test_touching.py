@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import parareach as pr
+from parareach import touching
 from parareach.errors import (ConfigError, DimensionMismatch, NotOnBoundary, OutOfDomain,
                               StepSizeUnderflow)
 
@@ -171,11 +172,12 @@ class TestBacktrace:
 
 class TestStackedRows:
     """Stacked rides and back-traces against the node-by-node reference
-    (conftest), row by row.  The stack steps x by the affine map written out
-    from Phi[:n] and the anchor, so it rounds differently from the
-    reference.  Over 300 random cases built as below, the gap reached
-    1.7e-14 of the ride's scale for rides and 7.3e-14 for back-traces (which
-    step against the flow's contraction); RTOL leaves room above both."""
+    (conftest), row by row.  The stack composes the affine step maps written
+    out from Phi[:n] and the anchor by a scan, so it rounds differently from
+    the reference.  Over 300 random cases built as below (numpy seeds 0-299),
+    the gap reached 5.1e-14 of the ride's scale for rides and 1.3e-13 for
+    back-traces (which step against the flow's contraction), against 4.2e-14
+    and 9.9e-14 stepping one product per node; RTOL leaves room above both."""
 
     RTOL = 1e-10
 
@@ -241,6 +243,109 @@ class TestStackedRows:
         x0, xq0 = reference_trace_back(tvps[0], t_at[0], x_at[0])
         assert self.gap(one.x, x0) <= self.RTOL
         assert self.gap(one.x_q, xq0) <= self.RTOL
+
+    @staticmethod
+    def escaping_members(rng):
+        """A random driven system, a seed, a config with a low escape norm,
+        and the members of a stack of six scalings of the seed that are
+        defined past t = 0: (system, seed, config, members).  Drawn again
+        until a member escapes before another (a quarter of the draws)."""
+        cfg = pr.IntegratorConfig(max_step=0.05, t_end=1.5, escape_norm=50.0)
+        for _ in range(100):
+            sys_ = random_iqc_system(rng, sampled_input=True)
+            n = sys_.n
+            L = rng.standard_normal((n, n))
+            E0 = L @ L.T + 0.5 * np.eye(n)
+            f0 = rng.standard_normal(n)
+            c = np.linalg.solve(E0, f0)
+            P0 = pr.Paraboloid(E0, f0, float(c @ E0 @ c) - 1.0)
+            members = [m for m in pr.propagate(P0, sys_, cfg,
+                                               gamma=np.geomspace(1.0, 30.0, 6)).members
+                       if m.t_end > 0.0]
+            ends = [m.t_end for m in members]
+            if members and min(ends) < max(ends):
+                return sys_, P0, cfg, members
+        raise AssertionError("no member escaped in 100 draws")
+
+    @staticmethod
+    def starts(rng, P0, members):
+        """One random start per member, on its scaled seed's surface."""
+        out = []
+        for m in members:
+            d = rng.standard_normal(P0.dim)
+            out.append(boundary_state(scale_paraboloid(P0, m.gamma), d / np.linalg.norm(d),
+                                      rng.uniform(0.0, m.gamma)))
+        return out
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_row_keeps_its_bits_in_any_stack(self, seed):
+        # a row run alone, and the same row in a stack whose other rows run
+        # longer, so that steps of 0 pad it: equal bit for bit
+        rng = np.random.default_rng(seed)
+        sys_, P0, cfg, members = self.escaping_members(rng)
+        stack = [members[i] for i in rng.permutation(len(members))]
+        short = min(stack, key=lambda m: m.t_end)
+        r = stack.index(short)
+
+        X0 = self.starts(rng, P0, stack)
+        rides = pr.touching_trajectory(stack, X0, sys_, cfg, touch_tol=np.inf)
+        alone = pr.touching_trajectory(short, X0[r], sys_, cfg, touch_tol=np.inf)
+        np.testing.assert_array_equal(rides.row(r).x_samples, alone.x_samples)
+        np.testing.assert_array_equal(rides.row(r).xq_samples, alone.xq_samples)
+
+        # back-traces from a node (a first leg of length 0) and from between nodes
+        for t in (short.grid[rng.integers(1, len(short.grid))], rng.uniform(0.0, short.t_end)):
+            t_at = rng.uniform(0.0, [m.t_end for m in stack])
+            t_at[r] = t
+            x_at = rng.standard_normal((len(stack), sys_.n))
+            backs = pr.trace_back_to_seed(stack, sys_, cfg, t_at, x_at)
+            one = pr.trace_back_to_seed(short, sys_, cfg, t, x_at[r])
+            np.testing.assert_array_equal(backs[r].x, one.x)
+            # the budget starts from the value at t_at, which Flow.value rounds
+            # otherwise at a single point than in a stack of them
+            E, f, g = short.params_at(t)
+            terms = abs(x_at[r] @ E @ x_at[r]) + 2.0 * abs(f @ x_at[r]) + abs(g)
+            assert abs(backs[r].x_q - one.x_q) <= 8.0 * np.finfo(float).eps * terms
+
+    # Over 1,500 random cases built as below (numpy seeds 0-1499) the gap
+    # reached 1.9e-13 of the row's largest |x| for rides and 3.8e-15 for
+    # back-traces; the bound leaves ten times the worst
+    SCAN_RTOL = 2e-12
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_sweep_against_extended_precision(self, seed):
+        # the states of every ride and back-trace, composed by the scan,
+        # against a node-by-node run of the same step maps in np.longdouble
+        rng = np.random.default_rng(seed)
+        sys_, P0, cfg, members = self.escaping_members(rng)
+        sweeps = []
+        sweep = touching._sweep
+
+        def record(flow, j, t, E, f, dt, x0):
+            out = sweep(flow, j, t, E, f, dt, x0)
+            sweeps.append((flow.ride(j, t, E, f, dt)[:2], x0, out[0]))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(touching, "_sweep", record)
+            pr.touching_trajectory(members, self.starts(rng, P0, members), sys_, cfg,
+                                   touch_tol=np.inf)
+            t_at = [m.grid[rng.integers(len(m.grid))] if rng.integers(2)
+                    else rng.uniform(0.0, m.t_end) for m in members]
+            pr.trace_back_to_seed(members, sys_, cfg, t_at,
+                                  rng.standard_normal((len(members), sys_.n)))
+        assert len(sweeps) == 2
+        for (A, c), x0, x in sweeps:
+            A, c = A.astype(np.longdouble), c.astype(np.longdouble)
+            ref = np.empty(x.shape, dtype=np.longdouble)
+            ref[:, 0] = x0
+            for i in range(A.shape[1]):
+                ref[:, i + 1] = (A[:, i] @ ref[:, i, :, None])[..., 0] + c[:, i]
+            scale = np.max(np.abs(ref), axis=(1, 2))
+            gap = np.max(np.abs(x - ref), axis=(1, 2)) / scale
+            assert np.all(gap[np.isfinite(scale)] <= self.SCAN_RTOL)
 
     def test_row_failures_stay_in_their_row(self, ex1_system, ex1_escape_seed, ex1_cfg):
         stack = pr.propagate(ex1_escape_seed, ex1_system, ex1_cfg, gamma=[1.0, 2.0])
