@@ -216,6 +216,14 @@ class Flow:
                     o += term
         return out
 
+    def value_each(self, E, f, g, x):
+        """:meth:`value` of points x (R, n) at (E, f, g) (R, ...), each
+        rounded as in a stack of them whatever R: fewer than three points,
+        which the einsum may sum row by row (above), are valued padded by
+        copies of the last."""
+        pad = np.minimum(np.arange(max(len(x), 3)), len(x) - 1)
+        return self.value(E[pad], f[pad], g[pad], x[pad])[:len(x)]
+
     def read(self, P, phi):
         """(E, f, g) of an augmented P at the basis value phi."""
         n = self.n
@@ -402,6 +410,13 @@ class ParaboloidStack:
     @cached_property
     def members(self) -> tuple:
         return tuple(TimeVaryingParaboloid(self, r) for r in range(len(self.last)))
+
+    @cached_property
+    def _spans(self) -> dict:
+        """The last ride and the last back-trace of one span each, as
+        :mod:`parareach.touching` keeps them: per kind, its key and the
+        read-only arrays of its span part."""
+        return {}
 
 
 def propagate(P0: Paraboloid, sys: IqcSystem, cfg: IntegratorConfig, gamma=1.0):

@@ -22,6 +22,13 @@ and padded past it as the stack pads it; a back-trace's row steps to the
 node before its start, then back node by node to 0, and is padded after
 that.  A row's states do not depend on the other rows or on the padding.
 A failed row keeps its error, and the other rows finish.
+
+A sweep has two parts.  Its span part depends only on the row and its
+span, 0 to the end for a ride and t_at back to 0 for a back-trace: the node
+tables, the step matrices and their scanned maps.  Its start part moves the
+starts by the maps and adds up the budgets.  The stack keeps the span of
+the last call whose rows all share one, per kind, so a loop of single
+rides or back-traces on one member builds each span once.
 """
 
 from __future__ import annotations
@@ -56,7 +63,9 @@ class Rides:
     repeating it.  ``etas`` (R, K - 1, 2k) are the ride states each step
     starts from, from which :meth:`state_at_many` is exact between nodes.
     ``errors[r]`` is the :class:`NotOnBoundary` or
-    :class:`StepSizeUnderflow` of a row that left the surface, else None."""
+    :class:`StepSizeUnderflow` of a row that left the surface, else None.
+    Rows to one end on one member may share the span part of their sweep
+    (the module docstring); every array here is the row's own."""
 
     def __init__(self, flow, times, last, x, xq, h, etas, errors):
         self.flow = flow
@@ -126,15 +135,13 @@ def _flow_of(tvps, sys: IqcSystem):
     return stack.flow
 
 
-def _node_tables(tvps, ends):
-    """Each member's stack row cut at its end time: node times (R, K), step
-    lengths (R, K - 1) and (E, f, g) (R, K, ...), padded past each row's
+def _node_tables(stack, rows, ends):
+    """Stack rows ``rows`` cut at their end times ``ends``: node times (R, K),
+    step lengths (R, K - 1) and (E, f, g) (R, K, ...), padded past each row's
     last node (the first at or after its end) by the end and the parameters
     there, with steps of 0 (which leave a ride where it is), and the index
     of each row's last node.  An end between two nodes is reached by a
     shorter last step, with its parameters from dense output."""
-    stack = tvps[0].stack
-    rows, ends = np.array([m.row for m in tvps]), np.asarray(ends, dtype=float)
     last = np.count_nonzero(stack.times[rows] < ends[:, None], axis=1)
     K = last.max() + 1
     nodes = [a[rows, :K] for a in stack.nodes]
@@ -168,38 +175,94 @@ def _scan(M):
     return M
 
 
-def _ride_maps(A, c, dt):
-    """Each row's ride maps, from its steps (A, c) of lengths dt (R, S) as
+def _ride_maps(A, c):
+    """Each row's ride maps, from its steps (A, c) (R, S, ...) as
     homogeneous maps M = [[A, c], [0, 1]]: ``maps[r, i]`` (R, S, n + 1,
-    n + 1) is M_i ... M_0 of row r, and ``reach[r, i]`` (R, S + 1) counts its
-    steps up to the last of nonzero length before node i, so node i is
-    reached by ``maps[r, reach[r, i] - 1]``, or by none where that is 0.  So
-    a step of length 0 leaves a ride exactly where it is.  Such steps pad a
-    row after its last real step; their maps are the identity, but the scan
-    groups them with the real steps otherwise than the real steps alone."""
+    n + 1) is M_i ... M_0 of row r."""
     R, S, n = c.shape
     M = np.zeros((R * S, n + 1, n + 1))
     M[:, :n, :n] = A.reshape(-1, n, n)
     M[:, :n, n] = c.reshape(-1, n)
     M[:, n, n] = 1.0
-    reach = np.maximum.accumulate(np.where(dt != 0, np.arange(1, S + 1), 0), axis=1)
-    return _scan(M.reshape(R, S, n + 1, n + 1)), np.column_stack([np.zeros(R, int), reach])
+    return _scan(M.reshape(R, S, n + 1, n + 1))
 
 
-def _sweep(flow, j, t, E, f, dt, x0):
+def _sweep(flow, j, t, E, f, dt, W, maps, x0):
     """Rides of R rows over S steps each, step i of row r anchored at time
-    t[r, i] to (E, f)[r, i], by dt[r, i] within piece j[r, i], from x0 (R, n):
-    the states (R, S + 1, n), the budget gain of each step (R, S), and the
-    ride states the steps start from (R, S, 2k).  The steps are composed
-    into each row's ride maps (:func:`_ride_maps`), which move the start to
-    every node at once."""
-    A, c, W = flow.ride(j, t, E, f, dt)
-    maps, reach = _ride_maps(A, c, dt)
-    z0 = np.column_stack([x0, np.ones(len(x0))])[:, None, :, None]       # [x0; 1]
-    x = np.concatenate([x0[:, None], (maps[..., :-1, :] @ z0)[..., 0]],
-                       axis=1)[np.arange(len(x0))[:, None], reach]
+    t[r, i] to (E, f)[r, i], by dt[r, i] within piece j[r, i], with budget
+    integral W[r, i] and ride maps ``maps`` (:func:`_ride_maps`), from x0
+    (R, n): the states (R, S + 1, n), the budget gain of each step (R, S),
+    and the ride states the steps start from (R, S, 2k).  Node i is reached
+    by the map of the last step of nonzero length before it, or by none, so
+    a step of length 0 leaves a ride exactly where it is.  Such steps pad a
+    row after its last real step; their maps are the identity, but the scan
+    groups them with the real steps otherwise than the real steps alone."""
+    R, S = dt.shape
+    reach = np.maximum.accumulate(np.where(dt != 0, np.arange(1, S + 1), 0), axis=1)
+    z0 = np.column_stack([x0, np.ones(R)])[:, None, :, None]           # [x0; 1]
+    x = np.concatenate([x0[:, None], (maps[..., :-1, :] @ z0)[..., 0]], axis=1)
+    x = x[np.arange(R)[:, None], np.column_stack([np.zeros(R, int), reach])]
     etas = flow.anchor(j, t, x[:, :-1], E, f)
     return x, np.einsum("...i,...ij,...j->...", etas, W, etas), etas
+
+
+def _shared(stack, kind, rows, at, build):
+    """The span part of R rides or back-traces, ``build(stack, rows, at)``.
+    A call whose rows all share one span (one stack row, the same bits of
+    ``at``) reads it from the stack's slot for ``kind``, and on a miss
+    stores there its build for one row, read-only: a stack holds at most one
+    span per kind."""
+    at = np.asarray(at, dtype=float)
+    bits = at.view(np.int64)
+    if (rows != rows[0]).any() or (bits != bits[0]).any():
+        return build(stack, rows, at)
+    key = (int(rows[0]), int(bits[0]))
+    slot = stack._spans.get(kind)
+    if slot is None or slot[0] != key:
+        span = build(stack, rows[:1], at[:1])
+        for a in span:
+            a.flags.writeable = False
+        stack._spans[kind] = slot = (key, span)
+    return tuple(np.repeat(a, len(rows), axis=0) for a in slot[1])
+
+
+def _ride_span(stack, rows, ends):
+    """The part of rides of stack rows ``rows`` to ``ends`` that no start
+    changes: their node tables (:func:`_node_tables`), and the pieces,
+    budget integrals and ride maps of their steps."""
+    flow = stack.flow
+    times, steps, E, f, g, last = _node_tables(stack, rows, ends)
+    j = flow.piece_of(times[:, :-1])
+    A, c, W = flow.ride(j, times[:, :-1], E[:, :-1], f[:, :-1], steps)
+    return times, steps, E, f, g, last, j, W, _ride_maps(A, c)
+
+
+def _back_span(stack, rows, t_at):
+    """The part of back-traces of stack rows ``rows`` from ``t_at`` that no
+    state changes: the steps of each row as :func:`_sweep` takes them, with
+    their budget integrals and ride maps, and the parameters (E, f, g) at
+    t_at."""
+    flow = stack.flow
+    r, end = np.arange(len(rows)), stack.t_end[rows]
+    times, steps, E, f, g, last = _node_tables(stack, rows, end)
+    Ea, fa, ga = (a[:, 0] for a in flow.dense_output(E, f, g, end, t_at[:, None]))
+    start = np.where(t_at < end, np.searchsorted(flow.grid, t_at, side="right") - 1, last)
+    t0 = times[r, start]
+    # the leg to the node before t_at, then the steps back from node k + 1 to
+    # k, k = start - 1 .. 0, then steps of 0 up to the longest row's length
+    K = times.shape[1]
+    k = start[:, None] - 1 - np.arange(K - 1)
+    at = np.maximum(k, 0) + K * r[:, None]          # node k in the rows laid end to end
+
+    def legs(first, nodes, shift=1):                # nodes (R, K, ...) at node k + shift
+        at_k = np.take(nodes.reshape((-1,) + nodes.shape[2:]), at + shift, axis=0)
+        return np.concatenate([first[:, None], at_k], axis=1)
+
+    j, t = legs(flow.piece_of(t0), flow.piece_of(times), 0), legs(t_at, times)
+    E_k, f_k = legs(Ea, E), legs(fa, f)
+    dt = np.column_stack([t0 - t_at, np.where(k >= 0, -np.take(steps, at - r[:, None]), 0.0)])
+    A, c, W = flow.ride(j, t, E_k, f_k, dt)
+    return j, t, E_k, f_k, dt, W, _ride_maps(A, c), Ea, fa, ga
 
 
 def touching_trajectory(tvp, X0, sys: IqcSystem, cfg: IntegratorConfig,
@@ -221,7 +284,9 @@ def touching_trajectory(tvp, X0, sys: IqcSystem, cfg: IntegratorConfig,
     allowed), one start each, and ``touch_tol`` a number or one per row
     (else :class:`DimensionMismatch`), all rides are stepped together and a
     :class:`Rides` is returned, whose ``errors`` hold what a single ride
-    would have raised.
+    would have raised.  A call whose rows all ride one member to one end
+    builds that span's ride maps once, or reuses those of the last such call
+    on the same stack; the rides are the same bit for bit.
     """
     single = isinstance(tvp, TimeVaryingParaboloid)
     tvps, X0 = ([tvp], [X0]) if single else (list(tvp), list(X0))
@@ -232,9 +297,11 @@ def touching_trajectory(tvp, X0, sys: IqcSystem, cfg: IntegratorConfig,
                      "touch_tol", "nonnegative", inf=True)
     tols = np.broadcast_to(tols, (R,)) if tols.ndim == 0 else _shaped(tols, (R,), "touch_tol")
 
-    times, steps, E, f, g, last = _node_tables(tvps, [min(cfg.t_end, m.t_end) for m in tvps])
-    x, gains, etas = _sweep(flow, flow.piece_of(times[:, :-1]), times[:, :-1], E[:, :-1],
-                            f[:, :-1], steps, x0)
+    rows = np.array([m.row for m in tvps])
+    ends = np.array([min(cfg.t_end, m.t_end) for m in tvps], dtype=float)
+    times, steps, E, f, g, last, j, W, maps = _shared(tvps[0].stack, "ride", rows, ends,
+                                                      _ride_span)
+    x, gains, etas = _sweep(flow, j, times[:, :-1], E[:, :-1], f[:, :-1], steps, W, maps, x0)
     xq = np.cumsum(np.column_stack([[X.x_q for X in X0], gains]), axis=1)
     h = flow.value(E, f, g, x) + xq
     errors = [None] * R
@@ -268,10 +335,12 @@ def trace_back_to_seed(tvp, sys: IqcSystem, cfg: IntegratorConfig, t_at, x_at):
 
     Stacked: with a sequence of members of one stack, ``t_at`` one time per
     row and ``x_at`` one state per row (else :class:`DimensionMismatch`),
-    all rows are stepped back together
-    (each joins at the node before its start), and a list is returned
-    holding per row the :class:`AugmentedState`, or the error a single
-    back-trace would have raised.
+    all rows are stepped back together (each joins at the node before its
+    start), and a list is returned holding per row the
+    :class:`AugmentedState`, or the error a single back-trace would have
+    raised.  Rows of one member and one ``t_at`` share their steps and maps
+    as rides do (:func:`touching_trajectory`), and a row's seed state, its
+    budget included, is the same bit for bit alone and in any stack.
     """
     single = isinstance(tvp, TimeVaryingParaboloid)
     tvps, t_at, x_at = ([tvp], [t_at], [x_at]) if single else (list(tvp), t_at, x_at)
@@ -288,26 +357,12 @@ def trace_back_to_seed(tvp, sys: IqcSystem, cfg: IntegratorConfig, t_at, x_at):
     # a row out of its domain is stepped from 0, then dropped
     t_at = np.where([e is None for e in out], np.maximum(t_at, 0.0), 0.0)
 
-    times, steps, E, f, g, last = _node_tables(tvps, [m.t_end for m in tvps])
-    rows, end = np.arange(R), times[np.arange(R), last]
-    Ea, fa, ga = (a[:, 0] for a in flow.dense_output(E, f, g, end, t_at[:, None]))
-    start = np.where(t_at < end, np.searchsorted(flow.grid, t_at, side="right") - 1, last)
-    t0 = times[rows, start]
-    # the leg to the node before t_at, then the steps back from node k + 1 to
-    # k, k = start - 1 .. 0, then steps of 0 up to the longest row's length
-    K = times.shape[1]
-    k = start[:, None] - 1 - np.arange(K - 1)
-    at = np.maximum(k, 0) + K * rows[:, None]       # node k in the rows laid end to end
-
-    def legs(first, nodes, shift=1):                # nodes (R, K, ...) at node k + shift
-        at_k = np.take(nodes.reshape((-1,) + nodes.shape[2:]), at + shift, axis=0)
-        return np.concatenate([first[:, None], at_k], axis=1)
-
-    back = np.where(k >= 0, -np.take(steps, at - rows[:, None]), 0.0)
-    x, gains, _ = _sweep(flow, legs(flow.piece_of(t0), flow.piece_of(times), 0),
-                         legs(t_at, times), legs(Ea, E), legs(fa, f),
-                         np.column_stack([t0 - t_at, back]), x_at)
-    xq = np.cumsum(np.column_stack([-flow.value(Ea, fa, ga, x_at), gains]), axis=1)[:, -1]
+    j, t, E, f, dt, W, maps, Ea, fa, ga = _shared(tvps[0].stack, "back",
+                                                  np.array([m.row for m in tvps]), t_at,
+                                                  _back_span)
+    x, gains, _ = _sweep(flow, j, t, E, f, dt, W, maps, x_at)
+    xq = np.cumsum(np.column_stack([-flow.value_each(Ea, fa, ga, x_at), gains]),
+                   axis=1)[:, -1]
     finite = np.isfinite(x[:, -1]).all(axis=1) & np.isfinite(xq)
     for r in np.nonzero([e is None for e in out])[0]:
         out[r] = (AugmentedState(x[r, -1], xq[r]) if finite[r] else StepSizeUnderflow(
