@@ -613,10 +613,7 @@ def coverage(F: ParaboloidFamily, t: float, endpoints, cells_per_dim: int = 24,
     if len(pts):
         cell = np.floor((pts - lo) / width).astype(int)
         ok = np.all((cell >= 0) & (cell < cells_per_dim), axis=1)
-        flat = np.zeros(len(pts), dtype=int)
-        for d in range(dim):
-            flat = flat * cells_per_dim + cell[:, d]
-        covered[np.unique(flat[ok])] = True
+        covered[np.ravel_multi_index(cell[ok].T, (cells_per_dim,) * dim)] = True
 
     n_inside = int(np.count_nonzero(inside))
     n_cov = int(np.count_nonzero(inside & covered))

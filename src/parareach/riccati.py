@@ -44,7 +44,7 @@ import numpy as np
 from ._expm import expm
 from .errors import (ConfigError, DimensionMismatch, NonPositiveScale, OutOfDomain,
                      SingularMw)
-from .model import IqcSystem, Paraboloid, _quantity, _shaped
+from .model import IqcSystem, Paraboloid, _freeze, _quantity, _shaped
 
 ESCAPE_BRACKET_RTOL = 1e-6  # relative width of the blow-up time bracket
 DOMAIN_TOL = 1e-12          # slack of a domain [0, t_end]: absolute at 0, relative at t_end
@@ -386,7 +386,7 @@ class TimeVaryingParaboloid:
         return Paraboloid(E, f, g)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParaboloidStack:
     """One seed under M scalings ``gammas`` (M,), stepped together by one
     :class:`Flow` on its first K nodes ``grid`` (K,).  Per member (row r):
@@ -395,7 +395,9 @@ class ParaboloidStack:
     ``last[r]`` of its last node, at ``t_end[r]``; and its ``escape[r]``
     time, or None.  Past ``last[r]`` a row is padded: its times and nodes
     repeat the last one, and its steps are 0.  All arrays are read-only;
-    the ``members`` are views of the rows."""
+    the ``members`` are views of the rows.  A stack equals only itself and
+    hashes by identity, so :mod:`parareach.touching` keys its span memo by
+    the stack."""
 
     flow: Flow
     grid: np.ndarray
@@ -410,13 +412,6 @@ class ParaboloidStack:
     @cached_property
     def members(self) -> tuple:
         return tuple(TimeVaryingParaboloid(self, r) for r in range(len(self.last)))
-
-    @cached_property
-    def _spans(self) -> dict:
-        """The last ride and the last back-trace of one span each, as
-        :mod:`parareach.touching` keeps them: per kind, its key and the
-        read-only arrays of its span part."""
-        return {}
 
 
 def propagate(P0: Paraboloid, sys: IqcSystem, cfg: IntegratorConfig, gamma=1.0):
@@ -478,8 +473,7 @@ def propagate(P0: Paraboloid, sys: IqcSystem, cfg: IntegratorConfig, gamma=1.0):
     col = np.minimum(np.arange(K), last[:, None])     # each row padded by its last node
     times, E, f, g = (a[np.arange(M)[:, None], col] for a in (times, E, f, g))
     steps = np.where(np.arange(K - 1) < last[:, None], steps[:, :K - 1], 0.0)
-    for a in (gm, times, steps, E, f, g, last):
-        a.flags.writeable = False
+    _freeze(gm, times, steps, E, f, g, last)
     stack = ParaboloidStack(flow, flow.grid[:K], gm, times, steps, (E, f, g), last,
                             times[:, -1], tuple(escape))
     return stack.members[0] if gs.ndim == 0 else stack

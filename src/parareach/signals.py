@@ -29,10 +29,10 @@ class ZeroSignal:
     knots = np.empty(0)
 
     def __init__(self, dim: int):
-        from .model import _count                   # model imports this module
+        from .model import _count, _freeze          # model imports this module
         self.dim = _count(dim, "signal dimension", 0)
         self._value = np.zeros(self.dim)
-        self._value.flags.writeable = False
+        _freeze(self._value)
 
     def __call__(self, t: float) -> np.ndarray:
         return self._value
@@ -95,7 +95,7 @@ class SampledSignal:
     degree = 3
 
     def __init__(self, times, values):
-        from .model import _count, _quantity        # model imports this module
+        from .model import _count, _freeze, _quantity  # model imports this module
         times = np.asarray(times, dtype=float)
         values = np.asarray(values, dtype=float)
         if values.ndim == 1:
@@ -113,8 +113,7 @@ class SampledSignal:
         self.dim = values.shape[1]
         self.coef = _not_a_knot_coefficients(times, values)
         self.knots = self.times
-        for a in (self.times, self.values, self.coef):
-            a.flags.writeable = False
+        _freeze(self.times, self.values, self.coef)
 
     def _piece(self, t):
         return min(int(np.searchsorted(self.times, t, side="right")) - 1,

@@ -26,20 +26,24 @@ A failed row keeps its error, and the other rows finish.
 A sweep has two parts.  Its span part depends only on the row and its
 span, 0 to the end for a ride and t_at back to 0 for a back-trace: the node
 tables, the step matrices and their scanned maps.  Its start part moves the
-starts by the maps and adds up the budgets.  The stack keeps the span of
-the last call whose rows all share one, per kind, so a loop of single
-rides or back-traces on one member builds each span once.
+starts by the maps and adds up the budgets.  This module keeps, per stack,
+the span of the last single ride and of the last single back-trace,
+read-only, so a loop of single rides or back-traces on one member builds
+each span once; stacked calls build their own.
 """
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from .errors import DimensionMismatch, NotOnBoundary, OutOfDomain, StepSizeUnderflow
-from .model import AugmentedState, IqcSystem, Paraboloid, _quantity, _shaped
+from .model import AugmentedState, IqcSystem, Paraboloid, _freeze, _quantity, _shaped
 from .riccati import IntegratorConfig, TimeVaryingParaboloid
 
 TOUCH_TOL_FACTOR = 100.0  # touch_tol = factor * rel_tol unless given
+_SPANS = weakref.WeakKeyDictionary()    # stack -> {kind: (key, span)}, see _shared
 
 
 def optimal_disturbance(P: Paraboloid, x, u_t, sys: IqcSystem) -> np.ndarray:
@@ -64,8 +68,9 @@ class Rides:
     starts from, from which :meth:`state_at_many` is exact between nodes.
     ``errors[r]`` is the :class:`NotOnBoundary` or
     :class:`StepSizeUnderflow` of a row that left the surface, else None.
-    Rows to one end on one member may share the span part of their sweep
-    (the module docstring); every array here is the row's own."""
+    A single ride's node tables, ``times`` among them, are the read-only
+    arrays of its stack's span memo (the module docstring); a stacked
+    call's are its own."""
 
     def __init__(self, flow, times, last, x, xq, h, etas, errors):
         self.flow = flow
@@ -208,22 +213,19 @@ def _sweep(flow, j, t, E, f, dt, W, maps, x0):
 
 def _shared(stack, kind, rows, at, build):
     """The span part of R rides or back-traces, ``build(stack, rows, at)``.
-    A call whose rows all share one span (one stack row, the same bits of
-    ``at``) reads it from the stack's slot for ``kind``, and on a miss
-    stores there its build for one row, read-only: a stack holds at most one
-    span per kind."""
+    A one-row call reads it from the stack's slot for ``kind``, keyed by
+    the row and the bits of ``at``, and on a miss stores its build there,
+    read-only: a stack holds at most one span per kind, for as long as the
+    stack lives.  Calls of more rows build their own."""
     at = np.asarray(at, dtype=float)
-    bits = at.view(np.int64)
-    if (rows != rows[0]).any() or (bits != bits[0]).any():
+    if len(rows) > 1:
         return build(stack, rows, at)
-    key = (int(rows[0]), int(bits[0]))
-    slot = stack._spans.get(kind)
-    if slot is None or slot[0] != key:
-        span = build(stack, rows[:1], at[:1])
-        for a in span:
-            a.flags.writeable = False
-        stack._spans[kind] = slot = (key, span)
-    return tuple(np.repeat(a, len(rows), axis=0) for a in slot[1])
+    key = (int(rows[0]), int(at.view(np.int64)[0]))
+    slots = _SPANS.setdefault(stack, {})
+    if kind not in slots or slots[kind][0] != key:
+        slots[kind] = (key, build(stack, rows, at))
+        _freeze(*slots[kind][1])
+    return slots[kind][1]
 
 
 def _ride_span(stack, rows, ends):
@@ -243,8 +245,8 @@ def _back_span(stack, rows, t_at):
     their budget integrals and ride maps, and the parameters (E, f, g) at
     t_at."""
     flow = stack.flow
-    r, end = np.arange(len(rows)), stack.t_end[rows]
-    times, steps, E, f, g, last = _node_tables(stack, rows, end)
+    r, end, last = np.arange(len(rows)), stack.t_end[rows], stack.last[rows]
+    times, steps, E, f, g = (a[rows] for a in (stack.times, stack.steps) + stack.nodes)
     Ea, fa, ga = (a[:, 0] for a in flow.dense_output(E, f, g, end, t_at[:, None]))
     start = np.where(t_at < end, np.searchsorted(flow.grid, t_at, side="right") - 1, last)
     t0 = times[r, start]
@@ -284,9 +286,9 @@ def touching_trajectory(tvp, X0, sys: IqcSystem, cfg: IntegratorConfig,
     allowed), one start each, and ``touch_tol`` a number or one per row
     (else :class:`DimensionMismatch`), all rides are stepped together and a
     :class:`Rides` is returned, whose ``errors`` hold what a single ride
-    would have raised.  A call whose rows all ride one member to one end
-    builds that span's ride maps once, or reuses those of the last such call
-    on the same stack; the rides are the same bit for bit.
+    would have raised.  A stacked call builds its rows' ride maps itself; a
+    single ride reuses those of the last single ride on the same stack to
+    the same end.  The rides are the same bit for bit either way.
     """
     single = isinstance(tvp, TimeVaryingParaboloid)
     tvps, X0 = ([tvp], [X0]) if single else (list(tvp), list(X0))
@@ -303,7 +305,8 @@ def touching_trajectory(tvp, X0, sys: IqcSystem, cfg: IntegratorConfig,
                                                       _ride_span)
     x, gains, etas = _sweep(flow, j, times[:, :-1], E[:, :-1], f[:, :-1], steps, W, maps, x0)
     xq = np.cumsum(np.column_stack([[X.x_q for X in X0], gains]), axis=1)
-    h = flow.value(E, f, g, x) + xq
+    h = flow.value_each(*(a.reshape((-1,) + a.shape[2:])
+                          for a in (E, f, g, x))).reshape(xq.shape) + xq
     errors = [None] * R
     for r in np.nonzero(np.any(np.abs(h) > tols[:, None], axis=1))[0]:
         k = np.nonzero(np.abs(h[r]) > tols[r])[0][0]
@@ -338,9 +341,10 @@ def trace_back_to_seed(tvp, sys: IqcSystem, cfg: IntegratorConfig, t_at, x_at):
     all rows are stepped back together (each joins at the node before its
     start), and a list is returned holding per row the
     :class:`AugmentedState`, or the error a single back-trace would have
-    raised.  Rows of one member and one ``t_at`` share their steps and maps
-    as rides do (:func:`touching_trajectory`), and a row's seed state, its
-    budget included, is the same bit for bit alone and in any stack.
+    raised.  A single back-trace reuses the steps and maps of the last one
+    on the same member from the same ``t_at``, as single rides do
+    (:func:`touching_trajectory`), and a row's seed state, its budget
+    included, is the same bit for bit alone and in any stack.
     """
     single = isinstance(tvp, TimeVaryingParaboloid)
     tvps, t_at, x_at = ([tvp], [t_at], [x_at]) if single else (list(tvp), t_at, x_at)

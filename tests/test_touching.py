@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -307,6 +310,7 @@ class TestStackedRows:
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1))
+    @example(seed=2224)         # a ride's h rounded otherwise alone (n = 1, two nodes)
     def test_shared_spans_keep_their_bits(self, seed):
         # single rides and back-traces interleaved on one stack, two starts per
         # span, against the same rows in stacked calls with duplicate rows and
@@ -333,7 +337,7 @@ class TestStackedRows:
             np.testing.assert_array_equal(back.x_q, other_back.x_q)
 
         shared = [run(*call) for call in calls]
-        assert set(a.stack._spans) == {"ride", "back"}
+        assert set(touching._SPANS[a.stack]) == {"ride", "back"}
         gammas = np.geomspace(1.0, 30.0, 6)
         for call, (ride, back) in zip(calls, shared):
             fresh = pr.propagate(P0, sys_, cfg, gamma=gammas).members[call[0].row]
@@ -358,11 +362,44 @@ class TestStackedRows:
             pr.touching_trajectory(m, X0, sec5_system, ride_cfg)
         for t in np.linspace(0.0, m.t_end, 50):
             pr.trace_back_to_seed(m, sec5_system, sec5_cfg, t, [0.1, -0.2])
-        assert set(stack._spans) == {"ride", "back"}
+        assert set(touching._SPANS[stack]) == {"ride", "back"}
         for kind, t in (("ride", m.t_end), ("back", m.t_end)):
-            key, span = stack._spans[kind]
+            key, span = touching._SPANS[stack][kind]
             assert key == (1, np.float64(t).view(np.int64))
             assert all(len(a) == 1 and not a.flags.writeable for a in span)
+
+    def test_only_single_calls_use_the_memo_while_the_stack_lives(self, sec5_system,
+                                                                  sec5_seed, sec5_cfg):
+        stack = pr.propagate(sec5_seed, sec5_system, sec5_cfg, gamma=[1.0, 2.0])
+        m = stack.members[1]
+        X0 = random_boundary_states(scale_paraboloid(sec5_seed, 2.0), 1,
+                                    np.random.default_rng(3))[0]
+        ride = pr.touching_trajectory(m, X0, sec5_system, sec5_cfg)
+        pr.trace_back_to_seed(m, sec5_system, sec5_cfg, 0.5, [0.1, -0.2])
+        slots = dict(touching._SPANS[stack])
+
+        # stacked calls, on the same spans and on others, leave the slots alone
+        pr.touching_trajectory([m, m, stack.members[0]], [X0] * 3, sec5_system, sec5_cfg,
+                               touch_tol=np.inf)
+        pr.trace_back_to_seed([m, stack.members[0]], sec5_system, sec5_cfg, [0.5, 0.3],
+                              [[0.1, -0.2], [0.1, -0.2]])
+        assert touching._SPANS[stack].keys() == slots.keys()
+        assert all(touching._SPANS[stack][kind] is slots[kind] for kind in slots)
+
+        # a repeated single ride reads the very arrays the memo keeps, read-only
+        again = pr.touching_trajectory(m, X0, sec5_system, sec5_cfg)
+        assert touching._SPANS[stack]["ride"] is slots["ride"]
+        times, last = (slots["ride"][1][i] for i in (0, 5))
+        for one in (ride, again):
+            assert one._rides.times is times and one._rides.last is last
+            assert one.grid.base is times and not one.grid.flags.writeable
+
+        # the memo does not keep its stack alive, and drops its entry with it
+        gc.collect()
+        n_stacks, gone = len(touching._SPANS), weakref.ref(stack)
+        del stack, m, ride, again, one
+        gc.collect()
+        assert gone() is None and len(touching._SPANS) == n_stacks - 1
 
     def test_whole_number_horizon_rides_as_a_float(self, ex1_system, ex1_stable_seed,
                                                    ex1_cfg):
