@@ -22,15 +22,19 @@ Higham (SIAM J. Matrix Anal. Appl. 31(3), 2009), batched over stacks of
 
 The seeds of a family differ only in their scaling, so :func:`propagate`
 steps them together: each node is one step of the (M, k, k) stack of their
-augmented P with the piece's shared Phi.
+augmented P with the piece's shared Phi, and the node loop, dense output and
+the blow-up bisection share that one step (:meth:`Flow._step`).
 
 Riccati solutions can blow up in finite time: E passes through infinity where
 X turns singular.  X starts every step at I, so a step crosses a blow-up when
 an eigenvalue of its x-block leaves the open right half-plane (for n = 2:
 a positive trace and determinant), which also catches two
-eigenvalues of E passing through infinity together (det X keeps its sign).
-A member that crosses one leaves the stack, its blow-up time alone bisected
-on Phi(s) and its stored grid ending strictly before it; the others step on.
+eigenvalues of E passing through infinity together (det X keeps its sign);
+an exactly singular X crosses one too.  The stack steps through a chunk of
+nodes between two tests, and the test runs once for the whole chunk.  A
+member that crossed a blow-up in it leaves the stack at the chunk's end, its
+steps past the crossing thrown away, its blow-up time alone bisected on
+Phi(s) and its stored grid ending strictly before it; the others step on.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ ESCAPE_BRACKET_RTOL = 1e-6  # relative width of the blow-up time bracket
 DOMAIN_TOL = 1e-12          # slack of a domain [0, t_end]: absolute at 0, relative at t_end
 _VALUE_BLOCK = 8192         # elements of Flow.value's scratch block (64 kB)
 _VALUE_KERNEL_MIN = 2048    # results below which Flow.value's einsum costs less
+_CHUNK_NODES = 32           # nodes propagate steps between two blow-up tests
 
 
 @dataclass(frozen=True)
@@ -87,7 +92,7 @@ def _mw_solve(sys: IqcSystem, rhs):
 
 
 def _swap(a):
-    return np.swapaxes(a, -1, -2)
+    return a.swapaxes(-1, -2)
 
 
 def _right_half_plane(X):
@@ -126,29 +131,44 @@ class Flow:
             + [[t_end]])
         self.powers = np.arange(d1)
 
-        D = np.diag(np.arange(1.0, d1), -1)          # d/ds [1, s, ..] = D [1, s, ..]
-        B = np.vstack([sys.B, np.zeros((d1, sys.m))])
+        m, k2 = sys.m, 2 * k
+        B = np.vstack([sys.B, np.zeros((d1, m))])
+        Kl = -_mw_solve(sys, B.T)                   # w* = Kz zeta + Kl lam
+        R = -B @ Kl
         Mxu, Mxuw = sys.M[:n + p, :n + p], sys.M[:n + p, n + p:]
-        Z = []
-        for a in self.starts:
+        # The blocks are filled in place, piece by piece.  [x; u] = L zeta keeps
+        # the memory order np.block gave it (F when all its blocks were: n = 1
+        # and a C of two or more rows and columns); the products round by it.
+        L = np.eye(n + p, k, order="F" if n == 1 and min(p, d1) > 1 else "C")
+        A = np.zeros((k, k))                        # d/ds [1, s, ..] = D [1, s, ..]
+        A[:n, :n], A[n:, n:] = sys.A, np.diag(np.arange(1.0, d1), -1)
+        T = np.eye(k + m, k2)                       # [zeta; w*] = T [zeta; lam]
+        T[k:, k:] = Kl
+        G = np.empty((k + m, k + m))                # energy rate in [zeta; w]
+        G[k:, k:] = sys.Mw
+        self.Z = np.zeros((len(self.starts), 2 * k2, 2 * k2))
+        self.H = self.Z[:, k2:, k2:]                # views of Z's H blocks
+        for a, Z, H in zip(self.starts, self.Z, self.H):
             C = np.asarray(u.taylor(a), dtype=float).reshape(d1, p).T   # u = C [1, s, ..]
-            L = np.block([[np.eye(n), np.zeros((n, d1))], [np.zeros((p, n)), C]])
-            A = np.block([[sys.A, sys.Bu @ C], [np.zeros((d1, n)), D]])
+            L[n:, n:] = C
+            A[:n, n:] = sys.Bu @ C
             Mz, Mzw = L.T @ Mxu @ L, L.T @ Mxuw
-            Kz, Kl = -_mw_solve(sys, Mzw.T), -_mw_solve(sys, B.T)   # w* = Kz zeta + Kl lam
-            At, Qt, R = A + B @ Kz, Mz + Mzw @ Kz, -B @ Kl
-            Hj = np.block([[At, -R], [-Qt, -At.T]])
-            T = np.block([[np.eye(k), np.zeros((k, k))], [Kz, Kl]])
-            N = T.T @ np.block([[Mz, Mzw], [Mzw.T, sys.Mw]]) @ T
-            N = 0.5 * (N + N.T)
-            Z.append(np.block([[-Hj.T, N], [np.zeros_like(N), Hj]]))
-        self.Z = np.array(Z)
-        self.H = self.Z[:, 2 * k:, 2 * k:]          # views of Z's H blocks
+            Kz = -_mw_solve(sys, Mzw.T)
+            At = A + B @ Kz
+            H[:k, :k], H[:k, k:], H[k:, :k], H[k:, k:] = At, -R, -(Mz + Mzw @ Kz), -At.T
+            T[k:, :k] = Kz
+            G[:k, :k], G[:k, k:], G[k:, :k] = Mz, Mzw, Mzw.T
+            N = T.T @ G @ T
+            Z[:k2, :k2], Z[:k2, k2:] = -H.T, 0.5 * (N + N.T)
         # full steps, forward and backward, from one stacked exponential
         Phi, W = self._exp(np.tile(np.arange(len(self.h)), 2),
                            np.concatenate([self.h, -self.h]))
         self._full = tuple(a.reshape((2, len(self.h)) + a.shape[1:])    # [dt < 0, j]
                            for a in (Phi, W))
+        # the forward full steps' column halves, contiguous, for the node loop
+        forward = self._full[0][0]
+        self._halves = (np.ascontiguousarray(forward[..., :k]),
+                        np.ascontiguousarray(forward[..., k:]))
 
     # -- pieces and the augmented representation ----------------------------
 
@@ -161,11 +181,12 @@ class Flow:
         s = np.asarray(t, dtype=float) - self.starts[j]
         return s[..., None] ** self.powers
 
-    def embed(self, E, f, g):
+    def embed(self, E, f, g, out=None):
         """An augmented P with zeta' P zeta = x'Ex - 2f'x + g for every basis
-        value (the basis always starts with 1)."""
+        value (the basis always starts with 1), written into ``out`` if given,
+        whose other entries must be 0."""
         E = np.asarray(E, dtype=float)
-        P = np.zeros(E.shape[:-2] + (self.k, self.k))
+        P = np.zeros(E.shape[:-2] + (self.k, self.k)) if out is None else out
         n = self.n
         P[..., :n, :n] = E
         P[..., :n, n] = P[..., n, :n] = -np.asarray(f, dtype=float)
@@ -233,11 +254,8 @@ class Flow:
 
     def params_after(self, j, t, E, f, g, dt):
         """(E, f, g) at t + dt from (E, f, g) at t, within piece j, and the
-        x-block of X: the linear-fractional step P <- Y X^-1 with
-        [X; Y] = Phi(dt) [I; P].  The basis rows of X are those of the input's
-        own unit-determinant shift, so X is singular exactly where its x-block
-        is.  Shapes broadcast over leading axes, with one matrix exponential
-        per distinct (j, dt)."""
+        x-block of X: :meth:`_step` by Phi(dt).  Shapes broadcast over leading
+        axes, with one matrix exponential per distinct (j, dt)."""
         if np.ndim(dt) == 0 and abs(dt) == self.h[j]:
             Phi = self._full[0][int(dt < 0), j]
         else:
@@ -245,13 +263,32 @@ class Flow:
             key, inv = np.unique(j + 1j * np.asarray(dt), return_inverse=True)
             Phi = expm(self.H[key.real.astype(int)] * key.imag[:, None, None])
             Phi = Phi[inv.reshape(np.shape(dt))]
-        k = self.k
-        P = self.embed(E, f, g)
-        X = Phi[..., :k, :k] + Phi[..., :k, k:] @ P
-        Y = Phi[..., k:, :k] + Phi[..., k:, k:] @ P
-        P = np.linalg.solve(_swap(X), _swap(Y))
-        P = 0.5 * (P + _swap(P))
-        return self.read(P, self.basis(j, t + dt)) + (X[..., :self.n, :self.n],)
+        P = np.zeros(np.shape(E)[:-2] + (self.k, self.k))
+        return self._step(P, E, f, g, Phi[..., :self.k], Phi[..., self.k:],
+                          self.basis(j, t + dt))
+
+    def _step(self, P, E, f, g, left, right, phi):
+        """The linear-fractional step P <- Y X^-1, [X; Y] = Phi [I; P] = left +
+        right P with Phi's column halves (..., 2k, k), of (E, f, g) embedded
+        into the zeroed buffer P (..., k, k): (E, f, g) read at the basis
+        value phi, and the x-block of X.  The basis rows of X are those of
+        the input's own unit-determinant shift, so X is singular exactly
+        where its x-block is; there the step crosses a blow-up, and its
+        (E, f, g) are NaN."""
+        k, n = self.k, self.n
+        XY = right @ self.embed(E, f, g, out=P)
+        XY += left
+        X, Y = _swap(XY[..., :k, :]), _swap(XY[..., k:, :])
+        try:
+            P = np.linalg.solve(X, Y)
+        except np.linalg.LinAlgError:       # the same LAPACK call, matrix by matrix
+            P = np.full(XY.shape[:-2] + (k, k), np.nan)
+            for i in np.ndindex(P.shape[:-2]):
+                try:
+                    P[i] = np.linalg.solve(X[i], Y[i])
+                except np.linalg.LinAlgError:
+                    pass
+        return self.read(0.5 * (P + _swap(P)), phi) + (XY[..., :n, :n],)
 
     def dense_output(self, E, f, g, t_end, tq):
         """(E, f, g) at the times tq, clamped to [0, t_end], from the node
@@ -420,14 +457,18 @@ def propagate(P0: Paraboloid, sys: IqcSystem, cfg: IntegratorConfig, gamma=1.0):
     array of scalings, and the one member of its stack, a
     :class:`TimeVaryingParaboloid`, for a scalar ``gamma``.
 
-    Each node is one :meth:`Flow.params_after` on the member stack and one
-    batched test.  A member leaves the stack at the first step where an
-    eigenvalue of the x-block of X reaches the closed left half-plane (E
-    passes through infinity; :func:`_right_half_plane`) or E exceeds
-    ``cfg.escape_norm`` in Frobenius norm; its crossing is bisected on
-    Phi(s), with the same test, into ``escape_time``, and its last node is
-    the last time bracketed below it.  So each member's nodes are, bit for
-    bit, those it gets when propagated alone.
+    The live members step through chunks of ``_CHUNK_NODES`` nodes with no
+    test inside a chunk: each node is one :meth:`Flow._step` of their stack
+    with the piece's shared Phi.  After each chunk one batched test finds each
+    member's first step where an eigenvalue of the x-block of X reaches the
+    closed left half-plane (E passes through infinity;
+    :func:`_right_half_plane`; an exactly singular X counts), E exceeds
+    ``cfg.escape_norm`` in Frobenius norm, or f or g is not finite.  Such a
+    member leaves the stack at the chunk's end, and its steps past that one
+    are thrown away; its crossing is bisected on Phi(s), with the same test,
+    into ``escape_time``, and its last node is the last time bracketed below
+    it.  Rows step independently, so each member's nodes are, bit for bit,
+    those it gets when propagated alone.
     """
     if P0.dim != sys.n:
         raise DimensionMismatch(f"seed dim {P0.dim} != system dim {sys.n}")
@@ -435,38 +476,52 @@ def propagate(P0: Paraboloid, sys: IqcSystem, cfg: IntegratorConfig, gamma=1.0):
     if gs.ndim > 1 or gs.size == 0 or not np.all(gs > 0.0):
         raise NonPositiveScale(f"seed scalings must be positive, got {gamma}")
     flow = Flow(sys, cfg.t_end, cfg.max_step)
-    M, K, gm = gs.size, len(flow.grid), gs.flatten()
+    M, K, gm, k = gs.size, len(flow.grid), gs.flatten(), flow.k
     pieces = flow.piece_of(flow.grid[:-1])
+    phis = flow.basis(pieces, flow.grid[:-1] + flow.h[pieces])    # at each step's end
     times, steps = np.tile(flow.grid, (M, 1)), np.tile(flow.h[pieces], (M, 1))
     node = (gm[:, None, None] * P0.E, gm[:, None] * P0.f, gm * P0.g)  # of live members
     E, f, g = (np.repeat(a[:, None], K, axis=1) for a in node)
     last, escape, live = np.full(M, K - 1), [None] * M, np.arange(M)
+    left, right = flow._halves
 
-    def step(E0, f0, g0, dt):
-        E1, f1, g1, X = flow.params_after(j, t, E0, f0, g0, dt)
-        ok = (_right_half_plane(X)
-              & (np.einsum("...ij,...ij->...", E1, E1) <= cfg.escape_norm ** 2)
-              & np.isfinite(f1).all(axis=-1) & np.isfinite(g1))
-        return (E1, f1, g1), ok
+    def passed(X, E1, f1, g1):      # the tests of steps, over leading axes
+        finite = np.isfinite(X).all(axis=(-2, -1))     # fail before eigvals
+        with np.errstate(all="ignore"):         # a leaver's steps may overflow
+            return (finite & _right_half_plane(np.where(finite[..., None, None], X, 0.0))
+                    & (np.einsum("...ij,...ij->...", E1, E1) <= cfg.escape_norm ** 2)
+                    & np.isfinite(f1).all(axis=-1) & np.isfinite(g1))
 
-    for i, (t, j) in enumerate(zip(flow.grid[:-1], pieces)):
-        node, ok = step(*node, flow.h[j])
+    for a in range(0, K - 1, _CHUNK_NODES):
+        span = range(a, min(a + _CHUNK_NODES, K - 1))
+        P = np.zeros((len(live), k, k))
+        chunk = [np.empty((len(span),) + x.shape) for x in node + node[:1]]   # E, f, g, X
+        with np.errstate(all="ignore"):     # a leaver's steps past its blow-up
+            for c, i in enumerate(span):
+                j = pieces[i]
+                for buf, x in zip(chunk, flow._step(P, *node, left[j], right[j], phis[i])):
+                    buf[c] = x
+                node = (chunk[0][c], chunk[1][c], chunk[2][c])
+        ok = passed(chunk[3], *chunk[:3])
         rows = live if len(live) < M else slice(None)
-        E[rows, i + 1], f[rows, i + 1], g[rows, i + 1] = node
+        for whole, part in zip((E, f, g), chunk):
+            whole[rows, a + 1:span.stop + 1] = np.swapaxes(part, 0, 1)
         if ok.all():
             continue
-        for r in live[~ok]:             # bisect the blow-up of each leaver
+        leave = ~ok.all(axis=0)
+        for r, i in zip(live[leave], a + ok.argmin(axis=0)[leave]):   # first failing steps
+            t, j = flow.grid[i], pieces[i]          # bisect the blow-up of each leaver
             lo, hi = 0.0, flow.h[j]
             while hi - lo > ESCAPE_BRACKET_RTOL * max(t + hi, 1e-3):
                 mid = 0.5 * (lo + hi)
-                cand, passed = step(E[r, i], f[r, i], g[r, i], mid)
-                if passed:
+                *cand, X = flow.params_after(j, t, E[r, i], f[r, i], g[r, i], mid)
+                if passed(X, *cand):
                     lo, (E[r, i + 1], f[r, i + 1], g[r, i + 1]) = mid, cand
                 else:
                     hi = mid
             escape[r], last[r] = float(t + hi), i + (lo > 0.0)
             times[r, i + 1], steps[r, i] = t + lo, lo
-        node, live = tuple(a[ok] for a in node), live[ok]
+        node, live = tuple(x[~leave] for x in node), live[~leave]
         if not len(live):
             break
     K = last.max() + 1

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import parareach as pr
+from parareach import riccati
 from parareach.family import _slab_points
 from parareach.presets import load_preset
 
@@ -438,6 +439,58 @@ def random_iqc_system(rng, n=None, m=None, p=None, sampled_input=False):
         times = np.linspace(0.0, 1.5, int(rng.integers(4, 9)))
         u = pr.SampledSignal(times, rng.standard_normal((len(times), p)))
     return pr.make_system(A, B, Bu, M, u=u)
+
+
+# -- the parameter flow node by node: the tests' reference for the chunked
+# node loop of parareach.riccati.propagate ----------------------------------
+
+def reference_propagate(P0, sys_, cfg, gammas):
+    """The :class:`parareach.riccati.ParaboloidStack` of ``propagate`` for the
+    scalings ``gammas`` (M,), one node at a time: each node is one
+    ``Flow.params_after`` of the live members and one test, and a member
+    whose step fails leaves the stack at once, its blow-up bisected."""
+    flow = riccati.Flow(sys_, cfg.t_end, cfg.max_step)
+    gm = np.asarray(gammas, dtype=float)
+    M, K = gm.size, len(flow.grid)
+    pieces = flow.piece_of(flow.grid[:-1])
+    times, steps = np.tile(flow.grid, (M, 1)), np.tile(flow.h[pieces], (M, 1))
+    node = (gm[:, None, None] * P0.E, gm[:, None] * P0.f, gm * P0.g)  # of live members
+    E, f, g = (np.repeat(a[:, None], K, axis=1) for a in node)
+    last, escape, live = np.full(M, K - 1), [None] * M, np.arange(M)
+
+    def step(E0, f0, g0, dt):
+        E1, f1, g1, X = flow.params_after(j, t, E0, f0, g0, dt)
+        ok = (riccati._right_half_plane(X)
+              & (np.einsum("...ij,...ij->...", E1, E1) <= cfg.escape_norm ** 2)
+              & np.isfinite(f1).all(axis=-1) & np.isfinite(g1))
+        return (E1, f1, g1), ok
+
+    for i, (t, j) in enumerate(zip(flow.grid[:-1], pieces)):
+        node, ok = step(*node, flow.h[j])
+        rows = live if len(live) < M else slice(None)
+        E[rows, i + 1], f[rows, i + 1], g[rows, i + 1] = node
+        if ok.all():
+            continue
+        for r in live[~ok]:
+            lo, hi = 0.0, flow.h[j]
+            while hi - lo > riccati.ESCAPE_BRACKET_RTOL * max(t + hi, 1e-3):
+                mid = 0.5 * (lo + hi)
+                cand, passed = step(E[r, i], f[r, i], g[r, i], mid)
+                if passed:
+                    lo, (E[r, i + 1], f[r, i + 1], g[r, i + 1]) = mid, cand
+                else:
+                    hi = mid
+            escape[r], last[r] = float(t + hi), i + (lo > 0.0)
+            times[r, i + 1], steps[r, i] = t + lo, lo
+        node, live = tuple(a[ok] for a in node), live[ok]
+        if not len(live):
+            break
+    K = last.max() + 1
+    col = np.minimum(np.arange(K), last[:, None])     # each row padded by its last node
+    times, E, f, g = (a[np.arange(M)[:, None], col] for a in (times, E, f, g))
+    steps = np.where(np.arange(K - 1) < last[:, None], steps[:, :K - 1], 0.0)
+    return riccati.ParaboloidStack(flow, flow.grid[:K], gm, times, steps, (E, f, g),
+                                   last, times[:, -1], tuple(escape))
 
 
 # -- rides and back-traces node by node: the tests' reference for the stacked

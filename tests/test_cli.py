@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import parareach as pr
-from parareach import cli
+from parareach import cli, riccati
 from parareach.cli import main
 from parareach.errors import ConfigError
 from parareach.presets import load_preset
@@ -78,6 +78,18 @@ class TestPropagate:
                     "--out", str(out)]) == 2
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["t_end_reached"] < manifest["escape_time"] <= 2.4929012
+
+    def test_singular_first_step_is_an_escape(self, tmp_path):
+        # at this e0, X = Phi11 + Phi12 e0 is exactly 0 at the first full step
+        spec = load_preset("ex1-escape")
+        flow = riccati.Flow(spec["system"], spec["t_end"], spec["integrator"]["max_step"])
+        Phi = flow._full[0][0, 0]
+        e0 = float(-Phi[0, 0] / Phi[0, flow.k])
+        out = tmp_path / "run"
+        assert run(["propagate", "--example", "ex1-escape", "--e0", repr(e0),
+                    "--out", str(out)]) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert 0.0 < manifest["escape_time"] <= flow.h[0]
 
     def test_missing_system_file(self, tmp_path, capsys):
         assert run(["propagate", "--system", str(tmp_path / "nope.json"),

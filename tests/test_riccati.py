@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 
 import parareach as pr
 from parareach import riccati
+from parareach._expm import expm
 from parareach.errors import ConfigError, DimensionMismatch, NonPositiveScale, OutOfDomain
 from parareach.riccati import _VALUE_BLOCK, Flow
 
 from conftest import (ROOT_HI, ROOT_LO, f_rhs, g_quadrature_matrix, g_rhs,
                       node_rates, random_iqc_system, reference_params,
-                      reference_right_half_plane, reference_value, riccati_rhs,
+                      reference_propagate, reference_right_half_plane,
+                      reference_value, riccati_rhs,
                       scalar_blowup_time, scalar_flow, scale_paraboloid)
 
 
@@ -400,6 +402,125 @@ class TestBlowUpTest:
         assert reference_right_half_plane(X).tolist() == want
         assert riccati._right_half_plane(np.array([[[0.5]], [[0.0]], [[-1.0]]])).tolist() == [
             True, False, False]
+
+
+class TestChunkedLoop:
+    """The node loop, stepped in chunks of nodes with one test per chunk,
+    against the node-by-node reference: the same nodes, steps and escapes,
+    bit for bit."""
+
+    @staticmethod
+    def check(P0, sys_, cfg, gammas):
+        stack = pr.propagate(P0, sys_, cfg, gamma=gammas)
+        ref = reference_propagate(P0, sys_, cfg, gammas)
+        for a, b in zip((stack.times, stack.steps, stack.last) + stack.nodes,
+                        (ref.times, ref.steps, ref.last) + ref.nodes):
+            assert same_bits(a, b)
+        assert stack.escape == ref.escape
+        return stack
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 3), sampled=st.booleans(),
+           max_step=st.sampled_from([0.025, 0.1, 0.5]),
+           chunk=st.sampled_from([1, 2, 3, riccati._CHUNK_NODES]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_node_by_node(self, n, sampled, max_step, chunk, seed):
+        # indefinite seeds too, so that some members escape
+        rng = np.random.default_rng(seed)
+        sys_ = random_iqc_system(rng, n=n, sampled_input=sampled)
+        E0 = rng.standard_normal((n, n))
+        P0 = pr.Paraboloid(0.5 * (E0 + E0.T), rng.standard_normal(n), rng.standard_normal())
+        cfg = pr.IntegratorConfig(max_step=max_step, t_end=1.5)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(riccati, "_CHUNK_NODES", chunk)
+            self.check(P0, sys_, cfg, np.geomspace(1.0, 50.0, 6))
+
+    # ex1 from e0 < 0 blows up at scalar_blowup_time(e0): 96 steps of 0.0125
+    CFG = pr.IntegratorConfig(max_step=0.0125, t_end=1.2)
+
+    @staticmethod
+    def gamma_failing_at(step):
+        """The scaling of the seed e0 = -1 whose blow-up is mid-way through
+        the step from node ``step``; 1e-3 blows up just past the horizon."""
+        r0 = np.exp(np.sqrt(2.0) * (step + 0.5) * TestChunkedLoop.CFG.max_step)
+        return (ROOT_HI - r0 * ROOT_LO) / (r0 - 1.0)
+
+    @pytest.mark.parametrize("chunk", [4, 32])
+    @pytest.mark.parametrize("case", ["first", "last", "two", "all", "end"])
+    def test_leavers_at_chunk_edges(self, ex1_system, chunk, case):
+        steps = {"first": [chunk],                  # a leaver on a chunk's first node
+                 "last": [2 * chunk - 1],           # ... and on its last node
+                 "two": [chunk + 1, 2 * chunk - 2],  # two leavers in one chunk
+                 "all": [1, chunk + 2, 2 * chunk + 3],  # no member left: stop early
+                 "end": [95]}[case]                 # a blow-up at the grid's last node
+        gammas = [self.gamma_failing_at(s) for s in steps] + [1e-3] * (case != "all")
+        calls = []
+
+        def counted(X):
+            calls.append(X.ndim)
+            return reference_right_half_plane(X)
+        seed = pr.Paraboloid([[-1.0]], [0.0], -0.03)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(riccati, "_CHUNK_NODES", chunk)
+            m.setattr(riccati, "_right_half_plane", counted)
+            stack = self.check(seed, ex1_system, self.CFG, np.array(gammas))
+        grid = stack.flow.grid
+        for r, s in enumerate(steps):
+            assert grid[s] < stack.escape[r] <= grid[s + 1] and stack.last[r] == s + 1
+        if case == "all":
+            assert len(stack.grid) == max(steps) + 2 < len(grid)
+        else:
+            assert stack.escape[-1] is None and stack.last[-1] == len(grid) - 1
+        # one test a chunk, up to the chunk where the last member left; the
+        # bisections test one matrix at a time
+        assert calls.count(4) == (max(steps) // chunk + 1 if case == "all" else 96 // chunk)
+
+    def test_one_test_per_chunk(self, driven_system, driven_seed, driven_cfg):
+        calls, test = [], riccati._right_half_plane
+
+        def counted(X):
+            calls.append(X.shape)
+            return test(X)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(riccati, "_right_half_plane", counted)
+            tvp = pr.propagate(driven_seed, driven_system, driven_cfg)
+        assert tvp.escape_time is None
+        C, K = riccati._CHUNK_NODES, len(tvp.grid)
+        assert [s[:2] for s in calls] == [(min(C, K - 1 - a), 1) for a in range(0, K - 1, C)]
+
+
+class TestSingularX:
+    """A step, or a bisection probe, whose X is exactly singular crosses the
+    blow-up: its member leaves the stack and is bisected, and no
+    LinAlgError leaves propagate."""
+
+    @staticmethod
+    def singular_seed(flow, Phi):
+        # X = Phi11 + Phi12 e0 of the ex1 flow (f = 0) is exactly 0 at this e0
+        return pr.Paraboloid([[-Phi[0, 0] / Phi[0, flow.k]]], [0.0], -0.03)
+
+    def test_full_step(self, ex1_system, ex1_cfg):
+        flow = Flow(ex1_system, ex1_cfg.t_end, ex1_cfg.max_step)
+        h = flow.h[0]
+        seed = self.singular_seed(flow, flow._full[0][0, 0])
+        *node, X = flow.params_after(0, 0.0, seed.E, seed.f, seed.g, h)
+        assert np.all(X == 0.0) and np.isnan(node[0]).all()
+        tvp = pr.propagate(seed, ex1_system, ex1_cfg)
+        assert 0.0 < tvp.escape_time <= h and tvp.t_end < tvp.escape_time
+        ref = reference_propagate(seed, ex1_system, ex1_cfg, [1.0]).members[0]
+        assert same_bits(tvp.E_samples, ref.E_samples) and tvp.escape_time == ref.escape_time
+        # the stack steps on without the member
+        escapes = TestStack.check_members(seed, ex1_system, ex1_cfg, np.array([0.5, 1.0]))
+        assert escapes[1] == tvp.escape_time and escapes[0] > escapes[1]
+
+    def test_bisection_probe(self, ex1_system, ex1_cfg):
+        # the first probe, at half a step, meets the singular X
+        flow = Flow(ex1_system, ex1_cfg.t_end, ex1_cfg.max_step)
+        half = 0.5 * flow.h[0]
+        seed = self.singular_seed(flow, expm(flow.H[:1] * half)[0])
+        assert np.all(flow.params_after(0, 0.0, seed.E, seed.f, seed.g, half)[3] == 0.0)
+        tvp = pr.propagate(seed, ex1_system, ex1_cfg)
+        assert half - 1e-6 < tvp.escape_time <= half and tvp.t_end < tvp.escape_time
 
 
 class TestValue:
